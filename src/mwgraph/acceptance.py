@@ -46,6 +46,8 @@ from .graphs import (
 )
 from .linalg import DEFAULT_TOL, Tolerances, kernel_dim
 from .operators import (
+    ATTAIN_TOL,
+    CHECK_TOL,
     assemble,
     check_adjacency_trace_bounds,
     check_laplacian_trace_bounds,
@@ -53,8 +55,6 @@ from .operators import (
 )
 from .sheaf import Truss, global_sections, rigid_motions, truss_to_mwg, verify_factorization
 
-SLACK_TOL = 1e-8
-ATTAIN_TOL = 1e-7
 FRAME_TOL = 1e-12
 EXACT_TOL = 1e-12
 DEGREE_TOL = 1e-10
@@ -206,7 +206,7 @@ class Suite:
             G = lift_identity(unit_scalar_graph(base.n, base.edges), 2)
             report = check_normalized_bound(G, self.tol, attain_tol=ATTAIN_TOL)
             attain[name] = bool(report.context["attained"])
-        passed = worst <= 2.0 + SLACK_TOL and attain["k2"] and attain["k33"]
+        passed = worst <= 2.0 + CHECK_TOL and attain["k2"] and attain["k33"]
         return CriterionResult("A2", "normalized Laplacian bounded by 2", passed,
                                {"graphs": len(self.members), "max_lambda": worst,
                                 "k2_attained": attain["k2"], "k33_attained": attain["k33"]})
@@ -214,21 +214,19 @@ class Suite:
     def a3_trace_bounds(self) -> CriterionResult:
         worst = np.inf
         lift_equality_gap = 0.0
+        lifts = {id(G) for G in self.lift_graphs}
         for G in self.members:
             lap = check_laplacian_trace_bounds(G, self.tol)
             adj = check_adjacency_trace_bounds(G, self.tol)
             worst = min(worst, lap.slack, adj.slack)
-        for G in self.lift_graphs:
-            if G.base.n < 2:
+            if id(G) not in lifts or G.base.n < 2:
                 continue
-            lap = check_laplacian_trace_bounds(G, self.tol)
-            adj = check_adjacency_trace_bounds(G, self.tol)
             gap = max(abs(lap.context["sum_low"] - lap.context["lambda2_trace"]),
                       abs(lap.context["sum_high"] - lap.context["lambdan_trace"]),
                       abs(adj.context["sum_top"] - adj.context["mu1_trace"]),
                       abs(adj.context["sum_bottom"] - adj.context["mun_trace"]))
             lift_equality_gap = max(lift_equality_gap, gap)
-        passed = worst >= -SLACK_TOL and lift_equality_gap <= SLACK_TOL
+        passed = worst >= -CHECK_TOL and lift_equality_gap <= CHECK_TOL
         return CriterionResult("A3", "Laplacian and adjacency trace bounds", passed,
                                {"graphs": len(self.members), "min_slack": float(worst),
                                 "lift_equality_gap": float(lift_equality_gap)})
@@ -256,7 +254,7 @@ class Suite:
             report = eml_regular_exhaustive(G, self.tol)
             worst = min(worst, report.slack)
             count += 1
-        passed = count > 0 and worst >= -SLACK_TOL
+        passed = count > 0 and worst >= -CHECK_TOL
         return CriterionResult("A5", "regular mixing lemma, exhaustive pairs", passed,
                                {"graphs": count, "min_slack": float(worst)})
 
@@ -292,7 +290,7 @@ class Suite:
         k2 = MatrixWeightedGraph.from_weights(2, 1, [(0, 1, np.array([[1.0]]))])
         report = eml_irregular(k2, [0], [1], self.tol)
         k2_gap = max(abs(float(report.lhs) - 0.5), abs(float(report.rhs) - 0.5))
-        passed = worst >= -SLACK_TOL and k2_gap <= EXACT_TOL
+        passed = worst >= -CHECK_TOL and k2_gap <= EXACT_TOL
         return CriterionResult("A6", "irregular mixing lemma", passed,
                                {"graphs": len(candidates), "pairs_each": pairs_each,
                                 "min_slack": float(worst), "k2_equality_gap": float(k2_gap)})
@@ -307,7 +305,7 @@ class Suite:
             trace_report, loewner_report = check_cheeger_lower_bounds(G, self.tol)
             worst = min(worst, trace_report.slack, loewner_report.slack)
             count += 1
-        passed = count > 0 and worst >= -SLACK_TOL
+        passed = count > 0 and worst >= -CHECK_TOL
         return CriterionResult("A7", "Cheeger lower bounds, exhaustive subsets", passed,
                                {"graphs": count, "min_slack": float(worst)})
 
@@ -394,7 +392,7 @@ class Suite:
                            self.tol)
         bar_kernel = kernel_dim(assemble(bar, self.tol).laplacian, self.tol)
         passed = (tetra_kernel == 6 and motions.shape[1] == 6
-                  and resid <= SLACK_TOL and bar_kernel == 5)
+                  and resid <= CHECK_TOL and bar_kernel == 5)
         return CriterionResult("A11", "truss stiffness rigidity", passed,
                                {"tetrahedron_kernel": tetra_kernel,
                                 "rigid_motion_count": int(motions.shape[1]),

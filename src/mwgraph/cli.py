@@ -18,13 +18,11 @@ import numpy as np
 from . import acceptance, jsonio
 from .errors import MwgError, NotScalarRegularError, SingularVolumeError
 from .expansion import (
-    cheeger_constants,
-    check_cheeger_lower_bounds,
+    cheeger_analysis,
     eml_irregular,
     eml_irregular_exhaustive,
     eml_regular,
     eml_regular_exhaustive,
-    verify_counterexample,
 )
 from .frames import (
     EdgeColoring,
@@ -37,7 +35,7 @@ from .frames import (
     search_expanders,
 )
 from .graphs import load, regularity, save
-from .linalg import DEFAULT_TOL, Tolerances, kernel_dim
+from .linalg import DEFAULT_TOL, Tolerances, kernel_dim, kernel_dim_of_values
 from .operators import (
     adjacency_spectrum,
     assemble,
@@ -132,21 +130,20 @@ def _parse_subset(text: str) -> tuple[int, ...]:
         raise MwgError(f"invalid subset {text!r}: {exc}") from exc
 
 
-def _load_graph(path: Path, tol: Tolerances):
+def _read(path: Path) -> bytes:
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise MwgError(f"cannot read {path}: {exc}") from exc
-    return load(data, tol)
+
+
+def _load_graph(path: Path, tol: Tolerances):
+    return load(_read(path), tol)
 
 
 def _resolve_frame(spec: str, tol: Tolerances, r_context: int | None = None):
     if spec.startswith("@"):
-        path = Path(spec[1:])
-        try:
-            return load_frame(path.read_bytes(), tol)
-        except OSError as exc:
-            raise MwgError(f"cannot read frame file {path}: {exc}") from exc
+        return load_frame(_read(Path(spec[1:])), tol)
     try:
         return named_frame(spec, r_context)
     except ValueError as exc:
@@ -264,7 +261,7 @@ def cmd_spectrum(args, tol: Tolerances) -> int:
         "k": G.k,
         "lambda": [float(x) for x in lap.values],
         "mu": [float(x) for x in adj.values],
-        "kernel_dim": kernel_dim(assemble(G, tol).laplacian, tol),
+        "kernel_dim": kernel_dim_of_values(lap.values, tol),
         "regularity": {
             "kind": reg.kind,
             "scalar_degree": reg.scalar_degree,
@@ -323,9 +320,7 @@ def _all_hold(obj) -> bool:
 
 def cmd_cheeger(args, tol: Tolerances) -> int:
     G = _load_graph(args.file, tol)
-    constants = cheeger_constants(G, tol)
-    trace_bound, loewner_bound = check_cheeger_lower_bounds(G, tol)
-    cert = verify_counterexample(G, tol)
+    constants, (trace_bound, loewner_bound), cert = cheeger_analysis(G, tol)
     report = {
         "h_trace": constants.h_trace,
         "argmin": list(constants.argmin),
@@ -356,11 +351,7 @@ def cmd_sheaf_check(args, tol: Tolerances) -> int:
 
 
 def cmd_truss(args, tol: Tolerances) -> int:
-    try:
-        data = args.file.read_bytes()
-    except OSError as exc:
-        raise MwgError(f"cannot read {args.file}: {exc}") from exc
-    truss = load_truss(data)
+    truss = load_truss(_read(args.file))
     G = truss_to_mwg(truss, tol)
     L = assemble(G, tol).laplacian
     kdim = kernel_dim(L, tol)

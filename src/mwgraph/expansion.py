@@ -28,7 +28,7 @@ from .errors import (
     TooLargeError,
 )
 from .graphs import MatrixWeightedGraph, all_degrees, regularity
-from .linalg import DEFAULT_TOL, Tolerances, kernel_dim
+from .linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from .operators import CHECK_TOL, BoundReport, assemble
 
 EML_EXHAUSTIVE_MAX_N = 8
@@ -403,16 +403,7 @@ def cheeger_constants(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
                       n_exhaustive: int = CHEEGER_EXHAUSTIVE_MAX_N,
                       include_per_subset: bool = False) -> CheegerReport:
     """Exhaustive minimization over nonempty proper subsets mod complementation."""
-    d = require_scalar_regular(G, tol, positive=True)
-    n = G.base.n
-    if n > n_exhaustive:
-        raise TooLargeError(
-            f"n = {n} exceeds exhaustive limit {n_exhaustive}; use sampling instead")
-    if n < 2:
-        raise EmptyOrFullSubsetError("no nonempty proper subsets for n < 2")
-    scan = _scan_boundaries(G, d, tol, include_per_subset)
-    return CheegerReport(scan.h_trace, mask_vertices(scan.argmin_mask, n),
-                         scan.alpha, scan.per_subset)
+    return cheeger_analysis(G, tol, n_exhaustive, include_per_subset)[0]
 
 
 def check_cheeger_lower_bounds(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
@@ -422,18 +413,7 @@ def check_cheeger_lower_bounds(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT
     h_trace >= sum_{i=1..k} lambda_{k+i} / (2d), and per subset
     (lambda_{k+1} / 2d) I precedes h(S) in the Loewner order.
     """
-    d = require_scalar_regular(G, tol, positive=True)
-    k = G.k
-    lam = np.linalg.eigvalsh(assemble(G, tol).laplacian)
-    report = cheeger_constants(G, tol)
-    trace_bound = BoundReport.simple(
-        "cheeger_trace_lower_bound",
-        float(np.sum(lam[k:2 * k])) / (2 * d), report.h_trace, check_tol,
-        argmin=list(report.argmin))
-    loewner_bound = BoundReport.simple(
-        "cheeger_loewner_lower_bound",
-        float(lam[k]) / (2 * d), report.h_loewner_alpha, check_tol)
-    return trace_bound, loewner_bound
+    return cheeger_analysis(G, tol, check_tol=check_tol)[1]
 
 
 # --- counterexample certificate ---------------------------------------------
@@ -474,13 +454,33 @@ class CounterexampleCertificate:
 
 def verify_counterexample(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
                           n_exhaustive: int = CHEEGER_EXHAUSTIVE_MAX_N) -> CounterexampleCertificate:
+    return cheeger_analysis(G, tol, n_exhaustive)[2]
+
+
+def cheeger_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
+                     n_exhaustive: int = CHEEGER_EXHAUSTIVE_MAX_N,
+                     keep_per_subset: bool = False, check_tol: float = CHECK_TOL
+                     ) -> tuple[CheegerReport, tuple[BoundReport, BoundReport],
+                                CounterexampleCertificate]:
+    """The Cheeger constants, their two spectral lower bounds and the
+    counterexample certificate, from one boundary scan and one Laplacian
+    spectrum."""
     d = require_scalar_regular(G, tol, positive=True)
-    n = G.base.n
+    n, k = G.base.n, G.k
     if n > n_exhaustive:
         raise TooLargeError(
-            f"n = {n} exceeds exhaustive limit {n_exhaustive}")
+            f"n = {n} exceeds exhaustive limit {n_exhaustive}; use sampling instead")
     if n < 2:
         raise EmptyOrFullSubsetError("no nonempty proper subsets for n < 2")
-    kdim = kernel_dim(assemble(G, tol).laplacian, tol)
-    scan = _scan_boundaries(G, d, tol, keep_per_subset=False)
-    return CounterexampleCertificate(G.k, kdim, scan.min_rank, scan.alpha, scan.h_trace)
+    lam = np.linalg.eigvalsh(assemble(G, tol).laplacian)
+    scan = _scan_boundaries(G, d, tol, keep_per_subset)
+    argmin = mask_vertices(scan.argmin_mask, n)
+    trace_bound = BoundReport.simple(
+        "cheeger_trace_lower_bound",
+        float(np.sum(lam[k:2 * k])) / (2 * d), scan.h_trace, check_tol, argmin=list(argmin))
+    loewner_bound = BoundReport.simple(
+        "cheeger_loewner_lower_bound", float(lam[k]) / (2 * d), scan.alpha, check_tol)
+    return (CheegerReport(scan.h_trace, argmin, scan.alpha, scan.per_subset),
+            (trace_bound, loewner_bound),
+            CounterexampleCertificate(k, kernel_dim_of_values(lam, tol), scan.min_rank,
+                                      scan.alpha, scan.h_trace))

@@ -9,7 +9,6 @@ degree is r l / k, which need not be an integer.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from . import jsonio
 from .errors import (
     DomainError,
     NotColorableError,
@@ -34,6 +34,7 @@ from .graphgen import (
     enumerate_regular_graphs,
     graph6_like,
     is_connected_edges,
+    iter_proper_colorings,
     proper_colorings,
 )
 from .graphs import BaseGraph, Edge, MatrixWeightedGraph, regularity
@@ -163,28 +164,8 @@ def proper_edge_coloring(g: BaseGraph, r: int) -> EdgeColoring:
     """
     if max(g.geometric_degrees(), default=0) > r:
         raise NotColorableError(f"maximum degree exceeds {r} colors")
-    m = len(g.edges)
-    used = [0] * g.n
-    colors = [0] * m
-
-    def rec(i: int) -> bool:
-        if i == m:
-            return True
-        u, v = g.edges[i]
-        free = ~(used[u] | used[v])
-        for c in range(r):
-            if (free >> c) & 1:
-                bit = 1 << c
-                used[u] |= bit
-                used[v] |= bit
-                colors[i] = c
-                if rec(i + 1):
-                    return True
-                used[u] &= ~bit
-                used[v] &= ~bit
-        return False
-
-    if not rec(0):
+    colors = next(iter_proper_colorings(g, r), None)
+    if colors is None:
         raise NotColorableError(f"no proper {r}-edge-coloring exists (exhaustive search)")
     return EdgeColoring.from_sequence(g, colors, r)
 
@@ -468,13 +449,11 @@ def named_frame(name: str, r_context: int | None = None) -> FusionFrame:
 
 def load_frame(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> FusionFrame:
     """Parse frame JSON: { "k": int, "projections": [[k*k floats], ...] }."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    doc = jsonio.loads(data, "frame JSON")
     try:
-        doc = json.loads(data)
         k = int(doc["k"])
         rows = [[float(x) for x in p] for p in doc["projections"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed frame JSON: {exc}") from exc
     mats = []
     for i, flat in enumerate(rows):

@@ -11,9 +11,9 @@ is feasible.  Intended for the small graphs (n <= 12) the search uses.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
-from .graphs import BaseGraph
+from .graphs import BaseGraph, is_connected_edges
 
 
 def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -113,24 +113,6 @@ def graph6_like(n: int, code: int) -> str:
     return "".join(chars)
 
 
-def is_connected_edges(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
-
-
 def enumerate_regular_graphs(n: int, r: int, connected: bool = True) -> list[BaseGraph]:
     """Connected r-regular graphs on n vertices, one per isomorphism class.
 
@@ -192,29 +174,48 @@ def enumerate_regular_graphs(n: int, r: int, connected: bool = True) -> list[Bas
 def proper_colorings(base: BaseGraph, r: int) -> list[tuple[int, ...]]:
     """All proper r-edge-colorings, as color tuples aligned with base.edges.
 
-    Deterministic backtracking in sorted edge order; an empty result is an
-    exhaustive certificate that no proper r-coloring exists.
+    An empty result is an exhaustive certificate that no proper r-coloring
+    exists.
     """
-    m = len(base.edges)
+    return list(iter_proper_colorings(base, r))
+
+
+def iter_proper_colorings(base: BaseGraph, r: int) -> Iterator[tuple[int, ...]]:
+    """Proper r-edge-colorings, lazily, in the order proper_colorings lists them.
+
+    Deterministic backtracking in sorted edge order, trying colors in
+    increasing order.  Colors are bits: used[v] holds the colors at vertex
+    v, free[i] the colors edge i has still to try, bits[i] its current one.
+    """
+    edges = base.edges
+    m = len(edges)
+    if m == 0:
+        yield ()
+        return
+    all_colors = (1 << r) - 1
     used = [0] * base.n
+    free = [all_colors] + [0] * (m - 1)
+    bits = [0] * m
     colors = [0] * m
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int) -> None:
-        if i == m:
-            out.append(tuple(colors))
-            return
-        u, v = base.edges[i]
-        free = ~(used[u] | used[v])
-        for c in range(r):
-            if (free >> c) & 1:
-                bit = 1 << c
-                used[u] |= bit
-                used[v] |= bit
-                colors[i] = c
-                rec(i + 1)
-                used[u] &= ~bit
-                used[v] &= ~bit
-
-    rec(0)
-    return out
+    i = 0
+    while i >= 0:
+        u, v = edges[i]
+        used[u] ^= bits[i]  # take back edge i's current color, if any
+        used[v] ^= bits[i]
+        f = free[i]
+        if not f:
+            bits[i] = 0
+            i -= 1
+            continue
+        bit = f & -f
+        free[i] = f ^ bit
+        bits[i] = bit
+        colors[i] = bit.bit_length() - 1
+        used[u] |= bit
+        used[v] |= bit
+        if i + 1 == m:
+            yield tuple(colors)
+        else:
+            i += 1
+            u, v = edges[i]
+            free[i] = all_colors & ~(used[u] | used[v])

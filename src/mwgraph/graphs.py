@@ -9,7 +9,6 @@ on save.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -76,13 +75,21 @@ class BaseGraph:
 
 
 def connected_components(base: BaseGraph) -> list[frozenset[int]]:
-    adj: list[list[int]] = [[] for _ in range(base.n)]
-    for u, v in base.edges:
+    return _components(base.n, base.edges)
+
+
+def is_connected_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    return len(_components(n, edges)) <= 1
+
+
+def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * base.n
+    seen = [False] * n
     comps = []
-    for start in range(base.n):
+    for start in range(n):
         if seen[start]:
             continue
         stack = [start]
@@ -199,13 +206,7 @@ class Regularity:
 
 def degree(G: MatrixWeightedGraph, v: int) -> np.ndarray:
     """Algebraic degree D_v = sum of weights on edges at v (PSD)."""
-    if not (0 <= v < G.base.n):
-        raise IndexOutOfRangeError(f"vertex {v} outside [0, {G.base.n})")
-    D = np.zeros((G.k, G.k))
-    for (a, b), w in G.weights.items():
-        if a == v or b == v:
-            D = D + w
-    return D
+    return volume(G, [v])
 
 
 def all_degrees(G: MatrixWeightedGraph) -> list[np.ndarray]:
@@ -248,6 +249,7 @@ def lift_identity(g: ScalarWeightedGraph, k: int) -> MatrixWeightedGraph:
 
 def volume(G: MatrixWeightedGraph, S: Iterable[int]) -> np.ndarray:
     """vol(S) = sum of degree matrices over S; vol(V) is vol(G)."""
+    degs = all_degrees(G)
     vol = np.zeros((G.k, G.k))
     seen = set()
     for v in S:
@@ -257,7 +259,7 @@ def volume(G: MatrixWeightedGraph, S: Iterable[int]) -> np.ndarray:
         if v in seen:
             continue
         seen.add(v)
-        vol = vol + degree(G, v)
+        vol = vol + degs[v]
     return vol
 
 
@@ -275,12 +277,7 @@ def total_volume(G: MatrixWeightedGraph) -> np.ndarray:
 
 def load(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGraph:
     """Parse MWG-JSON; duplicate pair entries are merged by matrix summation."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = jsonio.loads(data, "MWG-JSON")
     if not isinstance(doc, dict):
         raise ParseError("top-level MWG-JSON value must be an object")
     try:

@@ -1,4 +1,4 @@
-"""Deterministic JSON emission.
+"""Deterministic JSON emission, and the one JSON parser for input documents.
 
 The stdlib encoder does not allow control over float formatting, so reports
 and graph files are serialized by hand.  Floats are written with 17
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, ParseError
 
 FLOAT_FORMAT = ".17g"
 
@@ -22,6 +22,16 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise NonFiniteError(f"cannot serialize non-finite value {x!r}")
     return format(float(x), FLOAT_FORMAT)
+
+
+def loads(data: bytes | str, what: str):
+    """Decode (UTF-8) and parse one JSON document; any failure is a ParseError."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ParseError(f"invalid {what}: {exc}") from exc
 
 
 def dumps(obj) -> str:

@@ -141,7 +141,13 @@ def kernel_dim(m, tol: Tolerances = DEFAULT_TOL) -> int:
         raise NotPsdError("kernel_dim requires a PSD matrix")
     if sym.size == 0:
         return 0
-    values = np.linalg.eigvalsh(sym)
+    return kernel_dim_of_values(np.linalg.eigvalsh(sym), tol)
+
+
+def kernel_dim_of_values(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """kernel_dim from the ascending eigenvalues of a PSD matrix already solved."""
+    if values.size == 0:
+        return 0
     cutoff = tol.rank_rel_tol * max(1.0, float(values[-1]))
     return int(np.sum(values <= cutoff))
 
@@ -152,9 +158,3 @@ def rank_psd(m, tol: Tolerances = DEFAULT_TOL) -> int:
     if sym.size == 0:
         return 0
     return sym.shape[0] - kernel_dim(sym, tol)
-
-
-def multiplicity_near(values, target: float, tol_abs: float) -> int:
-    """Count eigenvalues within tol_abs of target (gap-based clustering)."""
-    arr = np.asarray(values, dtype=float)
-    return int(np.sum(np.abs(arr - target) <= tol_abs))

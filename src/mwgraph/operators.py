@@ -9,6 +9,7 @@ vertices are handled uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -71,15 +72,39 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """The five kn x kn operators of a matrix-weighted graph."""
+    """The five kn x kn operators of a matrix-weighted graph.
+
+    A, L and D are placed by ``assemble``; the normalized operators and
+    D^(+/2) are formed, with ``tol``, the first time one of them is read.
+    """
 
     adjacency: np.ndarray
     laplacian: np.ndarray
     degree: np.ndarray
-    lap_normalized: np.ndarray
-    adj_normalized: np.ndarray
     k: int
     n: int
+    tol: Tolerances = DEFAULT_TOL
+
+    @cached_property
+    def _degree_pseudo_sqrt_inv(self) -> np.ndarray:
+        k = self.k
+        half = np.zeros_like(self.degree)
+        for v in range(self.n):
+            block = slice(v * k, (v + 1) * k)
+            half[block, block] = pseudo_sqrt_inv(self.degree[block, block], self.tol)
+        return half
+
+    @cached_property
+    def lap_normalized(self) -> np.ndarray:
+        half = self._degree_pseudo_sqrt_inv
+        Lnorm = half @ self.laplacian @ half
+        return (Lnorm + Lnorm.T) / 2.0
+
+    @cached_property
+    def adj_normalized(self) -> np.ndarray:
+        half = self._degree_pseudo_sqrt_inv
+        Anorm = half @ self.adjacency @ half
+        return (Anorm + Anorm.T) / 2.0
 
 
 def assemble(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> OperatorBundle:
@@ -89,17 +114,9 @@ def assemble(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> OperatorB
         A[u * k:(u + 1) * k, v * k:(v + 1) * k] = w
         A[v * k:(v + 1) * k, u * k:(u + 1) * k] = w
     D = np.zeros((k * n, k * n))
-    half = np.zeros((k * n, k * n))
     for v, Dv in enumerate(all_degrees(G)):
         D[v * k:(v + 1) * k, v * k:(v + 1) * k] = Dv
-        half[v * k:(v + 1) * k, v * k:(v + 1) * k] = pseudo_sqrt_inv(Dv, tol)
-    L = D - A
-    Lnorm = half @ L @ half
-    Anorm = half @ A @ half
-    return OperatorBundle(A, L, D,
-                          (Lnorm + Lnorm.T) / 2.0,
-                          (Anorm + Anorm.T) / 2.0,
-                          k, n)
+    return OperatorBundle(A, D - A, D, k, n, tol)
 
 
 def scalar_adjacency(g: ScalarWeightedGraph) -> np.ndarray:

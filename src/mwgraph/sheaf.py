@@ -8,15 +8,15 @@ bar-and-joint (truss) construction whose Laplacian is the stiffness matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import jsonio
 from .errors import DegenerateEdgeError, ParseError
 from .graphs import Edge, MatrixWeightedGraph
-from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, kernel_dim, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, kernel_dim_of_values, spectral_norm
 from .operators import BoundReport, assemble
 
 
@@ -90,11 +90,18 @@ def verify_factorization(G: MatrixWeightedGraph,
 
 
 def global_sections(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of H^0 = ker(delta) = ker(L), as columns."""
-    L = assemble(G, tol).laplacian
-    dim = kernel_dim(L, tol)
-    _, vectors = np.linalg.eigh(L)
-    return vectors[:, :dim]
+    """Orthonormal basis of H^0 = ker(delta), as columns.
+
+    A singular value sigma counts as zero under the cutoff kernel_dim applies
+    to L = delta^T delta (sigma^2 against rank_rel_tol * max(1, sigma_max^2)),
+    so the dimension equals kernel_dim(L) exactly when ker delta = ker L.
+    """
+    delta = build_coboundary(G, tol=tol).matrix
+    if delta.shape[0] == 0:
+        return np.eye(delta.shape[1])
+    _, sigma, vt = np.linalg.svd(delta)
+    rank = sigma.size - kernel_dim_of_values(sigma[::-1] ** 2, tol)
+    return vt[rank:].T
 
 
 # --- trusses ---------------------------------------------------------------
@@ -127,13 +134,11 @@ class Truss:
 
 def load_truss(data: bytes | str) -> Truss:
     """Parse truss JSON: { "points": [[x,y,z],...], "edges": [{"u","v","s"}] }."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    doc = jsonio.loads(data, "truss JSON")
     try:
-        doc = json.loads(data)
         points = [[float(c) for c in p] for p in doc["points"]]
         members = [(int(e["u"]), int(e["v"]), float(e["s"])) for e in doc["edges"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed truss JSON: {exc}") from exc
     if any(len(p) != 3 for p in points):
         raise ParseError("each point must have exactly 3 coordinates")

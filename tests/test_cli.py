@@ -100,6 +100,24 @@ def test_cheeger_counterexample_graph(tmp_path, capsys):
     assert report["trace_lower_bound"]["holds"] is True
 
 
+def test_cheeger_scans_once(tmp_path, capsys, monkeypatch):
+    from conftest import k33_latin_mwg
+    from mwgraph import expansion
+
+    scans = []
+    real = expansion._scan_boundaries
+
+    def counting(*args, **kwargs):
+        scans.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "_scan_boundaries", counting)
+    path = tmp_path / "k33.json"
+    path.write_bytes(save(k33_latin_mwg()))
+    assert main(["--format", "json", "cheeger", str(path)]) == 0
+    assert len(scans) == 1
+
+
 def test_cheeger_rejects_irregular(tmp_path, capsys):
     g = unit_graph(3, [(0, 1)])
     path = tmp_path / "irr.json"

@@ -439,7 +439,8 @@ def test_load_frame_json():
 def test_load_frame_errors():
     with pytest.raises(ParseError):
         load_frame(b'{"k": 2, "projections": [[1, 0]]}')
-    with pytest.raises(ParseError):
-        load_frame(b"{bad")
+    for data in (b"{bad", b"\xff", b"[1]"):
+        with pytest.raises(ParseError):
+            load_frame(data)
     with pytest.raises(NotProjectionError):
         load_frame(b'{"k": 1, "projections": [[2.0]]}')

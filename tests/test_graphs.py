@@ -95,8 +95,9 @@ def test_load_rejects_non_psd_weight_naming_edge():
 
 
 def test_load_rejects_bad_json():
-    with pytest.raises(ParseError):
-        load(b"{nope")
+    for data in (b"{nope", b"\xff{}", b"[1]"):
+        with pytest.raises(ParseError):
+            load(data)
 
 
 def test_load_rejects_bad_weight_length():

@@ -58,6 +58,29 @@ def test_assemble_empty_graph():
         assert not np.any(op)
 
 
+def test_assemble_forms_normalized_operators_on_demand(monkeypatch):
+    from mwgraph import operators
+
+    calls = []
+    real = operators.pseudo_sqrt_inv
+
+    def counting(m, tol):
+        calls.append(1)
+        return real(m, tol)
+
+    monkeypatch.setattr(operators, "pseudo_sqrt_inv", counting)
+    G = k4_abc_mwg()
+    b = assemble(G)
+    assert b.adjacency.shape == b.laplacian.shape == b.degree.shape == (8, 8)
+    assert calls == []
+    lam = np.linalg.eigvalsh(b.lap_normalized)
+    mu = np.linalg.eigvalsh(b.adj_normalized)
+    assert len(calls) == 4  # one D_v^(+/2) per vertex, shared by both operators
+    # D = 1.5 I, so the normalized operators are L / 1.5 and A / 1.5
+    assert np.allclose(lam, np.linalg.eigvalsh(b.laplacian) / 1.5, atol=1e-12)
+    assert np.allclose(mu, np.linalg.eigvalsh(b.adjacency) / 1.5, atol=1e-12)
+
+
 def test_assemble_identity_lift_is_kronecker(rng):
     for _ in range(10):
         n = int(rng.integers(2, 6))

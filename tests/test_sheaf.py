@@ -105,6 +105,24 @@ def test_global_sections_counterexample_dimension_four():
     assert kernel_dim(assemble(G).laplacian) == 4
 
 
+def test_global_sections_rank_deficient_weights():
+    # rank-1 weights on a path: ker delta has the vectors constant along
+    # each weight's image and free on its kernel, dimension 6 - 2 = 4
+    e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 3.0])
+    G = MatrixWeightedGraph.from_weights(3, 2, [(0, 1, e1), (1, 2, e2)])
+    basis = global_sections(G)
+    assert basis.shape == (6, 4)
+    assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
+    assert np.allclose(build_coboundary(G).matrix @ basis, 0.0, atol=1e-12)
+    assert np.allclose(assemble(G).laplacian @ basis, 0.0, atol=1e-12)
+    assert kernel_dim(assemble(G).laplacian) == 4
+
+
+def test_global_sections_edgeless_is_everything():
+    G = MatrixWeightedGraph.from_weights(3, 2, [])
+    assert np.array_equal(global_sections(G), np.eye(6))
+
+
 def test_h0_dim_orientation_independent(rng):
     G = random_mwg(rng)
     base_dim = global_sections(G).shape[1]
@@ -204,5 +222,6 @@ def test_load_truss_errors():
         load_truss(b'{"points": [[0,0],[1,0]], "edges": []}')
     with pytest.raises(ParseError):
         load_truss(b'{"points": [[0,0,0]], "edges": [{"u": 0}]}')
-    with pytest.raises(ParseError):
-        load_truss(b"not json")
+    for data in (b"not json", b"\xff", b"[1]"):
+        with pytest.raises(ParseError):
+            load_truss(data)
