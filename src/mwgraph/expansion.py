@@ -10,7 +10,10 @@ Two conventions pinned here:
 
 Exhaustive subset scans iterate Gray-code order over subsets containing
 vertex 0 (complement symmetry) with incremental boundary updates, and break
-argmin ties by smallest bitmask.
+argmin ties by smallest bitmask.  The Cheeger scan takes the Gray-code steps
+SCAN_CHUNK at a time with numpy, and accumulates each boundary's updates
+strictly in sequence, so every boundary matrix has the same bits as one
+update at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .operators import CHECK_TOL, BoundReport, assemble
 
 EML_EXHAUSTIVE_MAX_N = 8
 CHEEGER_EXHAUSTIVE_MAX_N = 20
+# Gray-code steps per batch of the Cheeger scan: big enough to amortize the
+# numpy calls, small enough to keep the working arrays a few hundred KiB
+SCAN_CHUNK = 256
 
 
 # --- vertex subsets ---------------------------------------------------------
@@ -52,6 +58,12 @@ def mask_vertices(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if (mask >> v) & 1)
 
 
+def _gray_mask(m):
+    """Mask of Gray-code step m (an int or an integer array): the Gray code
+    of m on vertices 1..n-1, with vertex 0 always in."""
+    return ((m ^ (m >> 1)) << 1) | 1
+
+
 def proper_subsets_mod_complement(n: int) -> Iterator[int]:
     """Nonempty proper subsets containing vertex 0, in Gray-code order.
 
@@ -61,18 +73,18 @@ def proper_subsets_mod_complement(n: int) -> Iterator[int]:
     """
     full = (1 << n) - 1
     for m in range(1 << (n - 1)):
-        mask = ((m ^ (m >> 1)) << 1) | 1
+        mask = _gray_mask(m)
         if mask != full:
             yield mask
 
 
+def _mask_bits(masks, n: int) -> np.ndarray:
+    """(len(masks), n) integer array whose row i holds the 0/1 bits of masks[i]."""
+    return (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+
+
 def _indicators(masks, n: int) -> np.ndarray:
-    out = np.zeros((len(masks), n))
-    for i, mask in enumerate(masks):
-        for v in range(n):
-            if (mask >> v) & 1:
-                out[i, v] = 1.0
-    return out
+    return _mask_bits(masks, n).astype(float)
 
 
 # --- edge counts ------------------------------------------------------------
@@ -342,53 +354,74 @@ class _BoundaryScan:
 
 def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
                      keep_per_subset: bool) -> _BoundaryScan:
-    """Gray-code scan of all subsets mod complementation, incremental E updates."""
+    """Gray-code scan of all subsets mod complementation, incremental E updates.
+
+    Step m moves vertex ctz(m) + 1 across the cut (step 0 puts vertex 0 in
+    S) and adds +W for each of its edges that now crosses the cut, -W for
+    each that no longer does, in the vertex's edge order.  The steps go
+    SCAN_CHUNK at a time: np.add.accumulate adds the updates strictly in
+    sequence onto the previous boundary, so each E has the bits of the
+    one-update-at-a-time loop.
+    """
     n, k = G.base.n, G.k
-    nbrs: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(n)]
-    for (u, v), w in G.weights.items():
-        nbrs[u].append((v, w))
-        nbrs[v].append((u, w))
-    member = [False] * n
-    member[0] = True
-    E = np.zeros((k, k))
-    for _, w in nbrs[0]:
-        E = E + w
+    # CSR edge lists: vertex v's (neighbour, edge) pairs are at slots
+    # start[v]:start[v + 1] of nbr and edge
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(G.weights):
+        incident[u].append((v, i))
+        incident[v].append((u, i))
+    degree = np.array([len(pairs) for pairs in incident], dtype=np.int64)
+    start = np.concatenate(([0], np.cumsum(degree)))
+    nbr = np.array([x for pairs in incident for x, _ in pairs], dtype=np.int64)
+    edge = np.array([i for pairs in incident for _, i in pairs], dtype=np.int64)
+    W = np.array(list(G.weights.values()), dtype=float).reshape(-1, k, k)
+
+    total = 1 << (n - 1)
+    full = (1 << n) - 1
+    E = np.zeros((1, k, k))
     best_tr, best_mask = np.inf, None
     alpha = np.inf
     min_rank = k
     per: dict[tuple[int, ...], np.ndarray] | None = {} if keep_per_subset else None
-    mask = 1
-    m = 0
-    total = 1 << (n - 1)
-    full = (1 << n) - 1
-    while True:
-        if mask != full:
-            size = bin(mask).count("1")
-            denom = d * min(size, n - size)
-            h = E / denom
-            tr = float(np.trace(h))
-            values = np.linalg.eigvalsh(h)
-            lam_min = float(values[0])
-            rank_cut = tol.rank_rel_tol * max(1.0, float(values[-1]) * denom)
-            rank = int(np.sum(values * denom > rank_cut))
-            if tr < best_tr or (tr == best_tr and mask < best_mask):
-                best_tr, best_mask = tr, mask
-            alpha = min(alpha, lam_min)
-            min_rank = min(min_rank, rank)
-            if per is not None:
-                per[mask_vertices(mask, n)] = h
-        m += 1
-        if m >= total:
-            break
-        j = (m & -m).bit_length() - 1  # flipped Gray-code bit -> vertex j+1
-        v = j + 1
-        member[v] = not member[v]
-        mask ^= 1 << v
-        for w_vertex, w in nbrs[v]:
-            if member[w_vertex] != member[v]:
-                E = E + w
-            else:
-                E = E - w
+    for lo in range(0, total, SCAN_CHUNK):
+        m = np.arange(lo, min(lo + SCAN_CHUNK, total), dtype=np.int64)
+        masks = _gray_mask(m)
+        bits = _mask_bits(masks, n)
+        # m & -m is 2**ctz(m), whose frexp exponent is ctz(m) + 1 (0 for m = 0)
+        moved = np.frexp(m & -m)[1].astype(np.int64)
+        deg = degree[moved]
+        step_end = np.cumsum(deg)
+        # one row per update: its step, and its slot in the moved vertex's list
+        step = np.repeat(np.arange(m.size), deg)
+        slot = np.repeat(start[moved] - (step_end - deg), deg) + np.arange(step_end[-1])
+        crossing = bits[step, nbr[slot]] != bits[step, moved[step]]
+        w = W[edge[slot]]
+        acc = np.add.accumulate(np.concatenate((E, np.where(crossing[:, None, None], w, -w))),
+                                axis=0)
+        E = acc[-1:]
+        boundary = acc[step_end]
+        proper = masks != full
+        masks, bits, boundary = masks[proper], bits[proper], boundary[proper]
+        if masks.size == 0:
+            continue
+        size = bits.sum(axis=1)
+        denom = d * np.minimum(size, n - size)
+        h = boundary / denom[:, None, None]
+        tr = np.trace(h, axis1=1, axis2=2)
+        values = np.linalg.eigvalsh(h)
+        rank_cut = tol.rank_rel_tol * np.maximum(1.0, values[:, -1] * denom)
+        rank = np.sum(values * denom[:, None] > rank_cut[:, None], axis=1)
+        # first minimum of the chunk, as the one-at-a-time min would keep it
+        lam_min = values[:, 0]
+        alpha = min(alpha, float(lam_min[np.argmin(lam_min)]))
+        min_rank = min(min_rank, int(rank.min()))
+        low = tr.min()
+        low_mask = int(masks[tr == low].min())
+        if low < best_tr or (low == best_tr and low_mask < best_mask):
+            best_tr, best_mask = low, low_mask
+        if per is not None:
+            for mask, hm in zip(masks.tolist(), h):
+                per[mask_vertices(mask, n)] = hm
     # recompute the argmin boundary exactly (guards against drift in the
     # incremental updates)
     assert best_mask is not None

@@ -9,7 +9,12 @@ from mwgraph.errors import (
     SingularVolumeError,
     TooLargeError,
 )
+from mwgraph import expansion
 from mwgraph.expansion import (
+    CHEEGER_EXHAUSTIVE_MAX_N,
+    SCAN_CHUNK,
+    _indicators,
+    _scan_boundaries,
     cheeger_constants,
     cheeger_ratios,
     check_cheeger_lower_bounds,
@@ -18,15 +23,18 @@ from mwgraph.expansion import (
     eml_irregular_exhaustive,
     eml_regular,
     eml_regular_exhaustive,
+    mask_vertices,
     proper_subsets_mod_complement,
     verify_counterexample,
 )
 from mwgraph.graphs import (
     MatrixWeightedGraph,
     lift_identity,
+    regularity,
     scalarize_trace,
     total_volume,
 )
+from mwgraph.linalg import DEFAULT_TOL
 from mwgraph.operators import assemble, scalar_adjacency
 
 from conftest import (
@@ -36,6 +44,7 @@ from conftest import (
     k33_latin_mwg,
     k4_abc_mwg,
     random_mwg,
+    random_psd,
     unit_graph,
 )
 
@@ -263,6 +272,15 @@ def test_subsets_mod_complement_cover():
     assert jumps.count(2) <= 1
 
 
+def test_indicators_match_bit_loop():
+    n = 5
+    masks = [0, 1, 6, 19, 31]
+    expected = np.array([[1.0 if (mask >> v) & 1 else 0.0 for v in range(n)] for mask in masks])
+    out = _indicators(masks, n)
+    assert out.dtype == np.float64
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_cheeger_ratios_k2_identity():
     for k in (1, 2, 3):
         G = lift_identity(unit_graph(2, [(0, 1)]), k)
@@ -386,6 +404,127 @@ def test_cheeger_constants_too_large():
     G = lift_identity(cycle_graph(6), 1)
     with pytest.raises(TooLargeError):
         cheeger_constants(G, n_exhaustive=5)
+
+
+def test_cheeger_too_large_fails_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the size check")
+
+    monkeypatch.setattr(expansion, "assemble", forbidden)
+    monkeypatch.setattr(expansion, "_scan_boundaries", forbidden)
+    G = lift_identity(cycle_graph(CHEEGER_EXHAUSTIVE_MAX_N + 1), 2)
+    with pytest.raises(TooLargeError):
+        cheeger_constants(G)
+    with pytest.raises(TooLargeError):
+        verify_counterexample(G)
+
+
+def reference_scan(G, d, tol):
+    """The one-subset-at-a-time Gray-code loop, one E update per edge."""
+    n, k = G.base.n, G.k
+    nbrs = [[] for _ in range(n)]
+    for (u, v), w in G.weights.items():
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    member = [False] * n
+    member[0] = True
+    E = np.zeros((k, k))
+    for _, w in nbrs[0]:
+        E = E + w
+    best_tr, best_mask = np.inf, None
+    alpha = np.inf
+    min_rank = k
+    per = {}
+    mask = 1
+    full = (1 << n) - 1
+    for m in range(1, (1 << (n - 1)) + 1):
+        if mask != full:
+            size = bin(mask).count("1")
+            denom = d * min(size, n - size)
+            h = E / denom
+            tr = float(np.trace(h))
+            values = np.linalg.eigvalsh(h)
+            rank_cut = tol.rank_rel_tol * max(1.0, float(values[-1]) * denom)
+            if tr < best_tr or (tr == best_tr and mask < best_mask):
+                best_tr, best_mask = tr, mask
+            alpha = min(alpha, float(values[0]))
+            min_rank = min(min_rank, int(np.sum(values * denom > rank_cut)))
+            per[mask_vertices(mask, n)] = h
+        if m == 1 << (n - 1):
+            break
+        v = (m & -m).bit_length()
+        member[v] = not member[v]
+        mask ^= 1 << v
+        for u, w in nbrs[v]:
+            E = E + w if member[u] != member[v] else E - w
+    comp = [v for v in range(n) if not (best_mask >> v) & 1]
+    size = bin(best_mask).count("1")
+    E_best = edge_count(G, mask_vertices(best_mask, n), comp)
+    return (float(np.trace(E_best)) / (d * min(size, n - size)), best_mask, alpha, min_rank, per)
+
+
+def random_scalar_regular(rng, n, k):
+    """Randomly relabelled circulant on n vertices whose shift classes carry
+    random PSD weights, normalized so that every vertex degree is I."""
+    shifts = [s for s in range(1, n // 2 + 1) if s == 1 or rng.random() < 0.6]
+    # shift 1 takes a full-rank weight so that the degree sum is invertible
+    raw = {s: random_psd(rng, k, k if s == 1 else int(rng.integers(1, k + 1))) for s in shifts}
+    total = sum((1 if 2 * s == n else 2) * A for s, A in raw.items())
+    values, vectors = np.linalg.eigh(total)
+    inv_sqrt = vectors @ np.diag(values ** -0.5) @ vectors.T
+    label = rng.permutation(n)
+    items = []
+    for s, A in raw.items():
+        W = inv_sqrt @ A @ inv_sqrt
+        for i in range(n if 2 * s != n else n // 2):
+            items.append((int(label[i]), int(label[(i + s) % n]), W))
+    return MatrixWeightedGraph.from_weights(n, k, items)
+
+
+def assert_scan_matches_reference(G):
+    d = regularity(G).scalar_degree
+    h_trace, argmin_mask, alpha, min_rank, per = reference_scan(G, d, DEFAULT_TOL)
+    scan = _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset=True)
+    assert scan.h_trace == h_trace
+    assert scan.argmin_mask == argmin_mask
+    assert np.float64(scan.alpha).tobytes() == np.float64(alpha).tobytes()
+    assert scan.min_rank == min_rank
+    assert list(scan.per_subset) == list(per)
+    for S, h in per.items():
+        assert scan.per_subset[S].tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, SCAN_CHUNK])
+def test_chunked_scan_is_bitwise_the_per_subset_loop(chunk, monkeypatch):
+    monkeypatch.setattr(expansion, "SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(2009 + chunk)
+    for n in range(2, 11):
+        for k in (1, 2, 3):
+            G = random_scalar_regular(rng, n, k)
+            assert regularity(G).is_scalar_regular
+            assert_scan_matches_reference(G)
+
+
+def test_chunked_scan_carries_across_exact_chunk_boundaries(monkeypatch):
+    # 2^(n-1) = 4 chunks exactly, so the last step of each chunk is the
+    # boundary that the next chunk starts from
+    n = 7
+    monkeypatch.setattr(expansion, "SCAN_CHUNK", 1 << (n - 3))
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3):
+        assert_scan_matches_reference(random_scalar_regular(rng, n, k))
+    for G in (k33_latin_mwg(), _k44_frame_expander()):
+        assert_scan_matches_reference(G)
+
+
+def test_cheeger_smallest_graph():
+    for k in (1, 2, 3):
+        G = lift_identity(unit_graph(2, [(0, 1)]), k)
+        report = cheeger_constants(G, include_per_subset=True)
+        assert report.argmin == (0,)
+        assert list(report.per_subset) == [(0,)]
+        assert report.h_loewner_alpha == 1.0
+        assert_scan_matches_reference(G)
 
 
 def test_cheeger_lower_bounds_k2_equality():
