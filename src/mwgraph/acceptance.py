@@ -333,16 +333,10 @@ class Suite:
 
     def a9_expander_search(self) -> CriterionResult:
         results = search_expanders(8, 4, self.frame4, self.tol, workers=self.workers)
-        degree_ok = True
-        worst_degree_gap = 0.0
-        for res in results:
-            G = build_expander(res.graph, EdgeColoring.from_sequence(res.graph, res.coloring, 4),
-                               self.frame4, self.tol)
-            reg = regularity(G, self.tol)
-            gap = abs((reg.scalar_degree or np.inf) - 2.5)
-            worst_degree_gap = max(worst_degree_gap, gap)
-            if not reg.is_scalar_regular or gap > DEGREE_TOL:
-                degree_ok = False
+        # the search's eta raises unless an expander is dI-regular with
+        # d > 0, and report.d is that d
+        worst_degree_gap = max((abs(res.report.d - 2.5) for res in results), default=0.0)
+        degree_ok = worst_degree_gap <= DEGREE_TOL
         matches = [res for res in results
                    if abs(res.report.eta - TARGET_ETA) <= TARGET_MATCH_TOL
                    and abs(res.report.mu_nontrivial_min - TARGET_MU_MIN) <= TARGET_MATCH_TOL

@@ -29,15 +29,13 @@ from .errors import (
     TooLargeError,
 )
 from .graphgen import (
-    canonical_code,
     edges_code,
     enumerate_regular_graphs,
     graph6_like,
-    is_connected_edges,
     iter_proper_colorings,
     proper_colorings,
 )
-from .graphs import BaseGraph, Edge, MatrixWeightedGraph, regularity
+from .graphs import BaseGraph, Edge, MatrixWeightedGraph, is_connected_edges, regularity
 from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, rank_psd, spectral_norm
 from .operators import assemble
 
@@ -354,8 +352,9 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
     groups = _projection_groups(f, tol)
     tasks = []
     for n in range(r + 1, n_max + 1):
+        # enumerated graphs carry their canonical labeling already
         for graph in enumerate_regular_graphs(n, r, connected=True):
-            code_str = graph6_like(n, canonical_code(n, graph.edges))
+            code_str = graph6_like(n, edges_code(n, graph.edges))
             tasks.append((graph, n, code_str, f, groups, tol))
     if workers > 1 and len(tasks) > 1:
         import multiprocessing

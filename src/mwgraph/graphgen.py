@@ -2,10 +2,14 @@
 graphs up to isomorphism, and proper edge colorings.
 
 Canonical form is the lexicographically largest upper-triangle bit string
-over all vertex orderings (graph6 column bit order), found by level-wise
-branch and bound: at each position only vertices achieving the maximal next
-column can extend an optimal ordering, because every completion of a prefix
-is feasible.  Intended for the small graphs (n <= 12) the search uses.
+over all vertex orderings (graph6 column bit order).  canonical_code finds it
+level by level over bitsets: a frontier holds every prefix of an ordering
+whose columns so far equal the best ones, because every prefix can be
+completed and so the best full code extends a best prefix at every depth.
+Prefixes with the same placed set and the same neighbourhoods of the placed
+vertices within the unplaced ones have the same completions; merging them
+keeps the frontier bounded on symmetric graphs.  Intended for the small
+graphs (n <= 12) the search uses.
 """
 
 from __future__ import annotations
@@ -13,7 +17,21 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .graphs import BaseGraph, is_connected_edges
+from .graphs import BaseGraph, is_connected_edges  # noqa: F401  (re-exported)
+
+# canonical_code merges equal frontier states once a level has more than this
+# many; below it, building the merge keys costs more than the duplicates do
+MERGE_AT = 1024
+
+
+def _neighbour_bits(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Neighbourhood of each vertex as a bitset; labels may be numpy ints."""
+    adj = [0] * n
+    for u, v in edges:
+        u, v = int(u), int(v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -22,59 +40,77 @@ def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
     Bits are ordered column-wise, (0,1), (0,2), (1,2), (0,3), ...; two graphs
     on n vertices are isomorphic iff their codes are equal.
 
-    Branch and bound over vertex orderings: at each position only vertices
-    achieving the maximal next column can extend a lexicographically maximal
-    ordering (every completion of a prefix is feasible), and subtrees whose
-    prefix falls strictly below the best full code are cut.
+    Level-wise search over bitsets.  A state is a prefix of an ordering,
+    held as (nbhd, rest, cand): rest is the bitset of unplaced vertices,
+    nbhd the placed vertices' neighbourhoods in placement order (only their
+    part inside rest matters), and cand the unplaced vertices that tie for
+    the best next column.  That column and its ties come from successive
+    intersection: start from rest and, for each placed neighbourhood in
+    turn, shift in a 1 and narrow to it if any candidate lies in it, else
+    shift in a 0.  The frontier of each depth keeps only the children whose
+    next column is the largest, so no full code is ever compared.
+
+    Placing one of several tied vertices v leaves the others tied over the
+    old columns, so a child's column is its parent's plus one bit for v's
+    own neighbourhood; only a parent with a single tied vertex needs the
+    intersections redone.  A level with more than MERGE_AT states merges
+    those with equal rest and equal neighbourhoods within rest, which fix
+    every later column.  The merged frontier is at most the number of such
+    classes (C(n, d) at depth d for K_n, where unmerged prefixes would be
+    n!/(n-d)!), and a level holds at most n times the frontier before it.
     """
-    adj = [0] * n
-    edge_list = list(edges)
-    for u, v in edge_list:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    if not edge_list:
+    adj = _neighbour_bits(n, edges)
+    if not any(adj):
         return 0
-    total_bits = n * (n - 1) // 2
-    best = -1
-
-    def extend(rest: list[int], cols: list[int], depth: int, code: int, bits: int) -> None:
-        nonlocal best
-        if not rest:
-            if code > best:
-                best = code
-            return
-        top = -1
-        top_idx: list[int] = []
-        for i, c in enumerate(cols):
-            if c > top:
-                top = c
-                top_idx = [i]
-            elif c == top:
-                top_idx.append(i)
-        code = (code << depth) | top
-        bits += depth
-        if best >= 0 and code < (best >> (total_bits - bits)):
-            return
-        for i in top_idx:
-            row = adj[rest[i]]
-            next_rest = []
-            next_cols = []
-            for j, w in enumerate(rest):
-                if j != i:
-                    next_rest.append(w)
-                    next_cols.append((cols[j] << 1) | ((row >> w) & 1))
-            extend(next_rest, next_cols, depth + 1, code, bits)
-
-    extend(list(range(n)), [0] * n, 0, 0, 0)
-    return best
+    full = (1 << n) - 1
+    frontier = [((), full, full)]
+    code = top = 0  # top: the last column, the same for every frontier state
+    for depth in range(1, n):
+        children = []
+        best = -1
+        for nbhd, rest, cand in frontier:
+            tied = cand & (cand - 1)  # nonzero when two or more vertices tie
+            todo = cand
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                r = rest ^ bit
+                if tied:
+                    t = top
+                    c = cand ^ bit
+                else:
+                    t = 0
+                    c = r
+                    for x in nbhd:
+                        t <<= 1
+                        y = c & x
+                        if y:
+                            c = y
+                            t |= 1
+                a = adj[bit.bit_length() - 1]
+                t <<= 1
+                y = c & a
+                if y:
+                    c = y
+                    t |= 1
+                if t < best:
+                    continue
+                if t > best:
+                    best = t
+                    children = []
+                children.append((nbhd + (a,), r, c))
+        code = (code << depth) | best
+        top = best
+        if len(children) > MERGE_AT:
+            merged = {(tuple([x & r for x in nbhd]), r): c for nbhd, r, c in children}
+            children = [(nbhd, r, c) for (nbhd, r), c in merged.items()]
+        frontier = children
+    return code
 
 
 def edges_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
     """Adjacency bit string of a labeled graph (no canonicalization)."""
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _neighbour_bits(n, edges)
     code = 0
     for j in range(1, n):
         for i in range(j):
@@ -132,18 +168,21 @@ def enumerate_regular_graphs(n: int, r: int, connected: bool = True) -> list[Bas
         return []
     found: set[int] = set()
     deg = [0] * n
-    adj = [set() for _ in range(n)]
+    nbr = [0] * n
     edges: list[tuple[int, int]] = []
+    everyone = (1 << n) - 1
 
-    def rec() -> None:
-        u = next((v for v in range(n) if deg[v] < r), None)
-        if u is None:
-            if connected and not is_connected_edges(n, edges):
-                return
-            found.add(canonical_code(n, edges))
+    def rec(u: int) -> None:
+        while u < n and deg[u] == r:
+            u += 1
+        if u == n:
+            if not connected or _reaches_all(nbr, everyone):
+                found.add(canonical_code(n, edges))
             return
         need = r - deg[u]
-        cands = [v for v in range(u + 1, n) if deg[v] < r and v not in adj[u]]
+        # u's edges so far all go to earlier vertices, so any later one with
+        # spare degree is a candidate
+        cands = [v for v in range(u + 1, n) if deg[v] < r]
         if len(cands) < need:
             return
         # untouched vertices are interchangeable, so only prefix choices
@@ -154,21 +193,35 @@ def enumerate_regular_graphs(n: int, r: int, connected: bool = True) -> list[Bas
             if chosen_fresh and chosen_fresh != fresh[:len(chosen_fresh)]:
                 continue
             for v in combo:
-                adj[u].add(v)
-                adj[v].add(u)
-                deg[u] += 1
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
                 deg[v] += 1
                 edges.append((u, v))
-            rec()
+            deg[u] = r
+            rec(u + 1)
+            deg[u] = r - need
+            nbr[u] &= (1 << u) - 1
             for v in combo:
-                adj[u].remove(v)
-                adj[v].remove(u)
-                deg[u] -= 1
+                nbr[v] ^= 1 << u
                 deg[v] -= 1
                 edges.pop()
 
-    rec()
+    rec(0)
     return [BaseGraph.from_edges(n, code_to_edges(n, code)) for code in sorted(found)]
+
+
+def _reaches_all(nbr: list[int], everyone: int) -> bool:
+    """Flood fill from vertex 0 over neighbour bitsets."""
+    seen = wave = 1
+    while wave:
+        reach = 0
+        while wave:
+            bit = wave & -wave
+            wave ^= bit
+            reach |= nbr[bit.bit_length() - 1]
+        wave = reach & ~seen
+        seen |= wave
+    return seen == everyone
 
 
 def proper_colorings(base: BaseGraph, r: int) -> list[tuple[int, ...]]:

@@ -19,10 +19,15 @@ from .errors import (
     IndexOutOfRangeError,
     NotPsdError,
     ParseError,
+    TooLargeError,
 )
 from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, is_psd
 
 Edge = tuple[int, int]
+
+# load() refuses n * k above this, so that one dense kn x kn float64
+# operator, such as the Laplacian that assemble forms, stays within 128 MiB
+LOAD_MAX_NK = 4096
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -276,7 +281,11 @@ def total_volume(G: MatrixWeightedGraph) -> np.ndarray:
 
 
 def load(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGraph:
-    """Parse MWG-JSON; duplicate pair entries are merged by matrix summation."""
+    """Parse MWG-JSON; duplicate pair entries are merged by matrix summation.
+
+    Raises TooLargeError, before reading any edge, when n * k exceeds
+    LOAD_MAX_NK.
+    """
     doc = jsonio.loads(data, "MWG-JSON")
     if not isinstance(doc, dict):
         raise ParseError("top-level MWG-JSON value must be an object")
@@ -288,6 +297,8 @@ def load(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGrap
         raise ParseError(f"missing or malformed k/n/edges: {exc}") from exc
     if k < 1 or n < 0 or not isinstance(edge_docs, list):
         raise ParseError(f"invalid header: k={doc.get('k')}, n={doc.get('n')}")
+    if n * k > LOAD_MAX_NK:
+        raise TooLargeError(f"n * k = {n * k} exceeds the limit of {LOAD_MAX_NK}")
     items = []
     for i, ed in enumerate(edge_docs):
         try:

@@ -69,6 +69,17 @@ def test_spectrum_missing_file(tmp_path, capsys):
     assert main(["spectrum", str(tmp_path / "nope.json")]) == 2
 
 
+def test_spectrum_oversized_header_exits_2(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized header reached from_weights")
+
+    monkeypatch.setattr(MatrixWeightedGraph, "from_weights", never)
+    path = tmp_path / "huge.json"
+    path.write_text('{"k": 1, "n": 1000000000, "edges": []}')
+    assert main(["spectrum", str(path)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_eml_pair(k4_scalar_file, capsys):
     assert main(["--format", "json", "eml", str(k4_scalar_file),
                  "--S", "0,1", "--T", "2,3"]) == 0

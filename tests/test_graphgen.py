@@ -1,8 +1,13 @@
 import itertools
 
+import numpy as np
+import pytest
+
+from mwgraph import graphgen
 from mwgraph.graphgen import (
     canonical_code,
     code_to_edges,
+    edges_code,
     enumerate_regular_graphs,
     graph6_like,
     is_connected_edges,
@@ -15,6 +20,129 @@ from conftest import petersen_graph
 
 def relabel(edges, perm):
     return [(perm[u], perm[v]) for u, v in edges]
+
+
+def reference_canonical_code(n, edges):
+    """Depth-first branch and bound over orderings, kept as an oracle."""
+    adj = [0] * n
+    edge_list = list(edges)
+    for u, v in edge_list:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if not edge_list:
+        return 0
+    total_bits = n * (n - 1) // 2
+    best = -1
+
+    def extend(rest, cols, depth, code, bits):
+        nonlocal best
+        if not rest:
+            if code > best:
+                best = code
+            return
+        top = -1
+        top_idx = []
+        for i, c in enumerate(cols):
+            if c > top:
+                top = c
+                top_idx = [i]
+            elif c == top:
+                top_idx.append(i)
+        code = (code << depth) | top
+        bits += depth
+        if best >= 0 and code < (best >> (total_bits - bits)):
+            return
+        for i in top_idx:
+            row = adj[rest[i]]
+            next_rest = []
+            next_cols = []
+            for j, w in enumerate(rest):
+                if j != i:
+                    next_rest.append(w)
+                    next_cols.append((cols[j] << 1) | ((row >> w) & 1))
+            extend(next_rest, next_cols, depth + 1, code, bits)
+
+    extend(list(range(n)), [0] * n, 0, 0, 0)
+    return best
+
+
+def enumerated_leaves(monkeypatch, cases):
+    """Every labelled graph enumerate_regular_graphs canonicalises."""
+    leaves = []
+    inner = graphgen.canonical_code
+
+    def recording(n, edges):
+        leaves.append((n, tuple(edges)))
+        return inner(n, edges)
+
+    monkeypatch.setattr(graphgen, "canonical_code", recording)
+    for r, n_max in cases:
+        for n in range(r + 1, n_max + 1):
+            enumerate_regular_graphs(n, r)
+    monkeypatch.undo()
+    return leaves
+
+
+def cube_graph():
+    return BaseGraph.from_edges(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3)
+                                    if u < u ^ (1 << b)])
+
+
+def k66_graph():
+    return BaseGraph.from_edges(12, [(i, 6 + j) for i in range(6) for j in range(6)])
+
+
+def test_canonical_code_matches_reference_on_enumerated_leaves(monkeypatch):
+    leaves = enumerated_leaves(monkeypatch, [(3, 10), (4, 8)])
+    assert len(leaves) > 900
+    for n, edges in leaves:
+        assert canonical_code(n, edges) == reference_canonical_code(n, edges)
+
+
+@pytest.mark.parametrize("merge_at", [0, graphgen.MERGE_AT])
+def test_canonical_code_matches_reference_on_random_graphs(rng, monkeypatch, merge_at):
+    monkeypatch.setattr(graphgen, "MERGE_AT", merge_at)
+    for _ in range(150):
+        n = int(rng.integers(2, 10))
+        p = rng.random()
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+        expected = reference_canonical_code(n, edges)
+        assert canonical_code(n, edges) == expected
+        as_numpy = [(np.int64(u), np.int64(v)) for u, v in edges]
+        assert canonical_code(n, as_numpy) == expected
+
+
+def test_canonical_code_complete_graphs_are_all_ones():
+    for n in range(2, 13):
+        total = n * (n - 1) // 2
+        assert canonical_code(n, itertools.combinations(range(n), 2)) == (1 << total) - 1
+
+
+@pytest.mark.parametrize("graph", [k66_graph(), petersen_graph(), cube_graph()],
+                         ids=["K6,6", "petersen", "cube"])
+def test_canonical_code_symmetric_graphs(rng, graph):
+    n = graph.n
+    code = canonical_code(n, graph.edges)
+    for _ in range(5):
+        perm = list(rng.permutation(n))
+        assert canonical_code(n, relabel(graph.edges, perm)) == code
+    rebuilt = code_to_edges(n, code)
+    assert len(rebuilt) == len(graph.edges)
+    assert edges_code(n, rebuilt) == code
+    assert canonical_code(n, rebuilt) == code
+
+
+def test_canonical_code_trivial_cases():
+    assert canonical_code(0, []) == 0
+    assert canonical_code(1, []) == 0
+    assert canonical_code(6, []) == 0
+
+
+def test_enumerated_graphs_carry_canonical_labeling():
+    for r, n_max in [(3, 10), (4, 8)]:
+        for n in range(r + 1, n_max + 1):
+            for g in enumerate_regular_graphs(n, r):
+                assert edges_code(n, g.edges) == canonical_code(n, g.edges)
 
 
 def test_canonical_code_invariant_under_relabeling(rng):

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mwgraph.errors import IndexOutOfRangeError, NotPsdError, ParseError
+from mwgraph.errors import IndexOutOfRangeError, NotPsdError, ParseError, TooLargeError
 from mwgraph.graphs import (
+    LOAD_MAX_NK,
     BaseGraph,
     MatrixWeightedGraph,
     ScalarWeightedGraph,
@@ -113,6 +114,21 @@ def test_load_rejects_self_loop():
 def test_load_rejects_out_of_range_vertex():
     with pytest.raises(IndexOutOfRangeError):
         load(b'{"k": 1, "n": 2, "edges": [{"u": 0, "v": 5, "w": [1.0]}]}')
+
+
+def test_load_rejects_oversized_header_without_allocating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized header reached from_weights")
+
+    monkeypatch.setattr(MatrixWeightedGraph, "from_weights", never)
+    for k, n in [(1, 1_000_000_000), (1, LOAD_MAX_NK + 1), (4, LOAD_MAX_NK // 4 + 1)]:
+        with pytest.raises(TooLargeError):
+            load(f'{{"k": {k}, "n": {n}, "edges": []}}'.encode())
+
+
+def test_load_accepts_header_at_size_limit():
+    G = load(f'{{"k": 4, "n": {LOAD_MAX_NK // 4}, "edges": []}}'.encode())
+    assert G.k * G.base.n == LOAD_MAX_NK
 
 
 def test_save_load_roundtrip_exact(rng):
