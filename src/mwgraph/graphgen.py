@@ -2,24 +2,27 @@
 graphs up to isomorphism, and proper edge colorings.
 
 Canonical form is the lexicographically largest upper-triangle bit string
-over all vertex orderings (graph6 column bit order).  canonical_code finds it
-level by level over bitsets: a frontier holds every prefix of an ordering
-whose columns so far equal the best ones, because every prefix can be
-completed and so the best full code extends a best prefix at every depth.
-Prefixes with the same placed set and the same neighbourhoods of the placed
-vertices within the unplaced ones have the same completions; merging them
-keeps the frontier bounded on symmetric graphs.  Intended for the small
+over all vertex orderings (graph6 column bit order): column j holds the bits
+(0, j), ..., (j - 1, j), most significant first.  _max_code finds it level
+by level over bitsets: a frontier holds every prefix of an ordering whose
+columns so far equal the best ones, because every prefix can be completed
+and so the best full code extends a best prefix at every depth.  Prefixes
+with the same placed set and the same neighbourhoods of the placed vertices
+within the unplaced ones have the same completions; merging them keeps the
+frontier bounded on symmetric graphs.  Run against a labelled graph's own
+columns, the same search is a canonicity test, which the orderly generation
+of regular graphs applies to every partial graph.  Intended for the small
 graphs (n <= 12) the search uses.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import BaseGraph, is_connected_edges  # noqa: F401  (re-exported)
+from .graphs import BaseGraph
 
-# canonical_code merges equal frontier states once a level has more than this
+# _max_code merges equal frontier states once a level has more than this
 # many; below it, building the merge keys costs more than the duplicates do
 MERGE_AT = 1024
 
@@ -34,11 +37,8 @@ def _neighbour_bits(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return adj
 
 
-def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    """Complete isomorphism invariant: max adjacency bit string as an integer.
-
-    Bits are ordered column-wise, (0,1), (0,2), (1,2), (0,3), ...; two graphs
-    on n vertices are isomorphic iff their codes are equal.
+def _max_code(n: int, adj: Sequence[int], cols: Sequence[int] | None = None) -> int:
+    """Largest column-wise code of vertices 0..n-1 of adj over all orderings.
 
     Level-wise search over bitsets.  A state is a prefix of an ordering,
     held as (nbhd, rest, cand): rest is the bitset of unplaced vertices,
@@ -58,16 +58,19 @@ def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
     every later column.  The merged frontier is at most the number of such
     classes (C(n, d) at depth d for K_n, where unmerged prefixes would be
     n!/(n-d)!), and a level holds at most n times the frontier before it.
+
+    With cols, the labelled graph's columns (cols[d] for d = 1..n-1), each
+    level keeps only the children whose column equals the labelled one and
+    the search returns -1 as soon as a child's column is larger: the
+    labelling is canonical iff the result is not -1.  The identity ordering
+    stays in the frontier until then, so no level runs empty.
     """
-    adj = _neighbour_bits(n, edges)
-    if not any(adj):
-        return 0
     full = (1 << n) - 1
     frontier = [((), full, full)]
     code = top = 0  # top: the last column, the same for every frontier state
     for depth in range(1, n):
         children = []
-        best = -1
+        best = -1 if cols is None else cols[depth]
         for nbhd, rest, cand in frontier:
             tied = cand & (cand - 1)  # nonzero when two or more vertices tie
             todo = cand
@@ -96,6 +99,8 @@ def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
                 if t < best:
                     continue
                 if t > best:
+                    if cols is not None:
+                        return -1
                     best = t
                     children = []
                 children.append((nbhd + (a,), r, c))
@@ -106,6 +111,18 @@ def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
             children = [(nbhd, r, c) for (nbhd, r), c in merged.items()]
         frontier = children
     return code
+
+
+def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Complete isomorphism invariant: max adjacency bit string as an integer.
+
+    Bits are ordered column-wise, (0,1), (0,2), (1,2), (0,3), ...; two graphs
+    on n vertices are isomorphic iff their codes are equal.
+    """
+    adj = _neighbour_bits(n, edges)
+    if not any(adj):
+        return 0
+    return _max_code(n, adj)
 
 
 def edges_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -149,79 +166,81 @@ def graph6_like(n: int, code: int) -> str:
     return "".join(chars)
 
 
-def enumerate_regular_graphs(n: int, r: int, connected: bool = True) -> list[BaseGraph]:
+def enumerate_regular_graphs(n: int, r: int) -> list[BaseGraph]:
     """Connected r-regular graphs on n vertices, one per isomorphism class.
 
-    Degree-constrained backtracking over the adjacency of the first
-    unsaturated vertex, with isomorph rejection on canonical adjacency
-    codes.  Returned graphs carry their canonical labeling, sorted by code.
+    Orderly generation (Meringer 1999; McKay 1998) under the canonical form
+    above.  Vertex j = 1, 2, ... joins with a back-neighbourhood S among
+    the earlier vertices that have spare degree, which fixes column j of
+    the code.  A partial graph on 0..j is kept only if it is in canonical
+    labelling itself (_max_code against its own columns).  That is
+    necessary: reordering 0..j changes only columns 1..j, so a larger
+    prefix would make a larger full code.  It is also enough: every prefix
+    of a canonical labelling is canonical, so the growth reaches it.  Each
+    class therefore comes out exactly once, at the labelling that attains
+    its canonical code, and no leaf is canonicalised.
+
+    Cheaper necessary conditions prune first.  S is not empty, since a
+    vertex with no earlier neighbour could swap with a later one that has
+    one (the graph is connected) and raise column j; for the same reason
+    every graph grown this way is connected.  Column j without its last
+    bit is at most column j - 1, from swapping j - 1 and j.  With m
+    vertices still to come, no placed vertex may lack more than m edges
+    and all of them together no more than r * m.
+
+    Returned graphs carry their canonical labeling, sorted by code.
     """
     if r < 0 or n < 0:
         raise ValueError("n and r must be nonnegative")
-    if n == 0:
-        return []
     if r == 0:
-        if connected and n > 1:
-            return []
-        return [BaseGraph.from_edges(n, [])]
+        return [BaseGraph.from_edges(1, [])] if n == 1 else []
     if n <= r or (n * r) % 2 != 0:
         return []
-    found: set[int] = set()
     deg = [0] * n
     nbr = [0] * n
-    edges: list[tuple[int, int]] = []
-    everyone = (1 << n) - 1
+    cols = [0] * n
+    codes: list[int] = []
 
-    def rec(u: int) -> None:
-        while u < n and deg[u] == r:
-            u += 1
-        if u == n:
-            if not connected or _reaches_all(nbr, everyone):
-                found.add(canonical_code(n, edges))
-            return
-        need = r - deg[u]
-        # u's edges so far all go to earlier vertices, so any later one with
-        # spare degree is a candidate
-        cands = [v for v in range(u + 1, n) if deg[v] < r]
-        if len(cands) < need:
-            return
-        # untouched vertices are interchangeable, so only prefix choices
-        # among them can produce new isomorphism classes
-        fresh = [v for v in cands if deg[v] == 0]
-        for combo in itertools.combinations(cands, need):
-            chosen_fresh = [v for v in combo if deg[v] == 0]
-            if chosen_fresh and chosen_fresh != fresh[:len(chosen_fresh)]:
+    def grow(j: int, code: int, lack: int) -> None:
+        # vertices 0..j-1 are placed and together lack `lack` edges; once j
+        # joins, m vertices are still to come
+        m = n - 1 - j
+        spare = [i for i in range(j) if deg[i] < r]
+        # a vertex lacking m + 1 edges must take j, or it is stranded
+        must = 0
+        for i in spare:
+            if r - deg[i] > m:
+                must |= 1 << (j - 1 - i)
+        # the parity of r * m needs no test: the placed vertices lack
+        # r * (j + 1) - 2 * |E| edges, and r * (j + 1) + r * m = r * n is even
+        for k in range(max(1, r - m), min(r, len(spare)) + 1):
+            rest = lack + r - 2 * k
+            if rest > r * m:
                 continue
-            for v in combo:
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
-                deg[v] += 1
-                edges.append((u, v))
-            deg[u] = r
-            rec(u + 1)
-            deg[u] = r - need
-            nbr[u] &= (1 << u) - 1
-            for v in combo:
-                nbr[v] ^= 1 << u
-                deg[v] -= 1
-                edges.pop()
+            for back in itertools.combinations(spare, k):
+                col = 0
+                for i in back:
+                    col |= 1 << (j - 1 - i)
+                if col & must != must or col >> 1 > cols[j - 1]:
+                    continue
+                cols[j] = col
+                deg[j] = k
+                for i in back:
+                    nbr[i] |= 1 << j
+                    nbr[j] |= 1 << i
+                    deg[i] += 1
+                if _max_code(j + 1, nbr, cols) >= 0:
+                    if m:
+                        grow(j + 1, (code << j) | col, rest)
+                    else:
+                        codes.append((code << j) | col)
+                for i in back:
+                    nbr[i] ^= 1 << j
+                    deg[i] -= 1
+                nbr[j] = 0
 
-    rec(0)
-    return [BaseGraph.from_edges(n, code_to_edges(n, code)) for code in sorted(found)]
-
-
-def _reaches_all(nbr: list[int], everyone: int) -> bool:
-    """Flood fill from vertex 0 over neighbour bitsets."""
-    seen = wave = 1
-    while wave:
-        reach = 0
-        while wave:
-            bit = wave & -wave
-            wave ^= bit
-            reach |= nbr[bit.bit_length() - 1]
-        wave = reach & ~seen
-        seen |= wave
-    return seen == everyone
+    grow(1, 0, r)
+    return [BaseGraph.from_edges(n, code_to_edges(n, code)) for code in sorted(codes)]
 
 
 def proper_colorings(base: BaseGraph, r: int) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -10,10 +11,9 @@ from mwgraph.graphgen import (
     edges_code,
     enumerate_regular_graphs,
     graph6_like,
-    is_connected_edges,
     proper_colorings,
 )
-from mwgraph.graphs import BaseGraph
+from mwgraph.graphs import BaseGraph, is_connected_edges
 
 from conftest import petersen_graph
 
@@ -66,21 +66,65 @@ def reference_canonical_code(n, edges):
     return best
 
 
-def enumerated_leaves(monkeypatch, cases):
-    """Every labelled graph enumerate_regular_graphs canonicalises."""
-    leaves = []
-    inner = graphgen.canonical_code
+def reference_regular_leaves(n, r):
+    """Row-wise backtracking with fresh-vertex symmetry breaking, kept as an oracle.
 
-    def recording(n, edges):
-        leaves.append((n, tuple(edges)))
-        return inner(n, edges)
+    Yields every connected labelled r-regular graph it reaches, as an edge
+    tuple; isomorphic graphs repeat.
+    """
+    if n == 0 or (r and n <= r) or (n * r) % 2:
+        return
+    deg = [0] * n
+    edges = []
 
-    monkeypatch.setattr(graphgen, "canonical_code", recording)
-    for r, n_max in cases:
-        for n in range(r + 1, n_max + 1):
-            enumerate_regular_graphs(n, r)
-    monkeypatch.undo()
-    return leaves
+    def rec(u):
+        while u < n and deg[u] == r:
+            u += 1
+        if u == n:
+            if is_connected_edges(n, edges):
+                yield tuple(edges)
+            return
+        need = r - deg[u]
+        cands = [v for v in range(u + 1, n) if deg[v] < r]
+        fresh = [v for v in cands if deg[v] == 0]
+        for combo in itertools.combinations(cands, need):
+            chosen_fresh = [v for v in combo if deg[v] == 0]
+            if chosen_fresh and chosen_fresh != fresh[:len(chosen_fresh)]:
+                continue
+            for v in combo:
+                deg[v] += 1
+                edges.append((u, v))
+            deg[u] = r
+            yield from rec(u + 1)
+            deg[u] = r - need
+            for v in combo:
+                deg[v] -= 1
+                edges.pop()
+
+    yield from rec(0)
+
+
+def enumerated_leaves(cases):
+    """Every labelled graph the reference generator reaches."""
+    return [(n, edges) for r, n_max in cases for n in range(r + 1, n_max + 1)
+            for edges in reference_regular_leaves(n, r)]
+
+
+@functools.cache
+def reference_enumeration(n, r):
+    """The reference generator's leaves, one per canonical code, sorted."""
+    codes = {canonical_code(n, edges) for edges in reference_regular_leaves(n, r)}
+    return [BaseGraph.from_edges(n, code_to_edges(n, code)).edges for code in sorted(codes)]
+
+
+def columns(n, edges):
+    """Column j of a labelled graph's code is cols[j]; cols[0] is unused."""
+    code = edges_code(n, edges)
+    cols = [0] * n
+    for j in range(n - 1, 0, -1):
+        cols[j] = code & ((1 << j) - 1)
+        code >>= j
+    return cols
 
 
 def cube_graph():
@@ -92,8 +136,8 @@ def k66_graph():
     return BaseGraph.from_edges(12, [(i, 6 + j) for i in range(6) for j in range(6)])
 
 
-def test_canonical_code_matches_reference_on_enumerated_leaves(monkeypatch):
-    leaves = enumerated_leaves(monkeypatch, [(3, 10), (4, 8)])
+def test_canonical_code_matches_reference_on_enumerated_leaves():
+    leaves = enumerated_leaves([(3, 10), (4, 8)])
     assert len(leaves) > 900
     for n, edges in leaves:
         assert canonical_code(n, edges) == reference_canonical_code(n, edges)
@@ -110,6 +154,14 @@ def test_canonical_code_matches_reference_on_random_graphs(rng, monkeypatch, mer
         assert canonical_code(n, edges) == expected
         as_numpy = [(np.int64(u), np.int64(v)) for u, v in edges]
         assert canonical_code(n, as_numpy) == expected
+        # the same search run as a canonicity test against the labelled columns
+        adj = graphgen._neighbour_bits(n, edges)
+        is_canonical = edges_code(n, edges) == expected
+        assert (graphgen._max_code(n, adj, columns(n, edges)) >= 0) == is_canonical
+        rebuilt = code_to_edges(n, expected)
+        if rebuilt:
+            adj = graphgen._neighbour_bits(n, rebuilt)
+            assert graphgen._max_code(n, adj, columns(n, rebuilt)) == expected
 
 
 def test_canonical_code_complete_graphs_are_all_ones():
@@ -139,7 +191,7 @@ def test_canonical_code_trivial_cases():
 
 
 def test_enumerated_graphs_carry_canonical_labeling():
-    for r, n_max in [(3, 10), (4, 8)]:
+    for r, n_max in [(3, 10), (4, 10)]:
         for n in range(r + 1, n_max + 1):
             for g in enumerate_regular_graphs(n, r):
                 assert edges_code(n, g.edges) == canonical_code(n, g.edges)
@@ -185,6 +237,9 @@ def test_enumerate_cubic_counts():
     assert len(enumerate_regular_graphs(5, 3)) == 0  # odd n * odd r
     assert len(enumerate_regular_graphs(6, 3)) == 2
     assert len(enumerate_regular_graphs(8, 3)) == 5
+    # OEIS A002851
+    assert len(enumerate_regular_graphs(10, 3)) == 19
+    assert len(enumerate_regular_graphs(12, 3)) == 85
 
 
 def test_enumerate_quartic_counts():
@@ -192,6 +247,10 @@ def test_enumerate_quartic_counts():
     assert len(enumerate_regular_graphs(6, 4)) == 1
     assert len(enumerate_regular_graphs(7, 4)) == 2
     assert len(enumerate_regular_graphs(8, 4)) == 6
+    # OEIS A006820; n = 12 (1544 classes) takes 7-11 s and is left out
+    assert len(enumerate_regular_graphs(9, 4)) == 16
+    assert len(enumerate_regular_graphs(10, 4)) == 59
+    assert len(enumerate_regular_graphs(11, 4)) == 265
 
 
 def test_enumerate_cycles():
@@ -225,6 +284,24 @@ def test_enumerated_graphs_are_regular_connected_distinct():
         assert is_connected_edges(8, g.edges)
         codes.add(canonical_code(8, g.edges))
     assert len(codes) == len(graphs)
+
+
+@pytest.mark.parametrize("merge_at", [0, graphgen.MERGE_AT])
+def test_enumeration_matches_reference_generator(monkeypatch, merge_at):
+    monkeypatch.setattr(graphgen, "MERGE_AT", merge_at)
+    for r, n_max in [(0, 4), (1, 6), (2, 8), (3, 12), (4, 9)]:
+        for n in range(n_max + 1):
+            got = [g.edges for g in enumerate_regular_graphs(n, r)]
+            assert got == reference_enumeration(n, r), (n, r)
+
+
+def test_enumeration_canonicalises_no_leaf(monkeypatch):
+    cases = [(10, 3), (9, 4)]
+    expected = [reference_enumeration(n, r) for n, r in cases]
+    calls = []
+    monkeypatch.setattr(graphgen, "canonical_code", lambda *args: calls.append(args))
+    assert [[g.edges for g in enumerate_regular_graphs(n, r)] for n, r in cases] == expected
+    assert calls == []
 
 
 def test_enumeration_deterministic_order():
