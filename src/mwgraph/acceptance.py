@@ -53,7 +53,7 @@ from .operators import (
     check_laplacian_trace_bounds,
     check_normalized_bound,
 )
-from .sheaf import Truss, global_sections, rigid_motions, truss_to_mwg, verify_factorization
+from .sheaf import Truss, rigid_motions, sheaf_analysis, truss_to_mwg
 
 FRAME_TOL = 1e-12
 EXACT_TOL = 1e-12
@@ -232,15 +232,14 @@ class Suite:
                                 "lift_equality_gap": float(lift_equality_gap)})
 
     def a4_sheaf_factorization(self) -> CriterionResult:
+        # resid_tol is read only by the factorization report
         tol = dataclasses.replace(self.tol, resid_tol=1e-9)
         worst_ratio = 0.0
         dims_match = True
         for G in self.members:
-            report = verify_factorization(G, tol)
+            report, sections, kdim = sheaf_analysis(G, tol)
             worst_ratio = max(worst_ratio, float(report.lhs) / float(report.rhs))
-            h0 = global_sections(G, self.tol).shape[1]
-            if h0 != kernel_dim(assemble(G, self.tol).laplacian, self.tol):
-                dims_match = False
+            dims_match = dims_match and sections.shape[1] == kdim
         passed = worst_ratio <= 1.0 and dims_match
         return CriterionResult("A4", "sheaf factorization and global sections", passed,
                                {"graphs": len(self.members),

@@ -42,19 +42,14 @@ from .operators import (
     check_normalized_bound,
     laplacian_spectrum,
 )
-from .sheaf import (
-    global_sections,
-    load_truss,
-    rigid_motions,
-    truss_to_mwg,
-    verify_factorization,
-)
+from .sheaf import load_truss, rigid_motions, sheaf_analysis, truss_to_mwg
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-_TOL_FLAGS = ("sym_tol", "psd_tol", "rank_rel_tol", "loewner_tol", "resid_tol", "ortho_tol")
+# loewner_tol is read only by linalg.loewner_leq, which no command calls
+_TOL_FLAGS = ("sym_tol", "psd_tol", "rank_rel_tol", "resid_tol")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,9 +331,8 @@ def cmd_cheeger(args, tol: Tolerances) -> int:
 
 def cmd_sheaf_check(args, tol: Tolerances) -> int:
     G = _load_graph(args.file, tol)
-    factorization = verify_factorization(G, tol)
-    h0 = global_sections(G, tol).shape[1]
-    kdim = kernel_dim(assemble(G, tol).laplacian, tol)
+    factorization, sections, kdim = sheaf_analysis(G, tol)
+    h0 = sections.shape[1]
     report = {
         "factorization": factorization.to_jsonable(),
         "h0_dim": h0,

@@ -325,7 +325,8 @@ def _graph_results(args) -> list:
             if key in seen_weightings:
                 continue
             seen_weightings.add(key)
-        ec = EdgeColoring.from_sequence(graph, coloring, len(f))
+        # build_expander validates the coloring
+        ec = EdgeColoring(dict(zip(graph.edges, coloring)), len(f))
         G = build_expander(graph, ec, f, tol)
         results.append(SearchResult(n, code_str, graph, coloring, eta(G, tol)))
     return results

@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, is_psd
+from .linalg import DEFAULT_TOL, Tolerances, _psd_values, as_symmetric
 
 Edge = tuple[int, int]
 
@@ -147,7 +147,7 @@ class MatrixWeightedGraph:
         weights: dict[Edge, np.ndarray] = {}
         for key in sorted(merged):
             sym = as_symmetric(merged[key], tol)
-            if not is_psd(sym, tol):
+            if not _psd_values(sym, tol.psd_tol)[1]:
                 raise NotPsdError(f"weight on edge {key} is not PSD")
             sym.setflags(write=False)
             weights[key] = sym

@@ -5,11 +5,18 @@ these few operations, so semantics are pinned here once: symmetrization on
 ingestion, relative rank cutoffs, and Loewner comparison.  All functions are
 pure and deterministic: ``numpy.linalg.eigh`` uses a fixed LAPACK driver with
 no randomized pivoting, so identical input bits give identical output.
+
+Each public check validates its argument once: one ``as_symmetric`` and one
+solve, the PSD verdict and the kernel count taken from the same eigenvalues.
+Callers inside the package pass them arrays already validated (graph
+weights, frame projections, assembled operators): ``as_symmetric`` returns a
+finite, exactly symmetric S, and (S + S^T)/2 of such an S has S's bits, so
+that one pass changes no value and no verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,14 +41,12 @@ class Tolerances:
     rank_rel_tol: float = 1e-10
     loewner_tol: float = 1e-9
     resid_tol: float = 1e-8
-    ortho_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("sym_tol", "psd_tol", "rank_rel_tol", "loewner_tol",
-                     "resid_tol", "ortho_tol"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -62,7 +67,7 @@ def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Validate and canonically symmetrize a square matrix.
 
     Asymmetry beyond ``sym_tol`` is an error, not silently fixed; within
-    tolerance the matrix is stored as (M + M^T)/2.
+    tolerance the matrix is stored as (M + M^T)/2, which must be finite too.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -74,7 +79,10 @@ def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         if gap > tol.sym_tol:
             raise NotSymmetricError(
                 f"asymmetry {gap:.3e} exceeds sym_tol {tol.sym_tol:.3e}")
-    return (arr + arr.T) / 2.0
+    sym = (arr + arr.T) / 2.0
+    if sym.size and not np.all(np.isfinite(sym)):  # entries beyond ~9e307 overflow the sum
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    return sym
 
 
 def spectral_norm(m) -> float:
@@ -92,14 +100,19 @@ def eigh(m, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(values, vectors)
 
 
-def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -psd_tol * max(1, ||M||)."""
-    sym = as_symmetric(m, tol)
+def _psd_values(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, bool]:
+    """Ascending eigenvalues of an already symmetrized matrix, and whether the
+    minimum is >= -psd_tol * max(1, ||M||)."""
     if sym.size == 0:
-        return True
+        return np.zeros(0), True
     values = np.linalg.eigvalsh(sym)
     norm = max(abs(float(values[0])), abs(float(values[-1])))
-    return float(values[0]) >= -tol.psd_tol * max(1.0, norm)
+    return values, float(values[0]) >= -psd_tol * max(1.0, norm)
+
+
+def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff the minimum eigenvalue is >= -psd_tol * max(1, ||M||)."""
+    return _psd_values(as_symmetric(m, tol), tol.psd_tol)[1]
 
 
 def pseudo_sqrt_inv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -109,7 +122,9 @@ def pseudo_sqrt_inv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     the rest to zero, in the eigenbasis of M.
     """
     sym = as_symmetric(m, tol)
-    if not is_psd(sym, tol):
+    # the verdict comes from eigvalsh, as in is_psd: eigh's values may differ
+    # in the last bit and could flip a borderline verdict
+    if not _psd_values(sym, tol.psd_tol)[1]:
         raise NotPsdError("pseudo_sqrt_inv requires a PSD matrix")
     if sym.size == 0:
         return sym
@@ -126,22 +141,19 @@ def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
     sb = as_symmetric(b, tol)
     if sa.shape != sb.shape:
         raise DimMismatchError(f"shape mismatch {sa.shape} vs {sb.shape}")
-    diff = sb - sa
-    if diff.size == 0:
-        return True
-    values = np.linalg.eigvalsh(diff)
-    norm = max(abs(float(values[0])), abs(float(values[-1])))
-    return float(values[0]) >= -tol.loewner_tol * max(1.0, norm)
+    return _psd_values(sb - sa, tol.loewner_tol)[1]
 
 
 def kernel_dim(m, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of eigenvalues <= rank_rel_tol * max(1, lambda_max) of a PSD matrix."""
-    sym = as_symmetric(m, tol)
-    if not is_psd(sym, tol):
+    return _kernel_dim(as_symmetric(m, tol), tol)
+
+
+def _kernel_dim(sym: np.ndarray, tol: Tolerances) -> int:
+    values, psd = _psd_values(sym, tol.psd_tol)
+    if not psd:
         raise NotPsdError("kernel_dim requires a PSD matrix")
-    if sym.size == 0:
-        return 0
-    return kernel_dim_of_values(np.linalg.eigvalsh(sym), tol)
+    return kernel_dim_of_values(values, tol)
 
 
 def kernel_dim_of_values(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -155,6 +167,4 @@ def kernel_dim_of_values(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> i
 def rank_psd(m, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numeric rank of a PSD matrix under the same cutoff as kernel_dim."""
     sym = as_symmetric(m, tol)
-    if sym.size == 0:
-        return 0
-    return sym.shape[0] - kernel_dim(sym, tol)
+    return sym.shape[0] - _kernel_dim(sym, tol)

@@ -213,11 +213,6 @@ def check_adjacency_trace_bounds(G: MatrixWeightedGraph,
                              mu1_trace=mu1_tr, mun_trace=mun_tr)
 
 
-def normalized_bound_attained(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                              attain_tol: float = ATTAIN_TOL) -> bool:
-    return bool(check_normalized_bound(G, tol, attain_tol).context["attained"])
-
-
 __all__ = [
     "ATTAIN_TOL",
     "CHECK_TOL",
@@ -229,7 +224,6 @@ __all__ = [
     "check_laplacian_trace_bounds",
     "check_normalized_bound",
     "laplacian_spectrum",
-    "normalized_bound_attained",
     "scalar_adjacency",
     "scalar_laplacian",
 ]

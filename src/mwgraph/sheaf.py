@@ -16,7 +16,8 @@ import numpy as np
 from . import jsonio
 from .errors import DegenerateEdgeError, ParseError
 from .graphs import Edge, MatrixWeightedGraph
-from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, kernel_dim_of_values, spectral_norm
+from .linalg import (DEFAULT_TOL, Tolerances, as_symmetric, kernel_dim, kernel_dim_of_values,
+                     spectral_norm)
 from .operators import BoundReport, assemble
 
 
@@ -78,15 +79,26 @@ def build_coboundary(G: MatrixWeightedGraph,
     return Coboundary(delta, k, n, edge_rows, orient, factors)
 
 
+def _factorization_report(L: np.ndarray, delta: np.ndarray, tol: Tolerances) -> BoundReport:
+    err = spectral_norm(delta.T @ delta - L)
+    norm = spectral_norm(L)
+    return BoundReport.simple("sheaf_factorization", err, tol.resid_tol * max(1.0, norm),
+                              check_tol=0.0, laplacian_norm=norm)
+
+
+def _kernel_basis(delta: np.ndarray, tol: Tolerances) -> np.ndarray:
+    if delta.shape[0] == 0:
+        return np.eye(delta.shape[1])
+    _, sigma, vt = np.linalg.svd(delta)
+    rank = sigma.size - kernel_dim_of_values(sigma[::-1] ** 2, tol)
+    return vt[rank:].T
+
+
 def verify_factorization(G: MatrixWeightedGraph,
                          tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Check ||delta^T delta - L|| <= resid_tol * max(1, ||L||)."""
-    L = assemble(G, tol).laplacian
-    delta = build_coboundary(G, tol=tol).matrix
-    err = spectral_norm(delta.T @ delta - L)
-    bound = tol.resid_tol * max(1.0, spectral_norm(L))
-    return BoundReport.simple("sheaf_factorization", err, bound, check_tol=0.0,
-                              laplacian_norm=spectral_norm(L))
+    return _factorization_report(assemble(G, tol).laplacian,
+                                 build_coboundary(G, tol=tol).matrix, tol)
 
 
 def global_sections(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -96,12 +108,16 @@ def global_sections(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> np
     to L = delta^T delta (sigma^2 against rank_rel_tol * max(1, sigma_max^2)),
     so the dimension equals kernel_dim(L) exactly when ker delta = ker L.
     """
+    return _kernel_basis(build_coboundary(G, tol=tol).matrix, tol)
+
+
+def sheaf_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL
+                   ) -> tuple[BoundReport, np.ndarray, int]:
+    """verify_factorization, global_sections and kernel_dim(L), in that order,
+    from one assembly, one coboundary, one ||L|| and one eigensolve of L."""
+    L = assemble(G, tol).laplacian
     delta = build_coboundary(G, tol=tol).matrix
-    if delta.shape[0] == 0:
-        return np.eye(delta.shape[1])
-    _, sigma, vt = np.linalg.svd(delta)
-    rank = sigma.size - kernel_dim_of_values(sigma[::-1] ** 2, tol)
-    return vt[rank:].T
+    return _factorization_report(L, delta, tol), _kernel_basis(delta, tol), kernel_dim(L, tol)
 
 
 # --- trusses ---------------------------------------------------------------

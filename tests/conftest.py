@@ -83,3 +83,18 @@ def petersen_graph():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return BaseGraph.from_edges(10, outer + spokes + inner)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Wrap the function bound to ``name`` in each module; returns the shared
+    list that gets one entry per call, whichever binding was called."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls

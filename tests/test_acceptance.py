@@ -12,6 +12,8 @@ import pytest
 from mwgraph.acceptance import Suite
 from mwgraph.cli import main
 
+from conftest import count_calls
+
 
 @pytest.fixture(scope="module")
 def suite():
@@ -47,6 +49,15 @@ def test_a4_sheaf_factorization(suite):
     result = _check(suite.a4_sheaf_factorization())
     assert result.details["worst_residual_ratio"] <= 1.0
     assert result.details["h0_matches_kernel"]
+
+
+def test_a4_one_analysis_per_graph(suite, monkeypatch):
+    from mwgraph import acceptance, sheaf
+    graphs = len(suite.members)
+    assembled = count_calls(monkeypatch, "assemble", acceptance, sheaf)
+    built = count_calls(monkeypatch, "build_coboundary", sheaf)
+    assert suite.a4_sheaf_factorization().passed
+    assert (len(assembled), len(built)) == (graphs, graphs)
 
 
 def test_a5_regular_eml(suite):

@@ -9,7 +9,7 @@ from mwgraph.graphs import MatrixWeightedGraph, lift_identity, load, save
 from mwgraph.frames import build_expander, equiangular_frame_2d, proper_edge_coloring
 from mwgraph.graphs import BaseGraph
 
-from conftest import unit_graph
+from conftest import count_calls, unit_graph
 
 
 @pytest.fixture
@@ -141,6 +141,22 @@ def test_sheaf_check(k4_abc_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["factorization"]["holds"] is True
     assert report["dims_match"] is True
+
+
+def test_sheaf_check_builds_once(k4_abc_file, capsys, monkeypatch):
+    from mwgraph import cli, sheaf
+    assembled = count_calls(monkeypatch, "assemble", cli, sheaf)
+    built = count_calls(monkeypatch, "build_coboundary", sheaf)
+    assert main(["--format", "json", "sheaf-check", str(k4_abc_file)]) == 0
+    assert (len(assembled), len(built)) == (1, 1)
+
+
+@pytest.mark.parametrize("flag", ["--ortho-tol", "--loewner-tol"])
+def test_removed_tolerance_flags_exit_2(k4_abc_file, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([f"{flag}=1e-8", "sheaf-check", str(k4_abc_file)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}=1e-8" in capsys.readouterr().err
 
 
 def test_truss_tetrahedron(tmp_path, capsys):

@@ -38,6 +38,7 @@ from conftest import (
     FRAME_B,
     FRAME_C,
     complete_graph,
+    count_calls,
     k33_latin_mwg,
     petersen_graph,
     unit_graph,
@@ -356,6 +357,23 @@ def test_search_identity_frame_dedupes_colorings():
     # both proper 2-colorings of C4 give the same identity weighting
     assert len(results) == 1
     assert results[0].report.d == pytest.approx(2.0)
+
+
+def test_search_validates_once(monkeypatch):
+    # per weighted edge: one symmetrization and one eigvalsh in from_weights,
+    # the same again for eta's rank_psd; plus eta's one adjacency solve and
+    # build_expander's one coloring check per coloring
+    from mwgraph import frames, graphs, linalg
+    frame = augment_with_identity(equiangular_frame_2d(3))
+    sym = count_calls(monkeypatch, "as_symmetric", frames, graphs, linalg)
+    solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    checks = count_calls(monkeypatch, "validate", EdgeColoring)
+    results = search_expanders(7, 4, frame)
+    edges = sum(len(res.graph.edges) for res in results)
+    assert len(results) == 48
+    assert len(sym) == 2 * edges
+    assert len(solves) == 2 * edges + len(results)
+    assert len(checks) == len(results)
 
 
 def test_search_caps_n_max():

@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from mwgraph.errors import IndexOutOfRangeError, NotPsdError, ParseError, TooLargeError
+from mwgraph.errors import (
+    IndexOutOfRangeError,
+    NonFiniteError,
+    NotPsdError,
+    ParseError,
+    TooLargeError,
+)
 from mwgraph.graphs import (
     LOAD_MAX_NK,
     BaseGraph,
@@ -25,6 +31,7 @@ from conftest import (
     FRAME_A,
     FRAME_B,
     complete_graph,
+    count_calls,
     k4_abc_mwg,
     random_mwg,
     unit_graph,
@@ -62,6 +69,20 @@ def test_from_weights_rejects_non_psd():
     with pytest.raises(NotPsdError) as err:
         MatrixWeightedGraph.from_weights(3, 2, [(0, 2, np.diag([1.0, -1.0]))])
     assert "(0, 2)" in str(err.value)
+
+
+def test_from_weights_validates_each_weight_once(monkeypatch):
+    from mwgraph import graphs, linalg
+    items = [(u, v, FRAME_A + FRAME_B) for u, v in itertools.combinations(range(4), 2)]
+    sym = count_calls(monkeypatch, "as_symmetric", graphs, linalg)
+    solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    MatrixWeightedGraph.from_weights(4, 2, items)
+    assert (len(sym), len(solves)) == (6, 6)
+
+
+def test_from_weights_rejects_overflowing_weight():
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        MatrixWeightedGraph.from_weights(2, 1, [(0, 1, np.array([[1e308]]))])
 
 
 def test_weight_accessor_zero_when_absent():

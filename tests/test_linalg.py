@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mwgraph.errors import (
     NotPsdError,
     NotSymmetricError,
 )
+from mwgraph import linalg
 from mwgraph.linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -14,12 +17,13 @@ from mwgraph.linalg import (
     eigh,
     is_psd,
     kernel_dim,
+    kernel_dim_of_values,
     loewner_leq,
     pseudo_sqrt_inv,
     rank_psd,
 )
 
-from conftest import FRAME_A, FRAME_B, FRAME_C, random_psd
+from conftest import FRAME_A, FRAME_B, FRAME_C, count_calls, random_psd
 
 
 def test_tolerances_defaults():
@@ -27,9 +31,10 @@ def test_tolerances_defaults():
     assert tol.psd_tol == 1e-9
     assert tol.loewner_tol == 1e-9
     assert tol.resid_tol == 1e-8
-    assert tol.ortho_tol == 1e-8
     assert tol.rank_rel_tol == 1e-10
     assert tol.sym_tol == 1e-9
+    assert [f.name for f in dataclasses.fields(tol)] == [
+        "sym_tol", "psd_tol", "rank_rel_tol", "loewner_tol", "resid_tol"]
 
 
 def test_tolerances_reject_negative():
@@ -37,6 +42,14 @@ def test_tolerances_reject_negative():
         Tolerances(psd_tol=-1.0)
     with pytest.raises(ValueError):
         Tolerances(resid_tol=float("nan"))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
+def test_tolerances_check_every_field(name):
+    with pytest.raises(ValueError, match=name):
+        Tolerances(**{name: -1.0})
+    with pytest.raises(ValueError, match=name):
+        Tolerances(**{name: float("inf")})
 
 
 def test_as_symmetric_averages_within_tolerance():
@@ -54,6 +67,15 @@ def test_as_symmetric_rejects_asymmetry():
 def test_as_symmetric_rejects_nonsquare():
     with pytest.raises(DimMismatchError):
         as_symmetric(np.zeros((2, 3)))
+
+
+def test_as_symmetric_rejects_overflowing_sum():
+    # finite entries beyond ~9e307 overflow (M + M^T)/2; kernel_dim and
+    # rank_psd no longer symmetrize twice, so as_symmetric must catch it
+    with np.errstate(over="ignore"):
+        for check in (as_symmetric, is_psd, kernel_dim, rank_psd, pseudo_sqrt_inv):
+            with pytest.raises(NonFiniteError):
+                check([[1e308, 0.0], [0.0, 1.0]])
 
 
 def test_eigh_identity():
@@ -86,7 +108,7 @@ def test_eigh_reconstructs(rng):
         scale = max(1.0, float(np.abs(m).max()))
         assert np.abs(rebuilt - m).max() <= DEFAULT_TOL.resid_tol * scale
         gram = spec.vectors.T @ spec.vectors
-        assert np.abs(gram - np.eye(dim)).max() <= DEFAULT_TOL.ortho_tol
+        assert np.abs(gram - np.eye(dim)).max() <= 1e-8
         assert np.all(np.diff(spec.values) >= -1e-12)
 
 
@@ -160,6 +182,12 @@ def test_loewner_incomparable_pair():
     assert not loewner_leq(b, a)
 
 
+def test_loewner_reads_loewner_tol():
+    zero, below = np.zeros((2, 2)), np.diag([1.0, -1e-12])
+    assert loewner_leq(zero, below, Tolerances(psd_tol=0.0))
+    assert not loewner_leq(zero, below, Tolerances(loewner_tol=0.0))
+
+
 def test_loewner_dim_mismatch():
     with pytest.raises(DimMismatchError):
         loewner_leq(np.eye(2), np.eye(3))
@@ -207,3 +235,79 @@ def test_rank_cutoff_is_relative():
     m = np.diag([1.0, 1e-16])
     assert kernel_dim(m) == 1
     assert kernel_dim(1e12 * m) == 1
+
+
+def reference_kernel_dim(m, tol=DEFAULT_TOL):
+    """kernel_dim as it was before the shared solve: it symmetrized the
+    matrix again for the PSD verdict and solved it twice."""
+    sym = as_symmetric(m, tol)
+    again = as_symmetric(sym, tol)
+    if again.size:
+        values = np.linalg.eigvalsh(again)
+        norm = max(abs(float(values[0])), abs(float(values[-1])))
+        if float(values[0]) < -tol.psd_tol * max(1.0, norm):
+            raise NotPsdError("kernel_dim requires a PSD matrix")
+    if sym.size == 0:
+        return 0
+    return kernel_dim_of_values(np.linalg.eigvalsh(sym), tol)
+
+
+def _borderline_matrices(rng):
+    """PSD, rank-deficient, slightly indefinite, asymmetric-within-tolerance,
+    tiny, huge and empty matrices."""
+    yield np.zeros((0, 0))
+    for _ in range(60):
+        k = int(rng.integers(1, 6))
+        rank = int(rng.integers(0, k + 1))
+        m = random_psd(rng, k, rank) if rank else np.zeros((k, k))
+        scale = 10.0 ** float(rng.integers(-12, 13))
+        yield scale * m
+        yield scale * (m - 1e-12 * np.eye(k))
+        noise = rng.normal(size=(k, k)) * 1e-12
+        yield m + noise
+
+
+@pytest.mark.parametrize("psd_tol", [1e-9, 1e-30, 0.0])
+def test_kernel_dim_and_rank_match_two_pass_reference(rng, psd_tol):
+    tol = Tolerances(psd_tol=psd_tol)
+    raised = 0
+    for m in _borderline_matrices(rng):
+        try:
+            expected = reference_kernel_dim(m, tol)
+        except NotPsdError as exc:
+            raised += 1
+            for check in (kernel_dim, rank_psd):
+                with pytest.raises(NotPsdError) as got:
+                    check(m, tol)
+                assert str(got.value) == str(exc)
+            continue
+        assert kernel_dim(m, tol) == expected
+        assert rank_psd(m, tol) == m.shape[0] - expected
+    assert raised > 0
+
+
+@pytest.mark.parametrize("check", [is_psd, kernel_dim, rank_psd])
+def test_checks_symmetrize_and_solve_once(monkeypatch, rng, check):
+    sym = count_calls(monkeypatch, "as_symmetric", linalg)
+    solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    check(random_psd(rng, 4, 2))
+    assert (len(sym), len(solves)) == (1, 1)
+
+
+def test_not_psd_messages():
+    bad = np.diag([1.0, -1.0])
+    for check, message in ((kernel_dim, "kernel_dim requires a PSD matrix"),
+                           (rank_psd, "kernel_dim requires a PSD matrix"),
+                           (pseudo_sqrt_inv, "pseudo_sqrt_inv requires a PSD matrix")):
+        with pytest.raises(NotPsdError) as exc:
+            check(bad)
+        assert str(exc.value) == message
+
+
+def test_pseudo_sqrt_inv_verdict_from_eigvalsh(monkeypatch):
+    # the verdict is eigvalsh's, the values eigh's: one of each, one symmetrization
+    sym = count_calls(monkeypatch, "as_symmetric", linalg)
+    verdicts = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    solves = count_calls(monkeypatch, "eigh", np.linalg)
+    pseudo_sqrt_inv(np.diag([4.0, 0.0]))
+    assert (len(sym), len(verdicts), len(solves)) == (1, 1, 1)

@@ -3,22 +3,38 @@ import itertools
 import numpy as np
 import pytest
 
-from mwgraph.errors import DegenerateEdgeError, ParseError
+from mwgraph.errors import DegenerateEdgeError, NotPsdError, ParseError
 from mwgraph.graphs import MatrixWeightedGraph, lift_identity
-from mwgraph.linalg import kernel_dim
-from mwgraph.operators import assemble
+from mwgraph.linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    as_symmetric,
+    kernel_dim,
+    kernel_dim_of_values,
+    spectral_norm,
+)
+from mwgraph.operators import BoundReport, assemble
 from mwgraph.sheaf import (
     Truss,
     build_coboundary,
     global_sections,
     load_truss,
     rigid_motions,
+    sheaf_analysis,
     sqrt_factor,
     truss_to_mwg,
     verify_factorization,
 )
 
-from conftest import FRAME_A, k33_latin_mwg, k4_abc_mwg, random_mwg, unit_graph
+from conftest import (
+    FRAME_A,
+    count_calls,
+    k33_latin_mwg,
+    k4_abc_mwg,
+    random_mwg,
+    random_psd,
+    unit_graph,
+)
 
 
 def test_coboundary_single_edge_identity():
@@ -136,6 +152,86 @@ def test_h0_matches_kernel_dim(rng):
     for _ in range(50):
         G = random_mwg(rng)
         assert global_sections(G).shape[1] == kernel_dim(assemble(G).laplacian)
+
+
+def reference_sheaf(G, tol=DEFAULT_TOL):
+    """verify_factorization, global_sections and kernel_dim(L) as three
+    separate passes, each assembling or building what it needs, as they ran
+    before sheaf_analysis shared one pass between them."""
+    L = assemble(G, tol).laplacian
+    delta = build_coboundary(G, tol=tol).matrix
+    err = spectral_norm(delta.T @ delta - L)
+    bound = tol.resid_tol * max(1.0, spectral_norm(L))
+    report = BoundReport.simple("sheaf_factorization", err, bound, check_tol=0.0,
+                                laplacian_norm=spectral_norm(L))
+    delta = build_coboundary(G, tol=tol).matrix
+    if delta.shape[0] == 0:
+        basis = np.eye(delta.shape[1])
+    else:
+        _, sigma, vt = np.linalg.svd(delta)
+        basis = vt[sigma.size - kernel_dim_of_values(sigma[::-1] ** 2, tol):].T
+    sym = as_symmetric(assemble(G, tol).laplacian, tol)
+    again = as_symmetric(sym, tol)
+    if again.size:
+        values = np.linalg.eigvalsh(again)
+        norm = max(abs(float(values[0])), abs(float(values[-1])))
+        if float(values[0]) < -tol.psd_tol * max(1.0, norm):
+            raise NotPsdError("kernel_dim requires a PSD matrix")
+    kdim = kernel_dim_of_values(np.linalg.eigvalsh(sym), tol) if sym.size else 0
+    return report, basis, kdim
+
+
+def _sheaf_corpus(rng):
+    """Random graphs (rank-deficient weights included), edgeless and
+    isolated-vertex graphs, scaled copies and the frame fixtures."""
+    yield k4_abc_mwg()
+    yield k33_latin_mwg()
+    for n, k in ((1, 1), (3, 2), (4, 3)):
+        yield MatrixWeightedGraph.from_weights(n, k, [])
+    yield MatrixWeightedGraph.from_weights(5, 2, [(0, 1, FRAME_A), (1, 2, random_psd(rng, 2, 1))])
+    # a weak link whose sigma^2 lies under the cutoff relative to sigma_max^2
+    # but above the same cutoff relative to 1
+    yield MatrixWeightedGraph.from_weights(3, 2, [(0, 1, 1e6 * np.eye(2)), (1, 2, 1e-5 * np.eye(2))])
+    for _ in range(60):
+        G = random_mwg(rng)
+        yield G
+        scale = 10.0 ** float(rng.integers(-11, 12))
+        yield MatrixWeightedGraph.from_weights(
+            G.base.n, G.k, [(u, v, scale * w) for (u, v), w in G.weights.items()])
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(resid_tol=1e-9),
+                                 Tolerances(psd_tol=1e-30), Tolerances(psd_tol=0.0)])
+def test_sheaf_analysis_matches_three_pass_reference(rng, tol):
+    raised = 0
+    for G in _sheaf_corpus(rng):
+        try:
+            expected = reference_sheaf(G, tol)
+        except NotPsdError as exc:
+            raised += 1
+            with pytest.raises(NotPsdError, match=str(exc)):
+                sheaf_analysis(G, tol)
+            continue
+        report, basis, kdim = sheaf_analysis(G, tol)
+        assert report.to_jsonable() == expected[0].to_jsonable()
+        assert basis.shape == expected[1].shape
+        assert basis.tobytes() == expected[1].tobytes()
+        assert kdim == expected[2]
+        assert verify_factorization(G, tol).to_jsonable() == expected[0].to_jsonable()
+        assert global_sections(G, tol).tobytes() == expected[1].tobytes()
+    assert (raised > 0) == (tol.psd_tol < 1e-20)
+
+
+def test_sheaf_analysis_builds_once(monkeypatch):
+    from mwgraph import linalg, sheaf
+    G = k33_latin_mwg()
+    assembled = count_calls(monkeypatch, "assemble", sheaf)
+    built = count_calls(monkeypatch, "build_coboundary", sheaf)
+    norms = count_calls(monkeypatch, "spectral_norm", sheaf)
+    solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    sym = count_calls(monkeypatch, "as_symmetric", linalg)
+    sheaf_analysis(G)
+    assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 2, 1, 1)
 
 
 # --- trusses -----------------------------------------------------------------
