@@ -247,10 +247,11 @@ def _matrix(arr: np.ndarray) -> list:
 
 def cmd_spectrum(args, tol: Tolerances) -> int:
     G = _load_graph(args.file, tol)
-    lap = laplacian_spectrum(G, tol)
-    adj = adjacency_spectrum(G, tol)
+    ops = assemble(G, tol)
+    lap = laplacian_spectrum(ops)
+    adj = adjacency_spectrum(ops)
     reg = regularity(G, tol)
-    bound = check_normalized_bound(G, tol)
+    bound = check_normalized_bound(ops)
     report = {
         "n": G.base.n,
         "k": G.k,

@@ -151,7 +151,7 @@ def _regular_mu_constants(G: MatrixWeightedGraph, tol: Tolerances) -> tuple[floa
 
 
 def eml_regular(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int],
-                tol: Tolerances = DEFAULT_TOL, check_tol: float = CHECK_TOL) -> EmlReport:
+                tol: Tolerances = DEFAULT_TOL) -> EmlReport:
     """Expander mixing lemma for dI-regular matrix-weighted graphs.
 
     Trace form: |tr E(S,T) - kd|S||T|/n| <= |mu| sqrt(|S||T|(1-|S|/n)(1-|T|/n)).
@@ -167,18 +167,16 @@ def eml_regular(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int],
     root = float(np.sqrt(max(s * t * (1 - s / n) * (1 - t / n), 0.0)))
     center = d * s * t / n
     trace_lhs = abs(float(np.trace(E)) - k * center)
-    trace = BoundReport.simple("eml_regular_trace", trace_lhs, abs_mu * root, check_tol,
+    trace = BoundReport.simple("eml_regular_trace", trace_lhs, abs_mu * root,
                                S=list(mask_vertices(subset_mask(S, n), n)),
                                T=list(mask_vertices(subset_mask(T, n), n)))
     dev = np.linalg.eigvalsh(E - center * np.eye(k))
     spec_lhs = max(abs(float(dev[0])), abs(float(dev[-1])))
-    spectral = BoundReport.simple("eml_regular_spectral", spec_lhs, spec_const * root,
-                                  check_tol)
+    spectral = BoundReport.simple("eml_regular_spectral", spec_lhs, spec_const * root)
     return EmlReport(trace, spectral, abs_mu)
 
 
-def eml_regular_exhaustive(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                           check_tol: float = CHECK_TOL) -> BoundReport:
+def eml_regular_exhaustive(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Both mixing inequalities over every subset pair (vectorized, n <= 8)."""
     d = require_scalar_regular(G, tol)
     n, k = G.base.n, G.k
@@ -205,7 +203,7 @@ def eml_regular_exhaustive(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL
     worst_spec = np.unravel_index(int(np.argmin(spec_slack)), spec_slack.shape)
     slack = float(min(trace_slack.min(), spec_slack.min()))
     return BoundReport(
-        "eml_regular_exhaustive", 0.0, slack, slack, slack >= -check_tol,
+        "eml_regular_exhaustive", 0.0, slack, slack, slack >= -CHECK_TOL,
         {
             "pairs": len(masks) ** 2,
             "min_trace_slack": float(trace_slack.min()),
@@ -238,7 +236,7 @@ def irregular_context(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> 
     degs = np.array(all_degrees(G)) if n else np.zeros((0, k, k))
     vol_total = degs.sum(axis=0) if n else np.zeros((k, k))
     values = np.linalg.eigvalsh(vol_total)
-    if values.size == 0 or float(values[0]) <= DEFAULT_TOL.rank_rel_tol * max(1.0, float(values[-1])):
+    if values.size == 0 or float(values[0]) <= tol.rank_rel_tol * max(1.0, float(values[-1])):
         raise SingularVolumeError("vol(G) has an eigenvalue below the rank cutoff")
     vol_inv = np.linalg.inv(vol_total)
     adj_norm = assemble(G, tol).adj_normalized
@@ -265,8 +263,8 @@ def eml_irregular_pairs(ctx: IrregularContext, ind_S: np.ndarray,
     return lhs, rhs
 
 
-def eml_irregular_exhaustive(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                             check_tol: float = CHECK_TOL) -> BoundReport:
+def eml_irregular_exhaustive(G: MatrixWeightedGraph,
+                             tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Irregular mixing bound over every subset pair (vectorized, n <= 8)."""
     ctx = irregular_context(G, tol)
     n = ctx.n
@@ -282,7 +280,7 @@ def eml_irregular_exhaustive(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_T
     worst = int(np.argmin(slack))
     return BoundReport(
         "eml_irregular_exhaustive", 0.0, float(slack[worst]), float(slack[worst]),
-        bool(slack[worst] >= -check_tol),
+        bool(slack[worst] >= -CHECK_TOL),
         {
             "pairs": m * m,
             "worst_pair": [list(mask_vertices(masks[worst // m], n)),
@@ -292,20 +290,18 @@ def eml_irregular_exhaustive(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_T
 
 
 def eml_irregular(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int],
-                  tol: Tolerances = DEFAULT_TOL, check_tol: float = CHECK_TOL,
-                  ctx: IrregularContext | None = None) -> BoundReport:
+                  tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Mixing bound for irregular graphs, in volume form.
 
     |tr(E(S,T) - V(S,T))| <= |mu~_{k+1}| sqrt(tr(vol S - V(S,S)) tr(vol T - V(T,T)))
     with V(A,B) = vol(A) vol(G)^{-1} vol(B).  Requires invertible vol(G).
     """
-    if ctx is None:
-        ctx = irregular_context(G, tol)
+    ctx = irregular_context(G, tol)
     n = ctx.n
     smask = subset_mask(S, n)
     tmask = subset_mask(T, n)
     lhs, rhs = eml_irregular_pairs(ctx, _indicators([smask], n), _indicators([tmask], n))
-    return BoundReport.simple("eml_irregular", float(lhs[0]), float(rhs[0]), check_tol,
+    return BoundReport.simple("eml_irregular", float(lhs[0]), float(rhs[0]),
                               S=list(mask_vertices(smask, n)),
                               T=list(mask_vertices(tmask, n)),
                               abs_mu_tilde=ctx.abs_mu_tilde)
@@ -433,20 +429,19 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
 
 
 def cheeger_constants(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                      n_exhaustive: int = CHEEGER_EXHAUSTIVE_MAX_N,
                       include_per_subset: bool = False) -> CheegerReport:
     """Exhaustive minimization over nonempty proper subsets mod complementation."""
-    return cheeger_analysis(G, tol, n_exhaustive, include_per_subset)[0]
+    return cheeger_analysis(G, tol, include_per_subset)[0]
 
 
-def check_cheeger_lower_bounds(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                               check_tol: float = CHECK_TOL) -> tuple[BoundReport, BoundReport]:
+def check_cheeger_lower_bounds(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL
+                               ) -> tuple[BoundReport, BoundReport]:
     """Spectral lower bounds on both Cheeger constants.
 
     h_trace >= sum_{i=1..k} lambda_{k+i} / (2d), and per subset
     (lambda_{k+1} / 2d) I precedes h(S) in the Loewner order.
     """
-    return cheeger_analysis(G, tol, check_tol=check_tol)[1]
+    return cheeger_analysis(G, tol)[1]
 
 
 # --- counterexample certificate ---------------------------------------------
@@ -485,14 +480,13 @@ class CounterexampleCertificate:
         }
 
 
-def verify_counterexample(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                          n_exhaustive: int = CHEEGER_EXHAUSTIVE_MAX_N) -> CounterexampleCertificate:
-    return cheeger_analysis(G, tol, n_exhaustive)[2]
+def verify_counterexample(G: MatrixWeightedGraph,
+                          tol: Tolerances = DEFAULT_TOL) -> CounterexampleCertificate:
+    return cheeger_analysis(G, tol)[2]
 
 
 def cheeger_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                     n_exhaustive: int = CHEEGER_EXHAUSTIVE_MAX_N,
-                     keep_per_subset: bool = False, check_tol: float = CHECK_TOL
+                     keep_per_subset: bool = False
                      ) -> tuple[CheegerReport, tuple[BoundReport, BoundReport],
                                 CounterexampleCertificate]:
     """The Cheeger constants, their two spectral lower bounds and the
@@ -500,9 +494,9 @@ def cheeger_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
     spectrum."""
     d = require_scalar_regular(G, tol, positive=True)
     n, k = G.base.n, G.k
-    if n > n_exhaustive:
-        raise TooLargeError(
-            f"n = {n} exceeds exhaustive limit {n_exhaustive}; use sampling instead")
+    if n > CHEEGER_EXHAUSTIVE_MAX_N:
+        raise TooLargeError(f"n = {n} exceeds exhaustive limit {CHEEGER_EXHAUSTIVE_MAX_N}; "
+                            "use sampling instead")
     if n < 2:
         raise EmptyOrFullSubsetError("no nonempty proper subsets for n < 2")
     lam = np.linalg.eigvalsh(assemble(G, tol).laplacian)
@@ -510,9 +504,9 @@ def cheeger_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
     argmin = mask_vertices(scan.argmin_mask, n)
     trace_bound = BoundReport.simple(
         "cheeger_trace_lower_bound",
-        float(np.sum(lam[k:2 * k])) / (2 * d), scan.h_trace, check_tol, argmin=list(argmin))
+        float(np.sum(lam[k:2 * k])) / (2 * d), scan.h_trace, argmin=list(argmin))
     loewner_bound = BoundReport.simple(
-        "cheeger_loewner_lower_bound", float(lam[k]) / (2 * d), scan.alpha, check_tol)
+        "cheeger_loewner_lower_bound", float(lam[k]) / (2 * d), scan.alpha)
     return (CheegerReport(scan.h_trace, argmin, scan.alpha, scan.per_subset),
             (trace_bound, loewner_bound),
             CounterexampleCertificate(k, kernel_dim_of_values(lam, tol), scan.min_rank,

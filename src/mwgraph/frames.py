@@ -40,6 +40,8 @@ from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, rank_psd, spectral_no
 from .operators import assemble
 
 SEARCH_MAX_N = 12
+# sample_expanders gives up after this many pairing-model draws per sample
+MAX_ATTEMPTS_PER_SAMPLE = 200
 
 
 @dataclass(frozen=True)
@@ -388,8 +390,7 @@ def _random_regular_edges(rng, n: int, r: int):
 
 
 def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
-                     seed: int = 0, tol: Tolerances = DEFAULT_TOL,
-                     max_attempts_per_sample: int = 200) -> list[SearchResult]:
+                     seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> list[SearchResult]:
     """Seeded random-sampling mode for sizes beyond the exhaustive cap.
 
     Draws connected r-regular graphs on exactly n vertices by the pairing
@@ -405,7 +406,7 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
     rng = np.random.default_rng(seed)
     results: list[SearchResult] = []
     attempts = 0
-    while len(results) < samples and attempts < max_attempts_per_sample * samples:
+    while len(results) < samples and attempts < MAX_ATTEMPTS_PER_SAMPLE * samples:
         attempts += 1
         edges = _random_regular_edges(rng, n, r)
         if edges is None or not is_connected_edges(n, edges):

@@ -76,6 +76,8 @@ class OperatorBundle:
 
     A, L and D are placed by ``assemble``; the normalized operators and
     D^(+/2) are formed, with ``tol``, the first time one of them is read.
+    ``graph`` is the graph they were assembled from.  The spectral checks
+    below read one bundle, so a caller assembles each graph once.
     """
 
     adjacency: np.ndarray
@@ -83,6 +85,7 @@ class OperatorBundle:
     degree: np.ndarray
     k: int
     n: int
+    graph: MatrixWeightedGraph
     tol: Tolerances = DEFAULT_TOL
 
     @cached_property
@@ -116,7 +119,7 @@ def assemble(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> OperatorB
     D = np.zeros((k * n, k * n))
     for v, Dv in enumerate(all_degrees(G)):
         D[v * k:(v + 1) * k, v * k:(v + 1) * k] = Dv
-    return OperatorBundle(A, D - A, D, k, n, tol)
+    return OperatorBundle(A, D - A, D, k, n, G, tol)
 
 
 def scalar_adjacency(g: ScalarWeightedGraph) -> np.ndarray:
@@ -133,48 +136,40 @@ def scalar_laplacian(g: ScalarWeightedGraph) -> np.ndarray:
     return np.diag(A.sum(axis=1)) - A
 
 
-def laplacian_spectrum(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+def laplacian_spectrum(ops: OperatorBundle) -> Spectrum:
     """Laplacian eigenvalues lambda_i in increasing order."""
-    L = assemble(G, tol).laplacian
-    values, vectors = np.linalg.eigh(L)
+    values, vectors = np.linalg.eigh(ops.laplacian)
     return Spectrum(values, vectors)
 
 
-def adjacency_spectrum(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+def adjacency_spectrum(ops: OperatorBundle) -> Spectrum:
     """Adjacency eigenvalues mu_i in decreasing order."""
-    A = assemble(G, tol).adjacency
-    values, vectors = np.linalg.eigh(A)
+    values, vectors = np.linalg.eigh(ops.adjacency)
     return Spectrum(values, vectors).reversed()
 
 
-def check_normalized_bound(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                           attain_tol: float = ATTAIN_TOL,
-                           check_tol: float = CHECK_TOL) -> BoundReport:
+def check_normalized_bound(ops: OperatorBundle) -> BoundReport:
     """lambda_max of the normalized Laplacian is bounded above by 2."""
-    bundle = assemble(G, tol)
-    values = np.linalg.eigvalsh(bundle.lap_normalized)
+    values = np.linalg.eigvalsh(ops.lap_normalized)
     lam_max = float(values[-1]) if values.size else 0.0
     return BoundReport.simple(
-        "normalized_laplacian_upper_bound", lam_max, 2.0, check_tol,
-        attained=bool(abs(lam_max - 2.0) <= attain_tol),
+        "normalized_laplacian_upper_bound", lam_max, 2.0,
+        attained=bool(abs(lam_max - 2.0) <= ATTAIN_TOL),
         lambda_max=lam_max)
 
 
-def check_laplacian_trace_bounds(G: MatrixWeightedGraph,
-                                 tol: Tolerances = DEFAULT_TOL,
-                                 check_tol: float = CHECK_TOL) -> BoundReport:
+def check_laplacian_trace_bounds(ops: OperatorBundle) -> BoundReport:
     """Trace-weighting control of the Laplacian spectrum.
 
     sum_{i=1..k} lambda_{k+i}(L_W) <= lambda_2(L_trW) <= lambda_n(L_trW)
     <= sum_{i=1..k} lambda_{(n-1)k+i}(L_W), plus the corollary
     lambda_{k+1}(L_W) <= lambda_2(L_trW)/k and lambda_{nk}(L_W) >= lambda_n(L_trW)/k.
     """
-    k, n = G.k, G.base.n
+    k, n = ops.k, ops.n
     if n < 2:
-        return BoundReport.chain("laplacian_trace_bounds", [], check_tol,
-                                 note="vacuous for n < 2")
-    lam = np.linalg.eigvalsh(assemble(G, tol).laplacian)
-    slam = np.linalg.eigvalsh(scalar_laplacian(scalarize_trace(G)))
+        return BoundReport.chain("laplacian_trace_bounds", [], note="vacuous for n < 2")
+    lam = np.linalg.eigvalsh(ops.laplacian)
+    slam = np.linalg.eigvalsh(scalar_laplacian(scalarize_trace(ops.graph)))
     low = float(np.sum(lam[k:2 * k]))
     high = float(np.sum(lam[(n - 1) * k:]))
     lam2_tr, lamn_tr = float(slam[1]), float(slam[-1])
@@ -185,21 +180,18 @@ def check_laplacian_trace_bounds(G: MatrixWeightedGraph,
         (float(lam[k]), lam2_tr / k),
         (lamn_tr / k, float(lam[-1])),
     ]
-    return BoundReport.chain("laplacian_trace_bounds", pairs, check_tol,
+    return BoundReport.chain("laplacian_trace_bounds", pairs,
                              sum_low=low, sum_high=high,
                              lambda2_trace=lam2_tr, lambdan_trace=lamn_tr)
 
 
-def check_adjacency_trace_bounds(G: MatrixWeightedGraph,
-                                 tol: Tolerances = DEFAULT_TOL,
-                                 check_tol: float = CHECK_TOL) -> BoundReport:
+def check_adjacency_trace_bounds(ops: OperatorBundle) -> BoundReport:
     """sum of top-k mu(A_W) >= mu_1(A_trW) >= mu_n(A_trW) >= sum of bottom-k mu(A_W)."""
-    k, n = G.k, G.base.n
+    k, n = ops.k, ops.n
     if n < 1:
-        return BoundReport.chain("adjacency_trace_bounds", [], check_tol,
-                                 note="vacuous for n < 1")
-    mu = np.linalg.eigvalsh(assemble(G, tol).adjacency)[::-1]
-    smu = np.linalg.eigvalsh(scalar_adjacency(scalarize_trace(G)))[::-1]
+        return BoundReport.chain("adjacency_trace_bounds", [], note="vacuous for n < 1")
+    mu = np.linalg.eigvalsh(ops.adjacency)[::-1]
+    smu = np.linalg.eigvalsh(scalar_adjacency(scalarize_trace(ops.graph)))[::-1]
     top = float(np.sum(mu[:k]))
     bottom = float(np.sum(mu[(n - 1) * k:]))
     mu1_tr, mun_tr = float(smu[0]), float(smu[-1])
@@ -208,7 +200,7 @@ def check_adjacency_trace_bounds(G: MatrixWeightedGraph,
         (mun_tr, mu1_tr),
         (bottom, mun_tr),
     ]
-    return BoundReport.chain("adjacency_trace_bounds", pairs, check_tol,
+    return BoundReport.chain("adjacency_trace_bounds", pairs,
                              sum_top=top, sum_bottom=bottom,
                              mu1_trace=mu1_tr, mun_trace=mun_tr)
 

@@ -40,7 +40,11 @@ class Coboundary:
 def sqrt_factor(w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """B with B^T B = W for PSD W; rows are sqrt(sigma_i) u_i^T over eigenpairs
     with sigma above the rank cutoff, in eigh's ascending order."""
-    sym = as_symmetric(w, tol)
+    return _sqrt_factor(as_symmetric(w, tol), tol)
+
+
+def _sqrt_factor(sym: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """sqrt_factor of a matrix already symmetrized, such as a stored graph weight."""
     values, vectors = np.linalg.eigh(sym)
     cutoff = tol.rank_rel_tol * max(float(values[-1]), 0.0) if values.size else 0.0
     keep = [i for i in range(values.size) if values[i] > cutoff]
@@ -63,7 +67,7 @@ def build_coboundary(G: MatrixWeightedGraph,
         else:
             tail, head = e
         orient[e] = (tail, head)
-    factors = {e: sqrt_factor(G.weights[e], tol) for e in G.base.edges}
+    factors = {e: _sqrt_factor(G.weights[e], tol) for e in G.base.edges}
     total = sum(f.shape[0] for f in factors.values())
     delta = np.zeros((total, k * n))
     edge_rows: dict[Edge, tuple[int, int]] = {}

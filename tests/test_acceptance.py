@@ -45,6 +45,14 @@ def test_a3_trace_bounds(suite):
     assert result.details["lift_equality_gap"] <= 1e-8
 
 
+def test_a3_one_assembly_per_graph(suite, monkeypatch):
+    from mwgraph import acceptance, operators
+    graphs = len(suite.members)
+    assembled = count_calls(monkeypatch, "assemble", acceptance, operators)
+    assert suite.a3_trace_bounds().passed
+    assert len(assembled) == graphs
+
+
 def test_a4_sheaf_factorization(suite):
     result = _check(suite.a4_sheaf_factorization())
     assert result.details["worst_residual_ratio"] <= 1.0
@@ -52,12 +60,16 @@ def test_a4_sheaf_factorization(suite):
 
 
 def test_a4_one_analysis_per_graph(suite, monkeypatch):
-    from mwgraph import acceptance, sheaf
+    from mwgraph import acceptance, frames, graphs as graphs_module, linalg, sheaf
     graphs = len(suite.members)
     assembled = count_calls(monkeypatch, "assemble", acceptance, sheaf)
     built = count_calls(monkeypatch, "build_coboundary", sheaf)
+    # one symmetrization per graph, of L in kernel_dim; the coboundary
+    # factors the stored weights, which from_weights symmetrized already
+    symmetrized = count_calls(monkeypatch, "as_symmetric",
+                              linalg, sheaf, graphs_module, frames)
     assert suite.a4_sheaf_factorization().passed
-    assert (len(assembled), len(built)) == (graphs, graphs)
+    assert (len(assembled), len(built), len(symmetrized)) == (graphs, graphs, graphs)
 
 
 def test_a5_regular_eml(suite):

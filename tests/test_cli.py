@@ -48,6 +48,13 @@ def test_spectrum_single_edge(single_edge_file, capsys):
     assert report["normalized_bound"]["context"]["attained"] is True
 
 
+def test_spectrum_assembles_once(k4_abc_file, capsys, monkeypatch):
+    from mwgraph import cli, operators
+    assembled = count_calls(monkeypatch, "assemble", cli, operators)
+    assert main(["--format", "json", "spectrum", str(k4_abc_file)]) == 0
+    assert len(assembled) == 1
+
+
 def test_spectrum_empty_graph(tmp_path, capsys):
     G = MatrixWeightedGraph.from_weights(3, 2, [])
     path = tmp_path / "empty.json"

@@ -23,6 +23,7 @@ from mwgraph.expansion import (
     eml_irregular_exhaustive,
     eml_regular,
     eml_regular_exhaustive,
+    irregular_context,
     mask_vertices,
     proper_subsets_mod_complement,
     verify_counterexample,
@@ -34,7 +35,7 @@ from mwgraph.graphs import (
     scalarize_trace,
     total_volume,
 )
-from mwgraph.linalg import DEFAULT_TOL
+from mwgraph.linalg import DEFAULT_TOL, Tolerances
 from mwgraph.operators import assemble, scalar_adjacency
 
 from conftest import (
@@ -234,6 +235,18 @@ def test_eml_irregular_singular_volume():
         eml_irregular(G, [0], [1])
 
 
+def test_irregular_context_reads_rank_rel_tol():
+    # vol(G) = diag(2, 2e-6): singular under a cutoff of 1e-5 relative to its
+    # largest eigenvalue, invertible under the default 1e-10
+    G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.diag([1.0, 1e-6]))])
+    with pytest.raises(SingularVolumeError):
+        irregular_context(G, Tolerances(rank_rel_tol=1e-5))
+    with pytest.raises(SingularVolumeError):
+        eml_irregular(G, [0], [1], Tolerances(rank_rel_tol=1e-5))
+    assert irregular_context(G).vol_inv.shape == (2, 2)
+    assert eml_irregular(G, [0], [1]).holds
+
+
 def test_eml_irregular_looser_than_regular_trace():
     # on dI-regular inputs the volume form holds but is weaker
     for n in (4, 5, 6):
@@ -398,12 +411,6 @@ def test_cheeger_constants_per_subset_table():
         E = edge_count(G, S, comp)
         denom = 2 * min(len(S), 4 - len(S))  # C4 has d = 2
         assert np.allclose(h, E / denom, atol=1e-12)
-
-
-def test_cheeger_constants_too_large():
-    G = lift_identity(cycle_graph(6), 1)
-    with pytest.raises(TooLargeError):
-        cheeger_constants(G, n_exhaustive=5)
 
 
 def test_cheeger_too_large_fails_before_any_work(monkeypatch):

@@ -46,6 +46,7 @@ def test_assemble_single_edge_blocks():
     W = FRAME_B
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, W)])
     b = assemble(G)
+    assert b.graph is G
     assert np.allclose(b.adjacency, np.block([[np.zeros((2, 2)), W], [W, np.zeros((2, 2))]]))
     assert np.allclose(b.laplacian, np.block([[W, -W], [-W, W]]))
     assert np.allclose(b.degree, np.block([[W, np.zeros((2, 2))], [np.zeros((2, 2)), W]]))
@@ -99,27 +100,27 @@ def test_assemble_identity_lift_is_kronecker(rng):
 
 def test_laplacian_spectrum_single_edge_frame_b():
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, FRAME_B)])
-    values = laplacian_spectrum(G).values
+    values = laplacian_spectrum(assemble(G)).values
     assert np.allclose(values, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
 def test_laplacian_spectrum_k3_lift():
     G = lift_identity(complete_graph(3), 2)
-    values = laplacian_spectrum(G).values
+    values = laplacian_spectrum(assemble(G)).values
     assert np.allclose(values, [0, 0, 3, 3, 3, 3], atol=1e-12)
 
 
 def test_connected_identity_weighted_kernel_is_k(rng):
     for k in (1, 2, 3):
         G = lift_identity(cycle_graph(5), k)
-        values = laplacian_spectrum(G).values
+        values = laplacian_spectrum(assemble(G)).values
         assert np.allclose(values[:k], 0.0, atol=1e-10)
         assert values[k] > 0.1
 
 
 def test_adjacency_spectrum_descending(rng):
     G = random_mwg(rng)
-    values = adjacency_spectrum(G).values
+    values = adjacency_spectrum(assemble(G)).values
     assert np.all(np.diff(values) <= 1e-12)
 
 
@@ -128,8 +129,8 @@ def test_regular_adjacency_reversal(rng):
     for k in (1, 2):
         G = lift_identity(complete_graph(4), k)
         reg = regularity(G)
-        lam = laplacian_spectrum(G).values
-        mu = adjacency_spectrum(G).values
+        lam = laplacian_spectrum(assemble(G)).values
+        mu = adjacency_spectrum(assemble(G)).values
         assert np.allclose(mu, reg.scalar_degree - lam, atol=1e-10)
         assert np.all(np.abs(mu) <= reg.scalar_degree + 1e-10)
 
@@ -149,13 +150,13 @@ def test_normalized_adjacency_complements_laplacian(rng):
 
 def test_normalized_bound_attained_on_bipartite():
     G = lift_identity(unit_graph(2, [(0, 1)]), 2)
-    rep = check_normalized_bound(G)
+    rep = check_normalized_bound(assemble(G))
     assert rep.holds and rep.context["attained"]
     assert rep.lhs == pytest.approx(2.0, abs=1e-12)
 
 
 def test_normalized_bound_triangle():
-    rep = check_normalized_bound(lift_identity(complete_graph(3), 1))
+    rep = check_normalized_bound(assemble(lift_identity(complete_graph(3), 1)))
     assert rep.lhs == pytest.approx(1.5, abs=1e-12)
     assert rep.holds and not rep.context["attained"]
 
@@ -163,7 +164,7 @@ def test_normalized_bound_triangle():
 def test_normalized_bound_random_suite(rng):
     for _ in range(200):
         G = random_mwg(rng)
-        rep = check_normalized_bound(G)
+        rep = check_normalized_bound(assemble(G))
         assert rep.holds
         values = np.linalg.eigvalsh(assemble(G).lap_normalized)
         assert values[0] >= -DEFAULT_TOL.resid_tol
@@ -172,7 +173,7 @@ def test_normalized_bound_random_suite(rng):
 
 def test_laplacian_trace_bounds_k3_lift_equality():
     G = lift_identity(complete_graph(3), 2)
-    rep = check_laplacian_trace_bounds(G)
+    rep = check_laplacian_trace_bounds(assemble(G))
     assert rep.holds
     # trace weights are 2 per edge, so L_tr = 2 L_K3 with lambda_2 = 6
     assert rep.context["sum_low"] == pytest.approx(6.0, abs=1e-12)
@@ -182,11 +183,11 @@ def test_laplacian_trace_bounds_k3_lift_equality():
 
 def test_trace_bounds_single_edge_frame_b():
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, FRAME_B)])
-    lap = check_laplacian_trace_bounds(G)
+    lap = check_laplacian_trace_bounds(assemble(G))
     assert lap.holds
     assert lap.context["sum_low"] == pytest.approx(2.0, abs=1e-12)
     assert lap.context["lambda2_trace"] == pytest.approx(2.0, abs=1e-12)
-    adj = check_adjacency_trace_bounds(G)
+    adj = check_adjacency_trace_bounds(assemble(G))
     assert adj.holds
     assert adj.context["sum_top"] == pytest.approx(1.0, abs=1e-12)
     assert adj.context["mu1_trace"] == pytest.approx(1.0, abs=1e-12)
@@ -197,8 +198,8 @@ def test_trace_bounds_single_edge_frame_b():
 def test_trace_bounds_random_suite(rng):
     for _ in range(300):
         G = random_mwg(rng)
-        assert check_laplacian_trace_bounds(G).holds
-        assert check_adjacency_trace_bounds(G).holds
+        assert check_laplacian_trace_bounds(assemble(G)).holds
+        assert check_adjacency_trace_bounds(assemble(G)).holds
 
 
 def test_adjacency_trace_equality_on_lifts(rng):
@@ -206,7 +207,7 @@ def test_adjacency_trace_equality_on_lifts(rng):
         G = random_mwg(rng, k_max=1)
         from mwgraph.graphs import as_scalar
         lifted = lift_identity(as_scalar(G), 2)
-        rep = check_adjacency_trace_bounds(lifted)
+        rep = check_adjacency_trace_bounds(assemble(lifted))
         assert rep.holds
         assert rep.context["sum_top"] == pytest.approx(rep.context["mu1_trace"], abs=1e-9)
         assert rep.context["sum_bottom"] == pytest.approx(rep.context["mun_trace"], abs=1e-9)
@@ -250,7 +251,7 @@ def test_quadratic_form_identity(rng):
 
 def test_k4_abc_spectrum_structure():
     # frozen from direct eigendecomposition: L has eigenvalues {0,0,1,1,1,3,3,3}
-    values = laplacian_spectrum(k4_abc_mwg()).values
+    values = laplacian_spectrum(assemble(k4_abc_mwg())).values
     assert np.allclose(values, [0, 0, 1, 1, 1, 3, 3, 3], atol=1e-12)
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mwgraph.errors import DegenerateEdgeError, NotPsdError, ParseError
+from mwgraph.errors import DegenerateEdgeError, NotPsdError, NotSymmetricError, ParseError
 from mwgraph.graphs import MatrixWeightedGraph, lift_identity
 from mwgraph.linalg import (
     DEFAULT_TOL,
@@ -76,6 +76,22 @@ def test_sqrt_factor_reconstructs_weight(rng):
         B = sqrt_factor(w)
         assert B.shape[0] == rank
         assert np.allclose(B.T @ B, w, atol=1e-10 * max(1.0, np.abs(w).max()))
+
+
+def test_coboundary_factors_stored_weights_as_sqrt_factor(rng, monkeypatch):
+    from mwgraph import linalg, sheaf
+    graphs = [k4_abc_mwg(), k33_latin_mwg()] + [random_mwg(rng) for _ in range(20)]
+    expected = [{e: sqrt_factor(w) for e, w in G.weights.items()} for G in graphs]
+    sym = count_calls(monkeypatch, "as_symmetric", linalg, sheaf)
+    for G, factors in zip(graphs, expected):
+        cob = build_coboundary(G)
+        for e, B in factors.items():
+            assert cob.factors[e].shape == B.shape
+            assert cob.factors[e].tobytes() == B.tobytes()
+    assert sym == []
+    # the public entry still validates what it is given
+    with pytest.raises(NotSymmetricError):
+        sqrt_factor(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_factorization_single_edge_machine_precision():
@@ -229,7 +245,7 @@ def test_sheaf_analysis_builds_once(monkeypatch):
     built = count_calls(monkeypatch, "build_coboundary", sheaf)
     norms = count_calls(monkeypatch, "spectral_norm", sheaf)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
-    sym = count_calls(monkeypatch, "as_symmetric", linalg)
+    sym = count_calls(monkeypatch, "as_symmetric", linalg, sheaf)
     sheaf_analysis(G)
     assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 2, 1, 1)
 
