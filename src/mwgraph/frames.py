@@ -458,6 +458,8 @@ def load_frame(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> FusionFrame:
         rows = [[float(x) for x in p] for p in doc["projections"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed frame JSON: {exc}") from exc
+    if k < 1:
+        raise ParseError(f"frame dimension k must be >= 1, got k={k}")
     mats = []
     for i, flat in enumerate(rows):
         if len(flat) != k * k:

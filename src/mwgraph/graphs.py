@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, _psd_values, as_symmetric
+from .linalg import DEFAULT_TOL, Tolerances, _checked_psd
 
 Edge = tuple[int, int]
 
@@ -144,14 +144,12 @@ class MatrixWeightedGraph:
                     f"weight for edge ({u}, {v}) has shape {arr.shape}, expected ({k}, {k})")
             key = _norm_edge(u, v)
             merged[key] = merged.get(key, np.zeros((k, k))) + arr
-        weights: dict[Edge, np.ndarray] = {}
-        for key in sorted(merged):
-            sym = as_symmetric(merged[key], tol)
-            if not _psd_values(sym, tol.psd_tol)[1]:
-                raise NotPsdError(f"weight on edge {key} is not PSD")
-            sym.setflags(write=False)
-            weights[key] = sym
-        base = BaseGraph(n, tuple(sorted(weights)))
+        keys = sorted(merged)
+        stack = np.array([merged[key] for key in keys]).reshape(len(keys), k, k)
+        sym = _checked_psd(stack, tol, lambda i: f"weight on edge {keys[i]} is not PSD")
+        sym.setflags(write=False)
+        weights = dict(zip(keys, sym))
+        base = BaseGraph(n, tuple(keys))
         return cls(base, k, weights)
 
     def weight(self, u: int, v: int) -> np.ndarray:

@@ -12,20 +12,34 @@ Callers inside the package pass them arrays already validated (graph
 weights, frame projections, assembled operators): ``as_symmetric`` returns a
 finite, exactly symmetric S, and (S + S^T)/2 of such an S has S's bits, so
 that one pass changes no value and no verdict.
+
+A graph's k x k blocks (its edge weights, its degree blocks) are solved as
+one (m, k, k) stack: one ``eigvalsh`` per graph for the PSD verdicts and one
+``eigh`` for the D_v^(+/2), not one call per block.  numpy solves a stack
+one matrix at a time with the LAPACK routine it uses for a single matrix,
+so each block gets the bits a per-block call gives it; the elementwise
+steps and the batched ``matmul`` are bitwise the per-block ones as well.
+The single-matrix functions (``as_symmetric``, ``pseudo_sqrt_inv``) are the
+one-element case of the stacked helpers, and a stack raises the error a
+per-block loop would raise first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     DimMismatchError,
+    MwgError,
     NonFiniteError,
     NotPsdError,
     NotSymmetricError,
 )
+
+PSEUDO_SQRT_INV_NOT_PSD = "pseudo_sqrt_inv requires a PSD matrix"
 
 
 @dataclass(frozen=True)
@@ -63,6 +77,33 @@ class Spectrum:
         return Spectrum(self.values[::-1].copy(), self.vectors[:, ::-1].copy())
 
 
+def _symmetrize(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, MwgError | None]:
+    """as_symmetric of every matrix of an (m, k, k) stack at once.
+
+    Returns the symmetrized stack, the index of the first matrix that
+    as_symmetric rejects (m when none) and the error it raises for that one.
+    """
+    arr_t = arr.transpose(0, 2, 1)
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf in matrices rejected as non-finite
+        gap = np.abs(arr - arr_t).max(axis=(1, 2), initial=0.0)
+    symmetric = finite & (gap <= tol.sym_tol)
+    # only matrices that pass both checks are summed, so an overflow warning
+    # comes from a matrix a per-matrix loop would sum too
+    sym = np.add(arr, arr_t, out=np.zeros_like(arr), where=symmetric[:, None, None]) / 2.0
+    # entries beyond ~9e307 overflow the sum
+    bad = ~symmetric | ~np.isfinite(sym).all(axis=(1, 2))
+    if not bad.any():
+        return sym, len(arr), None
+    first = int(np.argmax(bad))
+    if finite[first] and not symmetric[first]:
+        error = NotSymmetricError(
+            f"asymmetry {float(gap[first]):.3e} exceeds sym_tol {tol.sym_tol:.3e}")
+    else:
+        error = NonFiniteError("matrix contains NaN or Inf entries")
+    return sym, first, error
+
+
 def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Validate and canonically symmetrize a square matrix.
 
@@ -72,17 +113,10 @@ def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise NonFiniteError("matrix contains NaN or Inf entries")
-    if arr.size:
-        gap = float(np.max(np.abs(arr - arr.T)))
-        if gap > tol.sym_tol:
-            raise NotSymmetricError(
-                f"asymmetry {gap:.3e} exceeds sym_tol {tol.sym_tol:.3e}")
-    sym = (arr + arr.T) / 2.0
-    if sym.size and not np.all(np.isfinite(sym)):  # entries beyond ~9e307 overflow the sum
-        raise NonFiniteError("matrix contains NaN or Inf entries")
-    return sym
+    sym, _, error = _symmetrize(arr[None], tol)
+    if error is not None:
+        raise error
+    return sym[0]
 
 
 def spectral_norm(m) -> float:
@@ -100,19 +134,54 @@ def eigh(m, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(values, vectors)
 
 
-def _psd_values(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, bool]:
-    """Ascending eigenvalues of an already symmetrized matrix, and whether the
-    minimum is >= -psd_tol * max(1, ||M||)."""
+def _psd_verdicts(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of every matrix of an already symmetrized
+    (m, k, k) stack, from one eigvalsh, and whether each minimum is
+    >= -psd_tol * max(1, ||M||)."""
     if sym.size == 0:
-        return np.zeros(0), True
+        return np.zeros(sym.shape[:2]), np.ones(len(sym), dtype=bool)
     values = np.linalg.eigvalsh(sym)
-    norm = max(abs(float(values[0])), abs(float(values[-1])))
-    return values, float(values[0]) >= -psd_tol * max(1.0, norm)
+    norm = np.maximum(np.abs(values[:, 0]), np.abs(values[:, -1]))
+    return values, values[:, 0] >= -psd_tol * np.maximum(1.0, norm)
+
+
+def _psd_values(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, bool]:
+    """_psd_verdicts of one already symmetrized matrix."""
+    values, psd = _psd_verdicts(sym[None], psd_tol)
+    return values[0], bool(psd[0])
+
+
+def _checked_psd(arr: np.ndarray, tol: Tolerances, not_psd: Callable[[int], str]) -> np.ndarray:
+    """as_symmetric and the is_psd verdict of every matrix of an (m, k, k)
+    stack, with one eigvalsh.
+
+    Raises what a loop over the matrices in order would raise first: the
+    error as_symmetric raises, or NotPsdError(not_psd(i)) for matrix i.
+    """
+    sym, first_bad, error = _symmetrize(arr, tol)
+    psd = _psd_verdicts(sym[:first_bad], tol.psd_tol)[1]
+    if not psd.all():
+        raise NotPsdError(not_psd(int(np.argmin(psd))))
+    if error is not None:
+        raise error
+    return sym
 
 
 def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the minimum eigenvalue is >= -psd_tol * max(1, ||M||)."""
     return _psd_values(as_symmetric(m, tol), tol.psd_tol)[1]
+
+
+def _pseudo_sqrt_inv(sym: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """pseudo_sqrt_inv of every matrix of a symmetrized (m, k, k) stack
+    already judged PSD, from one eigh."""
+    if sym.size == 0:
+        return sym
+    values, vectors = np.linalg.eigh(sym)
+    cutoff = tol.rank_rel_tol * np.maximum(values[:, -1:], 0.0)
+    inv_sqrt = np.where(values > cutoff, 1.0 / np.sqrt(np.maximum(values, 1e-300)), 0.0)
+    result = (vectors * inv_sqrt[:, None, :]) @ vectors.transpose(0, 2, 1)
+    return (result + result.transpose(0, 2, 1)) / 2.0
 
 
 def pseudo_sqrt_inv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -125,14 +194,8 @@ def pseudo_sqrt_inv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     # the verdict comes from eigvalsh, as in is_psd: eigh's values may differ
     # in the last bit and could flip a borderline verdict
     if not _psd_values(sym, tol.psd_tol)[1]:
-        raise NotPsdError("pseudo_sqrt_inv requires a PSD matrix")
-    if sym.size == 0:
-        return sym
-    values, vectors = np.linalg.eigh(sym)
-    cutoff = tol.rank_rel_tol * max(float(values[-1]), 0.0)
-    inv_sqrt = np.where(values > cutoff, 1.0 / np.sqrt(np.maximum(values, 1e-300)), 0.0)
-    result = (vectors * inv_sqrt) @ vectors.T
-    return (result + result.T) / 2.0
+        raise NotPsdError(PSEUDO_SQRT_INV_NOT_PSD)
+    return _pseudo_sqrt_inv(sym[None], tol)[0]
 
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -20,7 +20,8 @@ from .graphs import (
     all_degrees,
     scalarize_trace,
 )
-from .linalg import DEFAULT_TOL, Spectrum, Tolerances, pseudo_sqrt_inv
+from .linalg import (DEFAULT_TOL, PSEUDO_SQRT_INV_NOT_PSD, Spectrum, Tolerances, _checked_psd,
+                     _pseudo_sqrt_inv)
 
 CHECK_TOL = 1e-8
 ATTAIN_TOL = 1e-7  # detection threshold for "bound attained", looser than resid_tol
@@ -75,9 +76,10 @@ class OperatorBundle:
     """The five kn x kn operators of a matrix-weighted graph.
 
     A, L and D are placed by ``assemble``; the normalized operators and
-    D^(+/2) are formed, with ``tol``, the first time one of them is read.
-    ``graph`` is the graph they were assembled from.  The spectral checks
-    below read one bundle, so a caller assembles each graph once.
+    D^(+/2) are formed, with ``tol``, the first time one of them is read, and
+    so is ``trace_graph``.  ``graph`` is the graph they were assembled from.
+    The spectral checks below read one bundle, so a caller assembles each
+    graph once.
     """
 
     adjacency: np.ndarray
@@ -90,12 +92,19 @@ class OperatorBundle:
 
     @cached_property
     def _degree_pseudo_sqrt_inv(self) -> np.ndarray:
-        k = self.k
+        """Block-diagonal D^(+/2): every D_v^(+/2) from one stacked solve."""
+        k, n = self.k, self.n
+        v = np.arange(n)
+        blocks = self.degree.reshape(n, k, n, k)[v, :, v, :]
+        sym = _checked_psd(blocks, self.tol, lambda _: PSEUDO_SQRT_INV_NOT_PSD)
         half = np.zeros_like(self.degree)
-        for v in range(self.n):
-            block = slice(v * k, (v + 1) * k)
-            half[block, block] = pseudo_sqrt_inv(self.degree[block, block], self.tol)
+        half.reshape(n, k, n, k)[v, :, v, :] = _pseudo_sqrt_inv(sym, self.tol)
         return half
+
+    @cached_property
+    def trace_graph(self) -> ScalarWeightedGraph:
+        """The trace-weighted graph w_e = tr(W_e) that both trace checks read."""
+        return scalarize_trace(self.graph)
 
     @cached_property
     def lap_normalized(self) -> np.ndarray:
@@ -169,7 +178,7 @@ def check_laplacian_trace_bounds(ops: OperatorBundle) -> BoundReport:
     if n < 2:
         return BoundReport.chain("laplacian_trace_bounds", [], note="vacuous for n < 2")
     lam = np.linalg.eigvalsh(ops.laplacian)
-    slam = np.linalg.eigvalsh(scalar_laplacian(scalarize_trace(ops.graph)))
+    slam = np.linalg.eigvalsh(scalar_laplacian(ops.trace_graph))
     low = float(np.sum(lam[k:2 * k]))
     high = float(np.sum(lam[(n - 1) * k:]))
     lam2_tr, lamn_tr = float(slam[1]), float(slam[-1])
@@ -191,7 +200,7 @@ def check_adjacency_trace_bounds(ops: OperatorBundle) -> BoundReport:
     if n < 1:
         return BoundReport.chain("adjacency_trace_bounds", [], note="vacuous for n < 1")
     mu = np.linalg.eigvalsh(ops.adjacency)[::-1]
-    smu = np.linalg.eigvalsh(scalar_adjacency(scalarize_trace(ops.graph)))[::-1]
+    smu = np.linalg.eigvalsh(scalar_adjacency(ops.trace_graph))[::-1]
     top = float(np.sum(mu[:k]))
     bottom = float(np.sum(mu[(n - 1) * k:]))
     mu1_tr, mun_tr = float(smu[0]), float(smu[-1])

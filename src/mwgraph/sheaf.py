@@ -37,20 +37,22 @@ class Coboundary:
     factors: Mapping[Edge, np.ndarray]
 
 
+def _sqrt_factors(sym: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+    """sqrt_factor of every matrix of an (m, k, k) stack already symmetrized,
+    such as a graph's stored weights, from one eigh."""
+    if len(sym) == 0:
+        return []
+    values, vectors = np.linalg.eigh(sym)
+    cutoff = tol.rank_rel_tol * np.maximum(values[:, -1:], 0.0)
+    keep = values > cutoff
+    rows = np.sqrt(values[keep])[:, None] * vectors.transpose(0, 2, 1)[keep]
+    return np.split(rows, np.cumsum(keep.sum(axis=1))[:-1])
+
+
 def sqrt_factor(w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """B with B^T B = W for PSD W; rows are sqrt(sigma_i) u_i^T over eigenpairs
     with sigma above the rank cutoff, in eigh's ascending order."""
-    return _sqrt_factor(as_symmetric(w, tol), tol)
-
-
-def _sqrt_factor(sym: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """sqrt_factor of a matrix already symmetrized, such as a stored graph weight."""
-    values, vectors = np.linalg.eigh(sym)
-    cutoff = tol.rank_rel_tol * max(float(values[-1]), 0.0) if values.size else 0.0
-    keep = [i for i in range(values.size) if values[i] > cutoff]
-    if not keep:
-        return np.zeros((0, sym.shape[0]))
-    return np.sqrt(values[keep])[:, None] * vectors[:, keep].T
+    return _sqrt_factors(as_symmetric(w, tol)[None], tol)[0]
 
 
 def build_coboundary(G: MatrixWeightedGraph,
@@ -67,7 +69,8 @@ def build_coboundary(G: MatrixWeightedGraph,
         else:
             tail, head = e
         orient[e] = (tail, head)
-    factors = {e: _sqrt_factor(G.weights[e], tol) for e in G.base.edges}
+    weights = np.array([G.weights[e] for e in G.base.edges]).reshape(len(G.base.edges), k, k)
+    factors = dict(zip(G.base.edges, _sqrt_factors(weights, tol)))
     total = sum(f.shape[0] for f in factors.values())
     delta = np.zeros((total, k * n))
     edge_rows: dict[Edge, tuple[int, int]] = {}

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mwgraph.errors import NonFiniteError, NotPsdError, NotSymmetricError
 from mwgraph.graphs import (
     BaseGraph,
     MatrixWeightedGraph,
@@ -98,3 +99,110 @@ def count_calls(monkeypatch, name, *modules):
 
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+# --- per-matrix references ---------------------------------------------------
+#
+# The package solves a graph's k x k blocks as one stack.  These are the
+# per-matrix loops it replaced, kept so tests can compare results byte for
+# byte and errors message for message.
+
+
+def reference_as_symmetric(m, tol):
+    arr = np.asarray(m, dtype=float)
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    if arr.size:
+        gap = float(np.max(np.abs(arr - arr.T)))
+        if gap > tol.sym_tol:
+            raise NotSymmetricError(
+                f"asymmetry {gap:.3e} exceeds sym_tol {tol.sym_tol:.3e}")
+    sym = (arr + arr.T) / 2.0
+    if sym.size and not np.all(np.isfinite(sym)):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    return sym
+
+
+def reference_is_psd(sym, psd_tol):
+    if sym.size == 0:
+        return True
+    values = np.linalg.eigvalsh(sym)
+    norm = max(abs(float(values[0])), abs(float(values[-1])))
+    return float(values[0]) >= -psd_tol * max(1.0, norm)
+
+
+def reference_weights(k, items, tol):
+    """The stored weights of from_weights, validated one edge at a time."""
+    merged = {}
+    for u, v, w in items:
+        key = (min(u, v), max(u, v))
+        merged[key] = merged.get(key, np.zeros((k, k))) + np.asarray(w, dtype=float)
+    weights = {}
+    for key in sorted(merged):
+        sym = reference_as_symmetric(merged[key], tol)
+        if not reference_is_psd(sym, tol.psd_tol):
+            raise NotPsdError(f"weight on edge {key} is not PSD")
+        weights[key] = sym
+    return weights
+
+
+def reference_pseudo_sqrt_inv(m, tol):
+    sym = reference_as_symmetric(m, tol)
+    if not reference_is_psd(sym, tol.psd_tol):
+        raise NotPsdError("pseudo_sqrt_inv requires a PSD matrix")
+    if sym.size == 0:
+        return sym
+    values, vectors = np.linalg.eigh(sym)
+    cutoff = tol.rank_rel_tol * max(float(values[-1]), 0.0)
+    inv_sqrt = np.where(values > cutoff, 1.0 / np.sqrt(np.maximum(values, 1e-300)), 0.0)
+    result = (vectors * inv_sqrt) @ vectors.T
+    return (result + result.T) / 2.0
+
+
+def reference_normalized(ops):
+    """(lap_normalized, adj_normalized) with one D_v^(+/2) solve per vertex."""
+    k = ops.k
+    half = np.zeros_like(ops.degree)
+    for v in range(ops.n):
+        block = slice(v * k, (v + 1) * k)
+        half[block, block] = reference_pseudo_sqrt_inv(ops.degree[block, block], ops.tol)
+    out = []
+    for op in (ops.laplacian, ops.adjacency):
+        norm = half @ op @ half
+        out.append((norm + norm.T) / 2.0)
+    return tuple(out)
+
+
+def reference_sqrt_factor(sym, tol):
+    values, vectors = np.linalg.eigh(sym)
+    cutoff = tol.rank_rel_tol * max(float(values[-1]), 0.0) if values.size else 0.0
+    keep = [i for i in range(values.size) if values[i] > cutoff]
+    if not keep:
+        return np.zeros((0, sym.shape[0]))
+    return np.sqrt(values[keep])[:, None] * vectors[:, keep].T
+
+
+def block_corpus_items(rng):
+    """(n, k, items) inputs for comparing stacked and per-block solves:
+    random graphs with k = 1..4 whose weights are full-rank, rank-deficient
+    or zero, carry asymmetry within sym_tol and repeat pairs, with isolated
+    vertices; plus n = 1 and edgeless graphs."""
+    yield 1, 2, []
+    yield 4, 3, []
+    yield 0, 1, []
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        k = int(rng.integers(1, 5))
+        live = [v for v in range(n) if rng.random() < 0.8]
+        items = []
+        for u, v in itertools.combinations(live, 2):
+            if rng.random() < 0.5:
+                continue
+            rank = int(rng.integers(0, k + 1))
+            w = random_psd(rng, k, rank) if rank else np.zeros((k, k))
+            w = w * 10.0 ** float(rng.integers(-6, 7))
+            w = w + rng.normal(size=(k, k)) * 1e-11
+            items.append((v, u, w) if rng.random() < 0.5 else (u, v, w))
+            if rng.random() < 0.1:
+                items.append((u, v, random_psd(rng, k)))
+        yield n, k, items

@@ -53,6 +53,15 @@ def test_a3_one_assembly_per_graph(suite, monkeypatch):
     assert len(assembled) == graphs
 
 
+def test_a3_one_trace_graph_per_graph(suite, monkeypatch):
+    # both trace checks read the bundle's trace graph; only n = 0 skips both
+    from mwgraph import operators
+    nonempty = sum(1 for G in suite.members if G.base.n >= 1)
+    scalarized = count_calls(monkeypatch, "scalarize_trace", operators)
+    assert suite.a3_trace_bounds().passed
+    assert len(scalarized) == nonempty
+
+
 def test_a4_sheaf_factorization(suite):
     result = _check(suite.a4_sheaf_factorization())
     assert result.details["worst_residual_ratio"] <= 1.0
@@ -60,14 +69,13 @@ def test_a4_sheaf_factorization(suite):
 
 
 def test_a4_one_analysis_per_graph(suite, monkeypatch):
-    from mwgraph import acceptance, frames, graphs as graphs_module, linalg, sheaf
+    from mwgraph import acceptance, frames, linalg, sheaf
     graphs = len(suite.members)
     assembled = count_calls(monkeypatch, "assemble", acceptance, sheaf)
     built = count_calls(monkeypatch, "build_coboundary", sheaf)
     # one symmetrization per graph, of L in kernel_dim; the coboundary
     # factors the stored weights, which from_weights symmetrized already
-    symmetrized = count_calls(monkeypatch, "as_symmetric",
-                              linalg, sheaf, graphs_module, frames)
+    symmetrized = count_calls(monkeypatch, "as_symmetric", linalg, sheaf, frames)
     assert suite.a4_sheaf_factorization().passed
     assert (len(assembled), len(built), len(symmetrized)) == (graphs, graphs, graphs)
 

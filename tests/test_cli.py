@@ -202,6 +202,15 @@ def test_build_expander_bad_frame(k4_scalar_file, capsys):
     assert main(["build-expander", str(k4_scalar_file), "--frame", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("k, projections", [(0, [[], [], []]), (-1, [[1.0], [1.0], [1.0]])])
+def test_search_frame_file_needs_positive_k(tmp_path, capsys, k, projections):
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({"k": k, "projections": projections}))
+    assert main(["search", "--r", "3", "--n-max", "6", "--frame", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: frame dimension k must be >= 1, got k={k}\n"
+
+
 def test_search_jsonl(capsys):
     assert main(["--format", "json", "search", "--r", "3", "--n-max", "4",
                  "--frame", "equiangular3"]) == 0

@@ -360,19 +360,22 @@ def test_search_identity_frame_dedupes_colorings():
 
 
 def test_search_validates_once(monkeypatch):
-    # per weighted edge: one symmetrization and one eigvalsh in from_weights,
-    # the same again for eta's rank_psd; plus eta's one adjacency solve and
-    # build_expander's one coloring check per coloring
+    # per coloring: from_weights symmetrizes and judges its weights as one
+    # stack with one eigvalsh, eta solves the adjacency once, build_expander
+    # checks the coloring once; per weighted edge: one symmetrization and
+    # one eigvalsh for eta's rank_psd
     from mwgraph import frames, graphs, linalg
     frame = augment_with_identity(equiangular_frame_2d(3))
-    sym = count_calls(monkeypatch, "as_symmetric", frames, graphs, linalg)
+    sym = count_calls(monkeypatch, "as_symmetric", frames, linalg)
+    stacked = count_calls(monkeypatch, "_checked_psd", graphs)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     checks = count_calls(monkeypatch, "validate", EdgeColoring)
     results = search_expanders(7, 4, frame)
     edges = sum(len(res.graph.edges) for res in results)
     assert len(results) == 48
-    assert len(sym) == 2 * edges
-    assert len(solves) == 2 * edges + len(results)
+    assert len(sym) == edges
+    assert len(stacked) == len(results)
+    assert len(solves) == edges + 2 * len(results)
     assert len(checks) == len(results)
 
 

@@ -5,8 +5,10 @@ import pytest
 
 from mwgraph.errors import (
     IndexOutOfRangeError,
+    MwgError,
     NonFiniteError,
     NotPsdError,
+    NotSymmetricError,
     ParseError,
     TooLargeError,
 )
@@ -26,14 +28,17 @@ from mwgraph.graphs import (
     total_volume,
     volume,
 )
+from mwgraph.linalg import DEFAULT_TOL, Tolerances
 
 from conftest import (
     FRAME_A,
     FRAME_B,
+    block_corpus_items,
     complete_graph,
     count_calls,
     k4_abc_mwg,
     random_mwg,
+    reference_weights,
     unit_graph,
 )
 
@@ -72,12 +77,14 @@ def test_from_weights_rejects_non_psd():
 
 
 def test_from_weights_validates_each_weight_once(monkeypatch):
-    from mwgraph import graphs, linalg
+    # the six weights are symmetrized as one stack and judged by one eigvalsh
+    from mwgraph import linalg
     items = [(u, v, FRAME_A + FRAME_B) for u, v in itertools.combinations(range(4), 2)]
-    sym = count_calls(monkeypatch, "as_symmetric", graphs, linalg)
+    stacked = count_calls(monkeypatch, "_symmetrize", linalg)
+    sym = count_calls(monkeypatch, "as_symmetric", linalg)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     MatrixWeightedGraph.from_weights(4, 2, items)
-    assert (len(sym), len(solves)) == (6, 6)
+    assert (len(stacked), len(sym), len(solves)) == (1, 0, 1)
 
 
 def test_from_weights_rejects_overflowing_weight():
@@ -289,3 +296,58 @@ def test_volume_additive_and_handshake(rng):
         assert np.allclose(left + right, total_volume(G), atol=1e-12)
         twice_edges = 2 * sum(G.weights.values())
         assert np.allclose(total_volume(G), twice_edges, atol=1e-12)
+
+
+# --- stacked validation against the per-edge loop ------------------------------
+
+
+def test_from_weights_stores_per_edge_reference_bits(rng):
+    for n, k, items in block_corpus_items(rng):
+        G = MatrixWeightedGraph.from_weights(n, k, items)
+        expected = reference_weights(k, items, DEFAULT_TOL)
+        assert list(G.weights) == list(expected) == list(G.base.edges)
+        for e, w in expected.items():
+            assert G.weights[e].tobytes() == w.tobytes()
+            assert not G.weights[e].flags.writeable
+
+
+_BAD_WEIGHTS = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "inf": np.array([[1.0, 0.0], [0.0, -np.inf]]),
+    "asymmetric": np.array([[1.0, 1.0], [0.0, 1.0]]),
+    "huge asymmetric": np.array([[0.0, 1e308], [-1e308, 0.0]]),
+    "overflow": np.array([[1e308, 0.0], [0.0, 1.0]]),
+    "not psd": np.diag([1.0, -1.0]),
+    "marginal": np.diag([1.0, -1e-12]),
+}
+
+
+def _first_error(call):
+    try:
+        call()
+    except MwgError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("psd_tol", [1e-9, 0.0])
+def test_from_weights_raises_first_failing_edge_in_sorted_order(rng, psd_tol):
+    tol = Tolerances(psd_tol=psd_tol)
+    edges = list(itertools.combinations(range(4), 2))
+    names = list(_BAD_WEIGHTS)
+    cases = [list(p) for p in itertools.permutations(names[:4], 2)]
+    cases += [list(rng.permutation(names)[:int(rng.integers(1, 4))]) for _ in range(40)]
+    seen = set()
+    for bad in cases:
+        slots = sorted(rng.choice(len(edges), size=len(bad), replace=False))
+        weights = [np.eye(2)] * len(edges)
+        for slot, name in zip(slots, bad):
+            weights[slot] = _BAD_WEIGHTS[name]
+        items = [(v, u, w) for (u, v), w in zip(edges, weights)]
+        items.reverse()  # given in reverse, validated in sorted order
+        with np.errstate(over="ignore"):
+            expected = _first_error(lambda: reference_weights(2, items, tol))
+            got = _first_error(lambda: MatrixWeightedGraph.from_weights(4, 2, items, tol))
+        assert got == expected
+        seen.add(expected[0] if expected else None)
+    assert seen >= {NonFiniteError, NotSymmetricError, NotPsdError}

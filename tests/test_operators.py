@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mwgraph.errors import NonFiniteError
 from mwgraph.graphs import MatrixWeightedGraph, lift_identity, regularity
 from mwgraph.linalg import DEFAULT_TOL, kernel_dim
 from mwgraph.operators import (
@@ -20,10 +21,13 @@ from mwgraph.graphs import scalarize_trace
 
 from conftest import (
     FRAME_B,
+    block_corpus_items,
     complete_graph,
+    count_calls,
     cycle_graph,
     k4_abc_mwg,
     random_mwg,
+    reference_normalized,
     unit_graph,
 )
 
@@ -62,21 +66,14 @@ def test_assemble_empty_graph():
 def test_assemble_forms_normalized_operators_on_demand(monkeypatch):
     from mwgraph import operators
 
-    calls = []
-    real = operators.pseudo_sqrt_inv
-
-    def counting(m, tol):
-        calls.append(1)
-        return real(m, tol)
-
-    monkeypatch.setattr(operators, "pseudo_sqrt_inv", counting)
+    calls = count_calls(monkeypatch, "_pseudo_sqrt_inv", operators)
     G = k4_abc_mwg()
     b = assemble(G)
     assert b.adjacency.shape == b.laplacian.shape == b.degree.shape == (8, 8)
     assert calls == []
     lam = np.linalg.eigvalsh(b.lap_normalized)
     mu = np.linalg.eigvalsh(b.adj_normalized)
-    assert len(calls) == 4  # one D_v^(+/2) per vertex, shared by both operators
+    assert len(calls) == 1  # every D_v^(+/2) in one stacked call, shared by both operators
     # D = 1.5 I, so the normalized operators are L / 1.5 and A / 1.5
     assert np.allclose(lam, np.linalg.eigvalsh(b.laplacian) / 1.5, atol=1e-12)
     assert np.allclose(mu, np.linalg.eigvalsh(b.adjacency) / 1.5, atol=1e-12)
@@ -261,3 +258,29 @@ def test_scalar_helpers_match_lift():
     assert np.allclose(scalar_laplacian(g), assemble(G).laplacian)
     assert np.allclose(scalar_adjacency(g), assemble(G).adjacency)
     assert np.allclose(scalar_laplacian(scalarize_trace(G)), scalar_laplacian(g))
+
+
+# --- stacked D^(+/2) against the per-vertex loop -----------------------------
+
+
+def test_normalized_operators_bitwise_per_vertex_reference(rng):
+    graphs = [MatrixWeightedGraph.from_weights(n, k, items)
+              for n, k, items in block_corpus_items(rng)]
+    graphs += [k4_abc_mwg(), lift_identity(cycle_graph(5), 3)]
+    for G in graphs:
+        ops = assemble(G)
+        lap, adj = reference_normalized(ops)
+        assert ops.lap_normalized.tobytes() == lap.tobytes()
+        assert ops.adj_normalized.tobytes() == adj.tobytes()
+
+
+def test_normalized_operators_reject_overflowing_degree():
+    # each weight is finite; two meet at vertex 1 in a degree of 1e308, which
+    # overflows (D_v + D_v^T)/2, and four make the degree itself inf
+    for count in (2, 4):
+        items = [(1, v, np.array([[5e307, 0.0], [0.0, 1.0]])) for v in (0, 2, 3, 4)[:count]]
+        G = MatrixWeightedGraph.from_weights(5, 2, items)
+        for name in ("lap_normalized", "adj_normalized"):
+            with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+                getattr(assemble(G), name)
+            assert str(err.value) == "matrix contains NaN or Inf entries"

@@ -28,11 +28,13 @@ from mwgraph.sheaf import (
 
 from conftest import (
     FRAME_A,
+    block_corpus_items,
     count_calls,
     k33_latin_mwg,
     k4_abc_mwg,
     random_mwg,
     random_psd,
+    reference_sqrt_factor,
     unit_graph,
 )
 
@@ -337,3 +339,22 @@ def test_load_truss_errors():
     for data in (b"not json", b"\xff", b"[1]"):
         with pytest.raises(ParseError):
             load_truss(data)
+
+
+def test_coboundary_factors_bitwise_per_edge_reference(rng):
+    for n, k, items in block_corpus_items(rng):
+        G = MatrixWeightedGraph.from_weights(n, k, items)
+        cob = build_coboundary(G)
+        assert list(cob.factors) == list(G.base.edges)
+        for e, w in G.weights.items():
+            B = reference_sqrt_factor(w, DEFAULT_TOL)
+            assert cob.factors[e].shape == B.shape
+            assert cob.factors[e].tobytes() == B.tobytes()
+            assert sqrt_factor(w).tobytes() == B.tobytes()
+        assert cob.matrix.shape == (sum(f.shape[0] for f in cob.factors.values()), n * k)
+
+
+def test_coboundary_one_solve_per_graph(monkeypatch):
+    solves = count_calls(monkeypatch, "eigh", np.linalg)
+    build_coboundary(k33_latin_mwg())
+    assert len(solves) == 1
