@@ -250,7 +250,7 @@ class Suite:
         worst = np.inf
         count = 0
         for G in self.scalar_regular_members:
-            report = eml_regular_exhaustive(G, self.tol)
+            report = eml_regular_exhaustive(assemble(G, self.tol))
             worst = min(worst, report.slack)
             count += 1
         passed = count > 0 and worst >= -CHECK_TOL
@@ -266,7 +266,7 @@ class Suite:
             if regularity(G, self.tol).kind != "irregular":
                 continue
             try:
-                ctx = irregular_context(G, self.tol)
+                ctx = irregular_context(assemble(G, self.tol))
             except SingularVolumeError:
                 continue
             candidates.append((G, ctx))
@@ -280,7 +280,7 @@ class Suite:
             lhs, rhs = eml_irregular_pairs(ctx, ind_S, ind_T)
             worst = min(worst, float(np.min(rhs - lhs)))
         k2 = MatrixWeightedGraph.from_weights(2, 1, [(0, 1, np.array([[1.0]]))])
-        report = eml_irregular(k2, [0], [1], self.tol)
+        report = eml_irregular(assemble(k2, self.tol), [0], [1])
         k2_gap = max(abs(float(report.lhs) - 0.5), abs(float(report.rhs) - 0.5))
         passed = worst >= -CHECK_TOL and k2_gap <= EXACT_TOL
         return CriterionResult("A6", "irregular mixing lemma", passed,

@@ -270,14 +270,13 @@ def cmd_spectrum(args, tol: Tolerances) -> int:
 
 
 def cmd_eml(args, tol: Tolerances) -> int:
-    G = _load_graph(args.file, tol)
+    ops = assemble(_load_graph(args.file, tol), tol)
     report: dict = {}
-    reg = regularity(G, tol)
     if args.exhaustive:
-        if reg.is_scalar_regular:
-            report["regular"] = eml_regular_exhaustive(G, tol).to_jsonable()
+        if ops.regularity.is_scalar_regular:
+            report["regular"] = eml_regular_exhaustive(ops).to_jsonable()
         try:
-            report["irregular"] = eml_irregular_exhaustive(G, tol).to_jsonable()
+            report["irregular"] = eml_irregular_exhaustive(ops).to_jsonable()
         except SingularVolumeError:
             report["irregular"] = None
     else:
@@ -285,15 +284,15 @@ def cmd_eml(args, tol: Tolerances) -> int:
             raise MwgError("eml needs --S and --T, or --exhaustive")
         S = _parse_subset(args.S)
         T = _parse_subset(args.T)
-        if reg.is_scalar_regular:
-            pair = eml_regular(G, S, T, tol)
+        if ops.regularity.is_scalar_regular:
+            pair = eml_regular(ops, S, T)
             report["regular"] = {
                 "trace": pair.trace_check.to_jsonable(),
                 "spectral": pair.spectral_check.to_jsonable(),
                 "abs_mu": pair.abs_mu,
             }
         try:
-            report["irregular"] = eml_irregular(G, S, T, tol).to_jsonable()
+            report["irregular"] = eml_irregular(ops, S, T).to_jsonable()
         except SingularVolumeError:
             report["irregular"] = None
     if "regular" not in report:

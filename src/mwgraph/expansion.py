@@ -8,18 +8,19 @@ Two conventions pinned here:
   infimum may not be attained); per-subset matrices are reported together
   with the scalar summary alpha = min over S of lambda_min(h(S)).
 
-Exhaustive subset scans iterate Gray-code order over subsets containing
-vertex 0 (complement symmetry) with incremental boundary updates, and break
-argmin ties by smallest bitmask.  The Cheeger scan takes the Gray-code steps
-SCAN_CHUNK at a time with numpy, and accumulates each boundary's updates
-strictly in sequence, so every boundary matrix has the same bits as one
-update at a time.
+The Cheeger scan visits each {S, V-S} pair once, as the subset S that
+contains vertex 0, in increasing bitmask order, and breaks argmin ties by
+smallest bitmask.  It computes every boundary E(S, V-S) directly, as the sum
+of W_e over the crossing edges in edge order, so each per-subset matrix, the
+trace constant, alpha and the boundary ranks are bitwise those of
+cheeger_ratios on the same subset: no sum carries over from one subset to
+the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,15 +31,15 @@ from .errors import (
     SingularVolumeError,
     TooLargeError,
 )
-from .graphs import MatrixWeightedGraph, all_degrees, regularity
+from .graphs import MatrixWeightedGraph, Regularity, all_degrees, regularity
 from .linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
-from .operators import CHECK_TOL, BoundReport, assemble
+from .operators import CHECK_TOL, BoundReport, OperatorBundle, assemble
 
 EML_EXHAUSTIVE_MAX_N = 8
 CHEEGER_EXHAUSTIVE_MAX_N = 20
-# Gray-code steps per batch of the Cheeger scan: big enough to amortize the
-# numpy calls, small enough to keep the working arrays a few hundred KiB
-SCAN_CHUNK = 256
+# subsets per batch of the Cheeger scan: big enough to amortize the numpy
+# calls, small enough to keep the working arrays a few hundred KiB
+SCAN_CHUNK = 1024
 
 
 # --- vertex subsets ---------------------------------------------------------
@@ -56,26 +57,6 @@ def subset_mask(S: Iterable[int], n: int) -> int:
 
 def mask_vertices(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if (mask >> v) & 1)
-
-
-def _gray_mask(m):
-    """Mask of Gray-code step m (an int or an integer array): the Gray code
-    of m on vertices 1..n-1, with vertex 0 always in."""
-    return ((m ^ (m >> 1)) << 1) | 1
-
-
-def proper_subsets_mod_complement(n: int) -> Iterator[int]:
-    """Nonempty proper subsets containing vertex 0, in Gray-code order.
-
-    Covers each {S, complement} pair exactly once.  Consecutive masks differ
-    by one vertex among 1..n-1, except for a single two-vertex step where
-    the full set is skipped.
-    """
-    full = (1 << n) - 1
-    for m in range(1 << (n - 1)):
-        mask = _gray_mask(m)
-        if mask != full:
-            yield mask
 
 
 def _mask_bits(masks, n: int) -> np.ndarray:
@@ -114,9 +95,7 @@ def edge_count(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int]) -> np
     return E
 
 
-def require_scalar_regular(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                           positive: bool = False) -> float:
-    reg = regularity(G, tol)
+def require_scalar_regular(reg: Regularity, positive: bool = False) -> float:
     if not reg.is_scalar_regular:
         raise NotScalarRegularError(f"graph is {reg.kind}, need algebraic degree dI")
     d = float(reg.scalar_degree)
@@ -137,10 +116,10 @@ class EmlReport:
     abs_mu: float
 
 
-def _regular_mu_constants(G: MatrixWeightedGraph, tol: Tolerances) -> tuple[float, float, np.ndarray]:
+def _regular_mu_constants(ops: OperatorBundle) -> tuple[float, float, np.ndarray]:
     """(|mu| for the trace bound, max(|mu_{k+1}|, |mu_{kn}|), descending mu)."""
-    k, n = G.k, G.base.n
-    mu = np.linalg.eigvalsh(assemble(G, tol).adjacency)[::-1]
+    k, n = ops.k, ops.n
+    mu = np.linalg.eigvalsh(ops.adjacency)[::-1]
     abs_mu = max(float(np.sum(mu[k:2 * k])),
                  float(np.sum(np.abs(mu[(n - 1) * k:]))))
     if mu.size > k:
@@ -150,17 +129,16 @@ def _regular_mu_constants(G: MatrixWeightedGraph, tol: Tolerances) -> tuple[floa
     return abs_mu, spec_const, mu
 
 
-def eml_regular(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int],
-                tol: Tolerances = DEFAULT_TOL) -> EmlReport:
+def eml_regular(ops: OperatorBundle, S: Iterable[int], T: Iterable[int]) -> EmlReport:
     """Expander mixing lemma for dI-regular matrix-weighted graphs.
 
     Trace form: |tr E(S,T) - kd|S||T|/n| <= |mu| sqrt(|S||T|(1-|S|/n)(1-|T|/n)).
     Spectral form: eigenvalues of E(S,T) - (d|S||T|/n) I bounded in magnitude
     by max(|mu_{k+1}|, |mu_{kn}|) times the same square root.
     """
-    d = require_scalar_regular(G, tol)
-    n, k = G.base.n, G.k
-    abs_mu, spec_const, _ = _regular_mu_constants(G, tol)
+    d = require_scalar_regular(ops.regularity)
+    G, n, k = ops.graph, ops.n, ops.k
+    abs_mu, spec_const, _ = _regular_mu_constants(ops)
     E = edge_count(G, S, T)
     s = len(set(int(v) for v in S))
     t = len(set(int(v) for v in T))
@@ -176,13 +154,13 @@ def eml_regular(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int],
     return EmlReport(trace, spectral, abs_mu)
 
 
-def eml_regular_exhaustive(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
+def eml_regular_exhaustive(ops: OperatorBundle) -> BoundReport:
     """Both mixing inequalities over every subset pair (vectorized, n <= 8)."""
-    d = require_scalar_regular(G, tol)
-    n, k = G.base.n, G.k
+    d = require_scalar_regular(ops.regularity)
+    G, n, k = ops.graph, ops.n, ops.k
     if n > EML_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"exhaustive pair scan limited to n <= {EML_EXHAUSTIVE_MAX_N}")
-    abs_mu, spec_const, _ = _regular_mu_constants(G, tol)
+    abs_mu, spec_const, _ = _regular_mu_constants(ops)
     masks = list(range(1 << n))
     ind = _indicators(masks, n)
     sizes = ind.sum(axis=1)
@@ -231,16 +209,15 @@ class IrregularContext:
     trace_adj: np.ndarray    # (n, n) matrix of tr(W_uv)
 
 
-def irregular_context(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> IrregularContext:
-    k, n = G.k, G.base.n
+def irregular_context(ops: OperatorBundle) -> IrregularContext:
+    G, tol, k, n = ops.graph, ops.tol, ops.k, ops.n
     degs = np.array(all_degrees(G)) if n else np.zeros((0, k, k))
     vol_total = degs.sum(axis=0) if n else np.zeros((k, k))
     values = np.linalg.eigvalsh(vol_total)
     if values.size == 0 or float(values[0]) <= tol.rank_rel_tol * max(1.0, float(values[-1])):
         raise SingularVolumeError("vol(G) has an eigenvalue below the rank cutoff")
     vol_inv = np.linalg.inv(vol_total)
-    adj_norm = assemble(G, tol).adj_normalized
-    mu = np.linalg.eigvalsh(adj_norm)
+    mu = np.linalg.eigvalsh(ops.adj_normalized)
     order = np.lexsort((-mu, -np.abs(mu)))
     mu_by_abs = mu[order]
     abs_mu_tilde = abs(float(mu_by_abs[k])) if mu_by_abs.size > k else 0.0
@@ -263,10 +240,9 @@ def eml_irregular_pairs(ctx: IrregularContext, ind_S: np.ndarray,
     return lhs, rhs
 
 
-def eml_irregular_exhaustive(G: MatrixWeightedGraph,
-                             tol: Tolerances = DEFAULT_TOL) -> BoundReport:
+def eml_irregular_exhaustive(ops: OperatorBundle) -> BoundReport:
     """Irregular mixing bound over every subset pair (vectorized, n <= 8)."""
-    ctx = irregular_context(G, tol)
+    ctx = irregular_context(ops)
     n = ctx.n
     if n > EML_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"exhaustive pair scan limited to n <= {EML_EXHAUSTIVE_MAX_N}")
@@ -289,14 +265,13 @@ def eml_irregular_exhaustive(G: MatrixWeightedGraph,
         })
 
 
-def eml_irregular(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int],
-                  tol: Tolerances = DEFAULT_TOL) -> BoundReport:
+def eml_irregular(ops: OperatorBundle, S: Iterable[int], T: Iterable[int]) -> BoundReport:
     """Mixing bound for irregular graphs, in volume form.
 
     |tr(E(S,T) - V(S,T))| <= |mu~_{k+1}| sqrt(tr(vol S - V(S,S)) tr(vol T - V(T,T)))
     with V(A,B) = vol(A) vol(G)^{-1} vol(B).  Requires invertible vol(G).
     """
-    ctx = irregular_context(G, tol)
+    ctx = irregular_context(ops)
     n = ctx.n
     smask = subset_mask(S, n)
     tmask = subset_mask(T, n)
@@ -327,7 +302,7 @@ class CheegerReport:
 def cheeger_ratios(G: MatrixWeightedGraph, S: Iterable[int],
                    tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """(h_trace(S), h_loewner(S)) = tr/matrix of E(S, V-S) / (d min(|S|, |V-S|))."""
-    d = require_scalar_regular(G, tol, positive=True)
+    d = require_scalar_regular(regularity(G, tol), positive=True)
     n = G.base.n
     mask = subset_mask(S, n)
     if mask == 0 or mask == (1 << n) - 1:
@@ -350,60 +325,36 @@ class _BoundaryScan:
 
 def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
                      keep_per_subset: bool) -> _BoundaryScan:
-    """Gray-code scan of all subsets mod complementation, incremental E updates.
+    """Scan of all subsets mod complementation: the odd masks 1, 3, ...,
+    2^n - 3 in increasing order, SCAN_CHUNK at a time.
 
-    Step m moves vertex ctz(m) + 1 across the cut (step 0 puts vertex 0 in
-    S) and adds +W for each of its edges that now crosses the cut, -W for
-    each that no longer does, in the vertex's edge order.  The steps go
-    SCAN_CHUNK at a time: np.add.accumulate adds the updates strictly in
-    sequence onto the previous boundary, so each E has the bits of the
-    one-update-at-a-time loop.
+    Each boundary E(S, V-S) is the sum of W_e over the crossing edges in edge
+    order, so every result is bitwise what cheeger_ratios gives for the same
+    subset.
     """
     n, k = G.base.n, G.k
-    # CSR edge lists: vertex v's (neighbour, edge) pairs are at slots
-    # start[v]:start[v + 1] of nbr and edge
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(G.weights):
-        incident[u].append((v, i))
-        incident[v].append((u, i))
-    degree = np.array([len(pairs) for pairs in incident], dtype=np.int64)
-    start = np.concatenate(([0], np.cumsum(degree)))
-    nbr = np.array([x for pairs in incident for x, _ in pairs], dtype=np.int64)
-    edge = np.array([i for pairs in incident for _, i in pairs], dtype=np.int64)
-    W = np.array(list(G.weights.values()), dtype=float).reshape(-1, k, k)
-
-    total = 1 << (n - 1)
-    full = (1 << n) - 1
-    E = np.zeros((1, k, k))
-    best_tr, best_mask = np.inf, None
+    ends = np.array(list(G.weights), dtype=np.int64).reshape(-1, 2).T
+    W_flat = np.array(list(G.weights.values()), dtype=float).reshape(-1, k * k)
+    count = (1 << (n - 1)) - 1
+    best_tr, best_mask = np.inf, 0
     alpha = np.inf
     min_rank = k
     per: dict[tuple[int, ...], np.ndarray] | None = {} if keep_per_subset else None
-    for lo in range(0, total, SCAN_CHUNK):
-        m = np.arange(lo, min(lo + SCAN_CHUNK, total), dtype=np.int64)
-        masks = _gray_mask(m)
+    for lo in range(0, count, SCAN_CHUNK):
+        masks = 2 * np.arange(lo, min(lo + SCAN_CHUNK, count), dtype=np.int64) + 1
         bits = _mask_bits(masks, n)
-        # m & -m is 2**ctz(m), whose frexp exponent is ctz(m) + 1 (0 for m = 0)
-        moved = np.frexp(m & -m)[1].astype(np.int64)
-        deg = degree[moved]
-        step_end = np.cumsum(deg)
-        # one row per update: its step, and its slot in the moved vertex's list
-        step = np.repeat(np.arange(m.size), deg)
-        slot = np.repeat(start[moved] - (step_end - deg), deg) + np.arange(step_end[-1])
-        crossing = bits[step, nbr[slot]] != bits[step, moved[step]]
-        w = W[edge[slot]]
-        acc = np.add.accumulate(np.concatenate((E, np.where(crossing[:, None, None], w, -w))),
-                                axis=0)
-        E = acc[-1:]
-        boundary = acc[step_end]
-        proper = masks != full
-        masks, bits, boundary = masks[proper], bits[proper], boundary[proper]
-        if masks.size == 0:
-            continue
+        crossing = bits.T[ends[0]] != bits.T[ends[1]]
+        # edge-major (k*k, chunk) sums, so each add runs over contiguous rows;
+        # a non-crossing edge adds +-0.0, which leaves the bits of every sum
+        # alone, since a sum that starts at +0.0 never becomes -0.0
+        E = np.zeros((k * k, masks.size))
+        for w, cross in zip(W_flat, crossing):
+            E += w[:, None] * cross
+        E = E.T.reshape(-1, k, k)
         size = bits.sum(axis=1)
         denom = d * np.minimum(size, n - size)
-        h = boundary / denom[:, None, None]
-        tr = np.trace(h, axis1=1, axis2=2)
+        tr = np.trace(E, axis1=1, axis2=2) / denom
+        h = E / denom[:, None, None]
         values = np.linalg.eigvalsh(h)
         rank_cut = tol.rank_rel_tol * np.maximum(1.0, values[:, -1] * denom)
         rank = np.sum(values * denom[:, None] > rank_cut[:, None], axis=1)
@@ -411,20 +362,13 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
         lam_min = values[:, 0]
         alpha = min(alpha, float(lam_min[np.argmin(lam_min)]))
         min_rank = min(min_rank, int(rank.min()))
-        low = tr.min()
-        low_mask = int(masks[tr == low].min())
-        if low < best_tr or (low == best_tr and low_mask < best_mask):
-            best_tr, best_mask = low, low_mask
+        # masks increase, so the first minimum is the smallest tied mask
+        low = int(np.argmin(tr))
+        if tr[low] < best_tr:
+            best_tr, best_mask = float(tr[low]), int(masks[low])
         if per is not None:
             for mask, hm in zip(masks.tolist(), h):
                 per[mask_vertices(mask, n)] = hm
-    # recompute the argmin boundary exactly (guards against drift in the
-    # incremental updates)
-    assert best_mask is not None
-    comp = [v for v in range(n) if not (best_mask >> v) & 1]
-    size = bin(best_mask).count("1")
-    E_best = edge_count(G, mask_vertices(best_mask, n), comp)
-    best_tr = float(np.trace(E_best)) / (d * min(size, n - size))
     return _BoundaryScan(best_tr, best_mask, float(alpha), min_rank, per)
 
 
@@ -492,7 +436,7 @@ def cheeger_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
     """The Cheeger constants, their two spectral lower bounds and the
     counterexample certificate, from one boundary scan and one Laplacian
     spectrum."""
-    d = require_scalar_regular(G, tol, positive=True)
+    d = require_scalar_regular(regularity(G, tol), positive=True)
     n, k = G.base.n, G.k
     if n > CHEEGER_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"n = {n} exceeds exhaustive limit {CHEEGER_EXHAUSTIVE_MAX_N}; "

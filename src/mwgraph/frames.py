@@ -357,6 +357,10 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
     groups = _projection_groups(f, tol)
     tasks = []
     for n in range(r + 1, n_max + 1):
+        if n % 2:
+            # r colors at every vertex make each color class a perfect
+            # matching, so odd n has no proper coloring
+            continue
         # enumerated graphs carry their canonical labeling already
         for graph in enumerate_regular_graphs(n, r):
             code_str = graph6_like(n, edges_code(n, graph.edges))
@@ -402,6 +406,9 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
         raise ValueError(f"frame has {len(f)} elements but r = {r}")
     if n <= r or (n * r) % 2 != 0:
         raise ValueError(f"no {r}-regular graphs on {n} vertices")
+    if n % 2:
+        raise NotColorableError(f"no proper {r}-edge-coloring on an odd number of vertices "
+                                f"({n}): each color class would be a perfect matching")
     verify_tight(f, tol)
     rng = np.random.default_rng(seed)
     results: list[SearchResult] = []

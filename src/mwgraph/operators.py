@@ -16,8 +16,10 @@ import numpy as np
 
 from .graphs import (
     MatrixWeightedGraph,
+    Regularity,
     ScalarWeightedGraph,
     all_degrees,
+    regularity,
     scalarize_trace,
 )
 from .linalg import (DEFAULT_TOL, PSEUDO_SQRT_INV_NOT_PSD, Spectrum, Tolerances, _checked_psd,
@@ -77,9 +79,10 @@ class OperatorBundle:
 
     A, L and D are placed by ``assemble``; the normalized operators and
     D^(+/2) are formed, with ``tol``, the first time one of them is read, and
-    so is ``trace_graph``.  ``graph`` is the graph they were assembled from.
-    The spectral checks below read one bundle, so a caller assembles each
-    graph once.
+    so are ``trace_graph`` and ``regularity``.  ``graph`` is the graph they
+    were assembled from.  The spectral checks below and the mixing-lemma
+    checks in ``expansion`` read one bundle, so a caller assembles each graph
+    once.
     """
 
     adjacency: np.ndarray
@@ -105,6 +108,11 @@ class OperatorBundle:
     def trace_graph(self) -> ScalarWeightedGraph:
         """The trace-weighted graph w_e = tr(W_e) that both trace checks read."""
         return scalarize_trace(self.graph)
+
+    @cached_property
+    def regularity(self) -> Regularity:
+        """The graph's regularity under ``tol``."""
+        return regularity(self.graph, self.tol)
 
     @cached_property
     def lap_normalized(self) -> np.ndarray:

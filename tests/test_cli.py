@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def test_eml_exhaustive(k4_abc_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["regular"]["holds"] is True
     assert report["regular"]["context"]["pairs"] == 256
+
+
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--S", "0", "--T", "1"]])
+def test_eml_assembles_once(k4_abc_file, capsys, monkeypatch, mode):
+    from mwgraph import cli, expansion, graphs, operators
+    assembled = count_calls(monkeypatch, "assemble", cli, expansion)
+    classified = count_calls(monkeypatch, "regularity", cli, expansion, graphs, operators)
+    assert main(["--format", "json", "eml", str(k4_abc_file), *mode]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["regular"] is not None and report["irregular"] is not None
+    assert (len(assembled), len(classified)) == (1, 1)
 
 
 def test_cheeger_counterexample_graph(tmp_path, capsys):
@@ -252,6 +264,20 @@ def test_search_sampling_mode(capsys):
     assert len(first.strip().splitlines()) == 2
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_search_sampling_odd_n_exits_2_before_drawing(capsys, monkeypatch):
+    from mwgraph import frames
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(frames, "_random_regular_edges", forbidden)
+    start = time.perf_counter()
+    assert main(["search", "--r", "4", "--n-max", "21", "--frame", "equiangular3+I",
+                 "--samples", "1"]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().out == ""
 
 
 def test_workers_must_be_positive(capsys):

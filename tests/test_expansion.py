@@ -25,7 +25,6 @@ from mwgraph.expansion import (
     eml_regular_exhaustive,
     irregular_context,
     mask_vertices,
-    proper_subsets_mod_complement,
     verify_counterexample,
 )
 from mwgraph.graphs import (
@@ -120,14 +119,14 @@ def test_trace_of_edge_count_matches_scalarized(rng):
 
 def test_eml_regular_empty_subset_equality():
     G = k4_abc_mwg()
-    rep = eml_regular(G, [], [0, 1])
+    rep = eml_regular(assemble(G), [], [0, 1])
     assert rep.trace_check.lhs == 0.0 and rep.trace_check.rhs == 0.0
     assert rep.trace_check.holds and rep.spectral_check.holds
 
 
 def test_eml_regular_full_sets_equality():
     G = k4_abc_mwg()
-    rep = eml_regular(G, range(4), range(4))
+    rep = eml_regular(assemble(G), range(4), range(4))
     assert rep.trace_check.lhs == pytest.approx(0.0, abs=1e-10)
     assert rep.trace_check.rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.trace_check.holds
@@ -138,7 +137,7 @@ def test_eml_regular_complete_lift_closed_form():
     n, k = 5, 2
     G = lift_identity(complete_graph(n), k)
     S, T = [0, 1], [2, 3]
-    rep = eml_regular(G, S, T)
+    rep = eml_regular(assemble(G), S, T)
     # E(S,T) = |S||T| I_k for disjoint S, T in K_n
     E = edge_count(G, S, T)
     assert np.allclose(E, 4 * np.eye(2))
@@ -149,13 +148,13 @@ def test_eml_regular_complete_lift_closed_form():
 def test_eml_regular_requires_regularity(rng):
     g = unit_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(NotScalarRegularError):
-        eml_regular(lift_identity(g, 2), [0], [1])
+        eml_regular(assemble(lift_identity(g, 2)), [0], [1])
 
 
 def test_eml_regular_exhaustive_matches_pairwise():
     # cross-validate the vectorized all-pairs scan against single calls
-    G = k4_abc_mwg()
-    summary = eml_regular_exhaustive(G)
+    ops = assemble(k4_abc_mwg())
+    summary = eml_regular_exhaustive(ops)
     assert summary.holds
     worst = np.inf
     n = 4
@@ -163,7 +162,7 @@ def test_eml_regular_exhaustive_matches_pairwise():
         for tmask in range(1 << n):
             S = [v for v in range(n) if (smask >> v) & 1]
             T = [v for v in range(n) if (tmask >> v) & 1]
-            rep = eml_regular(G, S, T)
+            rep = eml_regular(ops, S, T)
             worst = min(worst, rep.trace_check.slack, rep.spectral_check.slack)
     assert summary.slack == pytest.approx(worst, abs=1e-12)
 
@@ -171,13 +170,13 @@ def test_eml_regular_exhaustive_matches_pairwise():
 def test_eml_regular_exhaustive_on_lifts():
     for scalar in (complete_graph(4), cycle_graph(5), cycle_graph(6)):
         for k in (1, 2):
-            assert eml_regular_exhaustive(lift_identity(scalar, k)).holds
+            assert eml_regular_exhaustive(assemble(lift_identity(scalar, k))).holds
 
 
 def test_eml_exhaustive_size_guard():
     G = lift_identity(cycle_graph(9), 1)
     with pytest.raises(TooLargeError):
-        eml_regular_exhaustive(G)
+        eml_regular_exhaustive(assemble(G))
 
 
 def test_middle_terms_vanish(rng):
@@ -198,7 +197,7 @@ def test_middle_terms_vanish(rng):
 
 def test_eml_irregular_k2_equality():
     G = MatrixWeightedGraph.from_weights(2, 1, [(0, 1, [[1.0]])])
-    rep = eml_irregular(G, [0], [1])
+    rep = eml_irregular(assemble(G), [0], [1])
     assert float(rep.lhs) == pytest.approx(0.5, abs=1e-12)
     assert float(rep.rhs) == pytest.approx(0.5, abs=1e-12)
     assert rep.holds
@@ -206,7 +205,7 @@ def test_eml_irregular_k2_equality():
 
 def test_eml_irregular_full_set_zero():
     G = lift_identity(unit_graph(4, [(0, 1), (1, 2), (2, 3)]), 2)
-    rep = eml_irregular(G, range(4), [1, 2])
+    rep = eml_irregular(assemble(G), range(4), [1, 2])
     assert float(rep.lhs) == pytest.approx(0.0, abs=1e-9)
     assert float(rep.rhs) == pytest.approx(0.0, abs=1e-9)
 
@@ -216,7 +215,7 @@ def test_eml_irregular_random_suite(rng):
     while checked < 100:
         G = random_mwg(rng)
         try:
-            rep = eml_irregular(G, *_random_pair(rng, G.base.n))
+            rep = eml_irregular(assemble(G), *_random_pair(rng, G.base.n))
         except SingularVolumeError:
             continue
         assert rep.holds
@@ -232,7 +231,7 @@ def _random_pair(rng, n):
 def test_eml_irregular_singular_volume():
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, FRAME_A)])
     with pytest.raises(SingularVolumeError):
-        eml_irregular(G, [0], [1])
+        eml_irregular(assemble(G), [0], [1])
 
 
 def test_irregular_context_reads_rank_rel_tol():
@@ -240,20 +239,20 @@ def test_irregular_context_reads_rank_rel_tol():
     # largest eigenvalue, invertible under the default 1e-10
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.diag([1.0, 1e-6]))])
     with pytest.raises(SingularVolumeError):
-        irregular_context(G, Tolerances(rank_rel_tol=1e-5))
+        irregular_context(assemble(G, Tolerances(rank_rel_tol=1e-5)))
     with pytest.raises(SingularVolumeError):
-        eml_irregular(G, [0], [1], Tolerances(rank_rel_tol=1e-5))
-    assert irregular_context(G).vol_inv.shape == (2, 2)
-    assert eml_irregular(G, [0], [1]).holds
+        eml_irregular(assemble(G, Tolerances(rank_rel_tol=1e-5)), [0], [1])
+    assert irregular_context(assemble(G)).vol_inv.shape == (2, 2)
+    assert eml_irregular(assemble(G), [0], [1]).holds
 
 
 def test_eml_irregular_looser_than_regular_trace():
     # on dI-regular inputs the volume form holds but is weaker
     for n in (4, 5, 6):
-        G = lift_identity(complete_graph(n), 2)
+        ops = assemble(lift_identity(complete_graph(n), 2))
         for S, T in [([0], [1]), ([0, 1], [2, 3]), ([0, 1, 2], [1, 2, 3])]:
-            regular = eml_regular(G, S, T)
-            irregular = eml_irregular(G, S, T)
+            regular = eml_regular(ops, S, T)
+            irregular = eml_irregular(ops, S, T)
             assert irregular.holds
             # same centered trace on both sides; compare the bound values
             assert float(irregular.rhs) >= float(regular.trace_check.rhs) - 1e-9
@@ -263,7 +262,7 @@ def test_eml_irregular_looser_than_regular_trace():
 
 def test_eml_irregular_exhaustive_small(rng):
     G = lift_identity(unit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]), 2)
-    rep = eml_irregular_exhaustive(G)
+    rep = eml_irregular_exhaustive(assemble(G))
     assert rep.holds and rep.context["pairs"] == 256
 
 
@@ -271,18 +270,19 @@ def test_eml_irregular_exhaustive_small(rng):
 
 
 def test_subsets_mod_complement_cover():
+    # the scan's subsets contain vertex 0, come in increasing mask order and
+    # cover each {S, complement} pair exactly once
     n = 5
-    masks = list(proper_subsets_mod_complement(n))
+    G = lift_identity(cycle_graph(n), 1)
+    scan = _scan_boundaries(G, 2.0, DEFAULT_TOL, keep_per_subset=True)
     full = (1 << n) - 1
+    masks = [sum(1 << v for v in S) for S in scan.per_subset]
     assert len(masks) == 2 ** (n - 1) - 1
     assert all(m & 1 for m in masks)
+    assert masks == sorted(masks)
     seen = set(masks) | {full ^ m for m in masks}
     assert seen == set(range(1, full))
-    # Gray order: single-vertex steps except the one jump where the full
-    # set was skipped
-    jumps = [bin(a ^ b).count("1") for a, b in zip(masks, masks[1:])]
-    assert all(j in (1, 2) for j in jumps)
-    assert jumps.count(2) <= 1
+    assert len(seen) == 2 * len(masks)
 
 
 def test_indicators_match_bit_loop():
@@ -427,47 +427,26 @@ def test_cheeger_too_large_fails_before_any_work(monkeypatch):
 
 
 def reference_scan(G, d, tol):
-    """The one-subset-at-a-time Gray-code loop, one E update per edge."""
+    """The definition, one subset at a time: cheeger_ratios on every subset
+    that contains vertex 0, in increasing mask order."""
     n, k = G.base.n, G.k
-    nbrs = [[] for _ in range(n)]
-    for (u, v), w in G.weights.items():
-        nbrs[u].append((v, w))
-        nbrs[v].append((u, w))
-    member = [False] * n
-    member[0] = True
-    E = np.zeros((k, k))
-    for _, w in nbrs[0]:
-        E = E + w
     best_tr, best_mask = np.inf, None
     alpha = np.inf
     min_rank = k
     per = {}
-    mask = 1
-    full = (1 << n) - 1
-    for m in range(1, (1 << (n - 1)) + 1):
-        if mask != full:
-            size = bin(mask).count("1")
-            denom = d * min(size, n - size)
-            h = E / denom
-            tr = float(np.trace(h))
-            values = np.linalg.eigvalsh(h)
-            rank_cut = tol.rank_rel_tol * max(1.0, float(values[-1]) * denom)
-            if tr < best_tr or (tr == best_tr and mask < best_mask):
-                best_tr, best_mask = tr, mask
-            alpha = min(alpha, float(values[0]))
-            min_rank = min(min_rank, int(np.sum(values * denom > rank_cut)))
-            per[mask_vertices(mask, n)] = h
-        if m == 1 << (n - 1):
-            break
-        v = (m & -m).bit_length()
-        member[v] = not member[v]
-        mask ^= 1 << v
-        for u, w in nbrs[v]:
-            E = E + w if member[u] != member[v] else E - w
-    comp = [v for v in range(n) if not (best_mask >> v) & 1]
-    size = bin(best_mask).count("1")
-    E_best = edge_count(G, mask_vertices(best_mask, n), comp)
-    return (float(np.trace(E_best)) / (d * min(size, n - size)), best_mask, alpha, min_rank, per)
+    for mask in range(1, (1 << n) - 1, 2):
+        S = mask_vertices(mask, n)
+        tr, h = cheeger_ratios(G, S, tol)
+        size = len(S)
+        denom = d * min(size, n - size)
+        values = np.linalg.eigvalsh(h)
+        rank_cut = tol.rank_rel_tol * max(1.0, float(values[-1]) * denom)
+        if tr < best_tr:
+            best_tr, best_mask = tr, mask
+        alpha = min(alpha, float(values[0]))
+        min_rank = min(min_rank, int(np.sum(values * denom > rank_cut)))
+        per[S] = h
+    return best_tr, best_mask, alpha, min_rank, per
 
 
 def random_scalar_regular(rng, n, k):
@@ -492,7 +471,7 @@ def assert_scan_matches_reference(G):
     d = regularity(G).scalar_degree
     h_trace, argmin_mask, alpha, min_rank, per = reference_scan(G, d, DEFAULT_TOL)
     scan = _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset=True)
-    assert scan.h_trace == h_trace
+    assert np.float64(scan.h_trace).tobytes() == np.float64(h_trace).tobytes()
     assert scan.argmin_mask == argmin_mask
     assert np.float64(scan.alpha).tobytes() == np.float64(alpha).tobytes()
     assert scan.min_rank == min_rank
@@ -512,16 +491,45 @@ def test_chunked_scan_is_bitwise_the_per_subset_loop(chunk, monkeypatch):
             assert_scan_matches_reference(G)
 
 
-def test_chunked_scan_carries_across_exact_chunk_boundaries(monkeypatch):
-    # 2^(n-1) = 4 chunks exactly, so the last step of each chunk is the
-    # boundary that the next chunk starts from
+def scan_bytes(G, d):
+    scan = _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset=True)
+    return (np.float64(scan.h_trace).tobytes(), scan.argmin_mask,
+            np.float64(scan.alpha).tobytes(), scan.min_rank,
+            [(S, h.tobytes()) for S, h in scan.per_subset.items()])
+
+
+def test_chunked_scan_is_independent_of_chunk_size(monkeypatch):
+    # the n = 7 graphs have 63 subsets: chunks of 3 and 21 split them
+    # evenly, 16 does not, and 64 and the default take them all at once
     n = 7
-    monkeypatch.setattr(expansion, "SCAN_CHUNK", 1 << (n - 3))
     rng = np.random.default_rng(7)
-    for k in (1, 2, 3):
-        assert_scan_matches_reference(random_scalar_regular(rng, n, k))
-    for G in (k33_latin_mwg(), _k44_frame_expander()):
-        assert_scan_matches_reference(G)
+    graphs = [random_scalar_regular(rng, n, k) for k in (1, 2, 3)]
+    graphs += [k33_latin_mwg(), _k44_frame_expander()]
+    for G in graphs:
+        d = regularity(G).scalar_degree
+        results = []
+        for chunk in (1, 3, 16, 21, 64, SCAN_CHUNK):
+            monkeypatch.setattr(expansion, "SCAN_CHUNK", chunk)
+            results.append(scan_bytes(G, d))
+        assert all(res == results[0] for res in results[1:])
+
+
+def test_scan_trace_is_exact_at_the_size_limit():
+    # n = 20, the exhaustive limit: an equiangular3 weighting of a random
+    # cubic graph, whose argmin trace must be the definition's own bits
+    from mwgraph.frames import (
+        build_expander,
+        equiangular_frame_2d,
+        proper_edge_coloring,
+        sample_expanders,
+    )
+    frame = equiangular_frame_2d(3)
+    (sample,) = sample_expanders(CHEEGER_EXHAUSTIVE_MAX_N, 3, frame, samples=1, seed=20)
+    G = build_expander(sample.graph, proper_edge_coloring(sample.graph, 3), frame)
+    assert G.k == 2 and regularity(G).scalar_degree == pytest.approx(1.5)
+    report = cheeger_constants(G)
+    h_trace, _ = cheeger_ratios(G, report.argmin)
+    assert np.float64(report.h_trace).tobytes() == np.float64(h_trace).tobytes()
 
 
 def test_cheeger_smallest_graph():

@@ -32,6 +32,7 @@ from mwgraph.frames import (
     verify_tight,
 )
 from mwgraph.graphs import BaseGraph, lift_identity, regularity
+from mwgraph.operators import assemble
 
 from conftest import (
     FRAME_A,
@@ -379,6 +380,43 @@ def test_search_validates_once(monkeypatch):
     assert len(checks) == len(results)
 
 
+def test_search_skips_odd_n(monkeypatch):
+    # r colors at every vertex make each color class a perfect matching, so
+    # no odd n is enumerated and n_max = 9 gives the records of n_max = 8
+    from mwgraph import frames, jsonio
+    frame = named_frame("identity2", r_context=4)
+    sizes = []
+    real = frames.enumerate_regular_graphs
+
+    def recording(n, r):
+        sizes.append(n)
+        return real(n, r)
+
+    monkeypatch.setattr(frames, "enumerate_regular_graphs", recording)
+    records = [[jsonio.dumps(res.to_jsonable()) for res in search_expanders(n_max, 4, frame)]
+               for n_max in (8, 9)]
+    assert records[0] and records[1] == records[0]
+    assert sizes == [6, 8, 6, 8]
+
+
+def test_equiangular3_expanders_have_eta_zero():
+    # d = rl/k = 3/2 < 2: A + dI = sum_e (e_u + e_v)(e_u + e_v)^T (x) P_e has
+    # rank <= |E| l = nrl/2 < nk, so mu = -d has multiplicity >= n(k - rl/2)
+    # and eta = d - |mu_min| is 0 up to rounding
+    frame = equiangular_frame_2d(3)
+    r, l, k = 3, 1, 2
+    results = search_expanders(10, r, frame)
+    assert len(results) == 384
+    for res in results:
+        coloring = EdgeColoring(dict(zip(res.graph.edges, res.coloring)), r)
+        mu = np.linalg.eigvalsh(assemble(build_expander(res.graph, coloring, frame)).adjacency)
+        d = res.report.d
+        assert d == r * l / k
+        assert abs(mu[0] + d) <= 1e-12
+        assert np.sum(np.abs(mu + d) <= 1e-12) >= res.n * (k - r * l / 2)
+        assert abs(res.report.eta) <= 1e-14
+
+
 def test_search_caps_n_max():
     with pytest.raises(TooLargeError):
         search_expanders(13, 3, equiangular_frame_2d(3))
@@ -427,6 +465,9 @@ def test_sample_expanders_rejects_impossible():
     from mwgraph.frames import sample_expanders
     with pytest.raises(ValueError):
         sample_expanders(5, 3, equiangular_frame_2d(3), samples=1)  # odd n * odd r
+    with pytest.raises(NotColorableError):
+        # 4-regular graphs on 21 vertices exist, proper 4-edge-colorings do not
+        sample_expanders(21, 4, augment_with_identity(equiangular_frame_2d(3)), samples=1)
 
 
 def test_search_workers_match_serial():
