@@ -43,7 +43,6 @@ from .expansion import (
     verify_counterexample,
 )
 from .frames import (
-    EdgeColoring,
     ExpanderReport,
     FrameExistence,
     FusionFrame,

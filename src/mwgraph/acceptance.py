@@ -28,7 +28,6 @@ from .expansion import (
     verify_counterexample,
 )
 from .frames import (
-    EdgeColoring,
     augment_with_identity,
     build_expander,
     equiangular_frame_2d,
@@ -305,8 +304,7 @@ class Suite:
         results = search_expanders(8, 3, self.frame3, self.tol, workers=self.workers)
         witnesses = []
         for res in results:
-            G = build_expander(res.graph, EdgeColoring.from_sequence(res.graph, res.coloring, 3),
-                               self.frame3, self.tol)
+            G = build_expander(res.graph, res.coloring, self.frame3, self.tol)
             cert = verify_counterexample(G, self.tol)
             if cert.kernel_dim == 4 and cert.holds:
                 witnesses.append((res, cert))

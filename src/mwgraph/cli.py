@@ -25,7 +25,6 @@ from .expansion import (
     eml_regular_exhaustive,
 )
 from .frames import (
-    EdgeColoring,
     build_expander,
     eta,
     load_frame,
@@ -48,7 +47,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-# loewner_tol is read only by linalg.loewner_leq, which no command calls
 _TOL_FLAGS = ("sym_tol", "psd_tol", "rank_rel_tol", "resid_tol")
 
 
@@ -374,10 +372,9 @@ def cmd_build_expander(args, tol: Tolerances) -> int:
     r = len(frame)
     if args.colors is not None:
         colors = _parse_subset(args.colors)
-        coloring = EdgeColoring.from_sequence(base, colors, r)
     else:
-        coloring = proper_edge_coloring(base, r)
-    G = build_expander(base, coloring, frame, tol)
+        colors = proper_edge_coloring(base, r)
+    G = build_expander(base, colors, frame, tol)
     reg = regularity(G, tol)
     try:
         expander = eta(G, tol).to_jsonable()
@@ -388,7 +385,7 @@ def cmd_build_expander(args, tol: Tolerances) -> int:
         "k": G.k,
         "degree": reg.scalar_degree,
         "regularity": reg.kind,
-        "coloring": [coloring.colors[e] for e in base.edges],
+        "coloring": list(colors),
         "expander": expander,
     }
     if args.output is not None:

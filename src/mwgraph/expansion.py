@@ -71,16 +71,6 @@ def _indicators(masks, n: int) -> np.ndarray:
 # --- edge counts ------------------------------------------------------------
 
 
-def _weight_tensor(G: MatrixWeightedGraph) -> np.ndarray:
-    """Block tensor T with T[u, v] = W_uv (zero when not adjacent)."""
-    n, k = G.base.n, G.k
-    T = np.zeros((n, n, k, k))
-    for (u, v), w in G.weights.items():
-        T[u, v] = w
-        T[v, u] = w
-    return T
-
-
 def edge_count(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int]) -> np.ndarray:
     """E(S, T) = sum over s in S, t in T of W_st (equals I_S^T A I_T)."""
     n = G.base.n
@@ -157,14 +147,15 @@ def eml_regular(ops: OperatorBundle, S: Iterable[int], T: Iterable[int]) -> EmlR
 def eml_regular_exhaustive(ops: OperatorBundle) -> BoundReport:
     """Both mixing inequalities over every subset pair (vectorized, n <= 8)."""
     d = require_scalar_regular(ops.regularity)
-    G, n, k = ops.graph, ops.n, ops.k
+    n, k = ops.n, ops.k
     if n > EML_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"exhaustive pair scan limited to n <= {EML_EXHAUSTIVE_MAX_N}")
     abs_mu, spec_const, _ = _regular_mu_constants(ops)
     masks = list(range(1 << n))
     ind = _indicators(masks, n)
     sizes = ind.sum(axis=1)
-    wt = _weight_tensor(G)
+    # block tensor wt[u, v] = W_uv, read off the assembled adjacency
+    wt = np.ascontiguousarray(ops.adjacency.reshape(n, k, n, k).transpose(0, 2, 1, 3))
     tr_adj = np.trace(wt, axis1=2, axis2=3)
     # all-pairs quantities; axis a indexes S, axis b indexes T
     tr_E = ind @ tr_adj @ ind.T
@@ -221,7 +212,7 @@ def irregular_context(ops: OperatorBundle) -> IrregularContext:
     order = np.lexsort((-mu, -np.abs(mu)))
     mu_by_abs = mu[order]
     abs_mu_tilde = abs(float(mu_by_abs[k])) if mu_by_abs.size > k else 0.0
-    wt = _weight_tensor(G)
+    wt = np.ascontiguousarray(ops.adjacency.reshape(n, k, n, k).transpose(0, 2, 1, 3))
     return IrregularContext(k, n, degs, vol_inv, abs_mu_tilde,
                             np.trace(wt, axis1=2, axis2=3))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .graphgen import (
     iter_proper_colorings,
     proper_colorings,
 )
-from .graphs import BaseGraph, Edge, MatrixWeightedGraph, is_connected_edges, regularity
-from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, rank_psd, spectral_norm
+from .graphs import BaseGraph, MatrixWeightedGraph, is_connected_edges, regularity
+from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, spectral_norm
 from .operators import assemble
 
 SEARCH_MAX_N = 12
@@ -68,9 +68,12 @@ class FusionFrame:
                 raise NotProjectionError(f"element #{i} is not an orthogonal projection")
             P.setflags(write=False)
             projections.append(P)
-            ranks.append(rank_psd(P, tol))
+            # a projection's eigenvalues are 0 and 1, so its rank is its trace
+            ranks.append(round(float(np.trace(P))))
         if k is None:
             raise ValueError("empty frame needs an explicit ambient dimension k")
+        if k < 1:
+            raise DomainError(f"frame dimension k must be >= 1, got k={k}")
         return cls(k, tuple(projections), tuple(ranks))
 
     def __len__(self) -> int:
@@ -127,38 +130,9 @@ def frame_existence(k: int, l: int, r: int) -> str:
 # --- edge colorings ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Proper edge coloring: edges sharing a vertex have distinct colors."""
-
-    colors: Mapping[Edge, int]
-    num_colors: int
-
-    @classmethod
-    def from_sequence(cls, base: BaseGraph, seq: Iterable[int], r: int) -> "EdgeColoring":
-        seq = tuple(int(c) for c in seq)
-        if len(seq) != len(base.edges):
-            raise NotProperlyColoredError(
-                f"{len(seq)} colors for {len(base.edges)} edges")
-        colors = dict(zip(base.edges, seq))
-        coloring = cls(colors, r)
-        coloring.validate(base)
-        return coloring
-
-    def validate(self, base: BaseGraph) -> None:
-        at_vertex: dict[int, set[int]] = {v: set() for v in range(base.n)}
-        for (u, v), c in self.colors.items():
-            if not (0 <= c < self.num_colors):
-                raise NotProperlyColoredError(f"color {c} outside [0, {self.num_colors})")
-            if c in at_vertex[u] or c in at_vertex[v]:
-                raise NotProperlyColoredError(
-                    f"color {c} repeats at an endpoint of edge ({u}, {v})")
-            at_vertex[u].add(c)
-            at_vertex[v].add(c)
-
-
-def proper_edge_coloring(g: BaseGraph, r: int) -> EdgeColoring:
-    """First proper r-edge-coloring by deterministic backtracking.
+def proper_edge_coloring(g: BaseGraph, r: int) -> tuple[int, ...]:
+    """First proper r-edge-coloring by deterministic backtracking, one color
+    per edge of g.edges.
 
     Raises NotColorable when the exhaustive search finds none.
     """
@@ -167,30 +141,38 @@ def proper_edge_coloring(g: BaseGraph, r: int) -> EdgeColoring:
     colors = next(iter_proper_colorings(g, r), None)
     if colors is None:
         raise NotColorableError(f"no proper {r}-edge-coloring exists (exhaustive search)")
-    return EdgeColoring.from_sequence(g, colors, r)
+    return colors
 
 
 # --- expander construction and search ---------------------------------------
 
 
-def build_expander(g: BaseGraph, coloring: EdgeColoring, f: FusionFrame,
+def build_expander(g: BaseGraph, colors: tuple[int, ...], f: FusionFrame,
                    tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGraph:
-    """Assign frame element P_{color(e)} to each edge of an r-regular graph.
+    """Assign frame element P_{colors[i]} to edge g.edges[i] of an r-regular graph.
 
-    Requires a proper coloring with exactly r = len(f) colors, all used at
-    every vertex, and a tight frame; the result is then c I-regular with
-    c the frame constant.
+    This is where a coloring is checked: it must be proper, with one color
+    in [0, r), r = len(f), per edge, so every vertex sees all r colors.
+    With a tight frame the result is then c I-regular, c the frame constant.
     """
     r = len(f)
     degrees = g.geometric_degrees()
     if any(d != r for d in degrees):
         raise NotProperlyColoredError(
             f"graph is not {r}-regular (degrees {sorted(set(degrees))})")
-    if coloring.num_colors != r or set(coloring.colors) != set(g.edges):
-        raise NotProperlyColoredError("coloring does not cover the graph's edges")
-    coloring.validate(g)
+    if len(colors) != len(g.edges):
+        raise NotProperlyColoredError(f"{len(colors)} colors for {len(g.edges)} edges")
+    at_vertex: list[set[int]] = [set() for _ in range(g.n)]
+    for (u, v), c in zip(g.edges, colors):
+        if not (0 <= c < r):
+            raise NotProperlyColoredError(f"color {c} outside [0, {r})")
+        if c in at_vertex[u] or c in at_vertex[v]:
+            raise NotProperlyColoredError(
+                f"color {c} repeats at an endpoint of edge ({u}, {v})")
+        at_vertex[u].add(c)
+        at_vertex[v].add(c)
     verify_tight(f, tol)
-    items = [(u, v, f.projections[coloring.colors[(u, v)]]) for u, v in g.edges]
+    items = [(u, v, f.projections[c]) for (u, v), c in zip(g.edges, colors)]
     return MatrixWeightedGraph.from_weights(g.n, f.k, items, tol)
 
 
@@ -230,9 +212,11 @@ def eta(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> ExpanderReport
         raise NotScalarRegularError("eta requires dI-regularity with d > 0")
     d = float(reg.scalar_degree)
     k = G.k
+    ranks = set()
     for e, w in G.weights.items():
         if spectral_norm(w @ w - w) > tol.resid_tol * max(1.0, spectral_norm(w)):
             raise NotProjectionWeightsError(f"weight on edge {e} is not a projection")
+        ranks.add(round(float(np.trace(w))))
     mu = np.linalg.eigvalsh(assemble(G, tol).adjacency)[::-1]
     cluster = int(np.sum(np.abs(mu - d) <= tol.rank_rel_tol * d))
     nontrivial = mu[k:]
@@ -240,7 +224,6 @@ def eta(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> ExpanderReport
     lo = float(nontrivial[-1])
     eta_value = d - max(abs(hi), abs(lo))
     geo = set(reg.geometric_degrees)
-    ranks = {rank_psd(w, tol) for w in G.weights.values()}
     ab_matrix = ab_classical = None
     if len(ranks) == 1 and len(geo) == 1:
         l = next(iter(ranks))
@@ -327,9 +310,7 @@ def _graph_results(args) -> list:
             if key in seen_weightings:
                 continue
             seen_weightings.add(key)
-        # build_expander validates the coloring
-        ec = EdgeColoring(dict(zip(graph.edges, coloring)), len(f))
-        G = build_expander(graph, ec, f, tol)
+        G = build_expander(graph, coloring, f, tol)
         results.append(SearchResult(n, code_str, graph, coloring, eta(G, tol)))
     return results
 
@@ -426,8 +407,7 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
         G = build_expander(base, coloring, f, tol)
         raw = edges_code(n, base.edges)
         code_str = graph6_like(n, raw) if n <= 62 else str(raw)
-        colors = tuple(coloring.colors[e] for e in base.edges)
-        results.append(SearchResult(n, code_str, base, colors, eta(G, tol)))
+        results.append(SearchResult(n, code_str, base, coloring, eta(G, tol)))
     results.sort(key=lambda res: (-res.report.eta, res.code, res.coloring))
     return results
 

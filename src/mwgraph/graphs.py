@@ -62,15 +62,6 @@ class BaseGraph:
         normalized = sorted({_norm_edge(int(u), int(v)) for u, v in edges})
         return cls(n, tuple(normalized))
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
     def geometric_degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for u, v in self.edges:

@@ -53,7 +53,6 @@ class Tolerances:
     sym_tol: float = 1e-9
     psd_tol: float = 1e-9
     rank_rel_tol: float = 1e-10
-    loewner_tol: float = 1e-9
     resid_tol: float = 1e-8
 
     def __post_init__(self):
@@ -199,12 +198,12 @@ def pseudo_sqrt_inv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Loewner order: A <= B iff B - A is PSD within loewner_tol."""
+    """Loewner order: A <= B iff B - A is PSD within psd_tol."""
     sa = as_symmetric(a, tol)
     sb = as_symmetric(b, tol)
     if sa.shape != sb.shape:
         raise DimMismatchError(f"shape mismatch {sa.shape} vs {sb.shape}")
-    return _psd_values(sb - sa, tol.loewner_tol)[1]
+    return _psd_values(sb - sa, tol.psd_tol)[1]
 
 
 def kernel_dim(m, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -223,6 +223,15 @@ def test_search_frame_file_needs_positive_k(tmp_path, capsys, k, projections):
     assert err == f"error: frame dimension k must be >= 1, got k={k}\n"
 
 
+@pytest.mark.parametrize("command", [["search", "--r", "3", "--n-max", "6"],
+                                     ["build-expander", "K4"]])
+def test_identity0_frame_is_an_input_error(k4_scalar_file, capsys, command):
+    argv = [str(k4_scalar_file) if arg == "K4" else arg for arg in command]
+    assert main(argv + ["--frame", "identity0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: frame dimension k must be >= 1, got k=0\n"
+
+
 def test_search_jsonl(capsys):
     assert main(["--format", "json", "search", "--r", "3", "--n-max", "4",
                  "--frame", "equiangular3"]) == 0

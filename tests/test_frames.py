@@ -15,7 +15,6 @@ from mwgraph.errors import (
     TooLargeError,
 )
 from mwgraph.frames import (
-    EdgeColoring,
     FrameExistence,
     FusionFrame,
     alon_boppana_compare,
@@ -32,6 +31,7 @@ from mwgraph.frames import (
     verify_tight,
 )
 from mwgraph.graphs import BaseGraph, lift_identity, regularity
+from mwgraph.linalg import rank_psd
 from mwgraph.operators import assemble
 
 from conftest import (
@@ -66,6 +66,24 @@ def test_fusion_frame_validates_projections():
 def test_fusion_frame_ranks():
     f = FusionFrame.from_projections([FRAME_A, np.eye(2)])
     assert f.ranks == (1, 2)
+
+
+@pytest.mark.parametrize("name, r", [(f"equiangular{r}{plus}", r + bool(plus))
+                                     for r in range(2, 13) for plus in ("", "+I")]
+                         + [(f"identity{k}", 3) for k in range(1, 6)])
+def test_projection_rank_is_trace(name, r):
+    # FusionFrame and eta take a checked projection's rank from its trace
+    frame = named_frame(name, r_context=r)
+    assert len(frame) == r
+    ranks = tuple(rank_psd(P) for P in frame.projections)
+    assert tuple(round(float(np.trace(P))) for P in frame.projections) == ranks
+    assert frame.ranks == ranks
+
+
+@pytest.mark.parametrize("mats, k", [([np.eye(0)] * 3, None), ([], 0), ([], -1)])
+def test_fusion_frame_needs_positive_dimension(mats, k):
+    with pytest.raises(DomainError, match=f"frame dimension k must be >= 1, got k={k or 0}"):
+        FusionFrame.from_projections(mats, k=k)
 
 
 def test_verify_tight_basis_split():
@@ -126,9 +144,12 @@ def test_frame_existence_window():
 
 
 def test_proper_edge_coloring_k4():
-    coloring = proper_edge_coloring(k4_base(), 3)
-    coloring.validate(k4_base())
-    assert set(coloring.colors.values()) == {0, 1, 2}
+    base = k4_base()
+    coloring = proper_edge_coloring(base, 3)
+    # one color per edge, aligned with base.edges; all three at every vertex
+    assert isinstance(coloring, tuple) and len(coloring) == len(base.edges)
+    for v in range(base.n):
+        assert {c for e, c in zip(base.edges, coloring) if v in e} == {0, 1, 2}
 
 
 def test_proper_edge_coloring_odd_cycle():
@@ -143,13 +164,15 @@ def test_proper_edge_coloring_petersen():
 
 
 def test_edge_coloring_validation():
+    # build_expander is where a coloring is checked
     base = k4_base()
-    with pytest.raises(NotProperlyColoredError):
-        EdgeColoring.from_sequence(base, [0, 0, 1, 1, 2, 2], 3)
-    with pytest.raises(NotProperlyColoredError):
-        EdgeColoring.from_sequence(base, [0, 1, 2], 3)  # wrong length
-    with pytest.raises(NotProperlyColoredError):
-        EdgeColoring.from_sequence(base, [0, 1, 2, 2, 1, 5], 3)  # color out of range
+    frame = equiangular_frame_2d(3)
+    faults = [((0, 0, 1, 1, 2, 2), r"color 0 repeats at an endpoint of edge \(0, 2\)"),
+              ((0, 1, 2), "3 colors for 6 edges"),
+              ((0, 1, 2, 2, 1, 5), r"color 5 outside \[0, 3\)")]
+    for colors, message in faults:
+        with pytest.raises(NotProperlyColoredError, match=f"^{message}$"):
+            build_expander(base, colors, frame)
 
 
 # --- build_expander ----------------------------------------------------------
@@ -188,8 +211,7 @@ def test_build_expander_trace_weights_are_rank():
 def test_build_expander_rejects_irregular():
     base = BaseGraph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(NotProperlyColoredError):
-        build_expander(base, EdgeColoring({(0, 1): 0, (1, 2) : 1}, 2),
-                       equiangular_frame_2d(2))
+        build_expander(base, (0, 1), equiangular_frame_2d(2))
 
 
 def test_build_expander_rejects_untight_frame():
@@ -361,23 +383,22 @@ def test_search_identity_frame_dedupes_colorings():
 
 
 def test_search_validates_once(monkeypatch):
-    # per coloring: from_weights symmetrizes and judges its weights as one
-    # stack with one eigvalsh, eta solves the adjacency once, build_expander
-    # checks the coloring once; per weighted edge: one symmetrization and
-    # one eigvalsh for eta's rank_psd
+    # per coloring: build_expander checks the coloring once, from_weights
+    # symmetrizes and judges its weights as one stack with one eigvalsh, and
+    # eta solves the adjacency once; eta reads ranks off the traces of the
+    # projections it checks, so nothing is symmetrized matrix by matrix
     from mwgraph import frames, graphs, linalg
     frame = augment_with_identity(equiangular_frame_2d(3))
     sym = count_calls(monkeypatch, "as_symmetric", frames, linalg)
     stacked = count_calls(monkeypatch, "_checked_psd", graphs)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
-    checks = count_calls(monkeypatch, "validate", EdgeColoring)
+    builds = count_calls(monkeypatch, "build_expander", frames)
     results = search_expanders(7, 4, frame)
-    edges = sum(len(res.graph.edges) for res in results)
     assert len(results) == 48
-    assert len(sym) == edges
+    assert len(sym) == 0
     assert len(stacked) == len(results)
-    assert len(solves) == edges + 2 * len(results)
-    assert len(checks) == len(results)
+    assert len(solves) == 2 * len(results)
+    assert len(builds) == len(results)
 
 
 def test_search_skips_odd_n(monkeypatch):
@@ -408,8 +429,7 @@ def test_equiangular3_expanders_have_eta_zero():
     results = search_expanders(10, r, frame)
     assert len(results) == 384
     for res in results:
-        coloring = EdgeColoring(dict(zip(res.graph.edges, res.coloring)), r)
-        mu = np.linalg.eigvalsh(assemble(build_expander(res.graph, coloring, frame)).adjacency)
+        mu = np.linalg.eigvalsh(assemble(build_expander(res.graph, res.coloring, frame)).adjacency)
         d = res.report.d
         assert d == r * l / k
         assert abs(mu[0] + d) <= 1e-12

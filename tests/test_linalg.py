@@ -29,12 +29,11 @@ from conftest import FRAME_A, FRAME_B, FRAME_C, count_calls, random_psd
 def test_tolerances_defaults():
     tol = Tolerances()
     assert tol.psd_tol == 1e-9
-    assert tol.loewner_tol == 1e-9
     assert tol.resid_tol == 1e-8
     assert tol.rank_rel_tol == 1e-10
     assert tol.sym_tol == 1e-9
     assert [f.name for f in dataclasses.fields(tol)] == [
-        "sym_tol", "psd_tol", "rank_rel_tol", "loewner_tol", "resid_tol"]
+        "sym_tol", "psd_tol", "rank_rel_tol", "resid_tol"]
 
 
 def test_tolerances_reject_negative():
@@ -182,10 +181,10 @@ def test_loewner_incomparable_pair():
     assert not loewner_leq(b, a)
 
 
-def test_loewner_reads_loewner_tol():
+def test_loewner_reads_psd_tol():
     zero, below = np.zeros((2, 2)), np.diag([1.0, -1e-12])
-    assert loewner_leq(zero, below, Tolerances(psd_tol=0.0))
-    assert not loewner_leq(zero, below, Tolerances(loewner_tol=0.0))
+    assert loewner_leq(zero, below)
+    assert not loewner_leq(zero, below, Tolerances(psd_tol=0.0))
 
 
 def test_loewner_dim_mismatch():
