@@ -382,6 +382,33 @@ def test_search_identity_frame_dedupes_colorings():
     assert results[0].report.d == pytest.approx(2.0)
 
 
+def test_search_identity_frame_colors_each_graph_once(monkeypatch):
+    # the listing path: every coloring, one record per distinct weighting,
+    # which for identity copies is the first coloring listed
+    from mwgraph import frames, jsonio
+    from mwgraph.graphgen import edges_code, enumerate_regular_graphs, graph6_like
+    frame = named_frame("identity2", r_context=3)
+    groups = frames._projection_groups(frame, frames.DEFAULT_TOL)
+    expected = []
+    for n in range(4, 11, 2):
+        for graph in enumerate_regular_graphs(n, 3):
+            code = graph6_like(n, edges_code(n, graph.edges))
+            seen = set()
+            for coloring in frames.proper_colorings(graph, 3):
+                key = tuple(groups[c] for c in coloring)
+                if key not in seen:
+                    seen.add(key)
+                    G = build_expander(graph, coloring, frame)
+                    expected.append(frames.SearchResult(n, code, graph, coloring, eta(G)))
+    expected.sort(key=lambda res: (-res.report.eta, res.code, res.coloring))
+    listings = count_calls(monkeypatch, "proper_colorings", frames)
+    results = search_expanders(10, 3, frame)
+    assert len(results) == 1 + 2 + 5 + 17
+    assert ([jsonio.dumps(res.to_jsonable()) for res in results]
+            == [jsonio.dumps(res.to_jsonable()) for res in expected])
+    assert listings == []
+
+
 def test_search_validates_once(monkeypatch):
     # per coloring: build_expander checks the coloring once, from_weights
     # symmetrizes and judges its weights as one stack with one eigvalsh, and

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -232,14 +233,30 @@ def test_graph6_known_strings():
     assert graph6_like(4, canonical_code(4, list(itertools.combinations(range(4), 2)))) == "C~"
 
 
-def test_enumerate_cubic_counts():
+def test_enumerate_cubic_counts(monkeypatch):
     assert len(enumerate_regular_graphs(4, 3)) == 1
     assert len(enumerate_regular_graphs(5, 3)) == 0  # odd n * odd r
     assert len(enumerate_regular_graphs(6, 3)) == 2
     assert len(enumerate_regular_graphs(8, 3)) == 5
     # OEIS A002851
     assert len(enumerate_regular_graphs(10, 3)) == 19
+    assert len(enumerate_regular_graphs(14, 3)) == 509
+    # every canonicity test is of a partial graph whose newest vertex j
+    # joined the lowest earlier vertex that was still short of edges
+    tested = []
+    real = graphgen._max_code
+
+    def checking(n, adj, cols=None):
+        if cols is not None:
+            j = n - 1
+            short = [i for i in range(j) if (adj[i] & ((1 << j) - 1)).bit_count() < 3]
+            tested.append(bool(short) and bool(adj[j] >> short[0] & 1))
+        return real(n, adj, cols)
+
+    monkeypatch.setattr(graphgen, "_max_code", checking)
     assert len(enumerate_regular_graphs(12, 3)) == 85
+    assert 0 < len(tested) <= 1253
+    assert all(tested)
 
 
 def test_enumerate_quartic_counts():
@@ -247,10 +264,17 @@ def test_enumerate_quartic_counts():
     assert len(enumerate_regular_graphs(6, 4)) == 1
     assert len(enumerate_regular_graphs(7, 4)) == 2
     assert len(enumerate_regular_graphs(8, 4)) == 6
-    # OEIS A006820; n = 12 (1544 classes) takes 7-11 s and is left out
+    # OEIS A006820
     assert len(enumerate_regular_graphs(9, 4)) == 16
     assert len(enumerate_regular_graphs(10, 4)) == 59
     assert len(enumerate_regular_graphs(11, 4)) == 265
+    graphs = enumerate_regular_graphs(12, 4)
+    assert len(graphs) == 1544
+    # the graph6 codes in order, so a pruning rule that loses, adds or
+    # reorders a class changes the digest
+    text = "\n".join(graph6_like(12, edges_code(12, g.edges)) for g in graphs)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "4dc69dca195f2b9986da3909ce55c57d6d55be93d1c73c349700b29c419c84b7")
 
 
 def test_enumerate_cycles():
@@ -289,7 +313,7 @@ def test_enumerated_graphs_are_regular_connected_distinct():
 @pytest.mark.parametrize("merge_at", [0, graphgen.MERGE_AT])
 def test_enumeration_matches_reference_generator(monkeypatch, merge_at):
     monkeypatch.setattr(graphgen, "MERGE_AT", merge_at)
-    for r, n_max in [(0, 4), (1, 6), (2, 8), (3, 12), (4, 9)]:
+    for r, n_max in [(0, 4), (1, 6), (2, 8), (3, 12), (4, 9), (5, 8), (6, 9)]:
         for n in range(n_max + 1):
             got = [g.edges for g in enumerate_regular_graphs(n, r)]
             assert got == reference_enumeration(n, r), (n, r)
