@@ -66,14 +66,12 @@ from .graphs import (
     BaseGraph,
     MatrixWeightedGraph,
     Regularity,
-    ScalarWeightedGraph,
     connected_components,
     degree,
     lift_identity,
     load,
     regularity,
     save,
-    scalarize_trace,
     total_volume,
     volume,
 )

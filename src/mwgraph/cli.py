@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -34,14 +35,14 @@ from .frames import (
     search_expanders,
 )
 from .graphs import load, regularity, save
-from .linalg import DEFAULT_TOL, Tolerances, kernel_dim, kernel_dim_of_values
+from .linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from .operators import (
     adjacency_spectrum,
     assemble,
     check_normalized_bound,
     laplacian_spectrum,
 )
-from .sheaf import load_truss, rigid_motions, sheaf_analysis, truss_to_mwg
+from .sheaf import load_truss, sheaf_analysis, truss_rigidity
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -344,17 +345,10 @@ def cmd_sheaf_check(args, tol: Tolerances) -> int:
 
 def cmd_truss(args, tol: Tolerances) -> int:
     truss = load_truss(_read(args.file))
-    G = truss_to_mwg(truss, tol)
-    L = assemble(G, tol).laplacian
-    kdim = kernel_dim(L, tol)
-    motions = rigid_motions(truss.points, tol)
-    if motions.size:
-        residual = float(np.abs(L @ motions).max()) / max(1.0, float(np.linalg.norm(L, 2)))
-    else:
-        residual = 0.0
+    kdim, motions, residual = truss_rigidity(truss, tol)
     contained = residual <= tol.resid_tol
     report = {
-        "n": G.base.n,
+        "n": len(truss.points),
         "kernel_dim": kdim,
         "rigid_motion_count": int(motions.shape[1]),
         "kernel_residual": residual,
@@ -422,10 +416,8 @@ def cmd_verify_paper(args, tol: Tolerances) -> int:
     results = acceptance.run_suite_with_determinism(
         tol, seed=args.seed, workers=args.workers, random_count=args.random_count)
     report = acceptance.results_to_jsonable(results)
-    if args.format == "json":
-        sys.stdout.write(jsonio.dumps(report) + "\n")
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(report))
+    if args.format != "text":
+        _emit(report, args.format)
     else:
         for res in results:
             status = "PASS" if res.passed else "FAIL"
@@ -452,6 +444,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         sys.stderr.write("error: --workers must be >= 1\n")
+        return EXIT_INPUT_ERROR
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        sys.stderr.write(f"error: --workers must be <= {cpus}, the CPU count\n")
         return EXIT_INPUT_ERROR
     try:
         tol = _tolerances(args)

@@ -156,9 +156,8 @@ def eml_regular_exhaustive(ops: OperatorBundle) -> BoundReport:
     sizes = ind.sum(axis=1)
     # block tensor wt[u, v] = W_uv, read off the assembled adjacency
     wt = np.ascontiguousarray(ops.adjacency.reshape(n, k, n, k).transpose(0, 2, 1, 3))
-    tr_adj = np.trace(wt, axis1=2, axis2=3)
     # all-pairs quantities; axis a indexes S, axis b indexes T
-    tr_E = ind @ tr_adj @ ind.T
+    tr_E = ind @ ops.trace_adjacency @ ind.T
     E_all = np.einsum("as,stij,bt->abij", ind, wt, ind, optimize=True)
     frac = sizes / n
     root = np.sqrt(np.maximum(np.outer(sizes, sizes) * np.outer(1 - frac, 1 - frac), 0.0))
@@ -212,9 +211,7 @@ def irregular_context(ops: OperatorBundle) -> IrregularContext:
     order = np.lexsort((-mu, -np.abs(mu)))
     mu_by_abs = mu[order]
     abs_mu_tilde = abs(float(mu_by_abs[k])) if mu_by_abs.size > k else 0.0
-    wt = np.ascontiguousarray(ops.adjacency.reshape(n, k, n, k).transpose(0, 2, 1, 3))
-    return IrregularContext(k, n, degs, vol_inv, abs_mu_tilde,
-                            np.trace(wt, axis1=2, axis2=3))
+    return IrregularContext(k, n, degs, vol_inv, abs_mu_tilde, ops.trace_adjacency)
 
 
 def eml_irregular_pairs(ctx: IrregularContext, ind_S: np.ndarray,

@@ -285,7 +285,7 @@ class SearchResult:
         }
 
 
-def _projection_groups(f: FusionFrame, tol: Tolerances) -> list[int]:
+def _projection_groups(f: FusionFrame) -> list[int]:
     """group id per frame element; equal projections share an id."""
     groups: list[int] = []
     reps: list[np.ndarray] = []
@@ -343,7 +343,7 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
     if r != len(f):
         raise ValueError(f"frame has {len(f)} elements but r = {r}")
     verify_tight(f, tol)
-    groups = _projection_groups(f, tol)
+    groups = _projection_groups(f)
     tasks = []
     for n in range(r + 1, n_max + 1):
         if n % 2:

@@ -4,7 +4,8 @@ A matrix-weighted graph is an undirected simple graph plus a k x k PSD
 weight matrix per edge.  Multi-edges are representable because weights add;
 load() merges duplicate pairs by matrix summation, so one stored matrix per
 pair keeps W_uv well-defined.  A zero weight means "no edge" and is dropped
-on save.
+on save.  An ordinary weighted graph is the k = 1 case, with w_e = W_e[0, 0];
+lift_identity turns one into the weighting w_e * I_k.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import jsonio
-from .errors import (
-    IndexOutOfRangeError,
-    NotPsdError,
-    ParseError,
-    TooLargeError,
-)
+from .errors import IndexOutOfRangeError, ParseError, TooLargeError
 from .linalg import DEFAULT_TOL, Tolerances, _checked_psd
 
 Edge = tuple[int, int]
@@ -152,30 +148,6 @@ class MatrixWeightedGraph:
 
 
 @dataclass(frozen=True)
-class ScalarWeightedGraph:
-    """Base graph with a nonnegative real weight per edge."""
-
-    base: BaseGraph
-    weights: Mapping[Edge, float]
-
-    @classmethod
-    def from_weights(cls, n: int, items: Iterable[tuple[int, int, float]],
-                     tol: Tolerances = DEFAULT_TOL) -> "ScalarWeightedGraph":
-        merged: dict[Edge, float] = {}
-        for u, v, w in items:
-            key = _norm_edge(int(u), int(v))
-            merged[key] = merged.get(key, 0.0) + float(w)
-        weights = {}
-        for key in sorted(merged):
-            w = merged[key]
-            if w < -tol.psd_tol * max(1.0, abs(w)):
-                raise NotPsdError(f"negative weight {w} on edge {key}")
-            weights[key] = max(w, 0.0)
-        base = BaseGraph(n, tuple(sorted(weights)))
-        return cls(base, weights)
-
-
-@dataclass(frozen=True)
 class Regularity:
     """Result of the regularity test.
 
@@ -227,17 +199,13 @@ def regularity(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> Regular
     return Regularity("regular", D0, None, geo)
 
 
-def scalarize_trace(G: MatrixWeightedGraph) -> ScalarWeightedGraph:
-    """The scalar-weighted graph with w_e = tr(W_e)."""
-    weights = {e: max(float(np.trace(w)), 0.0) for e, w in G.weights.items()}
-    return ScalarWeightedGraph(G.base, weights)
-
-
-def lift_identity(g: ScalarWeightedGraph, k: int) -> MatrixWeightedGraph:
-    """Matrix weighting W_e = w_e * I_k; its Laplacian is L_g tensor I_k."""
+def lift_identity(g: MatrixWeightedGraph, k: int) -> MatrixWeightedGraph:
+    """Matrix weighting W_e = w_e * I_k of a k = 1 graph; its Laplacian is L_g tensor I_k."""
+    if g.k != 1:
+        raise ValueError(f"lift_identity requires k = 1, got k = {g.k}")
     if k < 1:
         raise ValueError(f"block size k must be >= 1, got {k}")
-    items = [(u, v, w * np.eye(k)) for (u, v), w in g.weights.items()]
+    items = [(u, v, w[0, 0] * np.eye(k)) for (u, v), w in g.weights.items()]
     return MatrixWeightedGraph.from_weights(g.base.n, k, items)
 
 
@@ -314,14 +282,3 @@ def save(G: MatrixWeightedGraph) -> bytes:
         edges.append({"u": u, "v": v, "w": [float(x) for x in w.ravel()]})
     doc = {"k": G.k, "n": G.base.n, "edges": edges}
     return jsonio.dumps(doc).encode("utf-8")
-
-
-def save_scalar(g: ScalarWeightedGraph) -> bytes:
-    return save(lift_identity(g, 1))
-
-
-def as_scalar(G: MatrixWeightedGraph) -> ScalarWeightedGraph:
-    """View a k = 1 graph as scalar-weighted."""
-    if G.k != 1:
-        raise ValueError(f"as_scalar requires k = 1, got k = {G.k}")
-    return ScalarWeightedGraph(G.base, {e: float(w[0, 0]) for e, w in G.weights.items()})

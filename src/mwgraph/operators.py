@@ -3,7 +3,9 @@
 The Laplacian acts vertexwise by (Lx)_v = sum_u W_uv (x_v - x_u); the
 adjacency by (Ax)_v = sum_u W_uv x_u.  The normalized adjacency is computed
 directly as D^(+/2) A D^(+/2) rather than via I - Lnorm so singular-degree
-vertices are handled uniformly.
+vertices are handled uniformly.  The trace weighting w_e = tr(W_e), a k = 1
+graph that the trace bounds compare with L_W and A_W, is read as the
+bundle's n x n ``trace_adjacency``.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .graphs import (
-    MatrixWeightedGraph,
-    Regularity,
-    ScalarWeightedGraph,
-    all_degrees,
-    regularity,
-    scalarize_trace,
-)
+from .graphs import MatrixWeightedGraph, Regularity, all_degrees, regularity
 from .linalg import (DEFAULT_TOL, PSEUDO_SQRT_INV_NOT_PSD, Spectrum, Tolerances, _checked_psd,
                      _pseudo_sqrt_inv)
 
@@ -79,7 +74,7 @@ class OperatorBundle:
 
     A, L and D are placed by ``assemble``; the normalized operators and
     D^(+/2) are formed, with ``tol``, the first time one of them is read, and
-    so are ``trace_graph`` and ``regularity``.  ``graph`` is the graph they
+    so are ``trace_adjacency`` and ``regularity``.  ``graph`` is the graph they
     were assembled from.  The spectral checks below and the mixing-lemma
     checks in ``expansion`` read one bundle, so a caller assembles each graph
     once.
@@ -105,9 +100,10 @@ class OperatorBundle:
         return half
 
     @cached_property
-    def trace_graph(self) -> ScalarWeightedGraph:
-        """The trace-weighted graph w_e = tr(W_e) that both trace checks read."""
-        return scalarize_trace(self.graph)
+    def trace_adjacency(self) -> np.ndarray:
+        """The n x n adjacency of the trace weighting: entry (u, v) is tr(W_uv)."""
+        n, k = self.n, self.k
+        return np.trace(self.adjacency.reshape(n, k, n, k), axis1=1, axis2=3)
 
     @cached_property
     def regularity(self) -> Regularity:
@@ -137,20 +133,6 @@ def assemble(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> OperatorB
     for v, Dv in enumerate(all_degrees(G)):
         D[v * k:(v + 1) * k, v * k:(v + 1) * k] = Dv
     return OperatorBundle(A, D - A, D, k, n, G, tol)
-
-
-def scalar_adjacency(g: ScalarWeightedGraph) -> np.ndarray:
-    n = g.base.n
-    A = np.zeros((n, n))
-    for (u, v), w in g.weights.items():
-        A[u, v] = w
-        A[v, u] = w
-    return A
-
-
-def scalar_laplacian(g: ScalarWeightedGraph) -> np.ndarray:
-    A = scalar_adjacency(g)
-    return np.diag(A.sum(axis=1)) - A
 
 
 def laplacian_spectrum(ops: OperatorBundle) -> Spectrum:
@@ -186,7 +168,9 @@ def check_laplacian_trace_bounds(ops: OperatorBundle) -> BoundReport:
     if n < 2:
         return BoundReport.chain("laplacian_trace_bounds", [], note="vacuous for n < 2")
     lam = np.linalg.eigvalsh(ops.laplacian)
-    slam = np.linalg.eigvalsh(scalar_laplacian(ops.trace_graph))
+    A_tr = ops.trace_adjacency
+    # row sums, not assemble's edge-order degree sums: the two differ in the last bit
+    slam = np.linalg.eigvalsh(np.diag(A_tr.sum(axis=1)) - A_tr)
     low = float(np.sum(lam[k:2 * k]))
     high = float(np.sum(lam[(n - 1) * k:]))
     lam2_tr, lamn_tr = float(slam[1]), float(slam[-1])
@@ -208,7 +192,7 @@ def check_adjacency_trace_bounds(ops: OperatorBundle) -> BoundReport:
     if n < 1:
         return BoundReport.chain("adjacency_trace_bounds", [], note="vacuous for n < 1")
     mu = np.linalg.eigvalsh(ops.adjacency)[::-1]
-    smu = np.linalg.eigvalsh(scalar_adjacency(ops.trace_graph))[::-1]
+    smu = np.linalg.eigvalsh(ops.trace_adjacency)[::-1]
     top = float(np.sum(mu[:k]))
     bottom = float(np.sum(mu[(n - 1) * k:]))
     mu1_tr, mun_tr = float(smu[0]), float(smu[-1])
@@ -233,6 +217,4 @@ __all__ = [
     "check_laplacian_trace_bounds",
     "check_normalized_bound",
     "laplacian_spectrum",
-    "scalar_adjacency",
-    "scalar_laplacian",
 ]

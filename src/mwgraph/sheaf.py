@@ -187,6 +187,18 @@ def truss_to_mwg(t: Truss, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGraph
     return MatrixWeightedGraph.from_weights(len(t.points), 3, items, tol)
 
 
+def truss_rigidity(t: Truss, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, float]:
+    """kernel_dim of the stiffness matrix L, the rigid motions M of the joints,
+    and the residual max|L M| / max(1, ||L||_2) (0.0 when there are none)."""
+    L = assemble(truss_to_mwg(t, tol), tol).laplacian
+    motions = rigid_motions(t.points, tol)
+    if motions.size:
+        residual = float(np.abs(L @ motions).max()) / max(1.0, float(np.linalg.norm(L, 2)))
+    else:
+        residual = 0.0
+    return kernel_dim(L, tol), motions, residual
+
+
 def rigid_motions(points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis for the rigid-motion fields of a point set in R^3.
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from mwgraph.errors import NonFiniteError, NotPsdError, NotSymmetricError
-from mwgraph.graphs import (
-    BaseGraph,
-    MatrixWeightedGraph,
-    ScalarWeightedGraph,
-    lift_identity,
-)
+from mwgraph.graphs import BaseGraph, MatrixWeightedGraph
 
 S3 = np.sqrt(3.0)
 
@@ -47,7 +42,8 @@ def random_mwg(rng, n_max=8, k_max=3):
 
 
 def unit_graph(n, edges):
-    return ScalarWeightedGraph.from_weights(n, [(u, v, 1.0) for u, v in edges])
+    """The k = 1 graph with weight 1 on each edge."""
+    return MatrixWeightedGraph.from_weights(n, 1, [(u, v, np.ones((1, 1))) for u, v in edges])
 
 
 def complete_graph(n):
@@ -56,10 +52,6 @@ def complete_graph(n):
 
 def cycle_graph(n):
     return unit_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def identity_lift(scalar, k):
-    return lift_identity(scalar, k)
 
 
 def k33_latin_mwg():
@@ -171,6 +163,15 @@ def reference_normalized(ops):
         norm = half @ op @ half
         out.append((norm + norm.T) / 2.0)
     return tuple(out)
+
+
+def reference_trace_adjacency(G):
+    """The n x n trace weighting, one np.trace per edge weight."""
+    A = np.zeros((G.base.n, G.base.n))
+    for (u, v), w in G.weights.items():
+        A[u, v] = np.trace(w)
+        A[v, u] = np.trace(w)
+    return A
 
 
 def reference_sqrt_factor(sym, tol):

@@ -54,12 +54,12 @@ def test_a3_one_assembly_per_graph(suite, monkeypatch):
 
 
 def test_a3_one_trace_graph_per_graph(suite, monkeypatch):
-    # both trace checks read the bundle's trace graph; only n = 0 skips both
-    from mwgraph import operators
+    # both trace checks read the bundle's trace adjacency; only n = 0 skips both
+    from mwgraph.operators import OperatorBundle
     nonempty = sum(1 for G in suite.members if G.base.n >= 1)
-    scalarized = count_calls(monkeypatch, "scalarize_trace", operators)
+    traced = count_calls(monkeypatch, "func", OperatorBundle.__dict__["trace_adjacency"])
     assert suite.a3_trace_bounds().passed
-    assert len(scalarized) == nonempty
+    assert len(traced) == nonempty
 
 
 def test_a4_sheaf_factorization(suite):
@@ -126,6 +126,14 @@ def test_a11_truss(suite):
     assert result.details["rigid_motion_count"] == 6
     assert result.details["kernel_residual"] <= 1e-8
     assert result.details["bar_kernel"] == 5
+
+
+def test_a11_builds_each_truss_once(suite, monkeypatch):
+    from mwgraph import acceptance
+    built = count_calls(monkeypatch, "regular_tetrahedron_truss", acceptance)
+    analysed = count_calls(monkeypatch, "truss_rigidity", acceptance)
+    assert suite.a11_truss().passed
+    assert (len(built), len(analysed)) == (1, 2)
 
 
 def test_a12_verify_paper_deterministic(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mwgraph.cli import main
-from mwgraph.graphs import MatrixWeightedGraph, lift_identity, load, save
+from mwgraph.graphs import MatrixWeightedGraph, load, save
 from mwgraph.frames import build_expander, equiangular_frame_2d, proper_edge_coloring
 from mwgraph.graphs import BaseGraph
 
@@ -34,7 +34,7 @@ def k4_abc_file(tmp_path):
 def k4_scalar_file(tmp_path):
     g = unit_graph(4, itertools.combinations(range(4), 2))
     path = tmp_path / "k4.json"
-    path.write_bytes(save(lift_identity(g, 1)))
+    path.write_bytes(save(g))
     return path
 
 
@@ -151,7 +151,7 @@ def test_cheeger_scans_once(tmp_path, capsys, monkeypatch):
 def test_cheeger_rejects_irregular(tmp_path, capsys):
     g = unit_graph(3, [(0, 1)])
     path = tmp_path / "irr.json"
-    path.write_bytes(save(lift_identity(g, 1)))
+    path.write_bytes(save(g))
     assert main(["cheeger", str(path)]) == 2
 
 
@@ -289,9 +289,21 @@ def test_search_sampling_odd_n_exits_2_before_drawing(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
-def test_workers_must_be_positive(capsys):
-    assert main(["--workers", "0", "search", "--r", "3", "--n-max", "4",
-                 "--frame", "equiangular3"]) == 2
+def test_workers_must_be_positive(capsys, monkeypatch):
+    import multiprocessing
+    import os
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("started a pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", forbidden)
+    too_many = (os.cpu_count() or 1) + 1
+    for workers in (0, too_many):
+        assert main(["--workers", str(workers), "search", "--r", "3", "--n-max", "6",
+                     "--frame", "equiangular3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --workers must be")
 
 
 def test_verify_paper_overtight_tolerance_flags_cause(capsys):

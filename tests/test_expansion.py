@@ -31,11 +31,10 @@ from mwgraph.graphs import (
     MatrixWeightedGraph,
     lift_identity,
     regularity,
-    scalarize_trace,
     total_volume,
 )
 from mwgraph.linalg import DEFAULT_TOL, Tolerances
-from mwgraph.operators import assemble, scalar_adjacency
+from mwgraph.operators import assemble
 
 from conftest import (
     FRAME_A,
@@ -104,8 +103,7 @@ def test_trace_of_edge_count_matches_scalarized(rng):
         n = G.base.n
         S = [v for v in range(n) if rng.random() < 0.5]
         T = [v for v in range(n) if rng.random() < 0.5]
-        scalar = scalarize_trace(G)
-        A_tr = scalar_adjacency(scalar)
+        A_tr = assemble(G).trace_adjacency
         ind_S = np.zeros(n)
         ind_S[list(S)] = 1.0
         ind_T = np.zeros(n)

@@ -201,11 +201,10 @@ def test_build_expander_bipartite_equiangular():
 
 
 def test_build_expander_trace_weights_are_rank():
-    from mwgraph.graphs import scalarize_trace
     base = k4_base()
     G = build_expander(base, proper_edge_coloring(base, 3), equiangular_frame_2d(3))
-    scalar = scalarize_trace(G)
-    assert all(w == pytest.approx(1.0) for w in scalar.weights.values())
+    A_tr = assemble(G).trace_adjacency
+    assert all(A_tr[u, v] == pytest.approx(1.0) for u, v in G.base.edges)
 
 
 def test_build_expander_rejects_irregular():
@@ -298,16 +297,13 @@ def test_eta_invariant_under_relabeling_and_color_swap(rng):
 
 def test_constructed_expander_trace_consistency():
     # k mu_2(A_W) >= l mu_2(A_G) for uniform-rank frame constructions
-    from mwgraph.operators import scalar_adjacency
-    from mwgraph.graphs import ScalarWeightedGraph
     for r, base in ((3, k4_base()), (3, bipartite(3, 3)), (2, bipartite(2, 2))):
         frame = equiangular_frame_2d(r)
         G = build_expander(base, proper_edge_coloring(base, r), frame)
         k, l = 2, 1
         mu_w = eta(G).mu_nontrivial_max
-        scalar = ScalarWeightedGraph.from_weights(
-            base.n, [(u, v, 1.0) for u, v in base.edges])
-        mu_g = np.linalg.eigvalsh(scalar_adjacency(scalar))[::-1][1]
+        scalar = unit_graph(base.n, base.edges)
+        mu_g = np.linalg.eigvalsh(assemble(scalar).adjacency)[::-1][1]
         assert k * mu_w >= l * mu_g - 1e-9
 
 
@@ -388,7 +384,7 @@ def test_search_identity_frame_colors_each_graph_once(monkeypatch):
     from mwgraph import frames, jsonio
     from mwgraph.graphgen import edges_code, enumerate_regular_graphs, graph6_like
     frame = named_frame("identity2", r_context=3)
-    groups = frames._projection_groups(frame, frames.DEFAULT_TOL)
+    groups = frames._projection_groups(frame)
     expected = []
     for n in range(4, 11, 2):
         for graph in enumerate_regular_graphs(n, 3):

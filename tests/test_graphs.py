@@ -16,19 +16,17 @@ from mwgraph.graphs import (
     LOAD_MAX_NK,
     BaseGraph,
     MatrixWeightedGraph,
-    ScalarWeightedGraph,
-    as_scalar,
     connected_components,
     degree,
     lift_identity,
     load,
     regularity,
     save,
-    scalarize_trace,
     total_volume,
     volume,
 )
 from mwgraph.linalg import DEFAULT_TOL, Tolerances
+from mwgraph.operators import assemble
 
 from conftest import (
     FRAME_A,
@@ -105,7 +103,7 @@ def test_load_scalar_single_edge():
     doc = b'{"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": [2.0]}]}'
     G = load(doc)
     assert G.k == 1 and G.base.n == 2
-    assert as_scalar(G).weights[(0, 1)] == 2.0
+    assert G.weights[(0, 1)][0, 0] == 2.0
 
 
 def test_load_merges_duplicate_edges():
@@ -186,12 +184,14 @@ def test_save_sorts_edges_and_drops_zero_weights():
     assert reloaded.weights[(0, 1)][0, 0] == np.pi
 
 
-def test_save_scalar_uses_k1():
-    from mwgraph.graphs import save_scalar
-    g = ScalarWeightedGraph.from_weights(3, [(0, 1, 2.5), (1, 2, 0.25)])
-    reloaded = load(save_scalar(g))
-    assert reloaded.k == 1
-    assert as_scalar(reloaded).weights == dict(g.weights)
+def test_save_load_k1_round_trip():
+    g = MatrixWeightedGraph.from_weights(3, 1, [(0, 1, [[2.5]]), (1, 2, [[0.25]])])
+    text = save(g)
+    assert b'"k": 1' in text
+    reloaded = load(text)
+    assert reloaded.k == 1 and reloaded.base == g.base
+    assert {e: w.tobytes() for e, w in reloaded.weights.items()} == \
+        {e: w.tobytes() for e, w in g.weights.items()}
 
 
 def test_degree_isolated_vertex():
@@ -244,30 +244,28 @@ def test_regularity_regular_but_not_scalar():
     assert np.allclose(reg.degree_matrix, W)
 
 
-def test_scalarize_trace_frame_weights():
-    g = scalarize_trace(k4_abc_mwg())
-    assert all(w == pytest.approx(1.0) for w in g.weights.values())
-
-
-def test_scalarize_trace_values():
-    G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.diag([3.0, 4.0]))])
-    assert scalarize_trace(G).weights[(0, 1)] == pytest.approx(7.0)
-    G2 = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.eye(2))])
-    assert scalarize_trace(G2).weights[(0, 1)] == pytest.approx(2.0)
-
-
 def test_lift_identity_single_edge():
     g = unit_graph(2, [(0, 1)])
     G = lift_identity(g, 2)
     assert np.array_equal(G.weights[(0, 1)], np.eye(2))
 
 
+def test_lift_identity_requires_k1():
+    G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.eye(2))])
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="requires k = 1, got k = 2"):
+            lift_identity(G, k)
+    with pytest.raises(ValueError, match="block size"):
+        lift_identity(unit_graph(2, [(0, 1)]), 0)
+
+
 def test_scalarize_of_lift_scales_by_k():
-    g = ScalarWeightedGraph.from_weights(3, [(0, 1, 2.0), (1, 2, 0.5)])
+    # the trace weighting of w_e * I_k is k * w_e
+    g = MatrixWeightedGraph.from_weights(3, 1, [(0, 1, [[2.0]]), (1, 2, [[0.5]])])
     for k in (1, 2, 3):
-        back = scalarize_trace(lift_identity(g, k))
-        for e, w in g.weights.items():
-            assert back.weights[e] == pytest.approx(k * w)
+        back = assemble(lift_identity(g, k)).trace_adjacency
+        for (u, v), w in g.weights.items():
+            assert back[u, v] == back[v, u] == pytest.approx(k * w[0, 0])
 
 
 def test_lift_of_regular_is_scalar_regular():

@@ -14,10 +14,7 @@ from mwgraph.operators import (
     check_laplacian_trace_bounds,
     check_normalized_bound,
     laplacian_spectrum,
-    scalar_adjacency,
-    scalar_laplacian,
 )
-from mwgraph.graphs import scalarize_trace
 
 from conftest import (
     FRAME_B,
@@ -28,6 +25,7 @@ from conftest import (
     k4_abc_mwg,
     random_mwg,
     reference_normalized,
+    reference_trace_adjacency,
     unit_graph,
 )
 
@@ -82,15 +80,14 @@ def test_assemble_forms_normalized_operators_on_demand(monkeypatch):
 def test_assemble_identity_lift_is_kronecker(rng):
     for _ in range(10):
         n = int(rng.integers(2, 6))
-        edges = [(u, v, float(rng.uniform(0.1, 2.0)))
+        edges = [(u, v, [[float(rng.uniform(0.1, 2.0))]])
                  for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.7]
         if not edges:
             continue
-        from mwgraph.graphs import ScalarWeightedGraph
-        g = ScalarWeightedGraph.from_weights(n, edges)
+        g = MatrixWeightedGraph.from_weights(n, 1, edges)
+        L_scalar = assemble(g).laplacian
         for k in (1, 2, 3):
             G = lift_identity(g, k)
-            L_scalar = scalar_laplacian(g)
             assert np.allclose(assemble(G).laplacian, np.kron(L_scalar, np.eye(k)),
                                atol=1e-12)
 
@@ -202,8 +199,7 @@ def test_trace_bounds_random_suite(rng):
 def test_adjacency_trace_equality_on_lifts(rng):
     for _ in range(20):
         G = random_mwg(rng, k_max=1)
-        from mwgraph.graphs import as_scalar
-        lifted = lift_identity(as_scalar(G), 2)
+        lifted = lift_identity(G, 2)
         rep = check_adjacency_trace_bounds(assemble(lifted))
         assert rep.holds
         assert rep.context["sum_top"] == pytest.approx(rep.context["mu1_trace"], abs=1e-9)
@@ -253,14 +249,33 @@ def test_k4_abc_spectrum_structure():
 
 
 def test_scalar_helpers_match_lift():
+    # a k = 1 graph is its own trace weighting and its own lift to k = 1
     g = complete_graph(4)
-    G = lift_identity(g, 1)
-    assert np.allclose(scalar_laplacian(g), assemble(G).laplacian)
-    assert np.allclose(scalar_adjacency(g), assemble(G).adjacency)
-    assert np.allclose(scalar_laplacian(scalarize_trace(G)), scalar_laplacian(g))
+    ops = assemble(g)
+    lifted = assemble(lift_identity(g, 1))
+    assert np.array_equal(ops.laplacian, lifted.laplacian)
+    assert np.array_equal(ops.adjacency, lifted.adjacency)
+    assert np.array_equal(ops.trace_adjacency, ops.adjacency)
 
 
-# --- stacked D^(+/2) against the per-vertex loop -----------------------------
+def test_trace_adjacency_values():
+    ops = assemble(k4_abc_mwg())
+    assert np.allclose(ops.trace_adjacency, np.ones((4, 4)) - np.eye(4), atol=1e-15)
+    G = MatrixWeightedGraph.from_weights(3, 2, [(0, 1, np.diag([3.0, 4.0])),
+                                                (1, 2, np.eye(2))])
+    assert np.array_equal(assemble(G).trace_adjacency,
+                          [[0.0, 7.0, 0.0], [7.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+
+
+# --- stacked trace weighting and D^(+/2) against per-edge and per-vertex loops --
+
+
+def test_trace_adjacency_bitwise_per_edge_reference(rng):
+    graphs = [MatrixWeightedGraph.from_weights(n, k, items)
+              for n, k, items in block_corpus_items(rng)]
+    graphs += [k4_abc_mwg(), lift_identity(cycle_graph(5), 3)]
+    for G in graphs:
+        assert assemble(G).trace_adjacency.tobytes() == reference_trace_adjacency(G).tobytes()
 
 
 def test_normalized_operators_bitwise_per_vertex_reference(rng):

@@ -22,6 +22,7 @@ from mwgraph.sheaf import (
     rigid_motions,
     sheaf_analysis,
     sqrt_factor,
+    truss_rigidity,
     truss_to_mwg,
     verify_factorization,
 )
@@ -299,6 +300,18 @@ def test_rigid_motions_tetrahedron_in_kernel():
     assert np.abs(L @ motions).max() <= 1e-8 * max(1.0, np.linalg.norm(L, 2))
     gram = motions.T @ motions
     assert np.allclose(gram, np.eye(6), atol=1e-10)
+
+
+def test_truss_rigidity_matches_its_parts():
+    t = tetrahedron_truss()
+    kdim, motions, residual = truss_rigidity(t)
+    L = assemble(truss_to_mwg(t)).laplacian
+    assert kdim == kernel_dim(L) == 6
+    assert motions.tobytes() == rigid_motions(t.points).tobytes()
+    assert residual == float(np.abs(L @ motions).max()) / max(1.0, np.linalg.norm(L, 2))
+    # a truss with no joints has no motions, and its residual reads 0.0
+    kdim, motions, residual = truss_rigidity(Truss.make(np.zeros((0, 3)), []))
+    assert (kdim, motions.size, residual) == (0, 0, 0.0)
 
 
 def test_rigid_motions_single_point():
