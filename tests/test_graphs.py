@@ -259,6 +259,23 @@ def test_lift_identity_requires_k1():
         lift_identity(unit_graph(2, [(0, 1)]), 0)
 
 
+def test_scalarize_trace_frame_weights():
+    # each K4 frame edge weight is a rank-one projection, so its trace is 1
+    A = assemble(k4_abc_mwg()).trace_adjacency
+    assert np.allclose(A, np.ones((4, 4)) - np.eye(4), atol=1e-15)
+
+
+def test_scalarize_trace_values():
+    G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.diag([3.0, 4.0]))])
+    assert assemble(G).trace_adjacency[0, 1] == pytest.approx(7.0)
+    G2 = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.eye(2))])
+    assert assemble(G2).trace_adjacency[0, 1] == pytest.approx(2.0)
+    G3 = MatrixWeightedGraph.from_weights(3, 2, [(0, 1, np.diag([3.0, 4.0])),
+                                                 (1, 2, np.eye(2))])
+    assert np.array_equal(assemble(G3).trace_adjacency,
+                          [[0.0, 7.0, 0.0], [7.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+
+
 def test_scalarize_of_lift_scales_by_k():
     # the trace weighting of w_e * I_k is k * w_e
     g = MatrixWeightedGraph.from_weights(3, 1, [(0, 1, [[2.0]]), (1, 2, [[0.5]])])

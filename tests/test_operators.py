@@ -258,15 +258,6 @@ def test_scalar_helpers_match_lift():
     assert np.array_equal(ops.trace_adjacency, ops.adjacency)
 
 
-def test_trace_adjacency_values():
-    ops = assemble(k4_abc_mwg())
-    assert np.allclose(ops.trace_adjacency, np.ones((4, 4)) - np.eye(4), atol=1e-15)
-    G = MatrixWeightedGraph.from_weights(3, 2, [(0, 1, np.diag([3.0, 4.0])),
-                                                (1, 2, np.eye(2))])
-    assert np.array_equal(assemble(G).trace_adjacency,
-                          [[0.0, 7.0, 0.0], [7.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
-
-
 # --- stacked trace weighting and D^(+/2) against per-edge and per-vertex loops --
 
 
