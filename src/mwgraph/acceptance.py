@@ -6,6 +6,12 @@ graph on at most 6 vertices (via the networkx graph atlas), and the two
 frame-built expanders the search produces.  Each criterion reports one
 pass/fail line with deterministic numeric details, so two runs with the
 same seed serialize to byte-identical JSON.
+
+The corpus criteria A2-A7 share one pass over the members, made the first
+time one of them runs: each member is assembled once, its regularity read
+once, and every quantity the six criteria report is taken from that one
+bundle.  Each criterion still reports the first error its own loop would
+meet, in member order.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ import numpy as np
 from . import jsonio
 from .errors import MwgError, SingularVolumeError
 from .expansion import (
-    check_cheeger_lower_bounds,
+    IrregularContext,
+    _cheeger_analysis,
+    _cheeger_degree,
     eml_irregular,
     eml_irregular_pairs,
     eml_regular_exhaustive,
@@ -36,16 +44,17 @@ from .frames import (
     alon_boppana_compare,
     search_expanders,
 )
-from .graphs import BaseGraph, MatrixWeightedGraph, lift_identity, regularity
+from .graphs import BaseGraph, MatrixWeightedGraph, lift_identity
 from .linalg import DEFAULT_TOL, Tolerances
 from .operators import (
     CHECK_TOL,
+    OperatorBundle,
     assemble,
     check_adjacency_trace_bounds,
     check_laplacian_trace_bounds,
     check_normalized_bound,
 )
-from .sheaf import Truss, sheaf_analysis, truss_rigidity
+from .sheaf import Truss, _sheaf_analysis, truss_rigidity
 
 FRAME_TOL = 1e-12
 EXACT_TOL = 1e-12
@@ -54,6 +63,8 @@ TARGET_ETA = 0.094
 TARGET_MU_MIN = -2.406
 TARGET_MU_MAX = 1.803
 TARGET_MATCH_TOL = 2e-3
+# A6 checks this many irregular graphs: the corpus's, then fresh draws
+IRREGULAR_GRAPHS = 500
 
 
 @dataclass
@@ -114,8 +125,112 @@ def atlas_lift_graphs(k_values=(1, 2, 3), n_max: int = 6) -> list[MatrixWeighted
             continue
         scalar = unit_scalar_graph(n, g.edges())
         for k in k_values:
-            lifts.append(lift_identity(scalar, k))
+            # the k = 1 lift is the scalar graph itself
+            lifts.append(scalar if k == 1 else lift_identity(scalar, k))
     return lifts
+
+
+def _irregular_candidate(ops: OperatorBundle) -> IrregularContext | None:
+    """A6's context for an irregular graph with invertible volume, else None."""
+    if ops.regularity.kind != "irregular":
+        return None
+    try:
+        return irregular_context(ops)
+    except SingularVolumeError:
+        return None
+
+
+class _CorpusPass:
+    """What A2-A7 read of the corpus, from one walk over the members.
+
+    Each member is assembled once and its regularity read once; each
+    criterion takes what it reports from that bundle, and only scalars and
+    A6's irregular contexts are kept, so no bundle outlives its member.  A
+    criterion whose work on a member raises keeps that first MwgError and
+    does no more work, as its own loop would have stopped there;
+    ``raise_error`` re-raises it.
+    """
+
+    def __init__(self, suite: "Suite"):
+        self.errors: dict[str, MwgError] = {}
+        self.max_lambda = -np.inf                             # A2
+        self.trace_slack, self.lift_gap = np.inf, 0.0         # A3
+        self.residual_ratio, self.h0_matches = 0.0, True      # A4
+        self.eml_slack, self.eml_graphs = np.inf, 0           # A5
+        self.irregular: list[IrregularContext] = []           # A6
+        self.cheeger_slack, self.cheeger_graphs = np.inf, 0   # A7
+        # resid_tol is read only by the factorization report
+        self.sheaf_tol = dataclasses.replace(suite.tol, resid_tol=1e-9)
+        randoms = suite.random_graphs
+        members, lifts = randoms, set()
+        try:
+            members = suite.members
+            lifts = {id(G) for G in suite.lift_graphs}
+        except MwgError as exc:
+            # A6 reads only the random graphs; the others meet this error first
+            self.errors = dict.fromkeys(("A2", "A3", "A4", "A5", "A7"),
+                                        exc.with_traceback(None))
+        for i, G in enumerate(members):
+            ops = assemble(G, suite.tol)
+            reg = ops.regularity
+            small_scalar = reg.is_scalar_regular and ops.n <= 8
+            self._run("A2", self._normalized_bound, ops)
+            self._run("A3", self._trace_bounds, ops, id(G) in lifts)
+            self._run("A4", self._sheaf, ops)
+            if small_scalar:
+                self._run("A5", self._regular_eml, ops)
+            if i < len(randoms) and len(self.irregular) < IRREGULAR_GRAPHS:
+                self._run("A6", self._irregular, ops)
+            if small_scalar and reg.scalar_degree > 0 and ops.n >= 2:
+                self._run("A7", self._cheeger, ops)
+
+    def _run(self, cid: str, step, *args) -> None:
+        if cid in self.errors:
+            return
+        try:
+            step(*args)
+        except MwgError as exc:
+            # a kept traceback would keep this member's bundle alive
+            self.errors[cid] = exc.with_traceback(None)
+
+    def raise_error(self, cid: str) -> None:
+        if cid in self.errors:
+            raise self.errors[cid]
+
+    def _normalized_bound(self, ops: OperatorBundle) -> None:
+        self.max_lambda = max(self.max_lambda, float(check_normalized_bound(ops).lhs))
+
+    def _trace_bounds(self, ops: OperatorBundle, is_lift: bool) -> None:
+        lap = check_laplacian_trace_bounds(ops)
+        adj = check_adjacency_trace_bounds(ops)
+        self.trace_slack = min(self.trace_slack, lap.slack, adj.slack)
+        if not is_lift or ops.n < 2:
+            return
+        gap = max(abs(lap.context["sum_low"] - lap.context["lambda2_trace"]),
+                  abs(lap.context["sum_high"] - lap.context["lambdan_trace"]),
+                  abs(adj.context["sum_top"] - adj.context["mu1_trace"]),
+                  abs(adj.context["sum_bottom"] - adj.context["mun_trace"]))
+        self.lift_gap = max(self.lift_gap, gap)
+
+    def _sheaf(self, ops: OperatorBundle) -> None:
+        report, sections, kdim = _sheaf_analysis(ops, self.sheaf_tol)
+        self.residual_ratio = max(self.residual_ratio, float(report.lhs) / float(report.rhs))
+        self.h0_matches = self.h0_matches and sections.shape[1] == kdim
+
+    def _regular_eml(self, ops: OperatorBundle) -> None:
+        self.eml_slack = min(self.eml_slack, eml_regular_exhaustive(ops).slack)
+        self.eml_graphs += 1
+
+    def _irregular(self, ops: OperatorBundle) -> None:
+        ctx = _irregular_candidate(ops)
+        if ctx is not None:
+            self.irregular.append(ctx)
+
+    def _cheeger(self, ops: OperatorBundle) -> None:
+        _, (trace_report, loewner_report), _ = _cheeger_analysis(
+            ops, _cheeger_degree(ops.regularity, ops.n))
+        self.cheeger_slack = min(self.cheeger_slack, trace_report.slack, loewner_report.slack)
+        self.cheeger_graphs += 1
 
 
 def regular_tetrahedron_truss() -> Truss:
@@ -165,9 +280,8 @@ class Suite:
         return self.random_graphs + self.lift_graphs + self.built_expanders
 
     @cached_property
-    def scalar_regular_members(self) -> list[MatrixWeightedGraph]:
-        return [G for G in self.members
-                if regularity(G, self.tol).is_scalar_regular and G.base.n <= 8]
+    def _corpus_pass(self) -> _CorpusPass:
+        return _CorpusPass(self)
 
     # --- criteria ------------------------------------------------------------
 
@@ -188,10 +302,9 @@ class Suite:
                                {"entry_error": entry_err, "sum_error": sum_err})
 
     def a2_normalized_bound(self) -> CriterionResult:
-        worst = -np.inf
-        for G in self.members:
-            report = check_normalized_bound(assemble(G, self.tol))
-            worst = max(worst, float(report.lhs))
+        corpus = self._corpus_pass
+        corpus.raise_error("A2")
+        worst = corpus.max_lambda
         attain = {}
         for name, base in (("k2", BaseGraph.from_edges(2, [(0, 1)])),
                            ("k33", complete_bipartite(3, 3))):
@@ -204,35 +317,18 @@ class Suite:
                                 "k2_attained": attain["k2"], "k33_attained": attain["k33"]})
 
     def a3_trace_bounds(self) -> CriterionResult:
-        worst = np.inf
-        lift_equality_gap = 0.0
-        lifts = {id(G) for G in self.lift_graphs}
-        for G in self.members:
-            ops = assemble(G, self.tol)
-            lap = check_laplacian_trace_bounds(ops)
-            adj = check_adjacency_trace_bounds(ops)
-            worst = min(worst, lap.slack, adj.slack)
-            if id(G) not in lifts or G.base.n < 2:
-                continue
-            gap = max(abs(lap.context["sum_low"] - lap.context["lambda2_trace"]),
-                      abs(lap.context["sum_high"] - lap.context["lambdan_trace"]),
-                      abs(adj.context["sum_top"] - adj.context["mu1_trace"]),
-                      abs(adj.context["sum_bottom"] - adj.context["mun_trace"]))
-            lift_equality_gap = max(lift_equality_gap, gap)
+        corpus = self._corpus_pass
+        corpus.raise_error("A3")
+        worst, lift_equality_gap = corpus.trace_slack, corpus.lift_gap
         passed = worst >= -CHECK_TOL and lift_equality_gap <= CHECK_TOL
         return CriterionResult("A3", "Laplacian and adjacency trace bounds", passed,
                                {"graphs": len(self.members), "min_slack": float(worst),
                                 "lift_equality_gap": float(lift_equality_gap)})
 
     def a4_sheaf_factorization(self) -> CriterionResult:
-        # resid_tol is read only by the factorization report
-        tol = dataclasses.replace(self.tol, resid_tol=1e-9)
-        worst_ratio = 0.0
-        dims_match = True
-        for G in self.members:
-            report, sections, kdim = sheaf_analysis(G, tol)
-            worst_ratio = max(worst_ratio, float(report.lhs) / float(report.rhs))
-            dims_match = dims_match and sections.shape[1] == kdim
+        corpus = self._corpus_pass
+        corpus.raise_error("A4")
+        worst_ratio, dims_match = corpus.residual_ratio, corpus.h0_matches
         passed = worst_ratio <= 1.0 and dims_match
         return CriterionResult("A4", "sheaf factorization and global sections", passed,
                                {"graphs": len(self.members),
@@ -240,34 +336,26 @@ class Suite:
                                 "h0_matches_kernel": dims_match})
 
     def a5_regular_eml(self) -> CriterionResult:
-        worst = np.inf
-        count = 0
-        for G in self.scalar_regular_members:
-            report = eml_regular_exhaustive(assemble(G, self.tol))
-            worst = min(worst, report.slack)
-            count += 1
+        corpus = self._corpus_pass
+        corpus.raise_error("A5")
+        worst, count = corpus.eml_slack, corpus.eml_graphs
         passed = count > 0 and worst >= -CHECK_TOL
         return CriterionResult("A5", "regular mixing lemma, exhaustive pairs", passed,
                                {"graphs": count, "min_slack": float(worst)})
 
-    def a6_irregular_eml(self, graphs_needed: int = 500, pairs_each: int = 200) -> CriterionResult:
+    def a6_irregular_eml(self, pairs_each: int = 200) -> CriterionResult:
+        corpus = self._corpus_pass
+        corpus.raise_error("A6")
         rng = np.random.default_rng(self.seed + 1)
-        candidates = []
         # the corpus first, then fresh graphs drawn from rng only as needed
-        fresh = (random_graph(rng) for _ in itertools.count())
-        for G in itertools.chain(self.random_graphs, fresh):
-            if regularity(G, self.tol).kind != "irregular":
-                continue
-            try:
-                ctx = irregular_context(assemble(G, self.tol))
-            except SingularVolumeError:
-                continue
-            candidates.append((G, ctx))
-            if len(candidates) >= graphs_needed:
-                break
+        candidates = list(corpus.irregular)
+        while len(candidates) < IRREGULAR_GRAPHS:
+            ctx = _irregular_candidate(assemble(random_graph(rng), self.tol))
+            if ctx is not None:
+                candidates.append(ctx)
         worst = np.inf
-        for G, ctx in candidates:
-            n = G.base.n
+        for ctx in candidates:
+            n = ctx.n
             ind_S = (rng.random((pairs_each, n)) < 0.5).astype(float)
             ind_T = (rng.random((pairs_each, n)) < 0.5).astype(float)
             lhs, rhs = eml_irregular_pairs(ctx, ind_S, ind_T)
@@ -281,15 +369,9 @@ class Suite:
                                 "min_slack": float(worst), "k2_equality_gap": float(k2_gap)})
 
     def a7_cheeger_lower_bounds(self) -> CriterionResult:
-        worst = np.inf
-        count = 0
-        for G in self.scalar_regular_members:
-            reg = regularity(G, self.tol)
-            if reg.scalar_degree <= 0 or G.base.n < 2:
-                continue
-            trace_report, loewner_report = check_cheeger_lower_bounds(G, self.tol)
-            worst = min(worst, trace_report.slack, loewner_report.slack)
-            count += 1
+        corpus = self._corpus_pass
+        corpus.raise_error("A7")
+        worst, count = corpus.cheeger_slack, corpus.cheeger_graphs
         passed = count > 0 and worst >= -CHECK_TOL
         return CriterionResult("A7", "Cheeger lower bounds, exhaustive subsets", passed,
                                {"graphs": count, "min_slack": float(worst)})

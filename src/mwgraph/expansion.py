@@ -31,7 +31,7 @@ from .errors import (
     SingularVolumeError,
     TooLargeError,
 )
-from .graphs import MatrixWeightedGraph, Regularity, all_degrees, regularity
+from .graphs import MatrixWeightedGraph, Regularity, regularity
 from .linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from .operators import CHECK_TOL, BoundReport, OperatorBundle, assemble
 
@@ -109,7 +109,7 @@ class EmlReport:
 def _regular_mu_constants(ops: OperatorBundle) -> tuple[float, float, np.ndarray]:
     """(|mu| for the trace bound, max(|mu_{k+1}|, |mu_{kn}|), descending mu)."""
     k, n = ops.k, ops.n
-    mu = np.linalg.eigvalsh(ops.adjacency)[::-1]
+    mu = ops.adjacency_values[::-1]
     abs_mu = max(float(np.sum(mu[k:2 * k])),
                  float(np.sum(np.abs(mu[(n - 1) * k:]))))
     if mu.size > k:
@@ -200,8 +200,8 @@ class IrregularContext:
 
 
 def irregular_context(ops: OperatorBundle) -> IrregularContext:
-    G, tol, k, n = ops.graph, ops.tol, ops.k, ops.n
-    degs = np.array(all_degrees(G)) if n else np.zeros((0, k, k))
+    tol, k, n = ops.tol, ops.k, ops.n
+    degs = ops.degree_blocks
     vol_total = degs.sum(axis=0) if n else np.zeros((k, k))
     values = np.linalg.eigvalsh(vol_total)
     if values.size == 0 or float(values[0]) <= tol.rank_rel_tol * max(1.0, float(values[-1])):
@@ -423,16 +423,29 @@ def cheeger_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
                                 CounterexampleCertificate]:
     """The Cheeger constants, their two spectral lower bounds and the
     counterexample certificate, from one boundary scan and one Laplacian
-    spectrum."""
-    d = require_scalar_regular(regularity(G, tol), positive=True)
-    n, k = G.base.n, G.k
+    spectrum.  The graph is checked before it is assembled."""
+    d = _cheeger_degree(regularity(G, tol), G.base.n)
+    return _cheeger_analysis(assemble(G, tol), d, keep_per_subset)
+
+
+def _cheeger_degree(reg: Regularity, n: int) -> float:
+    """The degree d of a graph that the exhaustive Cheeger scan accepts."""
+    d = require_scalar_regular(reg, positive=True)
     if n > CHEEGER_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"n = {n} exceeds exhaustive limit {CHEEGER_EXHAUSTIVE_MAX_N}; "
                             "use sampling instead")
     if n < 2:
         raise EmptyOrFullSubsetError("no nonempty proper subsets for n < 2")
-    lam = np.linalg.eigvalsh(assemble(G, tol).laplacian)
-    scan = _scan_boundaries(G, d, tol, keep_per_subset)
+    return d
+
+
+def _cheeger_analysis(ops: OperatorBundle, d: float, keep_per_subset: bool = False
+                      ) -> tuple[CheegerReport, tuple[BoundReport, BoundReport],
+                                 CounterexampleCertificate]:
+    """cheeger_analysis of a bundle whose degree _cheeger_degree returned."""
+    n, k, tol = ops.n, ops.k, ops.tol
+    lam = ops.laplacian_values
+    scan = _scan_boundaries(ops.graph, d, tol, keep_per_subset)
     argmin = mask_vertices(scan.argmin_mask, n)
     trace_bound = BoundReport.simple(
         "cheeger_trace_lower_bound",

@@ -36,7 +36,7 @@ from .graphgen import (
     iter_proper_colorings,
     proper_colorings,
 )
-from .graphs import BaseGraph, MatrixWeightedGraph, is_connected_edges, regularity
+from .graphs import BaseGraph, MatrixWeightedGraph, is_connected_edges
 from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, spectral_norm
 from .operators import assemble
 
@@ -208,7 +208,8 @@ class ExpanderReport:
 
 def eta(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> ExpanderReport:
     """Expansion constant: all nontrivial |mu| are at most d - eta."""
-    reg = regularity(G, tol)
+    ops = assemble(G, tol)
+    reg = ops.regularity
     if not reg.is_scalar_regular or reg.scalar_degree <= 0:
         raise NotScalarRegularError("eta requires dI-regularity with d > 0")
     d = float(reg.scalar_degree)
@@ -218,7 +219,7 @@ def eta(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> ExpanderReport
         if spectral_norm(w @ w - w) > tol.resid_tol * max(1.0, spectral_norm(w)):
             raise NotProjectionWeightsError(f"weight on edge {e} is not a projection")
         ranks.add(round(float(np.trace(w))))
-    mu = np.linalg.eigvalsh(assemble(G, tol).adjacency)[::-1]
+    mu = ops.adjacency_values[::-1]
     cluster = int(np.sum(np.abs(mu - d) <= tol.rank_rel_tol * d))
     nontrivial = mu[k:]
     hi = float(nontrivial[0])

@@ -184,17 +184,21 @@ def all_degrees(G: MatrixWeightedGraph) -> list[np.ndarray]:
 
 
 def regularity(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> Regularity:
-    geo = G.base.geometric_degrees()
-    degs = all_degrees(G)
-    if not degs:
-        return Regularity("scalar", np.zeros((G.k, G.k)), 0.0, geo)
-    scale = max(1.0, max(float(np.max(np.abs(d))) for d in degs))
+    degs = np.array(all_degrees(G)).reshape(G.base.n, G.k, G.k)
+    return _regularity(degs, G.base.geometric_degrees(), tol)
+
+
+def _regularity(degs: np.ndarray, geo: tuple[int, ...], tol: Tolerances) -> Regularity:
+    """The regularity test on the (n, k, k) stack of degree blocks D_v."""
+    k = degs.shape[1]
+    if not len(degs):
+        return Regularity("scalar", np.zeros((k, k)), 0.0, geo)
+    scale = max(1.0, float(np.max(np.abs(degs))))
     D0 = degs[0]
-    for d in degs[1:]:
-        if float(np.max(np.abs(d - D0))) > tol.resid_tol * scale:
-            return Regularity("irregular", None, None, geo)
-    d_scalar = float(np.trace(D0)) / G.k
-    if float(np.max(np.abs(D0 - d_scalar * np.eye(G.k)))) <= tol.resid_tol * max(1.0, abs(d_scalar)):
+    if float(np.max(np.abs(degs[1:] - D0), initial=0.0)) > tol.resid_tol * scale:
+        return Regularity("irregular", None, None, geo)
+    d_scalar = float(np.trace(D0)) / k
+    if float(np.max(np.abs(D0 - d_scalar * np.eye(k)))) <= tol.resid_tol * max(1.0, abs(d_scalar)):
         return Regularity("scalar", D0, d_scalar, geo)
     return Regularity("regular", D0, None, geo)
 

@@ -140,8 +140,14 @@ def _psd_verdicts(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, np.ndarr
     if sym.size == 0:
         return np.zeros(sym.shape[:2]), np.ones(len(sym), dtype=bool)
     values = np.linalg.eigvalsh(sym)
+    return values, _values_psd(values, psd_tol)
+
+
+def _values_psd(values: np.ndarray, psd_tol: float) -> np.ndarray:
+    """The is_psd verdict of every row of an (m, k) array of ascending
+    eigenvalues, k >= 1."""
     norm = np.maximum(np.abs(values[:, 0]), np.abs(values[:, -1]))
-    return values, values[:, 0] >= -psd_tol * np.maximum(1.0, norm)
+    return values[:, 0] >= -psd_tol * np.maximum(1.0, norm)
 
 
 def _psd_values(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, bool]:
@@ -212,8 +218,14 @@ def kernel_dim(m, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def _kernel_dim(sym: np.ndarray, tol: Tolerances) -> int:
-    values, psd = _psd_values(sym, tol.psd_tol)
-    if not psd:
+    return _checked_kernel_dim(np.linalg.eigvalsh(sym), tol)
+
+
+def _checked_kernel_dim(values: np.ndarray, tol: Tolerances) -> int:
+    """kernel_dim, PSD check included, from the ascending eigenvalues of a
+    symmetric matrix already solved, such as an ``OperatorBundle``'s
+    ``laplacian_values``."""
+    if values.size and not _values_psd(values[None], tol.psd_tol)[0]:
         raise NotPsdError("kernel_dim requires a PSD matrix")
     return kernel_dim_of_values(values, tol)
 

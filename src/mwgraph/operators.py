@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .graphs import MatrixWeightedGraph, Regularity, all_degrees, regularity
+from .graphs import MatrixWeightedGraph, Regularity, _regularity, all_degrees
 from .linalg import (DEFAULT_TOL, PSEUDO_SQRT_INV_NOT_PSD, Spectrum, Tolerances, _checked_psd,
                      _pseudo_sqrt_inv)
 
@@ -74,10 +74,12 @@ class OperatorBundle:
 
     A, L and D are placed by ``assemble``; the normalized operators and
     D^(+/2) are formed, with ``tol``, the first time one of them is read, and
-    so are ``trace_adjacency`` and ``regularity``.  ``graph`` is the graph they
-    were assembled from.  The spectral checks below and the mixing-lemma
-    checks in ``expansion`` read one bundle, so a caller assembles each graph
-    once.
+    so are ``trace_adjacency``, ``degree_blocks``, ``regularity`` and the
+    spectra ``laplacian_values`` and ``adjacency_values`` (one ``eigvalsh``
+    each, ascending).  ``graph`` is the graph they were assembled from.  The
+    spectral checks below, the mixing-lemma and Cheeger checks in
+    ``expansion``, the sheaf analysis and ``eta`` read one bundle, so a
+    caller assembles and solves each graph once.
     """
 
     adjacency: np.ndarray
@@ -93,11 +95,19 @@ class OperatorBundle:
         """Block-diagonal D^(+/2): every D_v^(+/2) from one stacked solve."""
         k, n = self.k, self.n
         v = np.arange(n)
-        blocks = self.degree.reshape(n, k, n, k)[v, :, v, :]
-        sym = _checked_psd(blocks, self.tol, lambda _: PSEUDO_SQRT_INV_NOT_PSD)
+        sym = _checked_psd(self.degree_blocks, self.tol, lambda _: PSEUDO_SQRT_INV_NOT_PSD)
         half = np.zeros_like(self.degree)
         half.reshape(n, k, n, k)[v, :, v, :] = _pseudo_sqrt_inv(sym, self.tol)
         return half
+
+    @cached_property
+    def degree_blocks(self) -> np.ndarray:
+        """The (n, k, k) stack of degree blocks D_v, as ``assemble`` summed them."""
+        k, n = self.k, self.n
+        v = np.arange(n)
+        blocks = np.ascontiguousarray(self.degree.reshape(n, k, n, k)[v, :, v, :])
+        blocks.setflags(write=False)
+        return blocks
 
     @cached_property
     def trace_adjacency(self) -> np.ndarray:
@@ -107,8 +117,22 @@ class OperatorBundle:
 
     @cached_property
     def regularity(self) -> Regularity:
-        """The graph's regularity under ``tol``."""
-        return regularity(self.graph, self.tol)
+        """The graph's regularity under ``tol``, tested on ``degree_blocks``."""
+        return _regularity(self.degree_blocks, self.graph.base.geometric_degrees(), self.tol)
+
+    @cached_property
+    def laplacian_values(self) -> np.ndarray:
+        """Eigenvalues of L, ascending."""
+        values = np.linalg.eigvalsh(self.laplacian)
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def adjacency_values(self) -> np.ndarray:
+        """Eigenvalues of A, ascending."""
+        values = np.linalg.eigvalsh(self.adjacency)
+        values.setflags(write=False)
+        return values
 
     @cached_property
     def lap_normalized(self) -> np.ndarray:
@@ -167,7 +191,7 @@ def check_laplacian_trace_bounds(ops: OperatorBundle) -> BoundReport:
     k, n = ops.k, ops.n
     if n < 2:
         return BoundReport.chain("laplacian_trace_bounds", [], note="vacuous for n < 2")
-    lam = np.linalg.eigvalsh(ops.laplacian)
+    lam = ops.laplacian_values
     A_tr = ops.trace_adjacency
     # row sums, not assemble's edge-order degree sums: the two differ in the last bit
     slam = np.linalg.eigvalsh(np.diag(A_tr.sum(axis=1)) - A_tr)
@@ -191,7 +215,7 @@ def check_adjacency_trace_bounds(ops: OperatorBundle) -> BoundReport:
     k, n = ops.k, ops.n
     if n < 1:
         return BoundReport.chain("adjacency_trace_bounds", [], note="vacuous for n < 1")
-    mu = np.linalg.eigvalsh(ops.adjacency)[::-1]
+    mu = ops.adjacency_values[::-1]
     smu = np.linalg.eigvalsh(ops.trace_adjacency)[::-1]
     top = float(np.sum(mu[:k]))
     bottom = float(np.sum(mu[(n - 1) * k:]))

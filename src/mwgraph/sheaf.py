@@ -16,9 +16,9 @@ import numpy as np
 from . import jsonio
 from .errors import DegenerateEdgeError, ParseError
 from .graphs import Edge, MatrixWeightedGraph
-from .linalg import (DEFAULT_TOL, Tolerances, as_symmetric, kernel_dim, kernel_dim_of_values,
-                     spectral_norm)
-from .operators import BoundReport, assemble
+from .linalg import (DEFAULT_TOL, Tolerances, _checked_kernel_dim, as_symmetric, kernel_dim,
+                     kernel_dim_of_values, spectral_norm)
+from .operators import BoundReport, OperatorBundle, assemble
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,20 @@ def global_sections(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> np
 def sheaf_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL
                    ) -> tuple[BoundReport, np.ndarray, int]:
     """verify_factorization, global_sections and kernel_dim(L), in that order,
-    from one assembly, one coboundary, one ||L|| and one eigensolve of L."""
-    L = assemble(G, tol).laplacian
-    delta = build_coboundary(G, tol=tol).matrix
-    return _factorization_report(L, delta, tol), _kernel_basis(delta, tol), kernel_dim(L, tol)
+    from one assembly, one coboundary, one ||L|| and one eigensolve of L.
+
+    kernel_dim(L) is read off the bundle's ``laplacian_values``: L is
+    assembled exactly symmetric, so this is the count, and the PSD check,
+    that kernel_dim(L) gives."""
+    return _sheaf_analysis(assemble(G, tol), tol)
+
+
+def _sheaf_analysis(ops: OperatorBundle, tol: Tolerances) -> tuple[BoundReport, np.ndarray, int]:
+    """sheaf_analysis of an assembled graph under ``tol``, which may differ
+    from the bundle's own in ``resid_tol``."""
+    delta = build_coboundary(ops.graph, tol=tol).matrix
+    return (_factorization_report(ops.laplacian, delta, tol), _kernel_basis(delta, tol),
+            _checked_kernel_dim(ops.laplacian_values, tol))
 
 
 # --- trusses ---------------------------------------------------------------

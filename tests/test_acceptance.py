@@ -45,21 +45,53 @@ def test_a3_trace_bounds(suite):
     assert result.details["lift_equality_gap"] <= 1e-8
 
 
-def test_a3_one_assembly_per_graph(suite, monkeypatch):
-    from mwgraph import acceptance, operators
-    graphs = len(suite.members)
-    assembled = count_calls(monkeypatch, "assemble", acceptance, operators)
-    assert suite.a3_trace_bounds().passed
-    assert len(assembled) == graphs
-
-
-def test_a3_one_trace_graph_per_graph(suite, monkeypatch):
-    # both trace checks read the bundle's trace adjacency; only n = 0 skips both
+@pytest.fixture(scope="module")
+def pass_calls(suite):
+    """Calls made by one shared A2-A7 pass over the suite's corpus, built
+    beforehand so that only the pass is counted."""
+    from mwgraph import acceptance, expansion, frames, graphs, linalg, operators, sheaf
     from mwgraph.operators import OperatorBundle
-    nonempty = sum(1 for G in suite.members if G.base.n >= 1)
-    traced = count_calls(monkeypatch, "func", OperatorBundle.__dict__["trace_adjacency"])
+    suite.members
+    with pytest.MonkeyPatch.context() as mp:
+        calls = {
+            "assemble": count_calls(mp, "assemble", acceptance, expansion, operators, sheaf),
+            # every regularity test, graphs.regularity's or a bundle's
+            "regularity": count_calls(mp, "_regularity", graphs, operators),
+            "trace_adjacency": count_calls(mp, "func",
+                                           OperatorBundle.__dict__["trace_adjacency"]),
+            "build_coboundary": count_calls(mp, "build_coboundary", sheaf),
+            "as_symmetric": count_calls(mp, "as_symmetric", linalg, sheaf, frames),
+        }
+        acceptance._CorpusPass(suite)
+    return {name: len(made) for name, made in calls.items()}
+
+
+def test_a3_one_assembly_per_graph(suite, pass_calls):
+    # one assembly and one regularity test per member serve A2-A7
     assert suite.a3_trace_bounds().passed
-    assert len(traced) == nonempty
+    graphs = len(suite.members)
+    assert (pass_calls["assemble"], pass_calls["regularity"]) == (graphs, graphs)
+
+
+def test_a3_one_trace_graph_per_graph(suite, pass_calls):
+    # the trace checks, A5 and A6 read the bundle's one trace adjacency
+    assert suite.a3_trace_bounds().passed
+    assert pass_calls["trace_adjacency"] == len(suite.members)
+
+
+def test_corpus_and_a2_to_a7_assembly_counts(monkeypatch):
+    # the pass, A2's two attainment graphs and A6's K2; at seed 0 the corpus
+    # has the irregular graphs A6 needs, so A6 draws and assembles no fresh one
+    from mwgraph import acceptance, graphs, operators
+    assembled = count_calls(monkeypatch, "assemble", acceptance, operators)
+    classified = count_calls(monkeypatch, "_regularity", graphs, operators)
+    fresh = Suite(seed=0)
+    for criterion in (fresh.a2_normalized_bound, fresh.a3_trace_bounds,
+                      fresh.a4_sheaf_factorization, fresh.a5_regular_eml,
+                      fresh.a6_irregular_eml, fresh.a7_cheeger_lower_bounds):
+        assert criterion().passed
+    assert len(fresh.members) == 1626
+    assert (len(assembled), len(classified)) == (1629, 1626)
 
 
 def test_a4_sheaf_factorization(suite):
@@ -68,16 +100,14 @@ def test_a4_sheaf_factorization(suite):
     assert result.details["h0_matches_kernel"]
 
 
-def test_a4_one_analysis_per_graph(suite, monkeypatch):
-    from mwgraph import acceptance, frames, linalg, sheaf
-    graphs = len(suite.members)
-    assembled = count_calls(monkeypatch, "assemble", acceptance, sheaf)
-    built = count_calls(monkeypatch, "build_coboundary", sheaf)
-    # one symmetrization per graph, of L in kernel_dim; the coboundary
-    # factors the stored weights, which from_weights symmetrized already
-    symmetrized = count_calls(monkeypatch, "as_symmetric", linalg, sheaf, frames)
+def test_a4_one_analysis_per_graph(suite, pass_calls):
+    # the sheaf analysis reads the pass's bundle; kernel_dim(L) comes from its
+    # laplacian_values and the coboundary factors the stored weights, which
+    # from_weights symmetrized already, so nothing is symmetrized again
     assert suite.a4_sheaf_factorization().passed
-    assert (len(assembled), len(built), len(symmetrized)) == (graphs, graphs, graphs)
+    graphs = len(suite.members)
+    assert (pass_calls["assemble"], pass_calls["build_coboundary"],
+            pass_calls["as_symmetric"]) == (graphs, graphs, 0)
 
 
 def test_a5_regular_eml(suite):

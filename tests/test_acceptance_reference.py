@@ -1,0 +1,195 @@
+"""The corpus criteria A2-A7 against their per-criterion loops.
+
+The suite makes one pass over the corpus for A2-A7, with one assembly per
+member.  The loops below are the criteria as they ran before, each walking
+the corpus on its own through the public functions; the pass must report the
+same details, floats equal with ==, and the same first error per criterion.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from mwgraph.acceptance import (
+    CHECK_TOL,
+    EXACT_TOL,
+    CriterionResult,
+    Suite,
+    atlas_lift_graphs,
+    complete_bipartite,
+    random_graph,
+    unit_scalar_graph,
+)
+from mwgraph.errors import MwgError, SingularVolumeError
+from mwgraph.expansion import (
+    check_cheeger_lower_bounds,
+    eml_irregular,
+    eml_irregular_pairs,
+    eml_regular_exhaustive,
+    irregular_context,
+)
+from mwgraph.graphs import BaseGraph, MatrixWeightedGraph, lift_identity, regularity
+from mwgraph.linalg import Tolerances
+from mwgraph.operators import (
+    assemble,
+    check_adjacency_trace_bounds,
+    check_laplacian_trace_bounds,
+    check_normalized_bound,
+)
+from mwgraph.sheaf import sheaf_analysis
+
+
+def scalar_regular_members(suite):
+    return [G for G in suite.members
+            if regularity(G, suite.tol).is_scalar_regular and G.base.n <= 8]
+
+
+def reference_a2(suite):
+    worst = -np.inf
+    for G in suite.members:
+        report = check_normalized_bound(assemble(G, suite.tol))
+        worst = max(worst, float(report.lhs))
+    attain = {}
+    for name, base in (("k2", BaseGraph.from_edges(2, [(0, 1)])),
+                       ("k33", complete_bipartite(3, 3))):
+        G = lift_identity(unit_scalar_graph(base.n, base.edges), 2)
+        report = check_normalized_bound(assemble(G, suite.tol))
+        attain[name] = bool(report.context["attained"])
+    passed = worst <= 2.0 + CHECK_TOL and attain["k2"] and attain["k33"]
+    return passed, {"graphs": len(suite.members), "max_lambda": worst,
+                    "k2_attained": attain["k2"], "k33_attained": attain["k33"]}
+
+
+def reference_a3(suite):
+    worst = np.inf
+    lift_equality_gap = 0.0
+    lifts = {id(G) for G in suite.lift_graphs}
+    for G in suite.members:
+        ops = assemble(G, suite.tol)
+        lap = check_laplacian_trace_bounds(ops)
+        adj = check_adjacency_trace_bounds(ops)
+        worst = min(worst, lap.slack, adj.slack)
+        if id(G) not in lifts or G.base.n < 2:
+            continue
+        gap = max(abs(lap.context["sum_low"] - lap.context["lambda2_trace"]),
+                  abs(lap.context["sum_high"] - lap.context["lambdan_trace"]),
+                  abs(adj.context["sum_top"] - adj.context["mu1_trace"]),
+                  abs(adj.context["sum_bottom"] - adj.context["mun_trace"]))
+        lift_equality_gap = max(lift_equality_gap, gap)
+    passed = worst >= -CHECK_TOL and lift_equality_gap <= CHECK_TOL
+    return passed, {"graphs": len(suite.members), "min_slack": float(worst),
+                    "lift_equality_gap": float(lift_equality_gap)}
+
+
+def reference_a4(suite):
+    tol = dataclasses.replace(suite.tol, resid_tol=1e-9)
+    worst_ratio = 0.0
+    dims_match = True
+    for G in suite.members:
+        report, sections, kdim = sheaf_analysis(G, tol)
+        worst_ratio = max(worst_ratio, float(report.lhs) / float(report.rhs))
+        dims_match = dims_match and sections.shape[1] == kdim
+    passed = worst_ratio <= 1.0 and dims_match
+    return passed, {"graphs": len(suite.members), "worst_residual_ratio": worst_ratio,
+                    "h0_matches_kernel": dims_match}
+
+
+def reference_a5(suite):
+    worst = np.inf
+    count = 0
+    for G in scalar_regular_members(suite):
+        report = eml_regular_exhaustive(assemble(G, suite.tol))
+        worst = min(worst, report.slack)
+        count += 1
+    passed = count > 0 and worst >= -CHECK_TOL
+    return passed, {"graphs": count, "min_slack": float(worst)}
+
+
+def reference_a6(suite, graphs_needed=500, pairs_each=200):
+    rng = np.random.default_rng(suite.seed + 1)
+    candidates = []
+    fresh = (random_graph(rng) for _ in itertools.count())
+    for G in itertools.chain(suite.random_graphs, fresh):
+        if regularity(G, suite.tol).kind != "irregular":
+            continue
+        try:
+            ctx = irregular_context(assemble(G, suite.tol))
+        except SingularVolumeError:
+            continue
+        candidates.append((G, ctx))
+        if len(candidates) >= graphs_needed:
+            break
+    worst = np.inf
+    for G, ctx in candidates:
+        n = G.base.n
+        ind_S = (rng.random((pairs_each, n)) < 0.5).astype(float)
+        ind_T = (rng.random((pairs_each, n)) < 0.5).astype(float)
+        lhs, rhs = eml_irregular_pairs(ctx, ind_S, ind_T)
+        worst = min(worst, float(np.min(rhs - lhs)))
+    k2 = MatrixWeightedGraph.from_weights(2, 1, [(0, 1, np.array([[1.0]]))])
+    report = eml_irregular(assemble(k2, suite.tol), [0], [1])
+    k2_gap = max(abs(float(report.lhs) - 0.5), abs(float(report.rhs) - 0.5))
+    passed = worst >= -CHECK_TOL and k2_gap <= EXACT_TOL
+    return passed, {"graphs": len(candidates), "pairs_each": pairs_each,
+                    "min_slack": float(worst), "k2_equality_gap": float(k2_gap)}
+
+
+def reference_a7(suite):
+    worst = np.inf
+    count = 0
+    for G in scalar_regular_members(suite):
+        reg = regularity(G, suite.tol)
+        if reg.scalar_degree <= 0 or G.base.n < 2:
+            continue
+        trace_report, loewner_report = check_cheeger_lower_bounds(G, suite.tol)
+        worst = min(worst, trace_report.slack, loewner_report.slack)
+        count += 1
+    passed = count > 0 and worst >= -CHECK_TOL
+    return passed, {"graphs": count, "min_slack": float(worst)}
+
+
+REFERENCES = {"A2": reference_a2, "A3": reference_a3, "A4": reference_a4,
+              "A5": reference_a5, "A6": reference_a6, "A7": reference_a7}
+
+
+def outcome(fn, *args):
+    """(passed, details) as Suite.run reports them, errors included."""
+    try:
+        result = fn(*args)
+    except MwgError as exc:
+        return False, {"error": f"{type(exc).__name__}: {exc}"}
+    if isinstance(result, CriterionResult):
+        return result.passed, result.details
+    return result
+
+
+@pytest.mark.parametrize("make_suite", [
+    lambda: Suite(seed=0, random_count=100),
+    lambda: Suite(Tolerances(psd_tol=1e-30), random_count=20),
+], ids=["seed0-100", "psd_tol-1e-30"])
+def test_shared_pass_matches_per_criterion_loops(make_suite):
+    suite, reference_suite = make_suite(), make_suite()
+    criteria = {"A2": suite.a2_normalized_bound, "A3": suite.a3_trace_bounds,
+                "A4": suite.a4_sheaf_factorization, "A5": suite.a5_regular_eml,
+                "A6": suite.a6_irregular_eml, "A7": suite.a7_cheeger_lower_bounds}
+    for cid, criterion in criteria.items():
+        assert outcome(criterion) == outcome(REFERENCES[cid], reference_suite), cid
+
+
+def test_atlas_lifts_match_identity_lifts():
+    # the k = 1 members are the scalar graphs themselves, not lift_identity
+    # copies of them; every weight keeps its bits
+    import networkx as nx
+    expected = []
+    for g in nx.graph_atlas_g():
+        if 1 <= g.number_of_nodes() <= 6:
+            scalar = unit_scalar_graph(g.number_of_nodes(), g.edges())
+            expected += [lift_identity(scalar, k) for k in (1, 2, 3)]
+    lifts = atlas_lift_graphs()
+    assert len(lifts) == len(expected) == 624
+    for G, H in zip(lifts, expected):
+        assert (G.base, G.k) == (H.base, H.k)
+        assert list(G.weights) == list(H.weights)
+        assert all(G.weights[e].tobytes() == H.weights[e].tobytes() for e in G.weights)

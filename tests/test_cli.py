@@ -112,7 +112,8 @@ def test_eml_exhaustive(k4_abc_file, capsys):
 def test_eml_assembles_once(k4_abc_file, capsys, monkeypatch, mode):
     from mwgraph import cli, expansion, graphs, operators
     assembled = count_calls(monkeypatch, "assemble", cli, expansion)
-    classified = count_calls(monkeypatch, "regularity", cli, expansion, graphs, operators)
+    # every regularity test, graphs.regularity's or a bundle's, runs _regularity
+    classified = count_calls(monkeypatch, "_regularity", graphs, operators)
     assert main(["--format", "json", "eml", str(k4_abc_file), *mode]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["regular"] is not None and report["irregular"] is not None
@@ -312,9 +313,13 @@ def test_verify_paper_overtight_tolerance_flags_cause(capsys):
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["all_passed"] is False
-    flagged = [c for c in report["criteria"] if not c["passed"] and "error" in c["details"]]
-    assert flagged
-    assert any("NotPsd" in c["details"]["error"] for c in flagged)
+    # each criterion is flagged with its own cause; the others still pass
+    failed = {c["id"]: c["details"]["error"].split(":")[0]
+              for c in report["criteria"] if not c["passed"]}
+    assert failed == {cid: "NotPsdError" for cid in
+                      ("A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A11")}
+    passed = [c["id"] for c in report["criteria"] if c["passed"]]
+    assert passed == ["A1", "A10", "A12"]
 
 
 def test_tolerance_override_rejects_marginal_psd(tmp_path, capsys):

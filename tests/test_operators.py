@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from mwgraph.errors import NonFiniteError
-from mwgraph.graphs import MatrixWeightedGraph, lift_identity, regularity
-from mwgraph.linalg import DEFAULT_TOL, kernel_dim
+from mwgraph.acceptance import Suite
+from mwgraph.errors import NonFiniteError, SingularVolumeError
+from mwgraph.expansion import irregular_context
+from mwgraph.graphs import MatrixWeightedGraph, Regularity, all_degrees, lift_identity, regularity
+from mwgraph.linalg import DEFAULT_TOL, Tolerances, kernel_dim
 from mwgraph.operators import (
     BoundReport,
     adjacency_spectrum,
@@ -290,3 +292,69 @@ def test_normalized_operators_reject_overflowing_degree():
             with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
                 getattr(assemble(G), name)
             assert str(err.value) == "matrix contains NaN or Inf entries"
+
+
+# --- the bundle's regularity, degree blocks and spectra ----------------------
+
+
+def reference_regularity(G, tol):
+    """The regularity test as a loop over the per-vertex degree list."""
+    geo = G.base.geometric_degrees()
+    degs = all_degrees(G)
+    if not degs:
+        return Regularity("scalar", np.zeros((G.k, G.k)), 0.0, geo)
+    scale = max(1.0, max(float(np.max(np.abs(d))) for d in degs))
+    D0 = degs[0]
+    for d in degs[1:]:
+        if float(np.max(np.abs(d - D0))) > tol.resid_tol * scale:
+            return Regularity("irregular", None, None, geo)
+    d_scalar = float(np.trace(D0)) / G.k
+    if float(np.max(np.abs(D0 - d_scalar * np.eye(G.k)))) <= tol.resid_tol * max(1.0, abs(d_scalar)):
+        return Regularity("scalar", D0, d_scalar, geo)
+    return Regularity("regular", D0, None, geo)
+
+
+def _same_regularity(a, b):
+    same_matrix = (a.degree_matrix is None and b.degree_matrix is None) or (
+        a.degree_matrix is not None and b.degree_matrix is not None
+        and a.degree_matrix.tobytes() == b.degree_matrix.tobytes())
+    return (a.kind, a.scalar_degree, a.geometric_degrees) == (
+        b.kind, b.scalar_degree, b.geometric_degrees) and same_matrix
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(resid_tol=0.0),
+                                 Tolerances(resid_tol=0.5)])
+def test_regularity_bitwise_on_corpus(rng, tol):
+    # the verify-paper corpus (random, atlas-lift and frame-built members)
+    # plus edgeless, single-vertex and empty graphs
+    graphs = Suite(seed=0, random_count=100).members
+    graphs += [MatrixWeightedGraph.from_weights(n, k, items)
+               for n, k, items in block_corpus_items(rng)]
+    kinds = set()
+    for G in graphs:
+        expected = reference_regularity(G, tol)
+        kinds.add(expected.kind)
+        ops = assemble(G, tol)
+        assert _same_regularity(regularity(G, tol), expected)
+        assert _same_regularity(ops.regularity, expected)
+        blocks = np.array(all_degrees(G)).reshape(G.base.n, G.k, G.k)
+        assert ops.degree_blocks.tobytes() == blocks.tobytes()
+        if ops.regularity.kind == "irregular":
+            try:
+                ctx = irregular_context(ops)
+            except SingularVolumeError:
+                continue
+            assert ctx.deg_stack.tobytes() == blocks.tobytes()
+            assert ctx.vol_inv.tobytes() == np.linalg.inv(blocks.sum(axis=0)).tobytes()
+    assert kinds == {"scalar", "regular", "irregular"}
+
+
+def test_bundle_spectra_are_one_eigvalsh_each(monkeypatch):
+    ops = assemble(k4_abc_mwg())
+    solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    for _ in range(2):
+        assert ops.laplacian_values.tobytes() == np.linalg.eigvalsh(ops.laplacian).tobytes()
+        assert ops.adjacency_values.tobytes() == np.linalg.eigvalsh(ops.adjacency).tobytes()
+    # two cached solves, plus the four made here to compare against
+    assert len(solves) == 6
+    assert not ops.laplacian_values.flags.writeable

@@ -250,7 +250,9 @@ def test_sheaf_analysis_builds_once(monkeypatch):
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     sym = count_calls(monkeypatch, "as_symmetric", linalg, sheaf)
     sheaf_analysis(G)
-    assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 2, 1, 1)
+    # kernel_dim(L) reads the bundle's laplacian_values: L is assembled
+    # exactly symmetric, so it needs no as_symmetric
+    assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 2, 1, 0)
 
 
 # --- trusses -----------------------------------------------------------------
