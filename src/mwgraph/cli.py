@@ -249,7 +249,7 @@ def cmd_spectrum(args, tol: Tolerances) -> int:
     ops = assemble(G, tol)
     lap = laplacian_spectrum(ops)
     adj = adjacency_spectrum(ops)
-    reg = regularity(G, tol)
+    reg = ops.regularity
     bound = check_normalized_bound(ops)
     report = {
         "n": G.base.n,

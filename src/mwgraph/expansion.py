@@ -11,10 +11,14 @@ Two conventions pinned here:
 The Cheeger scan visits each {S, V-S} pair once, as the subset S that
 contains vertex 0, in increasing bitmask order, and breaks argmin ties by
 smallest bitmask.  It computes every boundary E(S, V-S) directly, as the sum
-of W_e over the crossing edges in edge order, so each per-subset matrix, the
-trace constant, alpha and the boundary ranks are bitwise those of
-cheeger_ratios on the same subset: no sum carries over from one subset to
-the next.
+of W_e over the crossing edges in edge order, so each per-subset matrix and
+the trace constant are bitwise those of cheeger_ratios on the same subset:
+no sum carries over from one subset to the next.  Only the boundaries that
+cheap eigenvalue bounds cannot rule out reach eigvalsh: those that might
+set or tie alpha, or fall below rank k.  Every other boundary provably
+returns, from eigvalsh, a lambda_min above alpha and rank k, so alpha and
+the minimum boundary rank are still bitwise what eigvalsh on every
+cheeger_ratios matrix gives (see _scan_boundaries).
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ from .operators import CHECK_TOL, BoundReport, OperatorBundle, assemble
 
 EML_EXHAUSTIVE_MAX_N = 8
 CHEEGER_EXHAUSTIVE_MAX_N = 20
-# subsets per batch of the Cheeger scan: big enough to amortize the numpy
-# calls, small enough to keep the working arrays a few hundred KiB
-SCAN_CHUNK = 1024
+# low vertices per block of the Cheeger scan: a block's 2^(SCAN_BITS - 1)
+# subsets are enough to amortize the numpy calls, few enough to keep the
+# working arrays a few hundred KiB; each block sends to eigvalsh only the
+# boundaries whose bounds leave alpha or the rank in doubt
+SCAN_BITS = 11
 
 
 # --- vertex subsets ---------------------------------------------------------
@@ -314,48 +320,97 @@ class _BoundaryScan:
 def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
                      keep_per_subset: bool) -> _BoundaryScan:
     """Scan of all subsets mod complementation: the odd masks 1, 3, ...,
-    2^n - 3 in increasing order, SCAN_CHUNK at a time.
+    2^n - 3 in increasing order, one block of 2^(b-1) masks at a time.
 
-    Each boundary E(S, V-S) is the sum of W_e over the crossing edges in edge
-    order, so every result is bitwise what cheeger_ratios gives for the same
-    subset.
+    In a block the b = min(SCAN_BITS, n) low bits vary and the high bits are
+    fixed, so an edge crosses the block's subsets along a row built once per
+    scan, along that row's complement, along all of them or along none.  Each
+    boundary E(S, V-S) is the sum of W_e over the crossing edges in edge
+    order, so h(S) and the trace constant are bitwise what cheeger_ratios
+    gives for the same subset.
+
+    alpha and the ranks come from eigvalsh on the same h(S), but only for
+    the subsets whose cheap bounds leave them in doubt.  For eigenvalues
+    l_1 <= ... <= l_k of a symmetric h, l_1 <= min_i h_ii, l_k <=
+    min(||h||_F, max row abs-sum) and l_1 >= tr h - (k - 1) l_k.  Each bound
+    is widened by a margin of 2^-30 k^3 ||h||_F = 2^23 k^3 u ||h||_F, with
+    u = 2^-53.  The bounds' own rounding is a small multiple of
+    k^3.5 u ||h||_F, and eigvalsh is backward stable, so its values lie
+    within a modest polynomial in k times u ||h||_2 of the exact ones; the
+    margin exceeds both by orders of magnitude for any k, so the widened
+    bounds hold for the values eigvalsh would return.  A subset skips
+    eigvalsh only when its lower bound exceeds an upper bound on alpha, so
+    that it can neither set nor tie alpha, and when the rank rule, applied
+    to its bounds in the same monotone arithmetic, gives rank k.  A subset
+    whose ||h||_F^2 is near underflow, where the norm loses its relative
+    accuracy, is always solved and bounds nothing.
     """
     n, k = G.base.n, G.k
-    ends = np.array(list(G.weights), dtype=np.int64).reshape(-1, 2).T
-    W_flat = np.array(list(G.weights.values()), dtype=float).reshape(-1, k * k)
-    count = (1 << (n - 1)) - 1
+    b = min(SCAN_BITS, n)
+    low = 2 * np.arange(1 << (b - 1), dtype=np.int64) + 1
+    # vertex-major bits of the low masks; the rows of the high vertices are 0
+    bits = _mask_bits(low, n).T
+    low_size = bits.sum(axis=0)
+    # each edge's crossing row when its high ends (those >= b) lie on one
+    # side of S, as 0/1 floats, and its complement for when they are split
+    ends = np.array(list(G.weights), dtype=np.int64).reshape(-1, 2)
+    cross = bits[ends[:, 0]] != bits[ends[:, 1]]
+    # per edge: W_e as a column, its high ends as a mask of high bits, and
+    # its rows for an even and an odd number of those in S; an edge with
+    # both ends high crosses no subset of a block or all of them
+    terms = [(w.reshape(-1, 1), (1 << u | 1 << v) >> b, None if u >= b else even, odd)
+             for ((u, v), w), even, odd in zip(G.weights.items(), cross.astype(float),
+                                                (~cross).astype(float))]
+    margin_rel = 2.0 ** -30 * k ** 3
+    smallest_sq = np.finfo(float).tiny / np.finfo(float).eps
     best_tr, best_mask = np.inf, 0
     alpha = np.inf
     min_rank = k
     per: dict[tuple[int, ...], np.ndarray] | None = {} if keep_per_subset else None
-    for lo in range(0, count, SCAN_CHUNK):
-        masks = 2 * np.arange(lo, min(lo + SCAN_CHUNK, count), dtype=np.int64) + 1
-        bits = _mask_bits(masks, n)
-        crossing = bits.T[ends[0]] != bits.T[ends[1]]
-        # edge-major (k*k, chunk) sums, so each add runs over contiguous rows;
-        # a non-crossing edge adds +-0.0, which leaves the bits of every sum
-        # alone, since a sum that starts at +0.0 never becomes -0.0
-        E = np.zeros((k * k, masks.size))
-        for w, cross in zip(W_flat, crossing):
-            E += w[:, None] * cross
-        E = E.T.reshape(-1, k, k)
-        size = bits.sum(axis=1)
+    blocks = 1 << (n - b)
+    for hi in range(blocks):
+        # the last block's last mask is V itself (its only one when b = 1)
+        count = low.size - (hi == blocks - 1)
+        if not count:
+            break
+        # edge-major (k*k, block) sums, so each add runs over contiguous
+        # rows; an edge that crosses no subset of the block is skipped, as
+        # adding +-0.0 would leave the bits of every sum alone
+        E = np.zeros((k * k, low.size))
+        for w, high, even, odd in terms:
+            row = odd if (hi & high).bit_count() & 1 else even
+            if row is not None:
+                E += w * row
+        E = E[:, :count].T.reshape(-1, k, k)
+        size = low_size[:count] + hi.bit_count()
         denom = d * np.minimum(size, n - size)
         tr = np.trace(E, axis1=1, axis2=2) / denom
         h = E / denom[:, None, None]
-        values = np.linalg.eigvalsh(h)
-        rank_cut = tol.rank_rel_tol * np.maximum(1.0, values[:, -1] * denom)
-        rank = np.sum(values * denom[:, None] > rank_cut[:, None], axis=1)
-        # first minimum of the chunk, as the one-at-a-time min would keep it
-        lam_min = values[:, 0]
-        alpha = min(alpha, float(lam_min[np.argmin(lam_min)]))
-        min_rank = min(min_rank, int(rank.min()))
         # masks increase, so the first minimum is the smallest tied mask
-        low = int(np.argmin(tr))
-        if tr[low] < best_tr:
-            best_tr, best_mask = float(tr[low]), int(masks[low])
+        first = int(np.argmin(tr))
+        if tr[first] < best_tr:
+            best_tr, best_mask = float(tr[first]), (hi << b) | int(low[first])
+        sq = np.einsum("mij,mij->m", h, h)
+        # a norm near underflow has lost its relative accuracy: no bounds
+        sound = sq >= smallest_sq
+        fro = np.sqrt(np.where(sound, sq, 0.0))
+        margin = margin_rel * fro
+        top = np.minimum(fro, np.abs(h).sum(axis=2).max(axis=1)) + margin
+        lower = tr - (k - 1) * top - margin
+        upper = np.where(sound, h.diagonal(axis1=1, axis2=2).min(axis=1) + margin, np.inf)
+        rank_cut = tol.rank_rel_tol * np.maximum(1.0, top * denom)
+        doubt = ~sound | (lower <= min(alpha, float(upper.min()))) | ~(lower * denom > rank_cut)
+        if doubt.any():
+            values = np.linalg.eigvalsh(h[doubt])
+            scale = denom[doubt]
+            rank_cut = tol.rank_rel_tol * np.maximum(1.0, values[:, -1] * scale)
+            rank = np.sum(values * scale[:, None] > rank_cut[:, None], axis=1)
+            # first minimum of the block, as the one-at-a-time min would keep it
+            lam_min = values[:, 0]
+            alpha = min(alpha, float(lam_min[np.argmin(lam_min)]))
+            min_rank = min(min_rank, int(rank.min()))
         if per is not None:
-            for mask, hm in zip(masks.tolist(), h):
+            for mask, hm in zip(((hi << b) | low[:count]).tolist(), h):
                 per[mask_vertices(mask, n)] = hm
     return _BoundaryScan(best_tr, best_mask, float(alpha), min_rank, per)
 

@@ -56,6 +56,14 @@ def test_spectrum_assembles_once(k4_abc_file, capsys, monkeypatch):
     assert len(assembled) == 1
 
 
+def test_spectrum_sums_degrees_once(k4_abc_file, capsys, monkeypatch):
+    # assemble sums the degree blocks; the regularity report reads them back
+    from mwgraph import graphs, operators
+    summed = count_calls(monkeypatch, "all_degrees", graphs, operators)
+    assert main(["--format", "json", "spectrum", str(k4_abc_file)]) == 0
+    assert len(summed) == 1
+
+
 def test_spectrum_empty_graph(tmp_path, capsys):
     G = MatrixWeightedGraph.from_weights(3, 2, [])
     path = tmp_path / "empty.json"

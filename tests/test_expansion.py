@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from mwgraph.errors import (
 from mwgraph import expansion
 from mwgraph.expansion import (
     CHEEGER_EXHAUSTIVE_MAX_N,
-    SCAN_CHUNK,
+    SCAN_BITS,
+    _BoundaryScan,
     _indicators,
+    _mask_bits,
     _scan_boundaries,
     cheeger_constants,
     cheeger_ratios,
@@ -365,8 +368,14 @@ def test_cheeger_constants_k2_lift():
 
 
 def test_cheeger_constants_disconnected_zero():
-    G = lift_identity(unit_graph(4, [(0, 1), (2, 3)]), 2)
-    assert cheeger_constants(G).h_trace == pytest.approx(0.0)
+    for k in (1, 2):
+        G = lift_identity(unit_graph(4, [(0, 1), (2, 3)]), k)
+        # a zero boundary has no norm to bound it by, and raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cheeger_constants(G)
+        assert report.h_trace == pytest.approx(0.0)
+        assert report.h_loewner_alpha == 0.0
 
 
 def _k44_frame_expander():
@@ -476,17 +485,31 @@ def assert_scan_matches_reference(G):
     assert list(scan.per_subset) == list(per)
     for S, h in per.items():
         assert scan.per_subset[S].tobytes() == h.tobytes()
+    return scan
 
 
-@pytest.mark.parametrize("chunk", [1, 3, SCAN_CHUNK])
-def test_chunked_scan_is_bitwise_the_per_subset_loop(chunk, monkeypatch):
-    monkeypatch.setattr(expansion, "SCAN_CHUNK", chunk)
-    rng = np.random.default_rng(2009 + chunk)
+def scaled(G, factor):
+    """G with every weight multiplied by factor."""
+    return MatrixWeightedGraph.from_weights(
+        G.base.n, G.k, [(u, v, factor * w) for (u, v), w in G.weights.items()])
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4, SCAN_BITS])
+def test_chunked_scan_is_bitwise_the_per_subset_loop(bits, monkeypatch):
+    # weights scaled by a power of two leave every h(S) bitwise unscaled; the
+    # rank rule's max(1, .) floor still sees the scale, so min_rank is checked
+    # against the per-subset loop at each scale: at 2^-40 the floor zeroes
+    # every rank, at 2^-34 only those of some boundaries far above alpha
+    monkeypatch.setattr(expansion, "SCAN_BITS", bits)
+    rng = np.random.default_rng(2009 + bits)
     for n in range(2, 11):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             G = random_scalar_regular(rng, n, k)
             assert regularity(G).is_scalar_regular
-            assert_scan_matches_reference(G)
+            unscaled = assert_scan_matches_reference(G).per_subset
+            for factor in (2.0 ** -40, 2.0 ** -34, 2.0 ** 40):
+                per = assert_scan_matches_reference(scaled(G, factor)).per_subset
+                assert all(per[S].tobytes() == h.tobytes() for S, h in unscaled.items())
 
 
 def scan_bytes(G, d):
@@ -497,8 +520,8 @@ def scan_bytes(G, d):
 
 
 def test_chunked_scan_is_independent_of_chunk_size(monkeypatch):
-    # the n = 7 graphs have 63 subsets: chunks of 3 and 21 split them
-    # evenly, 16 does not, and 64 and the default take them all at once
+    # the n = 7 graphs have 63 subsets: blocks of 1, 2 and 8 masks split
+    # them, and the default takes them all at once
     n = 7
     rng = np.random.default_rng(7)
     graphs = [random_scalar_regular(rng, n, k) for k in (1, 2, 3)]
@@ -506,15 +529,61 @@ def test_chunked_scan_is_independent_of_chunk_size(monkeypatch):
     for G in graphs:
         d = regularity(G).scalar_degree
         results = []
-        for chunk in (1, 3, 16, 21, 64, SCAN_CHUNK):
-            monkeypatch.setattr(expansion, "SCAN_CHUNK", chunk)
+        for bits in (1, 2, 4, SCAN_BITS):
+            monkeypatch.setattr(expansion, "SCAN_BITS", bits)
             results.append(scan_bytes(G, d))
         assert all(res == results[0] for res in results[1:])
 
 
-def test_scan_trace_is_exact_at_the_size_limit():
-    # n = 20, the exhaustive limit: an equiangular3 weighting of a random
-    # cubic graph, whose argmin trace must be the definition's own bits
+SCAN_CHUNK = 1024
+
+
+def chunked_scan(G, d, tol, keep_per_subset):
+    """The scan as it was before blocks: every chunk rebuilds its subsets'
+    bits and crossing rows, and every boundary goes to eigvalsh."""
+    n, k = G.base.n, G.k
+    ends = np.array(list(G.weights), dtype=np.int64).reshape(-1, 2).T
+    W_flat = np.array(list(G.weights.values()), dtype=float).reshape(-1, k * k)
+    count = (1 << (n - 1)) - 1
+    best_tr, best_mask = np.inf, 0
+    alpha = np.inf
+    min_rank = k
+    per: dict[tuple[int, ...], np.ndarray] | None = {} if keep_per_subset else None
+    for lo in range(0, count, SCAN_CHUNK):
+        masks = 2 * np.arange(lo, min(lo + SCAN_CHUNK, count), dtype=np.int64) + 1
+        bits = _mask_bits(masks, n)
+        crossing = bits.T[ends[0]] != bits.T[ends[1]]
+        # edge-major (k*k, chunk) sums, so each add runs over contiguous rows;
+        # a non-crossing edge adds +-0.0, which leaves the bits of every sum
+        # alone, since a sum that starts at +0.0 never becomes -0.0
+        E = np.zeros((k * k, masks.size))
+        for w, cross in zip(W_flat, crossing):
+            E += w[:, None] * cross
+        E = E.T.reshape(-1, k, k)
+        size = bits.sum(axis=1)
+        denom = d * np.minimum(size, n - size)
+        tr = np.trace(E, axis1=1, axis2=2) / denom
+        h = E / denom[:, None, None]
+        values = np.linalg.eigvalsh(h)
+        rank_cut = tol.rank_rel_tol * np.maximum(1.0, values[:, -1] * denom)
+        rank = np.sum(values * denom[:, None] > rank_cut[:, None], axis=1)
+        # first minimum of the chunk, as the one-at-a-time min would keep it
+        lam_min = values[:, 0]
+        alpha = min(alpha, float(lam_min[np.argmin(lam_min)]))
+        min_rank = min(min_rank, int(rank.min()))
+        # masks increase, so the first minimum is the smallest tied mask
+        low = int(np.argmin(tr))
+        if tr[low] < best_tr:
+            best_tr, best_mask = float(tr[low]), int(masks[low])
+        if per is not None:
+            for mask, hm in zip(masks.tolist(), h):
+                per[mask_vertices(mask, n)] = hm
+    return _BoundaryScan(best_tr, best_mask, float(alpha), min_rank, per)
+
+
+def equiangular3_sample(n, seed):
+    """A random cubic graph on n vertices, weighted by the equiangular3 frame
+    on a proper 3-edge-colouring (k = 2, d = 3/2)."""
     from mwgraph.frames import (
         build_expander,
         equiangular_frame_2d,
@@ -522,12 +591,72 @@ def test_scan_trace_is_exact_at_the_size_limit():
         sample_expanders,
     )
     frame = equiangular_frame_2d(3)
-    (sample,) = sample_expanders(CHEEGER_EXHAUSTIVE_MAX_N, 3, frame, samples=1, seed=20)
-    G = build_expander(sample.graph, proper_edge_coloring(sample.graph, 3), frame)
+    (sample,) = sample_expanders(n, 3, frame, samples=1, seed=seed)
+    return build_expander(sample.graph, proper_edge_coloring(sample.graph, 3), frame)
+
+
+def identity3_sample(n, seed):
+    """A random cubic graph on n vertices with every weight I_3."""
+    base = equiangular3_sample(n, seed).base
+    return MatrixWeightedGraph.from_weights(n, 3, [(u, v, np.eye(3)) for u, v in base.edges])
+
+
+def assert_scan_matches_chunked_scan(G, keep_per_subset=True):
+    d = regularity(G).scalar_degree
+    old = chunked_scan(G, d, DEFAULT_TOL, keep_per_subset)
+    new = _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset)
+    assert np.float64(new.h_trace).tobytes() == np.float64(old.h_trace).tobytes()
+    assert new.argmin_mask == old.argmin_mask
+    assert np.float64(new.alpha).tobytes() == np.float64(old.alpha).tobytes()
+    assert new.min_rank == old.min_rank
+    if keep_per_subset:
+        assert list(new.per_subset) == list(old.per_subset)
+        for S, h in old.per_subset.items():
+            assert new.per_subset[S].tobytes() == h.tobytes()
+    return new
+
+
+@pytest.mark.parametrize("make", [
+    lambda: equiangular3_sample(16, 0),
+    lambda: equiangular3_sample(16, 1),
+    lambda: identity3_sample(16, 3),
+    lambda: lift_identity(cycle_graph(16), 2),
+], ids=["equiangular3-0", "equiangular3-1", "identity3", "cycle16"])
+def test_block_scan_is_bitwise_the_chunked_scan(make):
+    assert_scan_matches_chunked_scan(make())
+
+
+def test_block_scan_matches_on_a_singular_boundary():
+    # a boundary of rank 1 < k, whose lambda_min eigvalsh rounds below 0
+    G = equiangular3_sample(16, 2)
+    scan = assert_scan_matches_chunked_scan(G)
+    assert scan.min_rank < G.k and scan.alpha <= 0.0
+
+
+def test_block_scan_solves_few_boundaries(monkeypatch):
+    # at most 1% of the 2^15 - 1 boundaries reach eigvalsh, plus the Laplacian
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(a.size // (a.shape[-1] ** 2))
+        return real(a, *args, **kwargs)
+
+    G = equiangular3_sample(16, 0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    cheeger_constants(G)
+    assert sum(solved) <= 32767 // 100
+
+
+def test_scan_trace_is_exact_at_the_size_limit():
+    # n = 20, the exhaustive limit: an equiangular3 weighting of a random
+    # cubic graph, whose argmin trace must be the definition's own bits
+    G = equiangular3_sample(CHEEGER_EXHAUSTIVE_MAX_N, 20)
     assert G.k == 2 and regularity(G).scalar_degree == pytest.approx(1.5)
     report = cheeger_constants(G)
     h_trace, _ = cheeger_ratios(G, report.argmin)
     assert np.float64(report.h_trace).tobytes() == np.float64(h_trace).tobytes()
+    assert_scan_matches_chunked_scan(G, keep_per_subset=False)
 
 
 def test_cheeger_smallest_graph():
