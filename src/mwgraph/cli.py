@@ -26,15 +26,15 @@ from .expansion import (
     eml_regular_exhaustive,
 )
 from .frames import (
+    _eta,
     build_expander,
-    eta,
     load_frame,
     named_frame,
     proper_edge_coloring,
     sample_expanders,
     search_expanders,
 )
-from .graphs import load, regularity, save
+from .graphs import load, save
 from .linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from .operators import (
     adjacency_spectrum,
@@ -369,9 +369,10 @@ def cmd_build_expander(args, tol: Tolerances) -> int:
     else:
         colors = proper_edge_coloring(base, r)
     G = build_expander(base, colors, frame, tol)
-    reg = regularity(G, tol)
+    ops = assemble(G, tol)
+    reg = ops.regularity
     try:
-        expander = eta(G, tol).to_jsonable()
+        expander = _eta(ops).to_jsonable()
     except NotScalarRegularError:
         expander = None
     report = {

@@ -41,11 +41,13 @@ from .operators import CHECK_TOL, BoundReport, OperatorBundle, assemble
 
 EML_EXHAUSTIVE_MAX_N = 8
 CHEEGER_EXHAUSTIVE_MAX_N = 20
-# low vertices per block of the Cheeger scan: a block's 2^(SCAN_BITS - 1)
-# subsets are enough to amortize the numpy calls, few enough to keep the
-# working arrays a few hundred KiB; each block sends to eigvalsh only the
-# boundaries whose bounds leave alpha or the rank in doubt
-SCAN_BITS = 11
+# the most low vertices per block of the Cheeger scan, whose up to
+# 2^(SCAN_BITS - 1) subsets amortize the numpy calls, and the bytes its
+# float arrays may take (1.25 MiB), which narrows the blocks as k grows
+SCAN_BITS = 13
+SCAN_BUDGET = 5 << 18
+# the scalar rows of a block (denominators, traces, bounds and temporaries)
+_SCAN_ROWS = 10
 
 
 # --- vertex subsets ---------------------------------------------------------
@@ -317,50 +319,95 @@ class _BoundaryScan:
     per_subset: dict[tuple[int, ...], np.ndarray] | None
 
 
+def _block_bits(n: int, k: int) -> int:
+    """Low bits b of a Cheeger scan block: the most, up to min(SCAN_BITS, n),
+    whose 2^(b-1) masks keep the block's float arrays within SCAN_BUDGET."""
+    # per mask: two upper triangles, k diagonal or row-sum entries, a full
+    # k x k matrix when every subset goes to eigvalsh, and the scalar rows
+    per_mask = 8 * (2 * k * k + 2 * k + _SCAN_ROWS)
+    b = min(SCAN_BITS, n)
+    while b > 1 and per_mask << (b - 1) > SCAN_BUDGET:
+        b -= 1
+    return b
+
+
 def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
                      keep_per_subset: bool) -> _BoundaryScan:
     """Scan of all subsets mod complementation: the odd masks 1, 3, ...,
     2^n - 3 in increasing order, one block of 2^(b-1) masks at a time.
 
-    In a block the b = min(SCAN_BITS, n) low bits vary and the high bits are
-    fixed, so an edge crosses the block's subsets along a row built once per
-    scan, along that row's complement, along all of them or along none.  Each
-    boundary E(S, V-S) is the sum of W_e over the crossing edges in edge
-    order, so h(S) and the trace constant are bitwise what cheeger_ratios
-    gives for the same subset.
+    In a block the b low bits vary and the high bits are fixed.  b is the
+    largest value up to min(SCAN_BITS, n) whose block keeps its float
+    arrays, 2k^2 + 2k + _SCAN_ROWS floats per mask, within SCAN_BUDGET
+    bytes, so a block holds 4,096 masks up to k = 3 and fewer beyond.  Per
+    scan, bool tables hold the bits of the block's low masks, their
+    complements and, for each edge with both ends low, the exclusive or of
+    its ends' rows.  An edge crosses a block's subsets along one of those
+    rows, chosen by the parity of its high ends in S, along all of them or
+    along none.
+
+    Weights are stored exactly symmetric, so only the k(k+1)/2 entries of
+    each boundary E(S, V-S)'s upper triangle are summed, as W_e over the
+    crossing edges in edge order, into buffers allocated once per scan; the
+    mirrored matrix is bitwise the full sum, so h(S) is bitwise what
+    cheeger_ratios gives for the same subset.  The trace sums a contiguous
+    copy of each boundary's diagonal, the same reduction np.trace makes of
+    one matrix (pairwise from 8 entries on), so the trace constant keeps
+    those bits too.
 
     alpha and the ranks come from eigvalsh on the same h(S), but only for
-    the subsets whose cheap bounds leave them in doubt.  For eigenvalues
-    l_1 <= ... <= l_k of a symmetric h, l_1 <= min_i h_ii, l_k <=
-    min(||h||_F, max row abs-sum) and l_1 >= tr h - (k - 1) l_k.  Each bound
-    is widened by a margin of 2^-30 k^3 ||h||_F = 2^23 k^3 u ||h||_F, with
-    u = 2^-53.  The bounds' own rounding is a small multiple of
-    k^3.5 u ||h||_F, and eigvalsh is backward stable, so its values lie
-    within a modest polynomial in k times u ||h||_2 of the exact ones; the
-    margin exceeds both by orders of magnitude for any k, so the widened
-    bounds hold for the values eigvalsh would return.  A subset skips
-    eigvalsh only when its lower bound exceeds an upper bound on alpha, so
-    that it can neither set nor tie alpha, and when the rank rule, applied
-    to its bounds in the same monotone arithmetic, gives rank k.  A subset
-    whose ||h||_F^2 is near underflow, where the norm loses its relative
-    accuracy, is always solved and bounds nothing.
+    the subsets whose cheap bounds, read off the triangles, leave them in
+    doubt; only those are gathered into full k x k matrices, unless
+    keep_per_subset asks for every one.  For eigenvalues l_1 <= ... <= l_k
+    of a symmetric h, l_1 <= min_i h_ii, l_k <= min(||h||_F, max row
+    abs-sum) and l_1 >= tr h - (k - 1) l_k.  Each bound is widened by a
+    margin of 2^-30 k^3 ||h||_F = 2^23 k^3 u ||h||_F, with u = 2^-53.  The
+    bounds' own rounding is a small multiple of k^3.5 u ||h||_F, and
+    eigvalsh is backward stable, so its values lie within a modest
+    polynomial in k times u ||h||_2 of the exact ones; the margin exceeds
+    both by orders of magnitude for any k, so the widened bounds hold for
+    the values eigvalsh would return.  A subset skips eigvalsh only when
+    its lower bound exceeds an upper bound on alpha, so that it can neither
+    set nor tie alpha, and when the rank rule, applied to its bounds in the
+    same monotone arithmetic, gives rank k.  A subset whose ||h||_F^2 is
+    near underflow, where the norm loses its relative accuracy, is always
+    solved and bounds nothing.
     """
     n, k = G.base.n, G.k
-    b = min(SCAN_BITS, n)
-    low = 2 * np.arange(1 << (b - 1), dtype=np.int64) + 1
-    # vertex-major bits of the low masks; the rows of the high vertices are 0
-    bits = _mask_bits(low, n).T
-    low_size = bits.sum(axis=0)
-    # each edge's crossing row when its high ends (those >= b) lie on one
-    # side of S, as 0/1 floats, and its complement for when they are split
-    ends = np.array(list(G.weights), dtype=np.int64).reshape(-1, 2)
-    cross = bits[ends[:, 0]] != bits[ends[:, 1]]
-    # per edge: W_e as a column, its high ends as a mask of high bits, and
-    # its rows for an even and an odd number of those in S; an edge with
-    # both ends high crosses no subset of a block or all of them
-    terms = [(w.reshape(-1, 1), (1 << u | 1 << v) >> b, None if u >= b else even, odd)
-             for ((u, v), w), even, odd in zip(G.weights.items(), cross.astype(float),
-                                                (~cross).astype(float))]
+    b = _block_bits(n, k)
+    width = 1 << (b - 1)
+    # row v holds bit v of the low masks 2i + 1: vertex 0 is in all of them
+    bits = np.ones((b, width), dtype=bool)
+    for v in range(1, b):
+        bits[v] = (np.arange(width) >> (v - 1)) & 1
+    unset = ~bits
+    low_size = bits.sum(axis=0, dtype=float)
+    # upper-triangle entries, the diagonal first, and the (k, tri) incidence
+    # that sums a row's absolute values from them
+    off_i, off_j = np.triu_indices(k, 1)
+    iu = np.concatenate([np.arange(k), off_i])
+    ju = np.concatenate([np.arange(k), off_j])
+    incidence = np.zeros((k, iu.size))
+    incidence[iu, np.arange(iu.size)] = 1.0
+    incidence[ju, np.arange(iu.size)] = 1.0
+    # per edge: its triangle as a column, its high ends as a mask of high
+    # bits, and the subsets it crosses when an even or an odd number of
+    # those ends lie in S: a bool row, all of them (True) or none (None)
+    terms = []
+    for (u, v), w in G.weights.items():
+        if v < b:
+            rows = (bits[u] ^ bits[v], None)
+        elif u == 0:
+            rows = (True, None)
+        elif u < b:
+            rows = (bits[u], unset[u])
+        else:
+            rows = (None, True)
+        terms.append((w[iu, ju].reshape(-1, 1), (1 << u | 1 << v) >> b, rows))
+    E = np.empty((iu.size, width))
+    spare = np.empty_like(E)
+    # the diagonals (masks, k) for the trace, then the row sums (k, masks)
+    diag_rows = np.empty(k * width)
     margin_rel = 2.0 ** -30 * k ** 3
     smallest_sq = np.finfo(float).tiny / np.finfo(float).eps
     best_tr, best_mask = np.inf, 0
@@ -370,38 +417,61 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
     blocks = 1 << (n - b)
     for hi in range(blocks):
         # the last block's last mask is V itself (its only one when b = 1)
-        count = low.size - (hi == blocks - 1)
+        count = width - (hi == blocks - 1)
         if not count:
             break
-        # edge-major (k*k, block) sums, so each add runs over contiguous
-        # rows; an edge that crosses no subset of the block is skipped, as
-        # adding +-0.0 would leave the bits of every sum alone
-        E = np.zeros((k * k, low.size))
-        for w, high, even, odd in terms:
-            row = odd if (hi & high).bit_count() & 1 else even
-            if row is not None:
-                E += w * row
-        E = E[:, :count].T.reshape(-1, k, k)
-        size = low_size[:count] + hi.bit_count()
-        denom = d * np.minimum(size, n - size)
-        tr = np.trace(E, axis1=1, axis2=2) / denom
-        h = E / denom[:, None, None]
+        # adding +-0.0 leaves the bits of every sum alone, so an edge that
+        # crosses no subset of the block is skipped, and a row's False
+        # entries may add W_e * 0
+        E.fill(0.0)
+        for col, high, rows in terms:
+            row = rows[(hi & high).bit_count() & 1]
+            if row is True:
+                E += col
+            elif row is not None:
+                np.multiply(col, row, out=spare)
+                E += spare
+        Eb, h = E[:, :count], spare[:, :count]
+        high_size = hi.bit_count()
+        denom = np.minimum(low_size[:count] + high_size, (n - high_size) - low_size[:count])
+        denom *= d
+        # summed along contiguous rows, the diagonals reduce as np.trace
+        # reduces the diagonal of one matrix
+        diag = diag_rows[:count * k].reshape(count, k)
+        np.copyto(diag, Eb[:k].T)
+        tr = diag.sum(axis=1)
+        tr /= denom
+        np.divide(Eb, denom, out=h)
         # masks increase, so the first minimum is the smallest tied mask
         first = int(np.argmin(tr))
         if tr[first] < best_tr:
-            best_tr, best_mask = float(tr[first]), (hi << b) | int(low[first])
-        sq = np.einsum("mij,mij->m", h, h)
+            best_tr, best_mask = float(tr[first]), (hi << b) | (2 * first + 1)
+        # ||h||_F^2 and the row abs-sums, from the triangle
+        np.square(h, out=Eb)
+        sq = Eb[:k].sum(axis=0)
+        sq += 2.0 * Eb[k:].sum(axis=0)
+        np.abs(h, out=Eb)
+        row_sums = diag_rows[:count * k].reshape(k, count)
+        np.matmul(incidence, Eb, out=row_sums)
         # a norm near underflow has lost its relative accuracy: no bounds
         sound = sq >= smallest_sq
-        fro = np.sqrt(np.where(sound, sq, 0.0))
+        fro = np.sqrt(sq, out=sq)
         margin = margin_rel * fro
-        top = np.minimum(fro, np.abs(h).sum(axis=2).max(axis=1)) + margin
-        lower = tr - (k - 1) * top - margin
-        upper = np.where(sound, h.diagonal(axis1=1, axis2=2).min(axis=1) + margin, np.inf)
+        top = np.minimum(fro, row_sums.max(axis=0))
+        top += margin
+        lower = tr - (k - 1) * top
+        lower -= margin
+        upper = h[:k].min(axis=0)
+        upper += margin
+        upper[~sound] = np.inf
         rank_cut = tol.rank_rel_tol * np.maximum(1.0, top * denom)
         doubt = ~sound | (lower <= min(alpha, float(upper.min()))) | ~(lower * denom > rank_cut)
+        solve = np.arange(count) if per is not None else np.flatnonzero(doubt)
+        full = np.empty((solve.size, k, k))
+        full[:, iu, ju] = h[:, solve].T
+        full[:, ju, iu] = full[:, iu, ju]
         if doubt.any():
-            values = np.linalg.eigvalsh(h[doubt])
+            values = np.linalg.eigvalsh(full if per is None else full[doubt])
             scale = denom[doubt]
             rank_cut = tol.rank_rel_tol * np.maximum(1.0, values[:, -1] * scale)
             rank = np.sum(values * scale[:, None] > rank_cut[:, None], axis=1)
@@ -410,8 +480,8 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
             alpha = min(alpha, float(lam_min[np.argmin(lam_min)]))
             min_rank = min(min_rank, int(rank.min()))
         if per is not None:
-            for mask, hm in zip(((hi << b) | low[:count]).tolist(), h):
-                per[mask_vertices(mask, n)] = hm
+            for i, hm in enumerate(full):
+                per[mask_vertices((hi << b) | (2 * i + 1), n)] = hm
     return _BoundaryScan(best_tr, best_mask, float(alpha), min_rank, per)
 
 

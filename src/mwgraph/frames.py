@@ -38,7 +38,7 @@ from .graphgen import (
 )
 from .graphs import BaseGraph, MatrixWeightedGraph, is_connected_edges
 from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, spectral_norm
-from .operators import assemble
+from .operators import OperatorBundle, assemble
 
 SEARCH_MAX_N = 12
 # sample_expanders gives up after this many pairing-model draws per sample
@@ -208,8 +208,12 @@ class ExpanderReport:
 
 def eta(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> ExpanderReport:
     """Expansion constant: all nontrivial |mu| are at most d - eta."""
-    ops = assemble(G, tol)
-    reg = ops.regularity
+    return _eta(assemble(G, tol))
+
+
+def _eta(ops: OperatorBundle) -> ExpanderReport:
+    """eta of an assembled graph, under the bundle's tolerances."""
+    G, tol, reg = ops.graph, ops.tol, ops.regularity
     if not reg.is_scalar_regular or reg.scalar_degree <= 0:
         raise NotScalarRegularError("eta requires dI-regularity with d > 0")
     d = float(reg.scalar_degree)

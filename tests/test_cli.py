@@ -219,6 +219,19 @@ def test_build_expander_with_colors(k4_scalar_file, capsys):
     assert report["coloring"] == [0, 1, 2, 2, 1, 0]
 
 
+def test_build_expander_assembles_once(k4_scalar_file, capsys, monkeypatch):
+    # the regularity report and eta read one bundle
+    from mwgraph import cli, frames, graphs, operators
+    assembled = count_calls(monkeypatch, "assemble", cli, frames, operators)
+    summed = count_calls(monkeypatch, "all_degrees", graphs, operators)
+    assert main(["--format", "json", "build-expander", str(k4_scalar_file),
+                 "--frame", "equiangular3"]) == 0
+    assert len(assembled) == 1
+    assert len(summed) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["regularity"] == "scalar" and report["expander"]["d"] == 1.5
+
+
 def test_build_expander_bad_frame(k4_scalar_file, capsys):
     assert main(["build-expander", str(k4_scalar_file), "--frame", "bogus"]) == 2
 

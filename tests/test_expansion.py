@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,8 @@ from mwgraph import expansion
 from mwgraph.expansion import (
     CHEEGER_EXHAUSTIVE_MAX_N,
     SCAN_BITS,
+    SCAN_BUDGET,
+    _block_bits,
     _BoundaryScan,
     _indicators,
     _mask_bits,
@@ -512,6 +515,23 @@ def test_chunked_scan_is_bitwise_the_per_subset_loop(bits, monkeypatch):
                 assert all(per[S].tobytes() == h.tobytes() for S, h in unscaled.items())
 
 
+@pytest.mark.parametrize("bits", [1, 2, 4, SCAN_BITS])
+def test_block_scan_is_bitwise_the_per_subset_loop_at_k8(bits, monkeypatch):
+    # from 8 diagonal entries on, np.trace sums a matrix's diagonal
+    # pairwise, so a trace summed in row order would differ in the last bits
+    monkeypatch.setattr(expansion, "SCAN_BITS", bits)
+    rng = np.random.default_rng(8 + bits)
+    for n in range(2, 8):
+        assert_scan_matches_reference(random_scalar_regular(rng, n, 8))
+
+
+@pytest.mark.parametrize("n, k", [(13, 4), (12, 8)])
+def test_default_blocks_are_bitwise_the_per_subset_loop(n, k):
+    # the default width splits these scans into two blocks
+    assert _block_bits(n, k) == n - 1
+    assert_scan_matches_reference(random_scalar_regular(np.random.default_rng(n * k), n, k))
+
+
 def scan_bytes(G, d):
     scan = _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset=True)
     return (np.float64(scan.h_trace).tobytes(), scan.argmin_mask,
@@ -634,7 +654,7 @@ def test_block_scan_matches_on_a_singular_boundary():
 
 
 def test_block_scan_solves_few_boundaries(monkeypatch):
-    # at most 1% of the 2^15 - 1 boundaries reach eigvalsh, plus the Laplacian
+    # tens of the 2^15 - 1 boundaries reach eigvalsh, plus the Laplacian
     solved = []
     real = np.linalg.eigvalsh
 
@@ -642,10 +662,54 @@ def test_block_scan_solves_few_boundaries(monkeypatch):
         solved.append(a.size // (a.shape[-1] ** 2))
         return real(a, *args, **kwargs)
 
-    G = equiangular3_sample(16, 0)
+    graphs = [equiangular3_sample(16, 0), equiangular3_sample(16, 1), identity3_sample(16, 3)]
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    cheeger_constants(G)
-    assert sum(solved) <= 32767 // 100
+    for G in graphs:
+        solved.clear()
+        cheeger_constants(G)
+        assert sum(solved) < 100
+
+
+# a bound on the tracemalloc peak of one n = 16 scan: with float crossing
+# rows and full k x k sums, blocks of 1,024 masks read 0.97 MiB at k = 3,
+# and blocks of 4,096 masks 3.4 MiB
+WORKING_SET = 1.2 * 2 ** 20
+
+
+def scan_peak(G):
+    d = regularity(G).scalar_degree
+    tracemalloc.start()
+    try:
+        _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_scan_working_set_is_bounded():
+    G = identity3_sample(16, 3)
+    assert _block_bits(16, G.k) == 13
+    assert scan_peak(G) < WORKING_SET
+
+
+def test_block_scan_narrows_for_large_k():
+    # random k = 12 weights leave nearly every boundary in doubt, so each
+    # block also gathers nearly all its k x k matrices for eigvalsh
+    G = random_scalar_regular(np.random.default_rng(12), 12, 12)
+    assert _block_bits(12, 12) < _block_bits(12, 3)
+    assert scan_peak(G) < WORKING_SET
+
+
+def test_block_scan_follows_the_budget(monkeypatch):
+    # a quarter of the budget takes blocks of a quarter of the masks, the
+    # same bytes, and less memory
+    G = identity3_sample(16, 3)
+    d = regularity(G).scalar_degree
+    full = scan_bytes(G, d)
+    monkeypatch.setattr(expansion, "SCAN_BUDGET", SCAN_BUDGET // 4)
+    assert _block_bits(16, G.k) == 11
+    assert scan_bytes(G, d) == full
+    assert scan_peak(G) < WORKING_SET / 2
 
 
 def test_scan_trace_is_exact_at_the_size_limit():
