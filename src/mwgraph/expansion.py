@@ -40,6 +40,12 @@ from .linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from .operators import CHECK_TOL, BoundReport, OperatorBundle, assemble
 
 EML_EXHAUSTIVE_MAX_N = 8
+# the bytes the float arrays of one block of an exhaustive mixing-lemma pair
+# scan may take (1.25 MiB), which keeps the regular scan of any graph with
+# n <= 6 and k <= 3 in one block, and the scalar rows each pair takes there
+# (sizes, centers, roots, slacks and temporaries)
+EML_BUDGET = 5 << 18
+_EML_ROWS = 10
 CHEEGER_EXHAUSTIVE_MAX_N = 20
 # the most low vertices per block of the Cheeger scan, whose up to
 # 2^(SCAN_BITS - 1) subsets amortize the numpy calls, and the bytes its
@@ -152,42 +158,86 @@ def eml_regular(ops: OperatorBundle, S: Iterable[int], T: Iterable[int]) -> EmlR
     return EmlReport(trace, spectral, abs_mu)
 
 
+def _pair_rows(m: int, pair_bytes: int) -> int:
+    """S rows per block of a pair scan over m masks: the most rows (at least
+    one) whose m pairs each, at pair_bytes a pair, fit in EML_BUDGET."""
+    return max(1, EML_BUDGET // (m * pair_bytes))
+
+
+def _scan_pairs(n: int, pair_bytes: int, slack_tables) -> list[tuple[float, int, int]]:
+    """(minimum, S mask, T mask) of each slack table over every subset pair.
+
+    slack_tables(a0, a1) returns tables of shape (a1 - a0, 2^n): rows are
+    the S masks a0, ..., a1 - 1 and columns every T mask.  Blocks take the S
+    masks in increasing order, so each minimum and its first pair in
+    row-major order are those of the whole table.  No block has a lone row:
+    numpy sends a one-row product to gemv, whose sums can round differently
+    from the gemm of the whole table.
+    """
+    m = 1 << n
+    starts = list(range(0, m, max(2, _pair_rows(m, pair_bytes))))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        del starts[-1]
+    best: list[tuple[float, int, int]] = []
+    for a0, a1 in zip(starts, starts[1:] + [m]):
+        for i, table in enumerate(slack_tables(a0, a1)):
+            j = int(np.argmin(table))
+            if i == len(best):
+                best.append((table.flat[j], a0 + j // m, j % m))
+            elif table.flat[j] < best[i][0]:
+                best[i] = (table.flat[j], a0 + j // m, j % m)
+    return best
+
+
+def _pair(a: int, b: int, n: int) -> list[list[int]]:
+    return [list(mask_vertices(a, n)), list(mask_vertices(b, n))]
+
+
 def eml_regular_exhaustive(ops: OperatorBundle) -> BoundReport:
-    """Both mixing inequalities over every subset pair (vectorized, n <= 8)."""
+    """Both mixing inequalities over every subset pair (vectorized, n <= 8).
+
+    The pairs go in blocks of S rows within EML_BUDGET, so the n <= 8 cap
+    limits the time of the 4^n pairs, not their memory.
+    """
     d = require_scalar_regular(ops.regularity)
     n, k = ops.n, ops.k
     if n > EML_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"exhaustive pair scan limited to n <= {EML_EXHAUSTIVE_MAX_N}")
     abs_mu, spec_const, _ = _regular_mu_constants(ops)
-    masks = list(range(1 << n))
-    ind = _indicators(masks, n)
+    m = 1 << n
+    ind = _indicators(range(m), n)
     sizes = ind.sum(axis=1)
+    frac = sizes / n
     # block tensor wt[u, v] = W_uv, read off the assembled adjacency
     wt = np.ascontiguousarray(ops.adjacency.reshape(n, k, n, k).transpose(0, 2, 1, 3))
-    # all-pairs quantities; axis a indexes S, axis b indexes T
-    tr_E = ind @ ops.trace_adjacency @ ind.T
-    E_all = np.einsum("as,stij,bt->abij", ind, wt, ind, optimize=True)
-    frac = sizes / n
-    root = np.sqrt(np.maximum(np.outer(sizes, sizes) * np.outer(1 - frac, 1 - frac), 0.0))
-    center = d * np.outer(sizes, sizes) / n
-    trace_slack = abs_mu * root - np.abs(tr_E - k * center)
-    dev = E_all - center[:, :, None, None] * np.eye(k)
-    ev = np.linalg.eigvalsh(dev.reshape(-1, k, k))
-    spec_lhs = np.abs(ev).max(axis=1).reshape(len(masks), len(masks))
-    spec_slack = spec_const * root - spec_lhs
-    worst_trace = np.unravel_index(int(np.argmin(trace_slack)), trace_slack.shape)
-    worst_spec = np.unravel_index(int(np.argmin(spec_slack)), spec_slack.shape)
-    slack = float(min(trace_slack.min(), spec_slack.min()))
+    trace_rows = ind @ ops.trace_adjacency
+    # the contraction order of the whole table, which a block's shapes could change
+    path = np.einsum_path("as,stij,bt->abij", ind, wt, ind, optimize=True)[0]
+
+    def slack_tables(a0: int, a1: int):
+        # axis a indexes S, axis b indexes T
+        tr_E = trace_rows[a0:a1] @ ind.T
+        E = np.einsum("as,stij,bt->abij", ind[a0:a1], wt, ind, optimize=path)
+        root = np.sqrt(np.maximum(np.outer(sizes[a0:a1], sizes)
+                                  * np.outer(1 - frac[a0:a1], 1 - frac), 0.0))
+        center = d * np.outer(sizes[a0:a1], sizes) / n
+        trace_slack = abs_mu * root - np.abs(tr_E - k * center)
+        dev = E - center[:, :, None, None] * np.eye(k)
+        ev = np.linalg.eigvalsh(dev.reshape(-1, k, k))
+        spec_slack = spec_const * root - np.abs(ev).max(axis=1).reshape(a1 - a0, m)
+        return trace_slack, spec_slack
+
+    # per pair: E(S, T) and its deviation, their eigenvalues and the scalar rows
+    trace, spec = _scan_pairs(n, 8 * (2 * k * k + 2 * k + _EML_ROWS), slack_tables)
+    slack = float(min(trace[0], spec[0]))
     return BoundReport(
         "eml_regular_exhaustive", 0.0, slack, slack, slack >= -CHECK_TOL,
         {
-            "pairs": len(masks) ** 2,
-            "min_trace_slack": float(trace_slack.min()),
-            "min_spectral_slack": float(spec_slack.min()),
-            "worst_trace_pair": [list(mask_vertices(masks[worst_trace[0]], n)),
-                                 list(mask_vertices(masks[worst_trace[1]], n))],
-            "worst_spectral_pair": [list(mask_vertices(masks[worst_spec[0]], n)),
-                                    list(mask_vertices(masks[worst_spec[1]], n))],
+            "pairs": m * m,
+            "min_trace_slack": float(trace[0]),
+            "min_spectral_slack": float(spec[0]),
+            "worst_trace_pair": _pair(trace[1], trace[2], n),
+            "worst_spectral_pair": _pair(spec[1], spec[2], n),
             "abs_mu": abs_mu,
         })
 
@@ -237,26 +287,31 @@ def eml_irregular_pairs(ctx: IrregularContext, ind_S: np.ndarray,
 
 
 def eml_irregular_exhaustive(ops: OperatorBundle) -> BoundReport:
-    """Irregular mixing bound over every subset pair (vectorized, n <= 8)."""
+    """Irregular mixing bound over every subset pair (vectorized, n <= 8).
+
+    The pairs go in blocks of S rows within EML_BUDGET, so the n <= 8 cap
+    limits the time of the 4^n pairs, not their memory.
+    """
     ctx = irregular_context(ops)
-    n = ctx.n
+    n, k = ctx.n, ctx.k
     if n > EML_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"exhaustive pair scan limited to n <= {EML_EXHAUSTIVE_MAX_N}")
-    masks = list(range(1 << n))
-    ind = _indicators(masks, n)
-    m = len(masks)
-    ind_S = np.repeat(ind, m, axis=0)
-    ind_T = np.tile(ind, (m, 1))
-    lhs, rhs = eml_irregular_pairs(ctx, ind_S, ind_T)
-    slack = rhs - lhs
-    worst = int(np.argmin(slack))
+    m = 1 << n
+    ind = _indicators(range(m), n)
+
+    def slack_tables(a0: int, a1: int):
+        lhs, rhs = eml_irregular_pairs(ctx, np.repeat(ind[a0:a1], m, axis=0),
+                                       np.tile(ind, (a1 - a0, 1)))
+        return ((rhs - lhs).reshape(a1 - a0, m),)
+
+    # per pair: both indicator rows, vol(S) and vol(T), and the scalar rows
+    ((worst, a, b),) = _scan_pairs(n, 8 * (2 * n + 2 * k * k + _EML_ROWS), slack_tables)
     return BoundReport(
-        "eml_irregular_exhaustive", 0.0, float(slack[worst]), float(slack[worst]),
-        bool(slack[worst] >= -CHECK_TOL),
+        "eml_irregular_exhaustive", 0.0, float(worst), float(worst),
+        bool(worst >= -CHECK_TOL),
         {
             "pairs": m * m,
-            "worst_pair": [list(mask_vertices(masks[worst // m], n)),
-                           list(mask_vertices(masks[worst % m], n))],
+            "worst_pair": _pair(a, b, n),
             "abs_mu_tilde": ctx.abs_mu_tilde,
         })
 

@@ -6,6 +6,11 @@ compares raw bytes.
 """
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -47,12 +52,13 @@ def test_a3_trace_bounds(suite):
 
 @pytest.fixture(scope="module")
 def pass_calls(suite):
-    """Calls made by one shared A2-A7 pass over the suite's corpus, built
-    beforehand so that only the pass is counted."""
+    """Calls made by one shared A2-A7 pass over the suite's corpus, whose
+    members are built beforehand so that only their analysis is counted."""
     from mwgraph import acceptance, expansion, frames, graphs, linalg, operators, sheaf
     from mwgraph.operators import OperatorBundle
-    suite.members
+    members = list(suite.corpus())
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suite, "corpus", lambda: iter(members))
         calls = {
             "assemble": count_calls(mp, "assemble", acceptance, expansion, operators, sheaf),
             # every regularity test, graphs.regularity's or a bundle's
@@ -92,6 +98,34 @@ def test_corpus_and_a2_to_a7_assembly_counts(monkeypatch):
         assert criterion().passed
     assert len(fresh.members) == 1626
     assert (len(assembled), len(classified)) == (1629, 1626)
+
+
+def test_corpus_pass_holds_one_member_at_a_time():
+    # holding all 1,626 members and the parsed networkx atlas, it peaked at 28.5 MiB
+    from mwgraph import acceptance
+    suite = Suite(seed=0)
+    tracemalloc.start()
+    try:
+        corpus = acceptance._CorpusPass(suite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corpus.graphs == 1626 and not corpus.errors
+    assert peak < 5 * 2 ** 20
+
+
+def test_corpus_builds_without_networkx():
+    # networkx is a test-only dependency: the corpus is built from the
+    # embedded atlas table
+    script = ("import sys; sys.modules['networkx'] = None\n"
+              "from mwgraph.acceptance import Suite\n"
+              "print(sum(1 for _ in Suite(seed=0).corpus()))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1626"]
 
 
 def test_a4_sheaf_factorization(suite):

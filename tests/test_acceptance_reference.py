@@ -187,9 +187,73 @@ def test_atlas_lifts_match_identity_lifts():
         if 1 <= g.number_of_nodes() <= 6:
             scalar = unit_scalar_graph(g.number_of_nodes(), g.edges())
             expected += [lift_identity(scalar, k) for k in (1, 2, 3)]
-    lifts = atlas_lift_graphs()
+    lifts = list(atlas_lift_graphs())
     assert len(lifts) == len(expected) == 624
     for G, H in zip(lifts, expected):
         assert (G.base, G.k) == (H.base, H.k)
         assert list(G.weights) == list(H.weights)
         assert all(G.weights[e].tobytes() == H.weights[e].tobytes() for e in G.weights)
+
+
+CORPUS_CRITERIA = ("A2", "A3", "A4", "A5", "A6", "A7")
+
+
+def corpus_outcomes(suite):
+    criteria = (suite.a2_normalized_bound, suite.a3_trace_bounds,
+                suite.a4_sheaf_factorization, suite.a5_regular_eml,
+                suite.a6_irregular_eml, suite.a7_cheeger_lower_bounds)
+    return {cid: outcome(criterion) for cid, criterion in zip(CORPUS_CRITERIA, criteria)}
+
+
+def failing_after(items, count, message):
+    """items' first `count` entries, then an MwgError."""
+    yield from itertools.islice(items, count)
+    raise MwgError(message)
+
+
+def test_failing_random_member_stops_every_corpus_criterion(monkeypatch):
+    from mwgraph import acceptance
+    draws = itertools.count()
+    random_graph = acceptance.random_graph
+
+    def draw(rng):
+        if next(draws) == 7:
+            raise MwgError("member 7 failed")
+        return random_graph(rng)
+
+    monkeypatch.setattr(acceptance, "random_graph", draw)
+    outcomes = corpus_outcomes(Suite(seed=0, random_count=20))
+    error = {"error": "MwgError: member 7 failed"}
+    assert outcomes == dict.fromkeys(CORPUS_CRITERIA, (False, error))
+
+
+def test_failing_lift_keeps_a6_and_comes_before_earlier_errors(monkeypatch):
+    # each criterion's own loop built the whole corpus before any work, so a
+    # lift that fails to build outranks A4's error on an earlier random member;
+    # A6 reads only the random graphs and keeps its result
+    from mwgraph import acceptance
+    expected_a6 = corpus_outcomes(Suite(seed=0, random_count=20))["A6"]
+    lifts = acceptance.atlas_lift_graphs
+    monkeypatch.setattr(acceptance, "atlas_lift_graphs",
+                        lambda: failing_after(lifts(), 5, "lift 5 failed"))
+
+    def sheaf_fails(ops, tol):
+        raise MwgError("sheaf failed")
+
+    monkeypatch.setattr(acceptance, "_sheaf_analysis", sheaf_fails)
+    outcomes = corpus_outcomes(Suite(seed=0, random_count=20))
+    error = (False, {"error": "MwgError: lift 5 failed"})
+    assert outcomes == {"A2": error, "A3": error, "A4": error, "A5": error,
+                        "A6": expected_a6, "A7": error}
+    assert expected_a6[0] is True
+
+
+def test_failing_built_expander_keeps_a6(monkeypatch):
+    from mwgraph import acceptance
+    expected_a6 = corpus_outcomes(Suite(seed=0, random_count=20))["A6"]
+    monkeypatch.setattr(acceptance.Suite, "built_expanders",
+                        property(lambda self: failing_after(iter([]), 0, "expander failed")))
+    outcomes = corpus_outcomes(Suite(seed=0, random_count=20))
+    error = (False, {"error": "MwgError: expander failed"})
+    assert outcomes == {"A2": error, "A3": error, "A4": error, "A5": error,
+                        "A6": expected_a6, "A7": error}

@@ -11,7 +11,7 @@ from mwgraph.errors import (
     SingularVolumeError,
     TooLargeError,
 )
-from mwgraph import expansion
+from mwgraph import expansion, jsonio
 from mwgraph.expansion import (
     CHEEGER_EXHAUSTIVE_MAX_N,
     SCAN_BITS,
@@ -268,6 +268,177 @@ def test_eml_irregular_exhaustive_small(rng):
     G = lift_identity(unit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]), 2)
     rep = eml_irregular_exhaustive(assemble(G))
     assert rep.holds and rep.context["pairs"] == 256
+
+
+# --- exhaustive pair scans against the whole-table scans ----------------------
+
+
+def whole_regular_exhaustive(ops):
+    """The regular pair scan as one array of all 4^n pairs: (report, trace
+    slack table, spectral slack table)."""
+    d = float(ops.regularity.scalar_degree)
+    n, k = ops.n, ops.k
+    abs_mu, spec_const, _ = expansion._regular_mu_constants(ops)
+    masks = list(range(1 << n))
+    ind = _indicators(masks, n)
+    sizes = ind.sum(axis=1)
+    wt = np.ascontiguousarray(ops.adjacency.reshape(n, k, n, k).transpose(0, 2, 1, 3))
+    tr_E = ind @ ops.trace_adjacency @ ind.T
+    E_all = np.einsum("as,stij,bt->abij", ind, wt, ind, optimize=True)
+    frac = sizes / n
+    root = np.sqrt(np.maximum(np.outer(sizes, sizes) * np.outer(1 - frac, 1 - frac), 0.0))
+    center = d * np.outer(sizes, sizes) / n
+    trace_slack = abs_mu * root - np.abs(tr_E - k * center)
+    dev = E_all - center[:, :, None, None] * np.eye(k)
+    ev = np.linalg.eigvalsh(dev.reshape(-1, k, k))
+    spec_lhs = np.abs(ev).max(axis=1).reshape(len(masks), len(masks))
+    spec_slack = spec_const * root - spec_lhs
+    worst_trace = np.unravel_index(int(np.argmin(trace_slack)), trace_slack.shape)
+    worst_spec = np.unravel_index(int(np.argmin(spec_slack)), spec_slack.shape)
+    slack = float(min(trace_slack.min(), spec_slack.min()))
+    report = expansion.BoundReport(
+        "eml_regular_exhaustive", 0.0, slack, slack, slack >= -expansion.CHECK_TOL,
+        {
+            "pairs": len(masks) ** 2,
+            "min_trace_slack": float(trace_slack.min()),
+            "min_spectral_slack": float(spec_slack.min()),
+            "worst_trace_pair": [list(mask_vertices(masks[worst_trace[0]], n)),
+                                 list(mask_vertices(masks[worst_trace[1]], n))],
+            "worst_spectral_pair": [list(mask_vertices(masks[worst_spec[0]], n)),
+                                    list(mask_vertices(masks[worst_spec[1]], n))],
+            "abs_mu": abs_mu,
+        })
+    return report, trace_slack, spec_slack
+
+
+def whole_irregular_exhaustive(ops):
+    """The irregular pair scan as one array of all 4^n pairs: (report, slack
+    table)."""
+    ctx = irregular_context(ops)
+    n = ctx.n
+    masks = list(range(1 << n))
+    ind = _indicators(masks, n)
+    m = len(masks)
+    lhs, rhs = expansion.eml_irregular_pairs(ctx, np.repeat(ind, m, axis=0),
+                                             np.tile(ind, (m, 1)))
+    slack = rhs - lhs
+    worst = int(np.argmin(slack))
+    report = expansion.BoundReport(
+        "eml_irregular_exhaustive", 0.0, float(slack[worst]), float(slack[worst]),
+        bool(slack[worst] >= -expansion.CHECK_TOL),
+        {
+            "pairs": m * m,
+            "worst_pair": [list(mask_vertices(masks[worst // m], n)),
+                           list(mask_vertices(masks[worst % m], n))],
+            "abs_mu_tilde": ctx.abs_mu_tilde,
+        })
+    return report, slack.reshape(m, m)
+
+
+def block_scan(scan, ops, rows):
+    """scan(ops) with `rows` S rows per block (None: the budget's), and the
+    slack tables of its blocks stacked in order."""
+    blocks = []
+    scan_pairs = expansion._scan_pairs
+
+    def recording(n, pair_bytes, slack_tables):
+        def record(a0, a1):
+            blocks.append(slack_tables(a0, a1))
+            return blocks[-1]
+        return scan_pairs(n, pair_bytes, record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(expansion, "_pair_rows", lambda m, pair_bytes: rows)
+        mp.setattr(expansion, "_scan_pairs", recording)
+        report = scan(ops)
+    return report, [np.concatenate(tables) for tables in zip(*blocks)]
+
+
+def assert_block_scan_matches(scan, whole, ops, rows):
+    report, *tables = whole(ops)
+    block_report, block_tables = block_scan(scan, ops, rows)
+    assert jsonio.dumps(block_report.to_jsonable()) == jsonio.dumps(report.to_jsonable())
+    assert [t.tobytes() for t in block_tables] == [t.tobytes() for t in tables]
+
+
+def assert_both_scans_match(ops, rows):
+    assert_block_scan_matches(eml_regular_exhaustive, whole_regular_exhaustive, ops, rows)
+    # the irregular scan applies to a regular graph too, if vol(G) is invertible
+    if ops.regularity.scalar_degree > 0:
+        assert_block_scan_matches(eml_irregular_exhaustive, whole_irregular_exhaustive, ops, rows)
+
+
+@pytest.fixture(scope="module")
+def corpus_scalar_regular():
+    from mwgraph.acceptance import Suite
+    suite = Suite(seed=0)
+    bundles = [assemble(G, suite.tol) for G in suite.members]
+    return [ops for ops in bundles if ops.regularity.is_scalar_regular and ops.n <= 8]
+
+
+# a requested block of one S row is widened to two: numpy sends a one-row
+# product to gemv, and on random n >= 7 weights its sums differ from gemm's
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_pair_scans_are_bitwise_the_whole_table_on_the_corpus(rows, corpus_scalar_regular):
+    assert len(corpus_scalar_regular) == 125
+    for ops in corpus_scalar_regular:
+        assert_both_scans_match(ops, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_pair_scans_are_bitwise_the_whole_table_on_random_weights(rows):
+    # random weights round differently in every summation order, which the
+    # corpus's mostly unit-weight members do not
+    rng = np.random.default_rng(1907)
+    for n in range(2, 9):
+        for k in (1, 2, 3, 4):
+            assert_both_scans_match(assemble(random_scalar_regular(rng, n, k)), rows)
+    irregular = 0
+    while irregular < 4:
+        ops = assemble(random_mwg(rng, n_max=8, k_max=3))
+        if ops.n < 7 or ops.regularity.kind != "irregular":
+            continue
+        assert_block_scan_matches(eml_irregular_exhaustive, whole_irregular_exhaustive,
+                                  ops, rows)
+        irregular += 1
+
+
+def test_small_regular_pair_scans_take_one_block(monkeypatch):
+    blocks = []
+    scan_pairs = expansion._scan_pairs
+
+    def counting(n, pair_bytes, slack_tables):
+        return scan_pairs(n, pair_bytes,
+                          lambda a0, a1: blocks.append((a0, a1)) or slack_tables(a0, a1))
+
+    monkeypatch.setattr(expansion, "_scan_pairs", counting)
+    rng = np.random.default_rng(6)
+    for k in (1, 2, 3):
+        eml_regular_exhaustive(assemble(random_scalar_regular(rng, 6, k)))
+    assert blocks == [(0, 64)] * 3
+
+
+def pair_scan_peak(scan, ops):
+    tracemalloc.start()
+    try:
+        scan(ops)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_scans_working_set_is_bounded():
+    # the whole-table scans peaked at 15.6 MiB (regular) and 20.5 MiB
+    # (irregular) on n = 8, k = 3 graphs
+    rng = np.random.default_rng(8)
+    regular = assemble(random_scalar_regular(rng, 8, 3))
+    while True:
+        irregular = assemble(random_mwg(rng, n_max=8, k_max=3))
+        if (irregular.n, irregular.k, irregular.regularity.kind) == (8, 3, "irregular"):
+            break
+    assert pair_scan_peak(eml_regular_exhaustive, regular) < 2 * 2 ** 20
+    assert pair_scan_peak(eml_irregular_exhaustive, irregular) < 2 * 2 ** 20
 
 
 # --- Cheeger -----------------------------------------------------------------
