@@ -19,7 +19,6 @@ loop would meet, in member order.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,13 +30,11 @@ from . import jsonio
 from .errors import MwgError, SingularVolumeError
 from .expansion import (
     IrregularContext,
-    _cheeger_analysis,
-    _cheeger_degree,
+    cheeger_analysis,
     eml_irregular,
     eml_irregular_pairs,
     eml_regular_exhaustive,
     irregular_context,
-    verify_counterexample,
 )
 from .frames import (
     augment_with_identity,
@@ -58,7 +55,7 @@ from .operators import (
     check_laplacian_trace_bounds,
     check_normalized_bound,
 )
-from .sheaf import Truss, _sheaf_analysis, truss_rigidity
+from .sheaf import Truss, sheaf_analysis, truss_rigidity
 
 FRAME_TOL = 1e-12
 EXACT_TOL = 1e-12
@@ -69,6 +66,25 @@ TARGET_MU_MAX = 1.803
 TARGET_MATCH_TOL = 2e-3
 # A6 checks this many irregular graphs: the corpus's, then fresh draws
 IRREGULAR_GRAPHS = 500
+# A4 reports the worst factorization residual as a fraction of this
+# tolerance, whatever resid_tol the suite runs under
+SHEAF_RESID_TOL = 1e-9
+
+
+# each criterion's name and the Suite method that checks it, in run order
+CRITERIA = {
+    "A1": ("equiangular frame identity", "a1_frame_identity"),
+    "A2": ("normalized Laplacian bounded by 2", "a2_normalized_bound"),
+    "A3": ("Laplacian and adjacency trace bounds", "a3_trace_bounds"),
+    "A4": ("sheaf factorization and global sections", "a4_sheaf_factorization"),
+    "A5": ("regular mixing lemma, exhaustive pairs", "a5_regular_eml"),
+    "A6": ("irregular mixing lemma", "a6_irregular_eml"),
+    "A7": ("Cheeger lower bounds, exhaustive subsets", "a7_cheeger_lower_bounds"),
+    "A8": ("Cheeger counterexample certificate", "a8_counterexample"),
+    "A9": ("4-regular expander search at degree 5/2", "a9_expander_search"),
+    "A10": ("Alon-Boppana comparison", "a10_alon_boppana"),
+    "A11": ("truss stiffness rigidity", "a11_truss"),
+}
 
 
 @dataclass
@@ -81,6 +97,10 @@ class CriterionResult:
     def to_jsonable(self) -> dict:
         return {"id": self.cid, "name": self.name, "passed": self.passed,
                 "details": self.details}
+
+
+def _criterion(cid: str, passed: bool, details: dict) -> CriterionResult:
+    return CriterionResult(cid, CRITERIA[cid][0], passed, details)
 
 
 # --- input corpus ------------------------------------------------------------
@@ -189,8 +209,6 @@ class _CorpusPass:
         self.eml_slack, self.eml_graphs = np.inf, 0           # A5
         self.irregular: list[IrregularContext] = []           # A6
         self.cheeger_slack, self.cheeger_graphs = np.inf, 0   # A7
-        # resid_tol is read only by the factorization report
-        self.sheaf_tol = dataclasses.replace(suite.tol, resid_tol=1e-9)
         members = suite.corpus()
         while True:
             try:
@@ -251,8 +269,9 @@ class _CorpusPass:
         self.lift_gap = max(self.lift_gap, gap)
 
     def _sheaf(self, ops: OperatorBundle) -> None:
-        report, sections, kdim = _sheaf_analysis(ops, self.sheaf_tol)
-        self.residual_ratio = max(self.residual_ratio, float(report.lhs) / float(report.rhs))
+        report, sections, kdim = sheaf_analysis(ops)
+        allowed = SHEAF_RESID_TOL * max(1.0, report.context["laplacian_norm"])
+        self.residual_ratio = max(self.residual_ratio, float(report.lhs) / allowed)
         self.h0_matches = self.h0_matches and sections.shape[1] == kdim
 
     def _regular_eml(self, ops: OperatorBundle) -> None:
@@ -265,8 +284,7 @@ class _CorpusPass:
             self.irregular.append(ctx)
 
     def _cheeger(self, ops: OperatorBundle) -> None:
-        _, (trace_report, loewner_report), _ = _cheeger_analysis(
-            ops, _cheeger_degree(ops.regularity, ops.n))
+        _, (trace_report, loewner_report), _ = cheeger_analysis(ops)
         self.cheeger_slack = min(self.cheeger_slack, trace_report.slack, loewner_report.slack)
         self.cheeger_graphs += 1
 
@@ -349,8 +367,7 @@ class Suite:
         total = sum(frame.projections)
         sum_err = float(np.max(np.abs(total - 1.5 * np.eye(2))))
         passed = entry_err <= FRAME_TOL and sum_err <= FRAME_TOL
-        return CriterionResult("A1", "equiangular frame identity", passed,
-                               {"entry_error": entry_err, "sum_error": sum_err})
+        return _criterion("A1", passed, {"entry_error": entry_err, "sum_error": sum_err})
 
     def a2_normalized_bound(self) -> CriterionResult:
         corpus = self._corpus_pass
@@ -363,36 +380,35 @@ class Suite:
             report = check_normalized_bound(assemble(G, self.tol))
             attain[name] = bool(report.context["attained"])
         passed = worst <= 2.0 + CHECK_TOL and attain["k2"] and attain["k33"]
-        return CriterionResult("A2", "normalized Laplacian bounded by 2", passed,
-                               {"graphs": corpus.graphs, "max_lambda": worst,
-                                "k2_attained": attain["k2"], "k33_attained": attain["k33"]})
+        return _criterion("A2", passed,
+                          {"graphs": corpus.graphs, "max_lambda": worst,
+                           "k2_attained": attain["k2"], "k33_attained": attain["k33"]})
 
     def a3_trace_bounds(self) -> CriterionResult:
         corpus = self._corpus_pass
         corpus.raise_error("A3")
         worst, lift_equality_gap = corpus.trace_slack, corpus.lift_gap
         passed = worst >= -CHECK_TOL and lift_equality_gap <= CHECK_TOL
-        return CriterionResult("A3", "Laplacian and adjacency trace bounds", passed,
-                               {"graphs": corpus.graphs, "min_slack": float(worst),
-                                "lift_equality_gap": float(lift_equality_gap)})
+        return _criterion("A3", passed,
+                          {"graphs": corpus.graphs, "min_slack": float(worst),
+                           "lift_equality_gap": float(lift_equality_gap)})
 
     def a4_sheaf_factorization(self) -> CriterionResult:
         corpus = self._corpus_pass
         corpus.raise_error("A4")
         worst_ratio, dims_match = corpus.residual_ratio, corpus.h0_matches
         passed = worst_ratio <= 1.0 and dims_match
-        return CriterionResult("A4", "sheaf factorization and global sections", passed,
-                               {"graphs": corpus.graphs,
-                                "worst_residual_ratio": worst_ratio,
-                                "h0_matches_kernel": dims_match})
+        return _criterion("A4", passed,
+                          {"graphs": corpus.graphs,
+                           "worst_residual_ratio": worst_ratio,
+                           "h0_matches_kernel": dims_match})
 
     def a5_regular_eml(self) -> CriterionResult:
         corpus = self._corpus_pass
         corpus.raise_error("A5")
         worst, count = corpus.eml_slack, corpus.eml_graphs
         passed = count > 0 and worst >= -CHECK_TOL
-        return CriterionResult("A5", "regular mixing lemma, exhaustive pairs", passed,
-                               {"graphs": count, "min_slack": float(worst)})
+        return _criterion("A5", passed, {"graphs": count, "min_slack": float(worst)})
 
     def a6_irregular_eml(self, pairs_each: int = 200) -> CriterionResult:
         corpus = self._corpus_pass
@@ -415,24 +431,23 @@ class Suite:
         report = eml_irregular(assemble(k2, self.tol), [0], [1])
         k2_gap = max(abs(float(report.lhs) - 0.5), abs(float(report.rhs) - 0.5))
         passed = worst >= -CHECK_TOL and k2_gap <= EXACT_TOL
-        return CriterionResult("A6", "irregular mixing lemma", passed,
-                               {"graphs": len(candidates), "pairs_each": pairs_each,
-                                "min_slack": float(worst), "k2_equality_gap": float(k2_gap)})
+        return _criterion("A6", passed,
+                          {"graphs": len(candidates), "pairs_each": pairs_each,
+                           "min_slack": float(worst), "k2_equality_gap": float(k2_gap)})
 
     def a7_cheeger_lower_bounds(self) -> CriterionResult:
         corpus = self._corpus_pass
         corpus.raise_error("A7")
         worst, count = corpus.cheeger_slack, corpus.cheeger_graphs
         passed = count > 0 and worst >= -CHECK_TOL
-        return CriterionResult("A7", "Cheeger lower bounds, exhaustive subsets", passed,
-                               {"graphs": count, "min_slack": float(worst)})
+        return _criterion("A7", passed, {"graphs": count, "min_slack": float(worst)})
 
     def a8_counterexample(self) -> CriterionResult:
         results = search_expanders(8, 3, self.frame3, self.tol, workers=self.workers)
         witnesses = []
         for res in results:
             G = build_expander(res.graph, res.coloring, self.frame3, self.tol)
-            cert = verify_counterexample(G, self.tol)
+            cert = cheeger_analysis(assemble(G, self.tol))[2]
             if cert.kernel_dim == 4 and cert.holds:
                 witnesses.append((res, cert))
         passed = len(witnesses) > 0
@@ -446,7 +461,7 @@ class Suite:
                 "witness_alpha": cert.alpha,
                 "witness_h_trace": cert.h_trace,
             })
-        return CriterionResult("A8", "Cheeger counterexample certificate", passed, details)
+        return _criterion("A8", passed, details)
 
     def a9_expander_search(self) -> CriterionResult:
         results = search_expanders(8, 4, self.frame4, self.tol, workers=self.workers)
@@ -475,7 +490,7 @@ class Suite:
                 "best_mu_min": best.report.mu_nontrivial_min,
                 "best_mu_max": best.report.mu_nontrivial_max,
             })
-        return CriterionResult("A9", "4-regular expander search at degree 5/2", passed, details)
+        return _criterion("A9", passed, details)
 
     def a10_alon_boppana(self) -> CriterionResult:
         bounds = alon_boppana_compare(4, 1, 2)
@@ -488,9 +503,9 @@ class Suite:
                     ratio_ok = False
                 checked += 1
         passed = gap <= EXACT_TOL and ratio_ok
-        return CriterionResult("A10", "Alon-Boppana comparison", passed,
-                               {"example_gap": float(gap), "ratio_pairs_checked": checked,
-                                "ratio_ok": ratio_ok})
+        return _criterion("A10", passed,
+                          {"example_gap": float(gap), "ratio_pairs_checked": checked,
+                           "ratio_ok": ratio_ok})
 
     def a11_truss(self) -> CriterionResult:
         tetra_kernel, motions, resid = truss_rigidity(regular_tetrahedron_truss(), self.tol)
@@ -498,30 +513,17 @@ class Suite:
         bar_kernel, _, _ = truss_rigidity(bar, self.tol)
         passed = (tetra_kernel == 6 and motions.shape[1] == 6
                   and resid <= CHECK_TOL and bar_kernel == 5)
-        return CriterionResult("A11", "truss stiffness rigidity", passed,
-                               {"tetrahedron_kernel": tetra_kernel,
-                                "rigid_motion_count": int(motions.shape[1]),
-                                "kernel_residual": resid,
-                                "bar_kernel": bar_kernel})
+        return _criterion("A11", passed,
+                          {"tetrahedron_kernel": tetra_kernel,
+                           "rigid_motion_count": int(motions.shape[1]),
+                           "kernel_residual": resid,
+                           "bar_kernel": bar_kernel})
 
     def run(self) -> list[CriterionResult]:
-        criteria = [
-            ("A1", "equiangular frame identity", self.a1_frame_identity),
-            ("A2", "normalized Laplacian bounded by 2", self.a2_normalized_bound),
-            ("A3", "Laplacian and adjacency trace bounds", self.a3_trace_bounds),
-            ("A4", "sheaf factorization and global sections", self.a4_sheaf_factorization),
-            ("A5", "regular mixing lemma, exhaustive pairs", self.a5_regular_eml),
-            ("A6", "irregular mixing lemma", self.a6_irregular_eml),
-            ("A7", "Cheeger lower bounds, exhaustive subsets", self.a7_cheeger_lower_bounds),
-            ("A8", "Cheeger counterexample certificate", self.a8_counterexample),
-            ("A9", "4-regular expander search at degree 5/2", self.a9_expander_search),
-            ("A10", "Alon-Boppana comparison", self.a10_alon_boppana),
-            ("A11", "truss stiffness rigidity", self.a11_truss),
-        ]
         results = []
-        for cid, name, fn in criteria:
+        for cid, (name, method) in CRITERIA.items():
             try:
-                results.append(fn())
+                results.append(getattr(self, method)())
             except MwgError as exc:
                 # over-tight tolerance overrides and similar failures are
                 # flagged with their cause rather than aborting the suite

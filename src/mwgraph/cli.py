@@ -26,8 +26,8 @@ from .expansion import (
     eml_regular_exhaustive,
 )
 from .frames import (
-    _eta,
     build_expander,
+    eta,
     load_frame,
     named_frame,
     proper_edge_coloring,
@@ -313,8 +313,8 @@ def _all_hold(obj) -> bool:
 
 
 def cmd_cheeger(args, tol: Tolerances) -> int:
-    G = _load_graph(args.file, tol)
-    constants, (trace_bound, loewner_bound), cert = cheeger_analysis(G, tol)
+    ops = assemble(_load_graph(args.file, tol), tol)
+    constants, (trace_bound, loewner_bound), cert = cheeger_analysis(ops)
     report = {
         "h_trace": constants.h_trace,
         "argmin": list(constants.argmin),
@@ -329,8 +329,7 @@ def cmd_cheeger(args, tol: Tolerances) -> int:
 
 
 def cmd_sheaf_check(args, tol: Tolerances) -> int:
-    G = _load_graph(args.file, tol)
-    factorization, sections, kdim = sheaf_analysis(G, tol)
+    factorization, sections, kdim = sheaf_analysis(assemble(_load_graph(args.file, tol), tol))
     h0 = sections.shape[1]
     report = {
         "factorization": factorization.to_jsonable(),
@@ -372,7 +371,7 @@ def cmd_build_expander(args, tol: Tolerances) -> int:
     ops = assemble(G, tol)
     reg = ops.regularity
     try:
-        expander = _eta(ops).to_jsonable()
+        expander = eta(ops).to_jsonable()
     except NotScalarRegularError:
         expander = None
     report = {

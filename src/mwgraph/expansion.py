@@ -1,5 +1,8 @@
 """Matrix-valued edge counts, expander mixing lemmas, and Cheeger machinery.
 
+Every analysis here takes an ``OperatorBundle`` and reads its tolerances;
+only ``edge_count``, a pure graph quantity, takes the graph itself.
+
 Two conventions pinned here:
 
 * The spectral mixing bound centers the edge count at (d|S||T|/n) I, the
@@ -35,9 +38,9 @@ from .errors import (
     SingularVolumeError,
     TooLargeError,
 )
-from .graphs import MatrixWeightedGraph, Regularity, regularity
-from .linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
-from .operators import CHECK_TOL, BoundReport, OperatorBundle, assemble
+from .graphs import MatrixWeightedGraph, Regularity
+from .linalg import Tolerances, kernel_dim_of_values
+from .operators import CHECK_TOL, BoundReport, OperatorBundle
 
 EML_EXHAUSTIVE_MAX_N = 8
 # the bytes the float arrays of one block of an exhaustive mixing-lemma pair
@@ -141,17 +144,17 @@ def eml_regular(ops: OperatorBundle, S: Iterable[int], T: Iterable[int]) -> EmlR
     by max(|mu_{k+1}|, |mu_{kn}|) times the same square root.
     """
     d = require_scalar_regular(ops.regularity)
-    G, n, k = ops.graph, ops.n, ops.k
+    n, k = ops.n, ops.k
     abs_mu, spec_const, _ = _regular_mu_constants(ops)
-    E = edge_count(G, S, T)
-    s = len(set(int(v) for v in S))
-    t = len(set(int(v) for v in T))
+    # S and T are read once, so any iterable will do
+    S, T = mask_vertices(subset_mask(S, n), n), mask_vertices(subset_mask(T, n), n)
+    E = edge_count(ops.graph, S, T)
+    s, t = len(S), len(T)
     root = float(np.sqrt(max(s * t * (1 - s / n) * (1 - t / n), 0.0)))
     center = d * s * t / n
     trace_lhs = abs(float(np.trace(E)) - k * center)
     trace = BoundReport.simple("eml_regular_trace", trace_lhs, abs_mu * root,
-                               S=list(mask_vertices(subset_mask(S, n), n)),
-                               T=list(mask_vertices(subset_mask(T, n), n)))
+                               S=list(S), T=list(T))
     dev = np.linalg.eigvalsh(E - center * np.eye(k))
     spec_lhs = max(abs(float(dev[0])), abs(float(dev[-1])))
     spectral = BoundReport.simple("eml_regular_spectral", spec_lhs, spec_const * root)
@@ -350,11 +353,10 @@ class CheegerReport:
     per_subset: Mapping[tuple[int, ...], np.ndarray] | None = None
 
 
-def cheeger_ratios(G: MatrixWeightedGraph, S: Iterable[int],
-                   tol: Tolerances = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+def cheeger_ratios(ops: OperatorBundle, S: Iterable[int]) -> tuple[float, np.ndarray]:
     """(h_trace(S), h_loewner(S)) = tr/matrix of E(S, V-S) / (d min(|S|, |V-S|))."""
-    d = require_scalar_regular(regularity(G, tol), positive=True)
-    n = G.base.n
+    d = require_scalar_regular(ops.regularity, positive=True)
+    G, n = ops.graph, ops.n
     mask = subset_mask(S, n)
     if mask == 0 or mask == (1 << n) - 1:
         raise EmptyOrFullSubsetError("S must be a nonempty proper subset")
@@ -540,20 +542,18 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
     return _BoundaryScan(best_tr, best_mask, float(alpha), min_rank, per)
 
 
-def cheeger_constants(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                      include_per_subset: bool = False) -> CheegerReport:
+def cheeger_constants(ops: OperatorBundle, include_per_subset: bool = False) -> CheegerReport:
     """Exhaustive minimization over nonempty proper subsets mod complementation."""
-    return cheeger_analysis(G, tol, include_per_subset)[0]
+    return cheeger_analysis(ops, include_per_subset)[0]
 
 
-def check_cheeger_lower_bounds(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL
-                               ) -> tuple[BoundReport, BoundReport]:
+def check_cheeger_lower_bounds(ops: OperatorBundle) -> tuple[BoundReport, BoundReport]:
     """Spectral lower bounds on both Cheeger constants.
 
     h_trace >= sum_{i=1..k} lambda_{k+i} / (2d), and per subset
     (lambda_{k+1} / 2d) I precedes h(S) in the Loewner order.
     """
-    return cheeger_analysis(G, tol)[1]
+    return cheeger_analysis(ops)[1]
 
 
 # --- counterexample certificate ---------------------------------------------
@@ -592,38 +592,24 @@ class CounterexampleCertificate:
         }
 
 
-def verify_counterexample(G: MatrixWeightedGraph,
-                          tol: Tolerances = DEFAULT_TOL) -> CounterexampleCertificate:
-    return cheeger_analysis(G, tol)[2]
+def verify_counterexample(ops: OperatorBundle) -> CounterexampleCertificate:
+    return cheeger_analysis(ops)[2]
 
 
-def cheeger_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL,
-                     keep_per_subset: bool = False
+def cheeger_analysis(ops: OperatorBundle, keep_per_subset: bool = False
                      ) -> tuple[CheegerReport, tuple[BoundReport, BoundReport],
                                 CounterexampleCertificate]:
     """The Cheeger constants, their two spectral lower bounds and the
     counterexample certificate, from one boundary scan and one Laplacian
-    spectrum.  The graph is checked before it is assembled."""
-    d = _cheeger_degree(regularity(G, tol), G.base.n)
-    return _cheeger_analysis(assemble(G, tol), d, keep_per_subset)
-
-
-def _cheeger_degree(reg: Regularity, n: int) -> float:
-    """The degree d of a graph that the exhaustive Cheeger scan accepts."""
-    d = require_scalar_regular(reg, positive=True)
+    spectrum.  Regularity and size are checked on the degree blocks, before
+    any kn x kn operator is formed."""
+    n, k, tol = ops.n, ops.k, ops.tol
+    d = require_scalar_regular(ops.regularity, positive=True)
     if n > CHEEGER_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"n = {n} exceeds exhaustive limit {CHEEGER_EXHAUSTIVE_MAX_N}; "
                             "use sampling instead")
     if n < 2:
         raise EmptyOrFullSubsetError("no nonempty proper subsets for n < 2")
-    return d
-
-
-def _cheeger_analysis(ops: OperatorBundle, d: float, keep_per_subset: bool = False
-                      ) -> tuple[CheegerReport, tuple[BoundReport, BoundReport],
-                                 CounterexampleCertificate]:
-    """cheeger_analysis of a bundle whose degree _cheeger_degree returned."""
-    n, k, tol = ops.n, ops.k, ops.tol
     lam = ops.laplacian_values
     scan = _scan_boundaries(ops.graph, d, tol, keep_per_subset)
     argmin = mask_vertices(scan.argmin_mask, n)

@@ -206,13 +206,10 @@ class ExpanderReport:
         }
 
 
-def eta(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> ExpanderReport:
-    """Expansion constant: all nontrivial |mu| are at most d - eta."""
-    return _eta(assemble(G, tol))
+def eta(ops: OperatorBundle) -> ExpanderReport:
+    """Expansion constant: all nontrivial |mu| are at most d - eta.
 
-
-def _eta(ops: OperatorBundle) -> ExpanderReport:
-    """eta of an assembled graph, under the bundle's tolerances."""
+    Regularity is checked on the degree blocks, before A is formed."""
     G, tol, reg = ops.graph, ops.tol, ops.regularity
     if not reg.is_scalar_regular or reg.scalar_degree <= 0:
         raise NotScalarRegularError("eta requires dI-regularity with d > 0")
@@ -324,7 +321,7 @@ def _graph_results(args) -> list:
                 continue
             seen_weightings.add(key)
         G = build_expander(graph, coloring, f, tol)
-        results.append(SearchResult(n, code_str, graph, coloring, eta(G, tol)))
+        results.append(SearchResult(n, code_str, graph, coloring, eta(assemble(G, tol))))
     return results
 
 
@@ -420,7 +417,7 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
         G = build_expander(base, coloring, f, tol)
         raw = edges_code(n, base.edges)
         code_str = graph6_like(n, raw) if n <= 62 else str(raw)
-        results.append(SearchResult(n, code_str, base, coloring, eta(G, tol)))
+        results.append(SearchResult(n, code_str, base, coloring, eta(assemble(G, tol))))
     results.sort(key=lambda res: (-res.report.eta, res.code, res.coloring))
     return results
 

@@ -5,7 +5,8 @@ adjacency by (Ax)_v = sum_u W_uv x_u.  The normalized adjacency is computed
 directly as D^(+/2) A D^(+/2) rather than via I - Lnorm so singular-degree
 vertices are handled uniformly.  The trace weighting w_e = tr(W_e), a k = 1
 graph that the trace bounds compare with L_W and A_W, is read as the
-bundle's n x n ``trace_adjacency``.
+bundle's n x n ``trace_adjacency``.  ``assemble`` pairs a graph with its
+tolerances in an ``OperatorBundle``, which forms each operator on first read.
 """
 
 from __future__ import annotations
@@ -70,44 +71,64 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """The five kn x kn operators of a matrix-weighted graph.
+    """The operators of a matrix-weighted graph under fixed tolerances.
 
-    A, L and D are placed by ``assemble``; the normalized operators and
-    D^(+/2) are formed, with ``tol``, the first time one of them is read, and
-    so are ``trace_adjacency``, ``degree_blocks``, ``regularity`` and the
-    spectra ``laplacian_values`` and ``adjacency_values`` (one ``eigvalsh``
-    each, ascending).  ``graph`` is the graph they were assembled from.  The
-    spectral checks below, the mixing-lemma and Cheeger checks in
-    ``expansion``, the sheaf analysis and ``eta`` read one bundle, so a
+    ``assemble`` fixes ``graph`` and ``tol``; every other field is formed,
+    with ``tol``, the first time it is read: the degree blocks D_v (summed
+    by ``all_degrees``) and ``regularity``, A, D (placed from the blocks)
+    and L, the normalized operators and D^(+/2), ``trace_adjacency`` and
+    the spectra ``laplacian_values`` and ``adjacency_values`` (one
+    ``eigvalsh`` each, ascending).  So regularity and size are checked
+    before any kn x kn array exists.  Every analysis reads one bundle, so a
     caller assembles and solves each graph once.
     """
 
-    adjacency: np.ndarray
-    laplacian: np.ndarray
-    degree: np.ndarray
-    k: int
-    n: int
     graph: MatrixWeightedGraph
     tol: Tolerances = DEFAULT_TOL
+
+    @property
+    def k(self) -> int:
+        return self.graph.k
+
+    @property
+    def n(self) -> int:
+        return self.graph.base.n
+
+    @cached_property
+    def degree_blocks(self) -> np.ndarray:
+        """The (n, k, k) stack of degree blocks D_v."""
+        blocks = np.array(all_degrees(self.graph)).reshape(self.n, self.k, self.k)
+        blocks.setflags(write=False)
+        return blocks
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        k, n = self.k, self.n
+        A = np.zeros((k * n, k * n))
+        for (u, v), w in self.graph.weights.items():
+            A[u * k:(u + 1) * k, v * k:(v + 1) * k] = w
+            A[v * k:(v + 1) * k, u * k:(u + 1) * k] = w
+        return A
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        return self._block_diagonal(self.degree_blocks)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return self.degree - self.adjacency
+
+    def _block_diagonal(self, blocks: np.ndarray) -> np.ndarray:
+        k, n = self.k, self.n
+        out = np.zeros((k * n, k * n))
+        out.reshape(n, k, n, k)[np.arange(n), :, np.arange(n), :] = blocks
+        return out
 
     @cached_property
     def _degree_pseudo_sqrt_inv(self) -> np.ndarray:
         """Block-diagonal D^(+/2): every D_v^(+/2) from one stacked solve."""
-        k, n = self.k, self.n
-        v = np.arange(n)
         sym = _checked_psd(self.degree_blocks, self.tol, lambda _: PSEUDO_SQRT_INV_NOT_PSD)
-        half = np.zeros_like(self.degree)
-        half.reshape(n, k, n, k)[v, :, v, :] = _pseudo_sqrt_inv(sym, self.tol)
-        return half
-
-    @cached_property
-    def degree_blocks(self) -> np.ndarray:
-        """The (n, k, k) stack of degree blocks D_v, as ``assemble`` summed them."""
-        k, n = self.k, self.n
-        v = np.arange(n)
-        blocks = np.ascontiguousarray(self.degree.reshape(n, k, n, k)[v, :, v, :])
-        blocks.setflags(write=False)
-        return blocks
+        return self._block_diagonal(_pseudo_sqrt_inv(sym, self.tol))
 
     @cached_property
     def trace_adjacency(self) -> np.ndarray:
@@ -148,15 +169,8 @@ class OperatorBundle:
 
 
 def assemble(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> OperatorBundle:
-    k, n = G.k, G.base.n
-    A = np.zeros((k * n, k * n))
-    for (u, v), w in G.weights.items():
-        A[u * k:(u + 1) * k, v * k:(v + 1) * k] = w
-        A[v * k:(v + 1) * k, u * k:(u + 1) * k] = w
-    D = np.zeros((k * n, k * n))
-    for v, Dv in enumerate(all_degrees(G)):
-        D[v * k:(v + 1) * k, v * k:(v + 1) * k] = Dv
-    return OperatorBundle(A, D - A, D, k, n, G, tol)
+    """The bundle of G under ``tol``: the one place a graph meets its tolerances."""
+    return OperatorBundle(G, tol)
 
 
 def laplacian_spectrum(ops: OperatorBundle) -> Spectrum:

@@ -4,6 +4,9 @@ Edge stalks carry orthonormal coordinates on im(W_e) scaled by the square
 roots of the weight eigenvalues, so the coboundary is an ordinary real
 matrix with delta^T delta equal to the Laplacian.  Also provides the
 bar-and-joint (truss) construction whose Laplacian is the stiffness matrix.
+
+The sheaf checks take an ``OperatorBundle`` and read its tolerances; the
+constructors take a graph or truss and tolerances of their own.
 """
 
 from __future__ import annotations
@@ -101,40 +104,32 @@ def _kernel_basis(delta: np.ndarray, tol: Tolerances) -> np.ndarray:
     return vt[rank:].T
 
 
-def verify_factorization(G: MatrixWeightedGraph,
-                         tol: Tolerances = DEFAULT_TOL) -> BoundReport:
+def verify_factorization(ops: OperatorBundle) -> BoundReport:
     """Check ||delta^T delta - L|| <= resid_tol * max(1, ||L||)."""
-    return _factorization_report(assemble(G, tol).laplacian,
-                                 build_coboundary(G, tol=tol).matrix, tol)
+    return _factorization_report(ops.laplacian,
+                                 build_coboundary(ops.graph, tol=ops.tol).matrix, ops.tol)
 
 
-def global_sections(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def global_sections(ops: OperatorBundle) -> np.ndarray:
     """Orthonormal basis of H^0 = ker(delta), as columns.
 
     A singular value sigma counts as zero under the cutoff kernel_dim applies
     to L = delta^T delta (sigma^2 against rank_rel_tol * max(1, sigma_max^2)),
     so the dimension equals kernel_dim(L) exactly when ker delta = ker L.
     """
-    return _kernel_basis(build_coboundary(G, tol=tol).matrix, tol)
+    return _kernel_basis(build_coboundary(ops.graph, tol=ops.tol).matrix, ops.tol)
 
 
-def sheaf_analysis(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL
-                   ) -> tuple[BoundReport, np.ndarray, int]:
+def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
     """verify_factorization, global_sections and kernel_dim(L), in that order,
-    from one assembly, one coboundary, one ||L|| and one eigensolve of L.
+    from one coboundary, one ||L|| and one eigensolve of L.
 
     kernel_dim(L) is read off the bundle's ``laplacian_values``: L is
     assembled exactly symmetric, so this is the count, and the PSD check,
     that kernel_dim(L) gives."""
-    return _sheaf_analysis(assemble(G, tol), tol)
-
-
-def _sheaf_analysis(ops: OperatorBundle, tol: Tolerances) -> tuple[BoundReport, np.ndarray, int]:
-    """sheaf_analysis of an assembled graph under ``tol``, which may differ
-    from the bundle's own in ``resid_tol``."""
-    delta = build_coboundary(ops.graph, tol=tol).matrix
-    return (_factorization_report(ops.laplacian, delta, tol), _kernel_basis(delta, tol),
-            _checked_kernel_dim(ops.laplacian_values, tol))
+    delta = build_coboundary(ops.graph, tol=ops.tol).matrix
+    return (_factorization_report(ops.laplacian, delta, ops.tol), _kernel_basis(delta, ops.tol),
+            _checked_kernel_dim(ops.laplacian_values, ops.tol))
 
 
 # --- trusses ---------------------------------------------------------------

@@ -54,13 +54,13 @@ def test_a3_trace_bounds(suite):
 def pass_calls(suite):
     """Calls made by one shared A2-A7 pass over the suite's corpus, whose
     members are built beforehand so that only their analysis is counted."""
-    from mwgraph import acceptance, expansion, frames, graphs, linalg, operators, sheaf
+    from mwgraph import acceptance, frames, graphs, linalg, operators, sheaf
     from mwgraph.operators import OperatorBundle
     members = list(suite.corpus())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(suite, "corpus", lambda: iter(members))
         calls = {
-            "assemble": count_calls(mp, "assemble", acceptance, expansion, operators, sheaf),
+            "assemble": count_calls(mp, "assemble", acceptance, operators, sheaf),
             # every regularity test, graphs.regularity's or a bundle's
             "regularity": count_calls(mp, "_regularity", graphs, operators),
             "trace_adjacency": count_calls(mp, "func",

@@ -88,7 +88,7 @@ def reference_a4(suite):
     worst_ratio = 0.0
     dims_match = True
     for G in suite.members:
-        report, sections, kdim = sheaf_analysis(G, tol)
+        report, sections, kdim = sheaf_analysis(assemble(G, tol))
         worst_ratio = max(worst_ratio, float(report.lhs) / float(report.rhs))
         dims_match = dims_match and sections.shape[1] == kdim
     passed = worst_ratio <= 1.0 and dims_match
@@ -143,7 +143,7 @@ def reference_a7(suite):
         reg = regularity(G, suite.tol)
         if reg.scalar_degree <= 0 or G.base.n < 2:
             continue
-        trace_report, loewner_report = check_cheeger_lower_bounds(G, suite.tol)
+        trace_report, loewner_report = check_cheeger_lower_bounds(assemble(G, suite.tol))
         worst = min(worst, trace_report.slack, loewner_report.slack)
         count += 1
     passed = count > 0 and worst >= -CHECK_TOL
@@ -237,10 +237,10 @@ def test_failing_lift_keeps_a6_and_comes_before_earlier_errors(monkeypatch):
     monkeypatch.setattr(acceptance, "atlas_lift_graphs",
                         lambda: failing_after(lifts(), 5, "lift 5 failed"))
 
-    def sheaf_fails(ops, tol):
+    def sheaf_fails(ops):
         raise MwgError("sheaf failed")
 
-    monkeypatch.setattr(acceptance, "_sheaf_analysis", sheaf_fails)
+    monkeypatch.setattr(acceptance, "sheaf_analysis", sheaf_fails)
     outcomes = corpus_outcomes(Suite(seed=0, random_count=20))
     error = (False, {"error": "MwgError: lift 5 failed"})
     assert outcomes == {"A2": error, "A3": error, "A4": error, "A5": error,

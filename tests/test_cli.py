@@ -118,8 +118,8 @@ def test_eml_exhaustive(k4_abc_file, capsys):
 
 @pytest.mark.parametrize("mode", [["--exhaustive"], ["--S", "0", "--T", "1"]])
 def test_eml_assembles_once(k4_abc_file, capsys, monkeypatch, mode):
-    from mwgraph import cli, expansion, graphs, operators
-    assembled = count_calls(monkeypatch, "assemble", cli, expansion)
+    from mwgraph import cli, graphs, operators
+    assembled = count_calls(monkeypatch, "assemble", cli, operators)
     # every regularity test, graphs.regularity's or a bundle's, runs _regularity
     classified = count_calls(monkeypatch, "_regularity", graphs, operators)
     assert main(["--format", "json", "eml", str(k4_abc_file), *mode]) == 0

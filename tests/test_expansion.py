@@ -149,6 +149,18 @@ def test_eml_regular_complete_lift_closed_form():
     assert rep.trace_check.holds and rep.spectral_check.holds
 
 
+def test_eml_regular_reads_each_subset_once():
+    # one-shot iterables give the report lists give: on unit-weight K4,
+    # tr E({0, 1}, {2, 3}) = 4 against the center 1 * 2 * 2 * 3 / 4 = 3
+    ops = assemble(complete_graph(4))
+    expected = eml_regular(ops, [0, 1], [2, 3])
+    rep = eml_regular(ops, iter([0, 1]), iter([2, 3]))
+    assert rep.trace_check.lhs == 1.0 and rep.trace_check.rhs == 1.0
+    assert rep.trace_check.context == {"S": [0, 1], "T": [2, 3]}
+    assert rep.trace_check.to_jsonable() == expected.trace_check.to_jsonable()
+    assert rep.spectral_check.to_jsonable() == expected.spectral_check.to_jsonable()
+
+
 def test_eml_regular_requires_regularity(rng):
     g = unit_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(NotScalarRegularError):
@@ -472,39 +484,39 @@ def test_indicators_match_bit_loop():
 def test_cheeger_ratios_k2_identity():
     for k in (1, 2, 3):
         G = lift_identity(unit_graph(2, [(0, 1)]), k)
-        h_tr, h_loew = cheeger_ratios(G, [0])
+        h_tr, h_loew = cheeger_ratios(assemble(G), [0])
         assert h_tr == pytest.approx(k)
         assert np.allclose(h_loew, np.eye(k))
 
 
 def test_cheeger_ratios_disconnected_component():
     G = lift_identity(unit_graph(4, [(0, 1), (2, 3)]), 2)
-    h_tr, h_loew = cheeger_ratios(G, [0, 1])
+    h_tr, h_loew = cheeger_ratios(assemble(G), [0, 1])
     assert h_tr == 0.0
     assert not np.any(h_loew)
 
 
 def test_cheeger_ratios_counterexample_full_rank():
-    G = k33_latin_mwg()
+    ops = assemble(k33_latin_mwg())
     n = 6
     for smask in range(1, (1 << n) - 1):
         S = [v for v in range(n) if (smask >> v) & 1]
-        _, h_loew = cheeger_ratios(G, S)
+        _, h_loew = cheeger_ratios(ops, S)
         assert np.linalg.eigvalsh(h_loew)[0] > 1e-6
 
 
 def test_cheeger_ratios_errors():
-    G = lift_identity(unit_graph(2, [(0, 1)]), 1)
+    ops = assemble(lift_identity(unit_graph(2, [(0, 1)]), 1))
     with pytest.raises(EmptyOrFullSubsetError):
-        cheeger_ratios(G, [])
+        cheeger_ratios(ops, [])
     with pytest.raises(EmptyOrFullSubsetError):
-        cheeger_ratios(G, [0, 1])
+        cheeger_ratios(ops, [0, 1])
     irregular = lift_identity(unit_graph(3, [(0, 1)]), 1)
     with pytest.raises(NotScalarRegularError):
-        cheeger_ratios(irregular, [0])
+        cheeger_ratios(assemble(irregular), [0])
     empty = MatrixWeightedGraph.from_weights(3, 1, [])
     with pytest.raises(NotScalarRegularError):
-        cheeger_ratios(empty, [0])
+        cheeger_ratios(assemble(empty), [0])
 
 
 def brute_force_cheeger(G, d):
@@ -527,7 +539,7 @@ def brute_force_cheeger(G, d):
 
 def test_cheeger_constants_c4():
     G = lift_identity(cycle_graph(4), 1)
-    report = cheeger_constants(G)
+    report = cheeger_constants(assemble(G))
     assert report.h_trace == pytest.approx(0.5)
     # ties broken by smallest bitmask: {0, 1} beats {0, 3}
     assert report.argmin == (0, 1)
@@ -536,7 +548,7 @@ def test_cheeger_constants_c4():
 def test_cheeger_constants_k2_lift():
     for k in (1, 2):
         G = lift_identity(unit_graph(2, [(0, 1)]), k)
-        report = cheeger_constants(G)
+        report = cheeger_constants(assemble(G))
         assert report.h_trace == pytest.approx(k)
         assert report.argmin == (0,)
 
@@ -547,7 +559,7 @@ def test_cheeger_constants_disconnected_zero():
         # a zero boundary has no norm to bound it by, and raises no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = cheeger_constants(G)
+            report = cheeger_constants(assemble(G))
         assert report.h_trace == pytest.approx(0.0)
         assert report.h_loewner_alpha == 0.0
 
@@ -577,7 +589,7 @@ def test_cheeger_constants_match_brute_force(rng):
     from mwgraph.graphs import regularity
     for G in cases:
         d = regularity(G).scalar_degree
-        report = cheeger_constants(G)
+        report = cheeger_constants(assemble(G))
         tr, S, alpha = brute_force_cheeger(G, d)
         assert report.h_trace == pytest.approx(tr, abs=1e-10)
         assert report.h_loewner_alpha == pytest.approx(alpha, abs=1e-10)
@@ -585,7 +597,7 @@ def test_cheeger_constants_match_brute_force(rng):
 
 def test_cheeger_constants_per_subset_table():
     G = lift_identity(cycle_graph(4), 1)
-    report = cheeger_constants(G, include_per_subset=True)
+    report = cheeger_constants(assemble(G), include_per_subset=True)
     assert len(report.per_subset) == 2 ** 3 - 1
     for S, h in report.per_subset.items():
         comp = [v for v in range(4) if v not in S]
@@ -595,16 +607,18 @@ def test_cheeger_constants_per_subset_table():
 
 
 def test_cheeger_too_large_fails_before_any_work(monkeypatch):
+    # the checks read the bundle's degree blocks: no kn x kn operator is
+    # formed and no boundary is scanned
     def forbidden(*args, **kwargs):
         raise AssertionError("called before the size check")
 
-    monkeypatch.setattr(expansion, "assemble", forbidden)
     monkeypatch.setattr(expansion, "_scan_boundaries", forbidden)
-    G = lift_identity(cycle_graph(CHEEGER_EXHAUSTIVE_MAX_N + 1), 2)
+    ops = assemble(lift_identity(cycle_graph(CHEEGER_EXHAUSTIVE_MAX_N + 1), 2))
     with pytest.raises(TooLargeError):
-        cheeger_constants(G)
+        cheeger_constants(ops)
     with pytest.raises(TooLargeError):
-        verify_counterexample(G)
+        verify_counterexample(ops)
+    assert not {"adjacency", "laplacian", "degree"} & set(vars(ops))
 
 
 def reference_scan(G, d, tol):
@@ -615,9 +629,10 @@ def reference_scan(G, d, tol):
     alpha = np.inf
     min_rank = k
     per = {}
+    ops = assemble(G, tol)
     for mask in range(1, (1 << n) - 1, 2):
         S = mask_vertices(mask, n)
-        tr, h = cheeger_ratios(G, S, tol)
+        tr, h = cheeger_ratios(ops, S)
         size = len(S)
         denom = d * min(size, n - size)
         values = np.linalg.eigvalsh(h)
@@ -837,7 +852,7 @@ def test_block_scan_solves_few_boundaries(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for G in graphs:
         solved.clear()
-        cheeger_constants(G)
+        cheeger_constants(assemble(G))
         assert sum(solved) < 100
 
 
@@ -888,8 +903,9 @@ def test_scan_trace_is_exact_at_the_size_limit():
     # cubic graph, whose argmin trace must be the definition's own bits
     G = equiangular3_sample(CHEEGER_EXHAUSTIVE_MAX_N, 20)
     assert G.k == 2 and regularity(G).scalar_degree == pytest.approx(1.5)
-    report = cheeger_constants(G)
-    h_trace, _ = cheeger_ratios(G, report.argmin)
+    ops = assemble(G)
+    report = cheeger_constants(ops)
+    h_trace, _ = cheeger_ratios(ops, report.argmin)
     assert np.float64(report.h_trace).tobytes() == np.float64(h_trace).tobytes()
     assert_scan_matches_chunked_scan(G, keep_per_subset=False)
 
@@ -897,7 +913,7 @@ def test_scan_trace_is_exact_at_the_size_limit():
 def test_cheeger_smallest_graph():
     for k in (1, 2, 3):
         G = lift_identity(unit_graph(2, [(0, 1)]), k)
-        report = cheeger_constants(G, include_per_subset=True)
+        report = cheeger_constants(assemble(G), include_per_subset=True)
         assert report.argmin == (0,)
         assert list(report.per_subset) == [(0,)]
         assert report.h_loewner_alpha == 1.0
@@ -906,7 +922,7 @@ def test_cheeger_smallest_graph():
 
 def test_cheeger_lower_bounds_k2_equality():
     G = lift_identity(unit_graph(2, [(0, 1)]), 2)
-    trace_rep, loewner_rep = check_cheeger_lower_bounds(G)
+    trace_rep, loewner_rep = check_cheeger_lower_bounds(assemble(G))
     # h_tr = 2 and (1/2d) sum lambda_{k+i} = (1/2)(2+2) = 2
     assert float(trace_rep.lhs) == pytest.approx(2.0, abs=1e-12)
     assert float(trace_rep.rhs) == pytest.approx(2.0, abs=1e-12)
@@ -915,7 +931,7 @@ def test_cheeger_lower_bounds_k2_equality():
 
 def test_cheeger_lower_bounds_complete_lift_strict():
     G = lift_identity(complete_graph(5), 2)
-    trace_rep, loewner_rep = check_cheeger_lower_bounds(G)
+    trace_rep, loewner_rep = check_cheeger_lower_bounds(assemble(G))
     assert trace_rep.holds and loewner_rep.holds
     assert trace_rep.slack > 0.1
 
@@ -923,7 +939,7 @@ def test_cheeger_lower_bounds_complete_lift_strict():
 def test_cheeger_lower_bounds_counterexample_trivial():
     # kernel dimension 4 = 2k makes lambda_{k+1} = 0: bounds trivially hold
     G = k33_latin_mwg()
-    trace_rep, loewner_rep = check_cheeger_lower_bounds(G)
+    trace_rep, loewner_rep = check_cheeger_lower_bounds(assemble(G))
     assert trace_rep.holds and loewner_rep.holds
     assert float(trace_rep.lhs) == pytest.approx(0.0, abs=1e-10)
     assert float(loewner_rep.lhs) == pytest.approx(0.0, abs=1e-10)
@@ -933,7 +949,7 @@ def test_cheeger_lower_bounds_exhaustive_lifts():
     for scalar in (complete_graph(4), cycle_graph(6), complete_graph(6)):
         for k in (1, 2):
             G = lift_identity(scalar, k)
-            trace_rep, loewner_rep = check_cheeger_lower_bounds(G)
+            trace_rep, loewner_rep = check_cheeger_lower_bounds(assemble(G))
             assert trace_rep.holds and loewner_rep.holds
 
 
@@ -941,7 +957,7 @@ def test_cheeger_lower_bounds_exhaustive_lifts():
 
 
 def test_counterexample_k33_latin_certifies():
-    cert = verify_counterexample(k33_latin_mwg())
+    cert = verify_counterexample(assemble(k33_latin_mwg()))
     assert cert.kernel_dim == 4
     assert cert.min_boundary_rank == 2
     assert cert.alpha > 0.0
@@ -951,20 +967,20 @@ def test_counterexample_k33_latin_certifies():
 
 def test_counterexample_k4_abc_fails():
     # K4 with the three line projections has kernel dimension 2, not 4
-    cert = verify_counterexample(k4_abc_mwg())
+    cert = verify_counterexample(assemble(k4_abc_mwg()))
     assert cert.kernel_dim == 2
     assert not cert.holds
 
 
 def test_counterexample_identity_weighted_fails():
     G = lift_identity(complete_graph(4), 2)
-    cert = verify_counterexample(G)
+    cert = verify_counterexample(assemble(G))
     assert cert.kernel_dim == 2  # = k < 2k
     assert not cert.holds
 
 
 def test_counterexample_disconnected_fails():
     G = lift_identity(unit_graph(4, [(0, 1), (2, 3)]), 2)
-    cert = verify_counterexample(G)
+    cert = verify_counterexample(assemble(G))
     assert cert.min_boundary_rank == 0
     assert not cert.holds

@@ -227,7 +227,7 @@ def test_eta_complete_identity_lift():
     for n in (3, 4, 5):
         for k in (1, 2):
             G = lift_identity(complete_graph(n), k)
-            rep = eta(G)
+            rep = eta(assemble(G))
             assert rep.d == pytest.approx(n - 1)
             assert rep.eta == pytest.approx(n - 2, abs=1e-9)
             assert rep.mu_nontrivial_min == pytest.approx(-1.0, abs=1e-9)
@@ -236,7 +236,7 @@ def test_eta_complete_identity_lift():
 
 def test_eta_disconnected_is_zero_with_warning():
     G = lift_identity(unit_graph(4, [(0, 1), (2, 3)]), 2)
-    rep = eta(G)
+    rep = eta(assemble(G))
     assert rep.eta == pytest.approx(0.0, abs=1e-12)
     assert rep.multiplicity_warning
 
@@ -244,7 +244,7 @@ def test_eta_disconnected_is_zero_with_warning():
 def test_eta_c4_alternating_projections():
     base = BaseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     G = build_expander(base, proper_edge_coloring(base, 2), equiangular_frame_2d(2))
-    rep = eta(G)
+    rep = eta(assemble(G))
     assert rep.d == pytest.approx(1.0)
     assert rep.eta == pytest.approx(0.0, abs=1e-12)
     assert rep.multiplicity_warning
@@ -254,19 +254,27 @@ def test_eta_rejects_non_projection_weights():
     from mwgraph.graphs import MatrixWeightedGraph
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, 2.0 * np.eye(2))])
     with pytest.raises(NotProjectionWeightsError):
-        eta(G)
+        eta(assemble(G))
 
 
 def test_eta_rejects_irregular():
     G = lift_identity(unit_graph(3, [(0, 1), (1, 2)]), 1)
     with pytest.raises(NotScalarRegularError):
-        eta(G)
+        eta(assemble(G))
+
+
+def test_eta_irregular_fails_before_any_operator():
+    # regularity is read off the degree blocks: no kn x kn operator is formed
+    ops = assemble(lift_identity(unit_graph(3, [(0, 1)]), 2))
+    with pytest.raises(NotScalarRegularError):
+        eta(ops)
+    assert not {"adjacency", "laplacian", "degree"} & set(vars(ops))
 
 
 def test_eta_alon_boppana_fields():
     base = k4_base()
     G = build_expander(base, proper_edge_coloring(base, 3), equiangular_frame_2d(3))
-    rep = eta(G)
+    rep = eta(assemble(G))
     # uniform rank 1, geometric degree 3, k = 2
     assert rep.alon_boppana_matrix == pytest.approx(2 * 0.5 * np.sqrt(2.0))
     assert rep.alon_boppana_classical == pytest.approx(np.sqrt(2.0))
@@ -274,13 +282,13 @@ def test_eta_alon_boppana_fields():
 
 def test_eta_invariant_under_relabeling_and_color_swap(rng):
     G = k33_latin_mwg()
-    base_eta = eta(G).eta
+    base_eta = eta(assemble(G)).eta
     # relabel vertices
     perm = list(rng.permutation(6))
     from mwgraph.graphs import MatrixWeightedGraph
     relabeled = MatrixWeightedGraph.from_weights(
         6, 2, [(perm[u], perm[v], w) for (u, v), w in G.weights.items()])
-    assert eta(relabeled).eta == pytest.approx(base_eta, abs=1e-10)
+    assert eta(assemble(relabeled)).eta == pytest.approx(base_eta, abs=1e-10)
     # swapping two frame elements across all edges permutes the weighting
     # consistently, which leaves the spectrum unchanged
     items = []
@@ -292,7 +300,7 @@ def test_eta_invariant_under_relabeling_and_color_swap(rng):
         else:
             items.append((u, v, w))
     permuted = MatrixWeightedGraph.from_weights(6, 2, items)
-    assert eta(permuted).eta == pytest.approx(base_eta, abs=1e-10)
+    assert eta(assemble(permuted)).eta == pytest.approx(base_eta, abs=1e-10)
 
 
 def test_constructed_expander_trace_consistency():
@@ -301,7 +309,7 @@ def test_constructed_expander_trace_consistency():
         frame = equiangular_frame_2d(r)
         G = build_expander(base, proper_edge_coloring(base, r), frame)
         k, l = 2, 1
-        mu_w = eta(G).mu_nontrivial_max
+        mu_w = eta(assemble(G)).mu_nontrivial_max
         scalar = unit_graph(base.n, base.edges)
         mu_g = np.linalg.eigvalsh(assemble(scalar).adjacency)[::-1][1]
         assert k * mu_w >= l * mu_g - 1e-9
@@ -394,8 +402,8 @@ def test_search_identity_frame_colors_each_graph_once(monkeypatch):
                 key = tuple(groups[c] for c in coloring)
                 if key not in seen:
                     seen.add(key)
-                    G = build_expander(graph, coloring, frame)
-                    expected.append(frames.SearchResult(n, code, graph, coloring, eta(G)))
+                    report = eta(assemble(build_expander(graph, coloring, frame)))
+                    expected.append(frames.SearchResult(n, code, graph, coloring, report))
     expected.sort(key=lambda res: (-res.report.eta, res.code, res.coloring))
     listings = count_calls(monkeypatch, "proper_colorings", frames)
     results = search_expanders(10, 3, frame)

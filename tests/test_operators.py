@@ -24,6 +24,7 @@ from conftest import (
     complete_graph,
     count_calls,
     cycle_graph,
+    k33_latin_mwg,
     k4_abc_mwg,
     random_mwg,
     reference_normalized,
@@ -358,3 +359,30 @@ def test_bundle_spectra_are_one_eigvalsh_each(monkeypatch):
     # two cached solves, plus the four made here to compare against
     assert len(solves) == 6
     assert not ops.laplacian_values.flags.writeable
+
+
+def test_analyses_share_one_spectrum_of_each_operator(monkeypatch):
+    # every analysis reads the bundle's cached spectra, so L and A each
+    # reach eigvalsh once, however many analyses read them
+    from mwgraph.expansion import cheeger_analysis
+    from mwgraph.frames import eta
+    from mwgraph.sheaf import sheaf_analysis
+    ops = assemble(k33_latin_mwg())
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        solved.append(np.array(a, copy=True))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    eta(ops)
+    cheeger_analysis(ops)
+    sheaf_analysis(ops)
+    check_laplacian_trace_bounds(ops)
+    check_adjacency_trace_bounds(ops)
+
+    def solves_of(M):
+        return sum(a.shape == M.shape and a.tobytes() == M.tobytes() for a in solved)
+
+    assert (solves_of(ops.laplacian), solves_of(ops.adjacency)) == (1, 1)

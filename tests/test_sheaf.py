@@ -99,21 +99,21 @@ def test_coboundary_factors_stored_weights_as_sqrt_factor(rng, monkeypatch):
 
 def test_factorization_single_edge_machine_precision():
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, FRAME_A)])
-    rep = verify_factorization(G)
+    rep = verify_factorization(assemble(G))
     assert rep.holds
     assert rep.lhs <= 1e-14
 
 
 def test_factorization_k4_abc_and_random(rng):
-    assert verify_factorization(k4_abc_mwg()).holds
+    assert verify_factorization(assemble(k4_abc_mwg())).holds
     for _ in range(200):
-        assert verify_factorization(random_mwg(rng)).holds
+        assert verify_factorization(assemble(random_mwg(rng))).holds
 
 
 def test_global_sections_connected_identity():
     for k in (1, 2, 3):
         G = lift_identity(unit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), k)
-        basis = global_sections(G)
+        basis = global_sections(assemble(G))
         assert basis.shape == (4 * k, k)
         # spanned by constant fields 1 (x) e_i: projector comparison
         constants = np.zeros((4 * k, k))
@@ -129,14 +129,14 @@ def test_global_sections_connected_identity():
 def test_global_sections_two_components():
     for k in (1, 2):
         G = lift_identity(unit_graph(4, [(0, 1), (2, 3)]), k)
-        assert global_sections(G).shape[1] == 2 * k
+        assert global_sections(assemble(G)).shape[1] == 2 * k
 
 
 def test_global_sections_counterexample_dimension_four():
     # searched instance standing in for the unavailable figure: K_{3,3} with
     # a Latin-square assignment of the three line projections
     G = k33_latin_mwg()
-    assert global_sections(G).shape[1] == 4
+    assert global_sections(assemble(G)).shape[1] == 4
     assert kernel_dim(assemble(G).laplacian) == 4
 
 
@@ -145,7 +145,7 @@ def test_global_sections_rank_deficient_weights():
     # each weight's image and free on its kernel, dimension 6 - 2 = 4
     e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 3.0])
     G = MatrixWeightedGraph.from_weights(3, 2, [(0, 1, e1), (1, 2, e2)])
-    basis = global_sections(G)
+    basis = global_sections(assemble(G))
     assert basis.shape == (6, 4)
     assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
     assert np.allclose(build_coboundary(G).matrix @ basis, 0.0, atol=1e-12)
@@ -155,12 +155,12 @@ def test_global_sections_rank_deficient_weights():
 
 def test_global_sections_edgeless_is_everything():
     G = MatrixWeightedGraph.from_weights(3, 2, [])
-    assert np.array_equal(global_sections(G), np.eye(6))
+    assert np.array_equal(global_sections(assemble(G)), np.eye(6))
 
 
 def test_h0_dim_orientation_independent(rng):
     G = random_mwg(rng)
-    base_dim = global_sections(G).shape[1]
+    base_dim = global_sections(assemble(G)).shape[1]
     delta = build_coboundary(G, {e: (e[1], e[0]) for e in G.base.edges}).matrix
     sing = np.linalg.svd(delta, compute_uv=False)
     rank = int(np.sum(sing > 1e-10 * max(1.0, sing[0] if sing.size else 0.0)))
@@ -170,7 +170,7 @@ def test_h0_dim_orientation_independent(rng):
 def test_h0_matches_kernel_dim(rng):
     for _ in range(50):
         G = random_mwg(rng)
-        assert global_sections(G).shape[1] == kernel_dim(assemble(G).laplacian)
+        assert global_sections(assemble(G)).shape[1] == kernel_dim(assemble(G).laplacian)
 
 
 def reference_sheaf(G, tol=DEFAULT_TOL):
@@ -229,27 +229,27 @@ def test_sheaf_analysis_matches_three_pass_reference(rng, tol):
         except NotPsdError as exc:
             raised += 1
             with pytest.raises(NotPsdError, match=str(exc)):
-                sheaf_analysis(G, tol)
+                sheaf_analysis(assemble(G, tol))
             continue
-        report, basis, kdim = sheaf_analysis(G, tol)
+        report, basis, kdim = sheaf_analysis(assemble(G, tol))
         assert report.to_jsonable() == expected[0].to_jsonable()
         assert basis.shape == expected[1].shape
         assert basis.tobytes() == expected[1].tobytes()
         assert kdim == expected[2]
-        assert verify_factorization(G, tol).to_jsonable() == expected[0].to_jsonable()
-        assert global_sections(G, tol).tobytes() == expected[1].tobytes()
+        assert verify_factorization(assemble(G, tol)).to_jsonable() == expected[0].to_jsonable()
+        assert global_sections(assemble(G, tol)).tobytes() == expected[1].tobytes()
     assert (raised > 0) == (tol.psd_tol < 1e-20)
 
 
 def test_sheaf_analysis_builds_once(monkeypatch):
-    from mwgraph import linalg, sheaf
+    from mwgraph import linalg, operators, sheaf
     G = k33_latin_mwg()
-    assembled = count_calls(monkeypatch, "assemble", sheaf)
+    assembled = count_calls(monkeypatch, "assemble", operators, sheaf)
     built = count_calls(monkeypatch, "build_coboundary", sheaf)
     norms = count_calls(monkeypatch, "spectral_norm", sheaf)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     sym = count_calls(monkeypatch, "as_symmetric", linalg, sheaf)
-    sheaf_analysis(G)
+    sheaf_analysis(operators.assemble(G))
     # kernel_dim(L) reads the bundle's laplacian_values: L is assembled
     # exactly symmetric, so it needs no as_symmetric
     assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 2, 1, 0)
