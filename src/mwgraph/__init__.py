@@ -32,15 +32,13 @@ from .expansion import (
     CheegerReport,
     CounterexampleCertificate,
     EmlReport,
-    cheeger_constants,
+    cheeger_analysis,
     cheeger_ratios,
-    check_cheeger_lower_bounds,
     edge_count,
     eml_irregular,
     eml_irregular_exhaustive,
     eml_regular,
     eml_regular_exhaustive,
-    verify_counterexample,
 )
 from .frames import (
     ExpanderReport,
@@ -66,23 +64,18 @@ from .graphs import (
     BaseGraph,
     MatrixWeightedGraph,
     Regularity,
-    connected_components,
     degree,
     lift_identity,
     load,
-    regularity,
     save,
-    total_volume,
     volume,
 )
 from .linalg import (
     DEFAULT_TOL,
     Spectrum,
     Tolerances,
-    eigh,
     is_psd,
     kernel_dim,
-    loewner_leq,
     pseudo_sqrt_inv,
 )
 from .operators import (
@@ -99,11 +92,10 @@ from .sheaf import (
     Coboundary,
     Truss,
     build_coboundary,
-    global_sections,
     load_truss,
     rigid_motions,
+    sheaf_analysis,
     truss_to_mwg,
-    verify_factorization,
 )
 
 __version__ = "0.1.0"

@@ -334,20 +334,6 @@ class Suite:
         for G in self.built_expanders:
             yield "built", G
 
-    # the corpus as lists, which the A2-A7 pass never builds
-
-    @cached_property
-    def random_graphs(self) -> list[MatrixWeightedGraph]:
-        return [G for _, G in itertools.islice(self.corpus(), self.random_count)]
-
-    @cached_property
-    def lift_graphs(self) -> list[MatrixWeightedGraph]:
-        return list(atlas_lift_graphs())
-
-    @cached_property
-    def members(self) -> list[MatrixWeightedGraph]:
-        return self.random_graphs + self.lift_graphs + self.built_expanders
-
     @cached_property
     def _corpus_pass(self) -> _CorpusPass:
         return _CorpusPass(self)

@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import acceptance, jsonio
 from .errors import MwgError, NotScalarRegularError, SingularVolumeError
 from .expansion import (
@@ -235,10 +233,6 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write(render_csv(report))
     else:
         sys.stdout.write("\n".join(render_text(report)) + "\n")
-
-
-def _matrix(arr: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in arr]
 
 
 # --- command handlers --------------------------------------------------------

@@ -32,6 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
+    DomainError,
     EmptyOrFullSubsetError,
     IndexOutOfRangeError,
     NotScalarRegularError,
@@ -145,6 +146,8 @@ def eml_regular(ops: OperatorBundle, S: Iterable[int], T: Iterable[int]) -> EmlR
     """
     d = require_scalar_regular(ops.regularity)
     n, k = ops.n, ops.k
+    if n == 0:
+        raise DomainError("the regular mixing lemma divides by n; got n = 0")
     abs_mu, spec_const, _ = _regular_mu_constants(ops)
     # S and T are read once, so any iterable will do
     S, T = mask_vertices(subset_mask(S, n), n), mask_vertices(subset_mask(T, n), n)
@@ -204,6 +207,8 @@ def eml_regular_exhaustive(ops: OperatorBundle) -> BoundReport:
     """
     d = require_scalar_regular(ops.regularity)
     n, k = ops.n, ops.k
+    if n == 0:
+        raise DomainError("the regular mixing lemma divides by n; got n = 0")
     if n > EML_EXHAUSTIVE_MAX_N:
         raise TooLargeError(f"exhaustive pair scan limited to n <= {EML_EXHAUSTIVE_MAX_N}")
     abs_mu, spec_const, _ = _regular_mu_constants(ops)
@@ -542,20 +547,6 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
     return _BoundaryScan(best_tr, best_mask, float(alpha), min_rank, per)
 
 
-def cheeger_constants(ops: OperatorBundle, include_per_subset: bool = False) -> CheegerReport:
-    """Exhaustive minimization over nonempty proper subsets mod complementation."""
-    return cheeger_analysis(ops, include_per_subset)[0]
-
-
-def check_cheeger_lower_bounds(ops: OperatorBundle) -> tuple[BoundReport, BoundReport]:
-    """Spectral lower bounds on both Cheeger constants.
-
-    h_trace >= sum_{i=1..k} lambda_{k+i} / (2d), and per subset
-    (lambda_{k+1} / 2d) I precedes h(S) in the Loewner order.
-    """
-    return cheeger_analysis(ops)[1]
-
-
 # --- counterexample certificate ---------------------------------------------
 
 
@@ -592,17 +583,17 @@ class CounterexampleCertificate:
         }
 
 
-def verify_counterexample(ops: OperatorBundle) -> CounterexampleCertificate:
-    return cheeger_analysis(ops)[2]
-
-
 def cheeger_analysis(ops: OperatorBundle, keep_per_subset: bool = False
                      ) -> tuple[CheegerReport, tuple[BoundReport, BoundReport],
                                 CounterexampleCertificate]:
     """The Cheeger constants, their two spectral lower bounds and the
     counterexample certificate, from one boundary scan and one Laplacian
     spectrum.  Regularity and size are checked on the degree blocks, before
-    any kn x kn operator is formed."""
+    any kn x kn operator is formed.
+
+    The constants minimize over nonempty proper subsets mod complementation.
+    The bounds are h_trace >= sum_{i=1..k} lambda_{k+i} / (2d) and, per
+    subset, (lambda_{k+1} / 2d) I preceding h(S) in the Loewner order."""
     n, k, tol = ops.n, ops.k, ops.tol
     d = require_scalar_regular(ops.regularity, positive=True)
     if n > CHEEGER_EXHAUSTIVE_MAX_N:

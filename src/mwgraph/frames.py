@@ -24,11 +24,11 @@ from .errors import (
     NotProjectionError,
     NotProjectionWeightsError,
     NotProperlyColoredError,
-    NotScalarRegularError,
     NotTightError,
     ParseError,
     TooLargeError,
 )
+from .expansion import require_scalar_regular
 from .graphgen import (
     edges_code,
     enumerate_regular_graphs,
@@ -211,9 +211,7 @@ def eta(ops: OperatorBundle) -> ExpanderReport:
 
     Regularity is checked on the degree blocks, before A is formed."""
     G, tol, reg = ops.graph, ops.tol, ops.regularity
-    if not reg.is_scalar_regular or reg.scalar_degree <= 0:
-        raise NotScalarRegularError("eta requires dI-regularity with d > 0")
-    d = float(reg.scalar_degree)
+    d = require_scalar_regular(reg, positive=True)
     k = G.k
     ranks = set()
     for e, w in G.weights.items():

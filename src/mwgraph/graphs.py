@@ -66,36 +66,20 @@ class BaseGraph:
         return tuple(deg)
 
 
-def connected_components(base: BaseGraph) -> list[frozenset[int]]:
-    return _components(base.n, base.edges)
-
-
 def is_connected_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    return len(_components(n, edges)) <= 1
-
-
-def _components(n: int, edges: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
+    """True iff the graph on vertices 0..n-1 has at most one component."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = {start}
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
+    stack = [0] if n else []
+    while stack:
+        x = stack.pop()
+        if not seen[x]:
+            seen[x] = True
+            stack.extend(adj[x])
+    return all(seen)
 
 
 @dataclass(frozen=True)
@@ -162,10 +146,6 @@ class Regularity:
     geometric_degrees: tuple[int, ...] = field(default=())
 
     @property
-    def is_regular(self) -> bool:
-        return self.kind in ("regular", "scalar")
-
-    @property
     def is_scalar_regular(self) -> bool:
         return self.kind == "scalar"
 
@@ -181,11 +161,6 @@ def all_degrees(G: MatrixWeightedGraph) -> list[np.ndarray]:
         out[a] = out[a] + w
         out[b] = out[b] + w
     return out
-
-
-def regularity(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> Regularity:
-    degs = np.array(all_degrees(G)).reshape(G.base.n, G.k, G.k)
-    return _regularity(degs, G.base.geometric_degrees(), tol)
 
 
 def _regularity(degs: np.ndarray, geo: tuple[int, ...], tol: Tolerances) -> Regularity:
@@ -227,10 +202,6 @@ def volume(G: MatrixWeightedGraph, S: Iterable[int]) -> np.ndarray:
         seen.add(v)
         vol = vol + degs[v]
     return vol
-
-
-def total_volume(G: MatrixWeightedGraph) -> np.ndarray:
-    return volume(G, range(G.base.n))
 
 
 # --- MWG-JSON format -------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything downstream (Laplacians, edge counts, frames) funnels through
 these few operations, so semantics are pinned here once: symmetrization on
-ingestion, relative rank cutoffs, and Loewner comparison.  All functions are
-pure and deterministic: ``numpy.linalg.eigh`` uses a fixed LAPACK driver with
-no randomized pivoting, so identical input bits give identical output.
+ingestion, relative rank cutoffs, and the PSD verdict (A <= B in the Loewner
+order iff is_psd(B - A)).  All functions are pure and deterministic:
+``numpy.linalg.eigh`` uses a fixed LAPACK driver with no randomized
+pivoting, so identical input bits give identical output.
 
 Each public check validates its argument once: one ``as_symmetric`` and one
 solve, the PSD verdict and the kernel count taken from the same eigenvalues.
@@ -126,13 +127,6 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(arr, 2))
 
 
-def eigh(m, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    sym = as_symmetric(m, tol)
-    values, vectors = np.linalg.eigh(sym)
-    return Spectrum(values, vectors)
-
-
 def _psd_verdicts(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of every matrix of an already symmetrized
     (m, k, k) stack, from one eigvalsh, and whether each minimum is
@@ -201,15 +195,6 @@ def pseudo_sqrt_inv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if not _psd_values(sym, tol.psd_tol)[1]:
         raise NotPsdError(PSEUDO_SQRT_INV_NOT_PSD)
     return _pseudo_sqrt_inv(sym[None], tol)[0]
-
-
-def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Loewner order: A <= B iff B - A is PSD within psd_tol."""
-    sa = as_symmetric(a, tol)
-    sb = as_symmetric(b, tol)
-    if sa.shape != sb.shape:
-        raise DimMismatchError(f"shape mismatch {sa.shape} vs {sb.shape}")
-    return _psd_values(sb - sa, tol.psd_tol)[1]
 
 
 def kernel_dim(m, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import jsonio
-from .errors import DegenerateEdgeError, ParseError
+from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError
 from .graphs import Edge, MatrixWeightedGraph
 from .linalg import (DEFAULT_TOL, Tolerances, _checked_kernel_dim, as_symmetric, kernel_dim,
                      kernel_dim_of_values, spectral_norm)
@@ -104,29 +104,18 @@ def _kernel_basis(delta: np.ndarray, tol: Tolerances) -> np.ndarray:
     return vt[rank:].T
 
 
-def verify_factorization(ops: OperatorBundle) -> BoundReport:
-    """Check ||delta^T delta - L|| <= resid_tol * max(1, ||L||)."""
-    return _factorization_report(ops.laplacian,
-                                 build_coboundary(ops.graph, tol=ops.tol).matrix, ops.tol)
-
-
-def global_sections(ops: OperatorBundle) -> np.ndarray:
-    """Orthonormal basis of H^0 = ker(delta), as columns.
-
-    A singular value sigma counts as zero under the cutoff kernel_dim applies
-    to L = delta^T delta (sigma^2 against rank_rel_tol * max(1, sigma_max^2)),
-    so the dimension equals kernel_dim(L) exactly when ker delta = ker L.
-    """
-    return _kernel_basis(build_coboundary(ops.graph, tol=ops.tol).matrix, ops.tol)
-
-
 def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
-    """verify_factorization, global_sections and kernel_dim(L), in that order,
-    from one coboundary, one ||L|| and one eigensolve of L.
+    """The factorization check, the global sections and kernel_dim(L), in
+    that order, from one coboundary, one ||L|| and one eigensolve of L.
 
-    kernel_dim(L) is read off the bundle's ``laplacian_values``: L is
-    assembled exactly symmetric, so this is the count, and the PSD check,
-    that kernel_dim(L) gives."""
+    The check is ||delta^T delta - L|| <= resid_tol * max(1, ||L||).  The
+    global sections are an orthonormal basis of H^0 = ker(delta), as
+    columns; a singular value sigma counts as zero under the cutoff
+    kernel_dim applies to L = delta^T delta (sigma^2 against rank_rel_tol *
+    max(1, sigma_max^2)), so their number equals kernel_dim(L) exactly when
+    ker delta = ker L.  kernel_dim(L) is read off the bundle's
+    ``laplacian_values``: L is assembled exactly symmetric, so this is the
+    count, and the PSD check, that kernel_dim(L) gives."""
     delta = build_coboundary(ops.graph, tol=ops.tol).matrix
     return (_factorization_report(ops.laplacian, delta, ops.tol), _kernel_basis(delta, ops.tol),
             _checked_kernel_dim(ops.laplacian_values, ops.tol))
@@ -153,6 +142,9 @@ class Truss:
         for u, v, s in members:
             u, v = int(u), int(v)
             key = (u, v) if u < v else (v, u)
+            if key[0] < 0 or key[1] >= len(pts):
+                raise IndexOutOfRangeError(
+                    f"edge {key} outside joint range [0, {len(pts)})")
             s = float(s)
             if s <= 0:
                 raise ValueError(f"stiffness on edge {key} must be positive, got {s}")

@@ -24,13 +24,13 @@ from mwgraph.acceptance import (
 )
 from mwgraph.errors import MwgError, SingularVolumeError
 from mwgraph.expansion import (
-    check_cheeger_lower_bounds,
+    cheeger_analysis,
     eml_irregular,
     eml_irregular_pairs,
     eml_regular_exhaustive,
     irregular_context,
 )
-from mwgraph.graphs import BaseGraph, MatrixWeightedGraph, lift_identity, regularity
+from mwgraph.graphs import BaseGraph, MatrixWeightedGraph, lift_identity
 from mwgraph.linalg import Tolerances
 from mwgraph.operators import (
     assemble,
@@ -41,14 +41,21 @@ from mwgraph.operators import (
 from mwgraph.sheaf import sheaf_analysis
 
 
+def members(suite):
+    """The corpus as a list, built whole before any analysis, as each
+    criterion's own loop built it."""
+    return [G for _, G in suite.corpus()]
+
+
 def scalar_regular_members(suite):
-    return [G for G in suite.members
-            if regularity(G, suite.tol).is_scalar_regular and G.base.n <= 8]
+    return [G for G in members(suite)
+            if assemble(G, suite.tol).regularity.is_scalar_regular and G.base.n <= 8]
 
 
 def reference_a2(suite):
     worst = -np.inf
-    for G in suite.members:
+    graphs = members(suite)
+    for G in graphs:
         report = check_normalized_bound(assemble(G, suite.tol))
         worst = max(worst, float(report.lhs))
     attain = {}
@@ -58,20 +65,20 @@ def reference_a2(suite):
         report = check_normalized_bound(assemble(G, suite.tol))
         attain[name] = bool(report.context["attained"])
     passed = worst <= 2.0 + CHECK_TOL and attain["k2"] and attain["k33"]
-    return passed, {"graphs": len(suite.members), "max_lambda": worst,
+    return passed, {"graphs": len(graphs), "max_lambda": worst,
                     "k2_attained": attain["k2"], "k33_attained": attain["k33"]}
 
 
 def reference_a3(suite):
     worst = np.inf
     lift_equality_gap = 0.0
-    lifts = {id(G) for G in suite.lift_graphs}
-    for G in suite.members:
+    corpus = list(suite.corpus())
+    for source, G in corpus:
         ops = assemble(G, suite.tol)
         lap = check_laplacian_trace_bounds(ops)
         adj = check_adjacency_trace_bounds(ops)
         worst = min(worst, lap.slack, adj.slack)
-        if id(G) not in lifts or G.base.n < 2:
+        if source != "lift" or G.base.n < 2:
             continue
         gap = max(abs(lap.context["sum_low"] - lap.context["lambda2_trace"]),
                   abs(lap.context["sum_high"] - lap.context["lambdan_trace"]),
@@ -79,7 +86,7 @@ def reference_a3(suite):
                   abs(adj.context["sum_bottom"] - adj.context["mun_trace"]))
         lift_equality_gap = max(lift_equality_gap, gap)
     passed = worst >= -CHECK_TOL and lift_equality_gap <= CHECK_TOL
-    return passed, {"graphs": len(suite.members), "min_slack": float(worst),
+    return passed, {"graphs": len(corpus), "min_slack": float(worst),
                     "lift_equality_gap": float(lift_equality_gap)}
 
 
@@ -87,12 +94,13 @@ def reference_a4(suite):
     tol = dataclasses.replace(suite.tol, resid_tol=1e-9)
     worst_ratio = 0.0
     dims_match = True
-    for G in suite.members:
+    graphs = members(suite)
+    for G in graphs:
         report, sections, kdim = sheaf_analysis(assemble(G, tol))
         worst_ratio = max(worst_ratio, float(report.lhs) / float(report.rhs))
         dims_match = dims_match and sections.shape[1] == kdim
     passed = worst_ratio <= 1.0 and dims_match
-    return passed, {"graphs": len(suite.members), "worst_residual_ratio": worst_ratio,
+    return passed, {"graphs": len(graphs), "worst_residual_ratio": worst_ratio,
                     "h0_matches_kernel": dims_match}
 
 
@@ -111,8 +119,9 @@ def reference_a6(suite, graphs_needed=500, pairs_each=200):
     rng = np.random.default_rng(suite.seed + 1)
     candidates = []
     fresh = (random_graph(rng) for _ in itertools.count())
-    for G in itertools.chain(suite.random_graphs, fresh):
-        if regularity(G, suite.tol).kind != "irregular":
+    seeded = [G for _, G in itertools.islice(suite.corpus(), suite.random_count)]
+    for G in itertools.chain(seeded, fresh):
+        if assemble(G, suite.tol).regularity.kind != "irregular":
             continue
         try:
             ctx = irregular_context(assemble(G, suite.tol))
@@ -140,10 +149,10 @@ def reference_a7(suite):
     worst = np.inf
     count = 0
     for G in scalar_regular_members(suite):
-        reg = regularity(G, suite.tol)
+        reg = assemble(G, suite.tol).regularity
         if reg.scalar_degree <= 0 or G.base.n < 2:
             continue
-        trace_report, loewner_report = check_cheeger_lower_bounds(assemble(G, suite.tol))
+        trace_report, loewner_report = cheeger_analysis(assemble(G, suite.tol))[1]
         worst = min(worst, trace_report.slack, loewner_report.slack)
         count += 1
     passed = count > 0 and worst >= -CHECK_TOL

@@ -116,11 +116,21 @@ def test_eml_exhaustive(k4_abc_file, capsys):
     assert report["regular"]["context"]["pairs"] == 256
 
 
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--S", "", "--T", ""]])
+def test_eml_empty_graph_exits_2(tmp_path, capsys, mode):
+    path = tmp_path / "empty.json"
+    path.write_text('{"k": 1, "n": 0, "edges": []}')
+    assert main(["--format", "json", "eml", str(path)] + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 0" in captured.err
+
+
 @pytest.mark.parametrize("mode", [["--exhaustive"], ["--S", "0", "--T", "1"]])
 def test_eml_assembles_once(k4_abc_file, capsys, monkeypatch, mode):
     from mwgraph import cli, graphs, operators
     assembled = count_calls(monkeypatch, "assemble", cli, operators)
-    # every regularity test, graphs.regularity's or a bundle's, runs _regularity
+    # every regularity test runs _regularity
     classified = count_calls(monkeypatch, "_regularity", graphs, operators)
     assert main(["--format", "json", "eml", str(k4_abc_file), *mode]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -200,6 +210,17 @@ def test_truss_tetrahedron(tmp_path, capsys):
     assert report["kernel_dim"] == 6
     assert report["rigid_motion_count"] == 6
     assert report["rigid_motions_in_kernel"] is True
+
+
+@pytest.mark.parametrize("v", [5, -1])
+def test_truss_endpoint_out_of_range_exits_2(tmp_path, capsys, v):
+    doc = {"points": [[0, 0, 0], [1, 0, 0]], "edges": [{"u": 0, "v": v, "s": 1.0}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--format", "json", "truss", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside joint range [0, 2)" in captured.err
 
 
 def test_build_expander_k4(k4_scalar_file, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mwgraph.errors import (
+    DomainError,
     EmptyOrFullSubsetError,
     NotScalarRegularError,
     SingularVolumeError,
@@ -21,9 +22,8 @@ from mwgraph.expansion import (
     _indicators,
     _mask_bits,
     _scan_boundaries,
-    cheeger_constants,
+    cheeger_analysis,
     cheeger_ratios,
-    check_cheeger_lower_bounds,
     edge_count,
     eml_irregular,
     eml_irregular_exhaustive,
@@ -31,13 +31,11 @@ from mwgraph.expansion import (
     eml_regular_exhaustive,
     irregular_context,
     mask_vertices,
-    verify_counterexample,
 )
 from mwgraph.graphs import (
     MatrixWeightedGraph,
     lift_identity,
-    regularity,
-    total_volume,
+    volume,
 )
 from mwgraph.linalg import DEFAULT_TOL, Tolerances
 from mwgraph.operators import assemble
@@ -72,7 +70,7 @@ def test_edge_count_single_pair():
 def test_edge_count_full_is_volume():
     G = k4_abc_mwg()
     allv = range(4)
-    assert np.allclose(edge_count(G, allv, allv), total_volume(G))
+    assert np.allclose(edge_count(G, allv, allv), volume(G, range(4)))
 
 
 def test_edge_count_disjoint_nonadjacent():
@@ -165,6 +163,15 @@ def test_eml_regular_requires_regularity(rng):
     g = unit_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(NotScalarRegularError):
         eml_regular(assemble(lift_identity(g, 2)), [0], [1])
+
+
+def test_eml_regular_rejects_empty_graph():
+    # the lemma divides by n; the n = 0 graph is scalar regular with d = 0
+    ops = assemble(MatrixWeightedGraph.from_weights(0, 2, []))
+    with pytest.raises(DomainError, match="n = 0"):
+        eml_regular(ops, [], [])
+    with pytest.raises(DomainError, match="n = 0"):
+        eml_regular_exhaustive(ops)
 
 
 def test_eml_regular_exhaustive_matches_pairwise():
@@ -385,7 +392,7 @@ def assert_both_scans_match(ops, rows):
 def corpus_scalar_regular():
     from mwgraph.acceptance import Suite
     suite = Suite(seed=0)
-    bundles = [assemble(G, suite.tol) for G in suite.members]
+    bundles = [assemble(G, suite.tol) for _, G in suite.corpus()]
     return [ops for ops in bundles if ops.regularity.is_scalar_regular and ops.n <= 8]
 
 
@@ -539,7 +546,7 @@ def brute_force_cheeger(G, d):
 
 def test_cheeger_constants_c4():
     G = lift_identity(cycle_graph(4), 1)
-    report = cheeger_constants(assemble(G))
+    report = cheeger_analysis(assemble(G))[0]
     assert report.h_trace == pytest.approx(0.5)
     # ties broken by smallest bitmask: {0, 1} beats {0, 3}
     assert report.argmin == (0, 1)
@@ -548,7 +555,7 @@ def test_cheeger_constants_c4():
 def test_cheeger_constants_k2_lift():
     for k in (1, 2):
         G = lift_identity(unit_graph(2, [(0, 1)]), k)
-        report = cheeger_constants(assemble(G))
+        report = cheeger_analysis(assemble(G))[0]
         assert report.h_trace == pytest.approx(k)
         assert report.argmin == (0,)
 
@@ -559,7 +566,7 @@ def test_cheeger_constants_disconnected_zero():
         # a zero boundary has no norm to bound it by, and raises no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = cheeger_constants(assemble(G))
+            report = cheeger_analysis(assemble(G))[0]
         assert report.h_trace == pytest.approx(0.0)
         assert report.h_loewner_alpha == 0.0
 
@@ -586,10 +593,9 @@ def test_cheeger_constants_match_brute_force(rng):
         lift_identity(cycle_graph(6), 3),
         _k44_frame_expander(),
     ]
-    from mwgraph.graphs import regularity
     for G in cases:
-        d = regularity(G).scalar_degree
-        report = cheeger_constants(assemble(G))
+        d = assemble(G).regularity.scalar_degree
+        report = cheeger_analysis(assemble(G))[0]
         tr, S, alpha = brute_force_cheeger(G, d)
         assert report.h_trace == pytest.approx(tr, abs=1e-10)
         assert report.h_loewner_alpha == pytest.approx(alpha, abs=1e-10)
@@ -597,7 +603,7 @@ def test_cheeger_constants_match_brute_force(rng):
 
 def test_cheeger_constants_per_subset_table():
     G = lift_identity(cycle_graph(4), 1)
-    report = cheeger_constants(assemble(G), include_per_subset=True)
+    report = cheeger_analysis(assemble(G), keep_per_subset=True)[0]
     assert len(report.per_subset) == 2 ** 3 - 1
     for S, h in report.per_subset.items():
         comp = [v for v in range(4) if v not in S]
@@ -615,9 +621,7 @@ def test_cheeger_too_large_fails_before_any_work(monkeypatch):
     monkeypatch.setattr(expansion, "_scan_boundaries", forbidden)
     ops = assemble(lift_identity(cycle_graph(CHEEGER_EXHAUSTIVE_MAX_N + 1), 2))
     with pytest.raises(TooLargeError):
-        cheeger_constants(ops)
-    with pytest.raises(TooLargeError):
-        verify_counterexample(ops)
+        cheeger_analysis(ops)
     assert not {"adjacency", "laplacian", "degree"} & set(vars(ops))
 
 
@@ -664,7 +668,7 @@ def random_scalar_regular(rng, n, k):
 
 
 def assert_scan_matches_reference(G):
-    d = regularity(G).scalar_degree
+    d = assemble(G).regularity.scalar_degree
     h_trace, argmin_mask, alpha, min_rank, per = reference_scan(G, d, DEFAULT_TOL)
     scan = _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset=True)
     assert np.float64(scan.h_trace).tobytes() == np.float64(h_trace).tobytes()
@@ -694,7 +698,7 @@ def test_chunked_scan_is_bitwise_the_per_subset_loop(bits, monkeypatch):
     for n in range(2, 11):
         for k in (1, 2, 3, 4):
             G = random_scalar_regular(rng, n, k)
-            assert regularity(G).is_scalar_regular
+            assert assemble(G).regularity.is_scalar_regular
             unscaled = assert_scan_matches_reference(G).per_subset
             for factor in (2.0 ** -40, 2.0 ** -34, 2.0 ** 40):
                 per = assert_scan_matches_reference(scaled(G, factor)).per_subset
@@ -733,7 +737,7 @@ def test_chunked_scan_is_independent_of_chunk_size(monkeypatch):
     graphs = [random_scalar_regular(rng, n, k) for k in (1, 2, 3)]
     graphs += [k33_latin_mwg(), _k44_frame_expander()]
     for G in graphs:
-        d = regularity(G).scalar_degree
+        d = assemble(G).regularity.scalar_degree
         results = []
         for bits in (1, 2, 4, SCAN_BITS):
             monkeypatch.setattr(expansion, "SCAN_BITS", bits)
@@ -808,7 +812,7 @@ def identity3_sample(n, seed):
 
 
 def assert_scan_matches_chunked_scan(G, keep_per_subset=True):
-    d = regularity(G).scalar_degree
+    d = assemble(G).regularity.scalar_degree
     old = chunked_scan(G, d, DEFAULT_TOL, keep_per_subset)
     new = _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset)
     assert np.float64(new.h_trace).tobytes() == np.float64(old.h_trace).tobytes()
@@ -852,7 +856,7 @@ def test_block_scan_solves_few_boundaries(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for G in graphs:
         solved.clear()
-        cheeger_constants(assemble(G))
+        cheeger_analysis(assemble(G))[0]
         assert sum(solved) < 100
 
 
@@ -863,7 +867,7 @@ WORKING_SET = 1.2 * 2 ** 20
 
 
 def scan_peak(G):
-    d = regularity(G).scalar_degree
+    d = assemble(G).regularity.scalar_degree
     tracemalloc.start()
     try:
         _scan_boundaries(G, d, DEFAULT_TOL, keep_per_subset=False)
@@ -890,7 +894,7 @@ def test_block_scan_follows_the_budget(monkeypatch):
     # a quarter of the budget takes blocks of a quarter of the masks, the
     # same bytes, and less memory
     G = identity3_sample(16, 3)
-    d = regularity(G).scalar_degree
+    d = assemble(G).regularity.scalar_degree
     full = scan_bytes(G, d)
     monkeypatch.setattr(expansion, "SCAN_BUDGET", SCAN_BUDGET // 4)
     assert _block_bits(16, G.k) == 11
@@ -902,9 +906,9 @@ def test_scan_trace_is_exact_at_the_size_limit():
     # n = 20, the exhaustive limit: an equiangular3 weighting of a random
     # cubic graph, whose argmin trace must be the definition's own bits
     G = equiangular3_sample(CHEEGER_EXHAUSTIVE_MAX_N, 20)
-    assert G.k == 2 and regularity(G).scalar_degree == pytest.approx(1.5)
+    assert G.k == 2 and assemble(G).regularity.scalar_degree == pytest.approx(1.5)
     ops = assemble(G)
-    report = cheeger_constants(ops)
+    report = cheeger_analysis(ops)[0]
     h_trace, _ = cheeger_ratios(ops, report.argmin)
     assert np.float64(report.h_trace).tobytes() == np.float64(h_trace).tobytes()
     assert_scan_matches_chunked_scan(G, keep_per_subset=False)
@@ -913,7 +917,7 @@ def test_scan_trace_is_exact_at_the_size_limit():
 def test_cheeger_smallest_graph():
     for k in (1, 2, 3):
         G = lift_identity(unit_graph(2, [(0, 1)]), k)
-        report = cheeger_constants(assemble(G), include_per_subset=True)
+        report = cheeger_analysis(assemble(G), keep_per_subset=True)[0]
         assert report.argmin == (0,)
         assert list(report.per_subset) == [(0,)]
         assert report.h_loewner_alpha == 1.0
@@ -922,7 +926,7 @@ def test_cheeger_smallest_graph():
 
 def test_cheeger_lower_bounds_k2_equality():
     G = lift_identity(unit_graph(2, [(0, 1)]), 2)
-    trace_rep, loewner_rep = check_cheeger_lower_bounds(assemble(G))
+    trace_rep, loewner_rep = cheeger_analysis(assemble(G))[1]
     # h_tr = 2 and (1/2d) sum lambda_{k+i} = (1/2)(2+2) = 2
     assert float(trace_rep.lhs) == pytest.approx(2.0, abs=1e-12)
     assert float(trace_rep.rhs) == pytest.approx(2.0, abs=1e-12)
@@ -931,7 +935,7 @@ def test_cheeger_lower_bounds_k2_equality():
 
 def test_cheeger_lower_bounds_complete_lift_strict():
     G = lift_identity(complete_graph(5), 2)
-    trace_rep, loewner_rep = check_cheeger_lower_bounds(assemble(G))
+    trace_rep, loewner_rep = cheeger_analysis(assemble(G))[1]
     assert trace_rep.holds and loewner_rep.holds
     assert trace_rep.slack > 0.1
 
@@ -939,7 +943,7 @@ def test_cheeger_lower_bounds_complete_lift_strict():
 def test_cheeger_lower_bounds_counterexample_trivial():
     # kernel dimension 4 = 2k makes lambda_{k+1} = 0: bounds trivially hold
     G = k33_latin_mwg()
-    trace_rep, loewner_rep = check_cheeger_lower_bounds(assemble(G))
+    trace_rep, loewner_rep = cheeger_analysis(assemble(G))[1]
     assert trace_rep.holds and loewner_rep.holds
     assert float(trace_rep.lhs) == pytest.approx(0.0, abs=1e-10)
     assert float(loewner_rep.lhs) == pytest.approx(0.0, abs=1e-10)
@@ -949,7 +953,7 @@ def test_cheeger_lower_bounds_exhaustive_lifts():
     for scalar in (complete_graph(4), cycle_graph(6), complete_graph(6)):
         for k in (1, 2):
             G = lift_identity(scalar, k)
-            trace_rep, loewner_rep = check_cheeger_lower_bounds(assemble(G))
+            trace_rep, loewner_rep = cheeger_analysis(assemble(G))[1]
             assert trace_rep.holds and loewner_rep.holds
 
 
@@ -957,7 +961,7 @@ def test_cheeger_lower_bounds_exhaustive_lifts():
 
 
 def test_counterexample_k33_latin_certifies():
-    cert = verify_counterexample(assemble(k33_latin_mwg()))
+    cert = cheeger_analysis(assemble(k33_latin_mwg()))[2]
     assert cert.kernel_dim == 4
     assert cert.min_boundary_rank == 2
     assert cert.alpha > 0.0
@@ -967,20 +971,20 @@ def test_counterexample_k33_latin_certifies():
 
 def test_counterexample_k4_abc_fails():
     # K4 with the three line projections has kernel dimension 2, not 4
-    cert = verify_counterexample(assemble(k4_abc_mwg()))
+    cert = cheeger_analysis(assemble(k4_abc_mwg()))[2]
     assert cert.kernel_dim == 2
     assert not cert.holds
 
 
 def test_counterexample_identity_weighted_fails():
     G = lift_identity(complete_graph(4), 2)
-    cert = verify_counterexample(assemble(G))
+    cert = cheeger_analysis(assemble(G))[2]
     assert cert.kernel_dim == 2  # = k < 2k
     assert not cert.holds
 
 
 def test_counterexample_disconnected_fails():
     G = lift_identity(unit_graph(4, [(0, 1), (2, 3)]), 2)
-    cert = verify_counterexample(assemble(G))
+    cert = cheeger_analysis(assemble(G))[2]
     assert cert.min_boundary_rank == 0
     assert not cert.holds

@@ -30,7 +30,7 @@ from mwgraph.frames import (
     search_expanders,
     verify_tight,
 )
-from mwgraph.graphs import BaseGraph, lift_identity, regularity
+from mwgraph.graphs import BaseGraph, lift_identity
 from mwgraph.linalg import rank_psd
 from mwgraph.operators import assemble
 
@@ -181,7 +181,7 @@ def test_edge_coloring_validation():
 def test_build_expander_k4_degree():
     base = k4_base()
     G = build_expander(base, proper_edge_coloring(base, 3), equiangular_frame_2d(3))
-    reg = regularity(G)
+    reg = assemble(G).regularity
     assert reg.is_scalar_regular
     assert reg.scalar_degree == pytest.approx(1.5, abs=1e-12)
 
@@ -190,14 +190,14 @@ def test_build_expander_four_regular_with_identity():
     base = bipartite(4, 4)
     frame = augment_with_identity(equiangular_frame_2d(3))
     G = build_expander(base, proper_edge_coloring(base, 4), frame)
-    assert regularity(G).scalar_degree == pytest.approx(2.5, abs=1e-12)
+    assert assemble(G).regularity.scalar_degree == pytest.approx(2.5, abs=1e-12)
 
 
 def test_build_expander_bipartite_equiangular():
     for r in (2, 3):
         base = bipartite(r, r)
         G = build_expander(base, proper_edge_coloring(base, r), equiangular_frame_2d(r))
-        assert regularity(G).scalar_degree == pytest.approx(r / 2, abs=1e-12)
+        assert assemble(G).regularity.scalar_degree == pytest.approx(r / 2, abs=1e-12)
 
 
 def test_build_expander_trace_weights_are_rank():

@@ -16,13 +16,11 @@ from mwgraph.graphs import (
     LOAD_MAX_NK,
     BaseGraph,
     MatrixWeightedGraph,
-    connected_components,
     degree,
+    is_connected_edges,
     lift_identity,
     load,
-    regularity,
     save,
-    total_volume,
     volume,
 )
 from mwgraph.linalg import DEFAULT_TOL, Tolerances
@@ -57,9 +55,11 @@ def test_base_graph_rejects_out_of_range():
 
 
 def test_connected_components():
-    g = BaseGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    comps = connected_components(g)
-    assert sorted(sorted(c) for c in comps) == [[0, 1, 2], [3, 4]]
+    edges = [(0, 1), (1, 2), (3, 4)]
+    assert not is_connected_edges(5, edges)
+    assert is_connected_edges(5, edges + [(2, 3)])
+    assert is_connected_edges(0, []) and is_connected_edges(1, [])
+    assert not is_connected_edges(2, [])
 
 
 def test_from_weights_merges_duplicates():
@@ -215,7 +215,7 @@ def test_k4_abc_degrees_and_regularity():
     G = k4_abc_mwg()
     for v in range(4):
         assert np.allclose(degree(G, v), 1.5 * np.eye(2), atol=1e-14)
-    reg = regularity(G)
+    reg = assemble(G).regularity
     assert reg.is_scalar_regular
     assert reg.scalar_degree == pytest.approx(1.5)
     assert reg.geometric_degrees == (3, 3, 3, 3)
@@ -224,21 +224,20 @@ def test_k4_abc_degrees_and_regularity():
 def test_regularity_identity_lift_of_cubic():
     g = unit_graph(4, itertools.combinations(range(4), 2))
     G = lift_identity(g, 2)
-    reg = regularity(G)
+    reg = assemble(G).regularity
     assert reg.is_scalar_regular and reg.scalar_degree == pytest.approx(3.0)
 
 
 def test_regularity_path_is_irregular():
     g = unit_graph(3, [(0, 1), (1, 2)])
-    reg = regularity(lift_identity(g, 2))
+    reg = assemble(lift_identity(g, 2)).regularity
     assert reg.kind == "irregular"
-    assert not reg.is_regular
 
 
 def test_regularity_regular_but_not_scalar():
     W = np.diag([2.0, 1.0])
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, W)])
-    reg = regularity(G)
+    reg = assemble(G).regularity
     assert reg.kind == "regular"
     assert reg.scalar_degree is None
     assert np.allclose(reg.degree_matrix, W)
@@ -287,7 +286,7 @@ def test_scalarize_of_lift_scales_by_k():
 
 def test_lift_of_regular_is_scalar_regular():
     g = complete_graph(4)
-    reg = regularity(lift_identity(g, 3))
+    reg = assemble(lift_identity(g, 3)).regularity
     assert reg.is_scalar_regular and reg.scalar_degree == pytest.approx(3.0)
 
 
@@ -298,7 +297,7 @@ def test_volume_single_vertex_and_empty():
 
 
 def test_volume_full_k4_abc():
-    assert np.allclose(total_volume(k4_abc_mwg()), 6.0 * np.eye(2), atol=1e-14)
+    assert np.allclose(volume(k4_abc_mwg(), range(4)), 6.0 * np.eye(2), atol=1e-14)
 
 
 def test_volume_additive_and_handshake(rng):
@@ -308,9 +307,9 @@ def test_volume_additive_and_handshake(rng):
         split = n // 2
         left = volume(G, range(split))
         right = volume(G, range(split, n))
-        assert np.allclose(left + right, total_volume(G), atol=1e-12)
+        assert np.allclose(left + right, volume(G, range(n)), atol=1e-12)
         twice_edges = 2 * sum(G.weights.values())
-        assert np.allclose(total_volume(G), twice_edges, atol=1e-12)
+        assert np.allclose(volume(G, range(n)), twice_edges, atol=1e-12)
 
 
 # --- stacked validation against the per-edge loop ------------------------------

@@ -14,11 +14,9 @@ from mwgraph.linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_symmetric,
-    eigh,
     is_psd,
     kernel_dim,
     kernel_dim_of_values,
-    loewner_leq,
     pseudo_sqrt_inv,
     rank_psd,
 )
@@ -68,6 +66,12 @@ def test_as_symmetric_rejects_nonsquare():
         as_symmetric(np.zeros((2, 3)))
 
 
+def test_as_symmetric_rejects_nan():
+    for check in (as_symmetric, is_psd, kernel_dim, rank_psd, pseudo_sqrt_inv):
+        with pytest.raises(NonFiniteError):
+            check([[np.nan, 0.0], [0.0, 1.0]])
+
+
 def test_as_symmetric_rejects_overflowing_sum():
     # finite entries beyond ~9e307 overflow (M + M^T)/2; kernel_dim and
     # rank_psd no longer symmetrize twice, so as_symmetric must catch it
@@ -75,48 +79,6 @@ def test_as_symmetric_rejects_overflowing_sum():
         for check in (as_symmetric, is_psd, kernel_dim, rank_psd, pseudo_sqrt_inv):
             with pytest.raises(NonFiniteError):
                 check([[1e308, 0.0], [0.0, 1.0]])
-
-
-def test_eigh_identity():
-    spec = eigh(np.eye(2))
-    assert np.allclose(spec.values, [1.0, 1.0])
-
-
-def test_eigh_swap_matrix():
-    spec = eigh([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(spec.values, [-1.0, 1.0])
-
-
-def test_eigh_rank_one_projection():
-    spec = eigh(FRAME_B)
-    assert np.allclose(spec.values, [0.0, 1.0], atol=1e-14)
-
-
-def test_eigh_rejects_nan():
-    with pytest.raises(NonFiniteError):
-        eigh([[np.nan, 0.0], [0.0, 1.0]])
-
-
-def test_eigh_reconstructs(rng):
-    for _ in range(50):
-        dim = int(rng.integers(1, 7))
-        m = rng.normal(size=(dim, dim))
-        m = (m + m.T) / 2
-        spec = eigh(m)
-        rebuilt = spec.vectors @ np.diag(spec.values) @ spec.vectors.T
-        scale = max(1.0, float(np.abs(m).max()))
-        assert np.abs(rebuilt - m).max() <= DEFAULT_TOL.resid_tol * scale
-        gram = spec.vectors.T @ spec.vectors
-        assert np.abs(gram - np.eye(dim)).max() <= 1e-8
-        assert np.all(np.diff(spec.values) >= -1e-12)
-
-
-def test_eigh_deterministic():
-    m = np.array([[2.0, -1.0, 0.5], [-1.0, 1.0, 0.25], [0.5, 0.25, 3.0]])
-    first = eigh(m)
-    second = eigh(m.copy())
-    assert np.array_equal(first.values, second.values)
-    assert np.array_equal(first.vectors, second.vectors)
 
 
 def test_is_psd_zero():
@@ -164,43 +126,39 @@ def test_pseudo_sqrt_inv_projector_property(rng):
 
 
 def test_loewner_zero_below_psd(rng):
+    # A <= B in the Loewner order iff is_psd(B - A)
     for _ in range(20):
         m = random_psd(rng, 3)
-        assert loewner_leq(np.zeros((3, 3)), m)
+        assert is_psd(m - np.zeros((3, 3)))
 
 
 def test_loewner_identity_cases():
-    assert loewner_leq(np.eye(2), 2 * np.eye(2))
-    assert not loewner_leq(2 * np.eye(2), np.eye(2))
+    assert is_psd(2 * np.eye(2) - np.eye(2))
+    assert not is_psd(np.eye(2) - 2 * np.eye(2))
 
 
 def test_loewner_incomparable_pair():
     a = np.diag([1.0, 0.0])
     b = np.diag([0.0, 1.0])
-    assert not loewner_leq(a, b)
-    assert not loewner_leq(b, a)
+    assert not is_psd(b - a)
+    assert not is_psd(a - b)
 
 
 def test_loewner_reads_psd_tol():
     zero, below = np.zeros((2, 2)), np.diag([1.0, -1e-12])
-    assert loewner_leq(zero, below)
-    assert not loewner_leq(zero, below, Tolerances(psd_tol=0.0))
-
-
-def test_loewner_dim_mismatch():
-    with pytest.raises(DimMismatchError):
-        loewner_leq(np.eye(2), np.eye(3))
+    assert is_psd(below - zero)
+    assert not is_psd(below - zero, Tolerances(psd_tol=0.0))
 
 
 def test_loewner_reflexive_transitive(rng):
     for _ in range(30):
         k = int(rng.integers(1, 4))
         a = random_psd(rng, k)
-        assert loewner_leq(a, a)
+        assert is_psd(a - a)
         b = a + random_psd(rng, k)
         c = b + random_psd(rng, k)
-        assert loewner_leq(a, b) and loewner_leq(b, c)
-        assert loewner_leq(a, c)
+        assert is_psd(b - a) and is_psd(c - b)
+        assert is_psd(c - a)
 
 
 def test_kernel_dim_identity():

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mwgraph.errors import DegenerateEdgeError, NotPsdError, NotSymmetricError, ParseError
+from mwgraph.errors import (DegenerateEdgeError, IndexOutOfRangeError, NotPsdError,
+                            NotSymmetricError, ParseError)
 from mwgraph.graphs import MatrixWeightedGraph, lift_identity
 from mwgraph.linalg import (
     DEFAULT_TOL,
@@ -17,14 +18,12 @@ from mwgraph.operators import BoundReport, assemble
 from mwgraph.sheaf import (
     Truss,
     build_coboundary,
-    global_sections,
     load_truss,
     rigid_motions,
     sheaf_analysis,
     sqrt_factor,
     truss_rigidity,
     truss_to_mwg,
-    verify_factorization,
 )
 
 from conftest import (
@@ -99,21 +98,21 @@ def test_coboundary_factors_stored_weights_as_sqrt_factor(rng, monkeypatch):
 
 def test_factorization_single_edge_machine_precision():
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, FRAME_A)])
-    rep = verify_factorization(assemble(G))
+    rep = sheaf_analysis(assemble(G))[0]
     assert rep.holds
     assert rep.lhs <= 1e-14
 
 
 def test_factorization_k4_abc_and_random(rng):
-    assert verify_factorization(assemble(k4_abc_mwg())).holds
+    assert sheaf_analysis(assemble(k4_abc_mwg()))[0].holds
     for _ in range(200):
-        assert verify_factorization(assemble(random_mwg(rng))).holds
+        assert sheaf_analysis(assemble(random_mwg(rng)))[0].holds
 
 
 def test_global_sections_connected_identity():
     for k in (1, 2, 3):
         G = lift_identity(unit_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), k)
-        basis = global_sections(assemble(G))
+        basis = sheaf_analysis(assemble(G))[1]
         assert basis.shape == (4 * k, k)
         # spanned by constant fields 1 (x) e_i: projector comparison
         constants = np.zeros((4 * k, k))
@@ -129,14 +128,14 @@ def test_global_sections_connected_identity():
 def test_global_sections_two_components():
     for k in (1, 2):
         G = lift_identity(unit_graph(4, [(0, 1), (2, 3)]), k)
-        assert global_sections(assemble(G)).shape[1] == 2 * k
+        assert sheaf_analysis(assemble(G))[1].shape[1] == 2 * k
 
 
 def test_global_sections_counterexample_dimension_four():
     # searched instance standing in for the unavailable figure: K_{3,3} with
     # a Latin-square assignment of the three line projections
     G = k33_latin_mwg()
-    assert global_sections(assemble(G)).shape[1] == 4
+    assert sheaf_analysis(assemble(G))[1].shape[1] == 4
     assert kernel_dim(assemble(G).laplacian) == 4
 
 
@@ -145,7 +144,7 @@ def test_global_sections_rank_deficient_weights():
     # each weight's image and free on its kernel, dimension 6 - 2 = 4
     e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 3.0])
     G = MatrixWeightedGraph.from_weights(3, 2, [(0, 1, e1), (1, 2, e2)])
-    basis = global_sections(assemble(G))
+    basis = sheaf_analysis(assemble(G))[1]
     assert basis.shape == (6, 4)
     assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
     assert np.allclose(build_coboundary(G).matrix @ basis, 0.0, atol=1e-12)
@@ -155,12 +154,12 @@ def test_global_sections_rank_deficient_weights():
 
 def test_global_sections_edgeless_is_everything():
     G = MatrixWeightedGraph.from_weights(3, 2, [])
-    assert np.array_equal(global_sections(assemble(G)), np.eye(6))
+    assert np.array_equal(sheaf_analysis(assemble(G))[1], np.eye(6))
 
 
 def test_h0_dim_orientation_independent(rng):
     G = random_mwg(rng)
-    base_dim = global_sections(assemble(G)).shape[1]
+    base_dim = sheaf_analysis(assemble(G))[1].shape[1]
     delta = build_coboundary(G, {e: (e[1], e[0]) for e in G.base.edges}).matrix
     sing = np.linalg.svd(delta, compute_uv=False)
     rank = int(np.sum(sing > 1e-10 * max(1.0, sing[0] if sing.size else 0.0)))
@@ -170,11 +169,11 @@ def test_h0_dim_orientation_independent(rng):
 def test_h0_matches_kernel_dim(rng):
     for _ in range(50):
         G = random_mwg(rng)
-        assert global_sections(assemble(G)).shape[1] == kernel_dim(assemble(G).laplacian)
+        assert sheaf_analysis(assemble(G))[1].shape[1] == kernel_dim(assemble(G).laplacian)
 
 
 def reference_sheaf(G, tol=DEFAULT_TOL):
-    """verify_factorization, global_sections and kernel_dim(L) as three
+    """The factorization check, the global sections and kernel_dim(L) as three
     separate passes, each assembling or building what it needs, as they ran
     before sheaf_analysis shared one pass between them."""
     L = assemble(G, tol).laplacian
@@ -236,8 +235,6 @@ def test_sheaf_analysis_matches_three_pass_reference(rng, tol):
         assert basis.shape == expected[1].shape
         assert basis.tobytes() == expected[1].tobytes()
         assert kdim == expected[2]
-        assert verify_factorization(assemble(G, tol)).to_jsonable() == expected[0].to_jsonable()
-        assert global_sections(assemble(G, tol)).tobytes() == expected[1].tobytes()
     assert (raised > 0) == (tol.psd_tol < 1e-20)
 
 
@@ -279,6 +276,13 @@ def test_truss_degenerate_edge():
 def test_truss_rejects_nonpositive_stiffness():
     with pytest.raises(ValueError):
         Truss.make([[0, 0, 0], [1, 0, 0]], [(0, 1, 0.0)])
+
+
+@pytest.mark.parametrize("u, v", [(0, 2), (-1, 0), (0, -2)])
+def test_truss_rejects_endpoint_out_of_range(u, v):
+    # a negative endpoint would index the points from the end
+    with pytest.raises(IndexOutOfRangeError, match=r"outside joint range \[0, 2\)"):
+        Truss.make([[0, 0, 0], [1, 0, 0]], [(u, v, 1.0)])
 
 
 def test_tetrahedron_kernel_exactly_six():
