@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -49,7 +50,14 @@ EXIT_INPUT_ERROR = 2
 _TOL_FLAGS = ("sym_tol", "psd_tol", "rank_rel_tol", "resid_tol")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+
+    parse_args keeps no state between calls, so each main() call gets a
+    fresh namespace, the same defaults and the same errors; in-process
+    callers pay for the argparse set-up once.
+    """
     parser = argparse.ArgumentParser(
         prog="mwgraph",
         description="Spectral analysis and expander search for matrix-weighted graphs.",
@@ -127,6 +135,13 @@ def _read(path: Path) -> bytes:
         return path.read_bytes()
     except OSError as exc:
         raise MwgError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise MwgError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_graph(path: Path, tol: Tolerances):
@@ -377,13 +392,15 @@ def cmd_build_expander(args, tol: Tolerances) -> int:
         "expander": expander,
     }
     if args.output is not None:
-        args.output.write_bytes(save(G))
+        _write(args.output, save(G))
         report["output"] = str(args.output)
     _emit(report, args.format)
     return EXIT_OK
 
 
 def cmd_search(args, tol: Tolerances) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise MwgError("--samples must be >= 1")
     frame = _resolve_frame(args.frame, tol, args.r)
     if args.samples is not None:
         results = sample_expanders(args.n_max, args.r, frame, samples=args.samples,
@@ -407,6 +424,8 @@ def cmd_search(args, tol: Tolerances) -> int:
 
 
 def cmd_verify_paper(args, tol: Tolerances) -> int:
+    if args.random_count < 0:
+        raise MwgError("--random-count must be >= 0")
     results = acceptance.run_suite_with_determinism(
         tol, seed=args.seed, workers=args.workers, random_count=args.random_count)
     report = acceptance.results_to_jsonable(results)

@@ -21,8 +21,9 @@ from .linalg import DEFAULT_TOL, Tolerances, _checked_psd
 
 Edge = tuple[int, int]
 
-# load() refuses n * k above this, so that one dense kn x kn float64
-# operator, such as the Laplacian that assemble forms, stays within 128 MiB
+# load() refuses n * k above this, and sheaf.Truss.make 3n, so that one
+# dense kn x kn float64 operator, such as the Laplacian that assemble forms,
+# stays within 128 MiB
 LOAD_MAX_NK = 4096
 
 

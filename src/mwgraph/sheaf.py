@@ -17,8 +17,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import jsonio
-from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError
-from .graphs import Edge, MatrixWeightedGraph
+from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError, TooLargeError
+from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph
 from .linalg import (DEFAULT_TOL, Tolerances, _checked_kernel_dim, as_symmetric, kernel_dim,
                      kernel_dim_of_values, spectral_norm)
 from .operators import BoundReport, OperatorBundle, assemble
@@ -134,9 +134,13 @@ class Truss:
 
     @classmethod
     def make(cls, points, members: Iterable[tuple[int, int, float]]) -> "Truss":
+        """Raises TooLargeError, before reading any member, when 3n exceeds
+        LOAD_MAX_NK (the stiffness matrix is dense 3n x 3n)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
+        if 3 * len(pts) > LOAD_MAX_NK:
+            raise TooLargeError(f"3n = {3 * len(pts)} exceeds the limit of {LOAD_MAX_NK}")
         pts.setflags(write=False)
         stiffness: dict[Edge, float] = {}
         for u, v, s in members:

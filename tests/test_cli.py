@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +227,22 @@ def test_truss_endpoint_out_of_range_exits_2(tmp_path, capsys, v):
     assert "outside joint range [0, 2)" in captured.err
 
 
+def test_truss_oversized_exits_2(tmp_path, capsys, monkeypatch):
+    from mwgraph import sheaf
+
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized truss reached the stiffness matrix")
+
+    monkeypatch.setattr(sheaf, "truss_to_mwg", never)
+    doc = {"points": [[float(i), 0.0, 0.0] for i in range(1366)], "edges": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--format", "json", "truss", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 3n = 4098 exceeds the limit of 4096\n"
+
+
 def test_build_expander_k4(k4_scalar_file, tmp_path, capsys):
     out = tmp_path / "built.json"
     assert main(["--format", "json", "build-expander", str(k4_scalar_file),
@@ -231,6 +251,16 @@ def test_build_expander_k4(k4_scalar_file, tmp_path, capsys):
     assert report["degree"] == pytest.approx(1.5)
     rebuilt = load(out.read_bytes())
     assert rebuilt.k == 2 and rebuilt.base.n == 4
+
+
+def test_build_expander_output_into_missing_directory_exits_2(k4_scalar_file, tmp_path,
+                                                             capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["--format", "json", "build-expander", str(k4_scalar_file),
+                 "--frame", "equiangular3", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 def test_build_expander_with_colors(k4_scalar_file, capsys):
@@ -332,6 +362,28 @@ def test_search_sampling_odd_n_exits_2_before_drawing(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_search_samples_must_be_positive(capsys, samples):
+    assert main(["search", "--r", "3", "--n-max", "6", "--frame", "equiangular3",
+                 "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples must be >= 1\n"
+
+
+def test_verify_paper_random_count_must_be_nonnegative(capsys, monkeypatch):
+    from mwgraph import acceptance
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran the suite")
+
+    monkeypatch.setattr(acceptance, "run_suite_with_determinism", forbidden)
+    assert main(["verify-paper", "--random-count", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --random-count must be >= 0\n"
+
+
 def test_workers_must_be_positive(capsys, monkeypatch):
     import multiprocessing
     import os
@@ -376,3 +428,51 @@ def test_tolerance_override_rejects_marginal_psd(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--psd-tol", "1e-30", "spectrum", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _run_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _run_alone(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "mwgraph.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_shared_parser_carries_nothing_between_calls(k4_abc_file, tmp_path, capsys,
+                                                     monkeypatch):
+    # one process alternates subcommands and global flags, with usage and
+    # input errors between them; each call must match its argv run alone
+    monkeypatch.setenv("COLUMNS", "80")  # the usage lines wrap at the terminal width
+    truss = tmp_path / "tetra.json"
+    truss.write_text(json.dumps({
+        "points": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+        "edges": [{"u": u, "v": v, "s": 1.0} for u, v in itertools.combinations(range(4), 2)],
+    }))
+    k4, missing = str(k4_abc_file), str(tmp_path / "nope.json")
+    runs = [
+        ["--format", "json", "cheeger", k4],
+        ["--resid-tol", "0", "truss", str(truss)],
+        ["--format", "yaml", "cheeger", k4],
+        ["--seed", "3", "--format", "json", "search", "--r", "3", "--n-max", "14",
+         "--frame", "equiangular3", "--samples", "2"],
+        ["--format", "csv", "spectrum", missing],
+        ["--workers", "2", "search", "--r", "3", "--n-max", "6", "--frame", "equiangular3"],
+        ["cheeger"],
+        ["truss", str(truss)],
+        ["--format", "json", "search", "--r", "3", "--n-max", "14", "--frame", "equiangular3",
+         "--samples", "2"],
+        ["cheeger", k4],
+    ]
+    seen = [_run_in_process(argv, capsys) for argv in runs]
+    assert {code for code, _, _ in seen} == {0, 1, 2}
+    for argv, got in zip(runs, seen):
+        assert got == _run_alone(argv), argv

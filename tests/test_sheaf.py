@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mwgraph.errors import (DegenerateEdgeError, IndexOutOfRangeError, NotPsdError,
-                            NotSymmetricError, ParseError)
-from mwgraph.graphs import MatrixWeightedGraph, lift_identity
+                            NotSymmetricError, ParseError, TooLargeError)
+from mwgraph.graphs import LOAD_MAX_NK, MatrixWeightedGraph, lift_identity
 from mwgraph.linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -283,6 +283,14 @@ def test_truss_rejects_endpoint_out_of_range(u, v):
     # a negative endpoint would index the points from the end
     with pytest.raises(IndexOutOfRangeError, match=r"outside joint range \[0, 2\)"):
         Truss.make([[0, 0, 0], [1, 0, 0]], [(u, v, 1.0)])
+
+
+def test_truss_size_limit():
+    # 3n = 4,095 is the largest stiffness matrix allowed; no operator is formed here
+    assert 3 * 1365 <= LOAD_MAX_NK < 3 * 1366
+    assert len(Truss.make(np.zeros((1365, 3)), []).points) == 1365
+    with pytest.raises(TooLargeError, match="3n = 4098 exceeds the limit of 4096"):
+        Truss.make(np.zeros((1366, 3)), [])
 
 
 def test_tetrahedron_kernel_exactly_six():
