@@ -40,7 +40,7 @@ from .errors import (
     TooLargeError,
 )
 from .graphs import MatrixWeightedGraph, Regularity
-from .linalg import Tolerances, kernel_dim_of_values
+from .linalg import Tolerances, kernel_dim_of_values, zero_cutoff
 from .operators import CHECK_TOL, BoundReport, OperatorBundle
 
 EML_EXHAUSTIVE_MAX_N = 8
@@ -266,11 +266,11 @@ class IrregularContext:
 
 
 def irregular_context(ops: OperatorBundle) -> IrregularContext:
-    tol, k, n = ops.tol, ops.k, ops.n
+    k, n = ops.k, ops.n
     degs = ops.degree_blocks
     vol_total = degs.sum(axis=0) if n else np.zeros((k, k))
     values = np.linalg.eigvalsh(vol_total)
-    if values.size == 0 or float(values[0]) <= tol.rank_rel_tol * max(1.0, float(values[-1])):
+    if values.size == 0 or float(values[0]) <= zero_cutoff(float(values[-1]), ops.tol):
         raise SingularVolumeError("vol(G) has an eigenvalue below the rank cutoff")
     vol_inv = np.linalg.inv(vol_total)
     mu = np.linalg.eigvalsh(ops.adj_normalized)
@@ -526,7 +526,7 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
         upper = h[:k].min(axis=0)
         upper += margin
         upper[~sound] = np.inf
-        rank_cut = tol.rank_rel_tol * np.maximum(1.0, top * denom)
+        rank_cut = zero_cutoff(top * denom, tol)
         doubt = ~sound | (lower <= min(alpha, float(upper.min()))) | ~(lower * denom > rank_cut)
         solve = np.arange(count) if per is not None else np.flatnonzero(doubt)
         full = np.empty((solve.size, k, k))
@@ -535,7 +535,7 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
         if doubt.any():
             values = np.linalg.eigvalsh(full if per is None else full[doubt])
             scale = denom[doubt]
-            rank_cut = tol.rank_rel_tol * np.maximum(1.0, values[:, -1] * scale)
+            rank_cut = zero_cutoff(values[:, -1] * scale, tol)
             rank = np.sum(values * scale[:, None] > rank_cut[:, None], axis=1)
             # first minimum of the block, as the one-at-a-time min would keep it
             lam_min = values[:, 0]

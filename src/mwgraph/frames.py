@@ -34,10 +34,10 @@ from .graphgen import (
     enumerate_regular_graphs,
     graph6_like,
     iter_proper_colorings,
-    proper_colorings,
 )
 from .graphs import BaseGraph, MatrixWeightedGraph, is_connected_edges
-from .linalg import DEFAULT_TOL, Tolerances, as_symmetric, spectral_norm
+from .linalg import (DEFAULT_TOL, Tolerances, as_symmetric, is_projection, keep_cutoff,
+                     residual_allowance, spectral_norm)
 from .operators import OperatorBundle, assemble
 
 SEARCH_MAX_N = 12
@@ -65,7 +65,7 @@ class FusionFrame:
             elif P.shape[0] != k:
                 raise NotProjectionError(
                     f"projection #{i} has dimension {P.shape[0]}, expected {k}")
-            if spectral_norm(P @ P - P) > tol.resid_tol * max(1.0, spectral_norm(P)):
+            if not is_projection(P, tol):
                 raise NotProjectionError(f"element #{i} is not an orthogonal projection")
             P.setflags(write=False)
             projections.append(P)
@@ -83,12 +83,10 @@ class FusionFrame:
 
 def verify_tight(f: FusionFrame, tol: Tolerances = DEFAULT_TOL) -> float:
     """Frame constant c with sum(P_i) = c I; raises NotTight otherwise."""
-    total = np.zeros((f.k, f.k))
-    for P in f.projections:
-        total = total + P
+    total = sum(f.projections, np.zeros((f.k, f.k)))
     c = float(np.trace(total)) / f.k
     resid = spectral_norm(total - c * np.eye(f.k))
-    if resid > tol.resid_tol * max(1.0, abs(c)):
+    if resid > residual_allowance(abs(c), tol):
         raise NotTightError(f"residual {resid:.3e} from {c:.6g} * I")
     return c
 
@@ -215,11 +213,11 @@ def eta(ops: OperatorBundle) -> ExpanderReport:
     k = G.k
     ranks = set()
     for e, w in G.weights.items():
-        if spectral_norm(w @ w - w) > tol.resid_tol * max(1.0, spectral_norm(w)):
+        if not is_projection(w, tol):
             raise NotProjectionWeightsError(f"weight on edge {e} is not a projection")
         ranks.add(round(float(np.trace(w))))
     mu = ops.adjacency_values[::-1]
-    cluster = int(np.sum(np.abs(mu - d) <= tol.rank_rel_tol * d))
+    cluster = int(np.sum(np.abs(mu - d) <= keep_cutoff(d, tol)))
     nontrivial = mu[k:]
     hi = float(nontrivial[0])
     lo = float(nontrivial[-1])
@@ -303,12 +301,11 @@ def _projection_groups(f: FusionFrame) -> list[int]:
 def _graph_results(args) -> list:
     graph, n, code_str, f, groups, tol = args
     distinct = len(set(groups))
+    colorings = iter_proper_colorings(graph, len(f))
     if distinct == 1:
         # one projection (identity{k}): every coloring gives the same
         # weighting, so the first one found is the only record
-        colorings = itertools.islice(iter_proper_colorings(graph, len(f)), 1)
-    else:
-        colorings = proper_colorings(graph, len(f))
+        colorings = itertools.islice(colorings, 1)
     results = []
     seen_weightings: set[tuple[int, ...]] = set()
     dedupe = distinct < len(groups)
@@ -449,8 +446,8 @@ def load_frame(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> FusionFrame:
     """Parse frame JSON: { "k": int, "projections": [[k*k floats], ...] }."""
     doc = jsonio.loads(data, "frame JSON")
     try:
-        k = int(doc["k"])
-        rows = [[float(x) for x in p] for p in doc["projections"]]
+        k = jsonio.integer(doc["k"], "k")
+        rows = [[jsonio.number(x, "projection entry") for x in p] for p in doc["projections"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed frame JSON: {exc}") from exc
     if k < 1:

@@ -261,17 +261,10 @@ def enumerate_regular_graphs(n: int, r: int) -> list[BaseGraph]:
     return [BaseGraph.from_edges(n, code_to_edges(n, code)) for code in sorted(codes)]
 
 
-def proper_colorings(base: BaseGraph, r: int) -> list[tuple[int, ...]]:
-    """All proper r-edge-colorings, as color tuples aligned with base.edges.
-
-    An empty result is an exhaustive certificate that no proper r-coloring
-    exists.
-    """
-    return list(iter_proper_colorings(base, r))
-
-
 def iter_proper_colorings(base: BaseGraph, r: int) -> Iterator[tuple[int, ...]]:
-    """Proper r-edge-colorings, lazily, in the order proper_colorings lists them.
+    """All proper r-edge-colorings, lazily, as color tuples aligned with
+    base.edges.  Exhausting it without a coloring certifies that no proper
+    r-coloring exists.
 
     Deterministic backtracking in sorted edge order, trying colors in
     increasing order.  Colors are bits: used[v] holds the colors at vertex

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import IndexOutOfRangeError, ParseError, TooLargeError
-from .linalg import DEFAULT_TOL, Tolerances, _checked_psd
+from .linalg import DEFAULT_TOL, Tolerances, _checked_psd, residual_allowance
 
 Edge = tuple[int, int]
 
@@ -169,12 +169,12 @@ def _regularity(degs: np.ndarray, geo: tuple[int, ...], tol: Tolerances) -> Regu
     k = degs.shape[1]
     if not len(degs):
         return Regularity("scalar", np.zeros((k, k)), 0.0, geo)
-    scale = max(1.0, float(np.max(np.abs(degs))))
+    allowed = residual_allowance(float(np.max(np.abs(degs))), tol)
     D0 = degs[0]
-    if float(np.max(np.abs(degs[1:] - D0), initial=0.0)) > tol.resid_tol * scale:
+    if float(np.max(np.abs(degs[1:] - D0), initial=0.0)) > allowed:
         return Regularity("irregular", None, None, geo)
     d_scalar = float(np.trace(D0)) / k
-    if float(np.max(np.abs(D0 - d_scalar * np.eye(k)))) <= tol.resid_tol * max(1.0, abs(d_scalar)):
+    if float(np.max(np.abs(D0 - d_scalar * np.eye(k)))) <= residual_allowance(abs(d_scalar), tol):
         return Regularity("scalar", D0, d_scalar, geo)
     return Regularity("regular", D0, None, geo)
 
@@ -223,8 +223,8 @@ def load(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGrap
     if not isinstance(doc, dict):
         raise ParseError("top-level MWG-JSON value must be an object")
     try:
-        k = int(doc["k"])
-        n = int(doc["n"])
+        k = jsonio.integer(doc["k"], "k")
+        n = jsonio.integer(doc["n"], "n")
         edge_docs = doc["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed k/n/edges: {exc}") from exc
@@ -235,9 +235,9 @@ def load(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGrap
     items = []
     for i, ed in enumerate(edge_docs):
         try:
-            u = int(ed["u"])
-            v = int(ed["v"])
-            w = [float(x) for x in ed["w"]]
+            u = jsonio.integer(ed["u"], "u")
+            v = jsonio.integer(ed["v"], "v")
+            w = [jsonio.number(x, "w entry") for x in ed["w"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed edge entry #{i}: {exc}") from exc
         if len(w) != k * k:

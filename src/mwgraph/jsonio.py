@@ -34,6 +34,20 @@ def loads(data: bytes | str, what: str):
         raise ParseError(f"invalid {what}: {exc}") from exc
 
 
+def integer(value, name: str) -> int:
+    """value if it is a JSON integer; TypeError for a bool, float or string."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {value!r:.40}")
+    return value
+
+
+def number(value, name: str) -> float:
+    """float(value) if it is a JSON integer or float; TypeError otherwise."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{name} must be a JSON number, got {value!r:.40}")
+    return float(value)
+
+
 def dumps(obj) -> str:
     """Serialize nested dicts/lists/scalars to canonical JSON text."""
     parts: list[str] = []

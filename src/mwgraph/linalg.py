@@ -2,8 +2,9 @@
 
 Everything downstream (Laplacians, edge counts, frames) funnels through
 these few operations, so semantics are pinned here once: symmetrization on
-ingestion, relative rank cutoffs, and the PSD verdict (A <= B in the Loewner
-order iff is_psd(B - A)).  All functions are pure and deterministic:
+ingestion, the PSD verdict (A <= B in the Loewner order iff is_psd(B - A))
+and every cutoff a tolerance becomes (the rules in ``Tolerances``; no other
+module writes one).  All functions are pure and deterministic:
 ``numpy.linalg.eigh`` uses a fixed LAPACK driver with no randomized
 pivoting, so identical input bits give identical output.
 
@@ -40,16 +41,22 @@ from .errors import (
     NotSymmetricError,
 )
 
-PSEUDO_SQRT_INV_NOT_PSD = "pseudo_sqrt_inv requires a PSD matrix"
-
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric tolerances used across the package.
 
-    Rank cutoffs are relative (``rank_rel_tol * lambda_max``) because
-    absolute cutoffs break on scaled inputs.
-    """
+    sym_tol bounds |M - M^T| entrywise.  The others become cutoffs by four
+    rules, each written once, below, at a scale (top: a largest eigenvalue):
+    - PSD floor (is_psd, kernel_dim): min eig >= -psd_tol * max(1, ||M||_2);
+    - zero cutoff (kernel_dim, vol(G)'s singularity, Cheeger boundary
+      ranks): a value <= rank_rel_tol * max(1, top) counts as zero;
+    - keep cutoff, unfloored (pseudo_sqrt_inv, sheaf edge factors,
+      rigid_motions, eta's multiplicity of d): keep > rank_rel_tol * max(top, 0);
+    - residual allowance (projection, tightness, regularity and sheaf
+      factorization checks): resid_tol * max(1, scale); the truss residual
+      is divided by max(1, ||L||_2) and compared with resid_tol.
+    The max(1, .) floors make three rules absolute below unit scale."""
 
     sym_tol: float = 1e-9
     psd_tol: float = 1e-9
@@ -144,12 +151,6 @@ def _values_psd(values: np.ndarray, psd_tol: float) -> np.ndarray:
     return values[:, 0] >= -psd_tol * np.maximum(1.0, norm)
 
 
-def _psd_values(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, bool]:
-    """_psd_verdicts of one already symmetrized matrix."""
-    values, psd = _psd_verdicts(sym[None], psd_tol)
-    return values[0], bool(psd[0])
-
-
 def _checked_psd(arr: np.ndarray, tol: Tolerances, not_psd: Callable[[int], str]) -> np.ndarray:
     """as_symmetric and the is_psd verdict of every matrix of an (m, k, k)
     stack, with one eigvalsh.
@@ -168,17 +169,18 @@ def _checked_psd(arr: np.ndarray, tol: Tolerances, not_psd: Callable[[int], str]
 
 def is_psd(m, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the minimum eigenvalue is >= -psd_tol * max(1, ||M||)."""
-    return _psd_values(as_symmetric(m, tol), tol.psd_tol)[1]
+    return bool(_psd_verdicts(as_symmetric(m, tol)[None], tol.psd_tol)[1][0])
 
 
-def _pseudo_sqrt_inv(sym: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """pseudo_sqrt_inv of every matrix of a symmetrized (m, k, k) stack
-    already judged PSD, from one eigh."""
+def _pseudo_sqrt_inv(arr: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """pseudo_sqrt_inv of every matrix of an (m, k, k) stack: the verdicts
+    of _checked_psd (eigvalsh, as is_psd: eigh's could flip one), one eigh."""
+    sym = _checked_psd(arr, tol, lambda _: "pseudo_sqrt_inv requires a PSD matrix")
     if sym.size == 0:
         return sym
     values, vectors = np.linalg.eigh(sym)
-    cutoff = tol.rank_rel_tol * np.maximum(values[:, -1:], 0.0)
-    inv_sqrt = np.where(values > cutoff, 1.0 / np.sqrt(np.maximum(values, 1e-300)), 0.0)
+    keep = values > keep_cutoff(values[:, -1:], tol)
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.maximum(values, 1e-300)), 0.0)
     result = (vectors * inv_sqrt[:, None, :]) @ vectors.transpose(0, 2, 1)
     return (result + result.transpose(0, 2, 1)) / 2.0
 
@@ -186,44 +188,47 @@ def _pseudo_sqrt_inv(sym: np.ndarray, tol: Tolerances) -> np.ndarray:
 def pseudo_sqrt_inv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the square root of a PSD matrix.
 
-    Eigenvalues above ``rank_rel_tol * lambda_max`` map to lambda^(-1/2),
-    the rest to zero, in the eigenbasis of M.
+    Eigenvalues above ``keep_cutoff(lambda_max)`` map to lambda^(-1/2), the
+    rest to zero, in the eigenbasis of M.
     """
-    sym = as_symmetric(m, tol)
-    # the verdict comes from eigvalsh, as in is_psd: eigh's values may differ
-    # in the last bit and could flip a borderline verdict
-    if not _psd_values(sym, tol.psd_tol)[1]:
-        raise NotPsdError(PSEUDO_SQRT_INV_NOT_PSD)
-    return _pseudo_sqrt_inv(sym[None], tol)[0]
+    return _pseudo_sqrt_inv(as_symmetric(m, tol)[None], tol)[0]
 
 
 def kernel_dim(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of eigenvalues <= rank_rel_tol * max(1, lambda_max) of a PSD matrix."""
-    return _kernel_dim(as_symmetric(m, tol), tol)
-
-
-def _kernel_dim(sym: np.ndarray, tol: Tolerances) -> int:
-    return _checked_kernel_dim(np.linalg.eigvalsh(sym), tol)
-
-
-def _checked_kernel_dim(values: np.ndarray, tol: Tolerances) -> int:
-    """kernel_dim, PSD check included, from the ascending eigenvalues of a
-    symmetric matrix already solved, such as an ``OperatorBundle``'s
-    ``laplacian_values``."""
-    if values.size and not _values_psd(values[None], tol.psd_tol)[0]:
-        raise NotPsdError("kernel_dim requires a PSD matrix")
-    return kernel_dim_of_values(values, tol)
+    """Number of eigenvalues of a PSD matrix at or below zero_cutoff(lambda_max)."""
+    return kernel_dim_of_values(np.linalg.eigvalsh(as_symmetric(m, tol)), tol)
 
 
 def kernel_dim_of_values(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """kernel_dim from the ascending eigenvalues of a PSD matrix already solved."""
+    """kernel_dim, PSD check included, from the ascending eigenvalues of a
+    symmetric matrix already solved, such as an ``OperatorBundle``'s
+    ``laplacian_values``."""
     if values.size == 0:
         return 0
-    cutoff = tol.rank_rel_tol * max(1.0, float(values[-1]))
-    return int(np.sum(values <= cutoff))
+    if not _values_psd(values[None], tol.psd_tol)[0]:
+        raise NotPsdError("kernel_dim requires a PSD matrix")
+    return int(np.sum(values <= zero_cutoff(float(values[-1]), tol)))
 
 
-def rank_psd(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numeric rank of a PSD matrix under the same cutoff as kernel_dim."""
-    sym = as_symmetric(m, tol)
-    return sym.shape[0] - _kernel_dim(sym, tol)
+# the rules of Tolerances (the PSD floor is _values_psd); top may be an array
+
+
+def zero_cutoff(top, tol: Tolerances):
+    return tol.rank_rel_tol * np.maximum(1.0, top)
+
+
+def keep_cutoff(top, tol: Tolerances):
+    return tol.rank_rel_tol * np.maximum(top, 0.0)
+
+
+def residual_scale(scale: float) -> float:
+    return max(1.0, scale)
+
+
+def residual_allowance(scale: float, tol: Tolerances) -> float:
+    return tol.resid_tol * residual_scale(scale)
+
+
+def is_projection(P: np.ndarray, tol: Tolerances) -> bool:
+    """||P^2 - P||_2 within the residual allowance at ||P||_2, for symmetric P."""
+    return not spectral_norm(P @ P - P) > residual_allowance(spectral_norm(P), tol)

@@ -18,8 +18,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .graphs import MatrixWeightedGraph, Regularity, _regularity, all_degrees
-from .linalg import (DEFAULT_TOL, PSEUDO_SQRT_INV_NOT_PSD, Spectrum, Tolerances, _checked_psd,
-                     _pseudo_sqrt_inv)
+from .linalg import DEFAULT_TOL, Spectrum, Tolerances, _pseudo_sqrt_inv
 
 CHECK_TOL = 1e-8
 ATTAIN_TOL = 1e-7  # detection threshold for "bound attained", looser than resid_tol
@@ -127,8 +126,7 @@ class OperatorBundle:
     @cached_property
     def _degree_pseudo_sqrt_inv(self) -> np.ndarray:
         """Block-diagonal D^(+/2): every D_v^(+/2) from one stacked solve."""
-        sym = _checked_psd(self.degree_blocks, self.tol, lambda _: PSEUDO_SQRT_INV_NOT_PSD)
-        return self._block_diagonal(_pseudo_sqrt_inv(sym, self.tol))
+        return self._block_diagonal(_pseudo_sqrt_inv(self.degree_blocks, self.tol))
 
     @cached_property
     def trace_adjacency(self) -> np.ndarray:

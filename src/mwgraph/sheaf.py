@@ -19,8 +19,8 @@ import numpy as np
 from . import jsonio
 from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError, TooLargeError
 from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph
-from .linalg import (DEFAULT_TOL, Tolerances, _checked_kernel_dim, as_symmetric, kernel_dim,
-                     kernel_dim_of_values, spectral_norm)
+from .linalg import (DEFAULT_TOL, Tolerances, as_symmetric, keep_cutoff, kernel_dim,
+                     kernel_dim_of_values, residual_allowance, residual_scale, spectral_norm)
 from .operators import BoundReport, OperatorBundle, assemble
 
 
@@ -46,8 +46,7 @@ def _sqrt_factors(sym: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     if len(sym) == 0:
         return []
     values, vectors = np.linalg.eigh(sym)
-    cutoff = tol.rank_rel_tol * np.maximum(values[:, -1:], 0.0)
-    keep = values > cutoff
+    keep = values > keep_cutoff(values[:, -1:], tol)
     rows = np.sqrt(values[keep])[:, None] * vectors.transpose(0, 2, 1)[keep]
     return np.split(rows, np.cumsum(keep.sum(axis=1))[:-1])
 
@@ -92,7 +91,7 @@ def build_coboundary(G: MatrixWeightedGraph,
 def _factorization_report(L: np.ndarray, delta: np.ndarray, tol: Tolerances) -> BoundReport:
     err = spectral_norm(delta.T @ delta - L)
     norm = spectral_norm(L)
-    return BoundReport.simple("sheaf_factorization", err, tol.resid_tol * max(1.0, norm),
+    return BoundReport.simple("sheaf_factorization", err, residual_allowance(norm, tol),
                               check_tol=0.0, laplacian_norm=norm)
 
 
@@ -108,17 +107,16 @@ def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
     """The factorization check, the global sections and kernel_dim(L), in
     that order, from one coboundary, one ||L|| and one eigensolve of L.
 
-    The check is ||delta^T delta - L|| <= resid_tol * max(1, ||L||).  The
+    The check is ||delta^T delta - L|| <= residual_allowance(||L||).  The
     global sections are an orthonormal basis of H^0 = ker(delta), as
-    columns; a singular value sigma counts as zero under the cutoff
-    kernel_dim applies to L = delta^T delta (sigma^2 against rank_rel_tol *
-    max(1, sigma_max^2)), so their number equals kernel_dim(L) exactly when
-    ker delta = ker L.  kernel_dim(L) is read off the bundle's
+    columns: sigma counts as zero when sigma^2 does in kernel_dim of delta^T
+    delta, so their number is kernel_dim(L) exactly when ker delta = ker L.
+    kernel_dim(L) is read off the bundle's
     ``laplacian_values``: L is assembled exactly symmetric, so this is the
     count, and the PSD check, that kernel_dim(L) gives."""
     delta = build_coboundary(ops.graph, tol=ops.tol).matrix
     return (_factorization_report(ops.laplacian, delta, ops.tol), _kernel_basis(delta, ops.tol),
-            _checked_kernel_dim(ops.laplacian_values, ops.tol))
+            kernel_dim_of_values(ops.laplacian_values, ops.tol))
 
 
 # --- trusses ---------------------------------------------------------------
@@ -160,8 +158,9 @@ def load_truss(data: bytes | str) -> Truss:
     """Parse truss JSON: { "points": [[x,y,z],...], "edges": [{"u","v","s"}] }."""
     doc = jsonio.loads(data, "truss JSON")
     try:
-        points = [[float(c) for c in p] for p in doc["points"]]
-        members = [(int(e["u"]), int(e["v"]), float(e["s"])) for e in doc["edges"]]
+        points = [[jsonio.number(c, "point coordinate") for c in p] for p in doc["points"]]
+        members = [(jsonio.integer(e["u"], "u"), jsonio.integer(e["v"], "v"),
+                    jsonio.number(e["s"], "s")) for e in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed truss JSON: {exc}") from exc
     if any(len(p) != 3 for p in points):
@@ -194,7 +193,7 @@ def truss_rigidity(t: Truss, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.nda
     L = assemble(truss_to_mwg(t, tol), tol).laplacian
     motions = rigid_motions(t.points, tol)
     if motions.size:
-        residual = float(np.abs(L @ motions).max()) / max(1.0, float(np.linalg.norm(L, 2)))
+        residual = float(np.abs(L @ motions).max()) / residual_scale(float(np.linalg.norm(L, 2)))
     else:
         residual = 0.0
     return kernel_dim(L, tol), motions, residual
@@ -212,18 +211,12 @@ def rigid_motions(points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0))
     center = pts.mean(axis=0)
-    gens = []
-    for i in range(3):
-        t = np.zeros((n, 3))
-        t[:, i] = 1.0
-        gens.append(t.ravel())
-    for i in range(3):
-        omega = np.zeros(3)
-        omega[i] = 1.0
-        gens.append(np.cross(np.broadcast_to(omega, (n, 3)), pts - center).ravel())
+    # translations along, then rotations about, each axis
+    gens = [np.tile(axis, n) for axis in np.eye(3)]
+    gens += [np.cross(np.broadcast_to(axis, (n, 3)), pts - center).ravel() for axis in np.eye(3)]
     K = np.array(gens).T
     U, s, _ = np.linalg.svd(K, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((3 * n, 0))
-    rank = int(np.sum(s > tol.rank_rel_tol * s[0]))
+    rank = int(np.sum(s > keep_cutoff(s[0], tol)))
     return U[:, :rank]

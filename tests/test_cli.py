@@ -216,6 +216,22 @@ def test_truss_tetrahedron(tmp_path, capsys):
     assert report["rigid_motions_in_kernel"] is True
 
 
+@pytest.mark.parametrize("command, doc", [
+    (["spectrum"], {"k": 1.9, "n": 2.9, "edges": [{"u": 0.6, "v": 1.2, "w": [1.0]}]}),
+    (["truss"], {"points": [[0, 0, 0], [1, 0, 0]], "edges": [{"u": 0.9, "v": 1, "s": 1.0}]}),
+    (["search", "--r", "2", "--n-max", "4", "--frame"],
+     {"k": 2.7, "projections": [[1, 0, 0, 0], [0, 0, 0, 1]]}),
+])
+def test_non_integer_index_or_count_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    target = f"@{path}" if command[0] == "search" else str(path)
+    assert main(["--format", "json", *command, target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a JSON integer" in captured.err
+
+
 @pytest.mark.parametrize("v", [5, -1])
 def test_truss_endpoint_out_of_range_exits_2(tmp_path, capsys, v):
     doc = {"points": [[0, 0, 0], [1, 0, 0]], "edges": [{"u": 0, "v": v, "s": 1.0}]}

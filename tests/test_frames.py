@@ -31,7 +31,7 @@ from mwgraph.frames import (
     verify_tight,
 )
 from mwgraph.graphs import BaseGraph, lift_identity
-from mwgraph.linalg import rank_psd
+from mwgraph.linalg import kernel_dim
 from mwgraph.operators import assemble
 
 from conftest import (
@@ -75,7 +75,7 @@ def test_projection_rank_is_trace(name, r):
     # FusionFrame and eta take a checked projection's rank from its trace
     frame = named_frame(name, r_context=r)
     assert len(frame) == r
-    ranks = tuple(rank_psd(P) for P in frame.projections)
+    ranks = tuple(frame.k - kernel_dim(P) for P in frame.projections)
     assert tuple(round(float(np.trace(P))) for P in frame.projections) == ranks
     assert frame.ranks == ranks
 
@@ -387,8 +387,8 @@ def test_search_identity_frame_dedupes_colorings():
 
 
 def test_search_identity_frame_colors_each_graph_once(monkeypatch):
-    # the listing path: every coloring, one record per distinct weighting,
-    # which for identity copies is the first coloring listed
+    # every coloring, one record per distinct weighting, which for identity
+    # copies is the first coloring listed: the search draws no other
     from mwgraph import frames, jsonio
     from mwgraph.graphgen import edges_code, enumerate_regular_graphs, graph6_like
     frame = named_frame("identity2", r_context=3)
@@ -398,19 +398,27 @@ def test_search_identity_frame_colors_each_graph_once(monkeypatch):
         for graph in enumerate_regular_graphs(n, 3):
             code = graph6_like(n, edges_code(n, graph.edges))
             seen = set()
-            for coloring in frames.proper_colorings(graph, 3):
+            for coloring in frames.iter_proper_colorings(graph, 3):
                 key = tuple(groups[c] for c in coloring)
                 if key not in seen:
                     seen.add(key)
                     report = eta(assemble(build_expander(graph, coloring, frame)))
                     expected.append(frames.SearchResult(n, code, graph, coloring, report))
     expected.sort(key=lambda res: (-res.report.eta, res.code, res.coloring))
-    listings = count_calls(monkeypatch, "proper_colorings", frames)
+    drawn = []
+    listing = frames.iter_proper_colorings
+
+    def counting(graph, r):
+        for coloring in listing(graph, r):
+            drawn.append(coloring)
+            yield coloring
+
+    monkeypatch.setattr(frames, "iter_proper_colorings", counting)
     results = search_expanders(10, 3, frame)
     assert len(results) == 1 + 2 + 5 + 17
     assert ([jsonio.dumps(res.to_jsonable()) for res in results]
             == [jsonio.dumps(res.to_jsonable()) for res in expected])
-    assert listings == []
+    assert len(drawn) == len(results)
 
 
 def test_search_validates_once(monkeypatch):
@@ -557,3 +565,15 @@ def test_load_frame_errors():
             load_frame(data)
     with pytest.raises(NotProjectionError):
         load_frame(b'{"k": 1, "projections": [[2.0]]}')
+
+
+@pytest.mark.parametrize("doc", [
+    '{"k": 2.7, "projections": [[1, 0, 0, 0], [0, 0, 0, 1]]}',  # read as k = 2
+    '{"k": "2", "projections": [[1, 0, 0, 0], [0, 0, 0, 1]]}',
+    '{"k": true, "projections": [[1]]}',
+    '{"k": 2, "projections": [[1, 0, 0, 0], [0, 0, 0, "1"]]}',
+    '{"k": 2, "projections": [[1, 0, 0, 0], [0, 0, 0, true]]}',
+])
+def test_load_frame_accepts_only_an_integer_k_and_numeric_entries(doc):
+    with pytest.raises(ParseError, match="must be a JSON"):
+        load_frame(doc)

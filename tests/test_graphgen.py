@@ -12,7 +12,7 @@ from mwgraph.graphgen import (
     edges_code,
     enumerate_regular_graphs,
     graph6_like,
-    proper_colorings,
+    iter_proper_colorings,
 )
 from mwgraph.graphs import BaseGraph, is_connected_edges
 
@@ -347,14 +347,14 @@ def count_latin_squares(order):
 
 def test_colorings_of_complete_bipartite_are_latin_squares():
     k33 = BaseGraph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    assert len(proper_colorings(k33, 3)) == count_latin_squares(3) == 12
+    assert len(list(iter_proper_colorings(k33, 3))) == count_latin_squares(3) == 12
     k44 = BaseGraph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)])
-    assert len(proper_colorings(k44, 4)) == count_latin_squares(4) == 576
+    assert len(list(iter_proper_colorings(k44, 4))) == count_latin_squares(4) == 576
 
 
 def test_colorings_k4():
     k4 = BaseGraph.from_edges(4, itertools.combinations(range(4), 2))
-    colorings = proper_colorings(k4, 3)
+    colorings = list(iter_proper_colorings(k4, 3))
     assert len(colorings) == 6  # 3! assignments of colors to perfect matchings
     for colors in colorings:
         at_vertex = {}
@@ -367,8 +367,8 @@ def test_colorings_k4():
 
 def test_colorings_odd_cycle_empty():
     c5 = BaseGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert proper_colorings(c5, 2) == []
+    assert list(iter_proper_colorings(c5, 2)) == []
 
 
 def test_colorings_petersen_not_three_colorable():
-    assert proper_colorings(petersen_graph(), 3) == []
+    assert list(iter_proper_colorings(petersen_graph(), 3)) == []

@@ -142,6 +142,25 @@ def test_load_rejects_out_of_range_vertex():
         load(b'{"k": 1, "n": 2, "edges": [{"u": 0, "v": 5, "w": [1.0]}]}')
 
 
+@pytest.mark.parametrize("doc", [
+    # read as k = 1, n = 2 and edge (0, 1) by truncation
+    '{"k": 1.9, "n": 2.9, "edges": [{"u": 0.6, "v": 1.2, "w": [1.0]}]}',
+    '{"k": 1, "n": 2.0, "edges": []}',
+    '{"k": 1, "n": "3", "edges": []}',
+    '{"k": true, "n": 2, "edges": []}',
+    '{"k": 1, "n": 2, "edges": [{"u": true, "v": 0, "w": [1.0]}]}',
+    '{"k": 1, "n": 2, "edges": [{"u": 0, "v": "1", "w": [1.0]}]}',
+    '{"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": ["1.5"]}]}',
+    '{"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": [true]}]}',
+])
+def test_load_accepts_only_integer_indices_and_numeric_weights(doc):
+    with pytest.raises(ParseError, match="must be a JSON"):
+        load(doc)
+    # JSON integers stay valid weights
+    G = load('{"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": [2]}]}')
+    assert G.weights[(0, 1)][0, 0] == 2.0
+
+
 def test_load_rejects_oversized_header_without_allocating(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an oversized header reached from_weights")

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from mwgraph.linalg import (
     kernel_dim,
     kernel_dim_of_values,
     pseudo_sqrt_inv,
-    rank_psd,
 )
 
 from conftest import FRAME_A, FRAME_B, FRAME_C, count_calls, random_psd
@@ -67,16 +68,16 @@ def test_as_symmetric_rejects_nonsquare():
 
 
 def test_as_symmetric_rejects_nan():
-    for check in (as_symmetric, is_psd, kernel_dim, rank_psd, pseudo_sqrt_inv):
+    for check in (as_symmetric, is_psd, kernel_dim, pseudo_sqrt_inv):
         with pytest.raises(NonFiniteError):
             check([[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_as_symmetric_rejects_overflowing_sum():
-    # finite entries beyond ~9e307 overflow (M + M^T)/2; kernel_dim and
-    # rank_psd no longer symmetrize twice, so as_symmetric must catch it
+    # finite entries beyond ~9e307 overflow (M + M^T)/2; kernel_dim no
+    # longer symmetrizes twice, so as_symmetric must catch it
     with np.errstate(over="ignore"):
-        for check in (as_symmetric, is_psd, kernel_dim, rank_psd, pseudo_sqrt_inv):
+        for check in (as_symmetric, is_psd, kernel_dim, pseudo_sqrt_inv):
             with pytest.raises(NonFiniteError):
                 check([[1e308, 0.0], [0.0, 1.0]])
 
@@ -122,7 +123,7 @@ def test_pseudo_sqrt_inv_projector_property(rng):
         half = pseudo_sqrt_inv(m)
         proj = half @ m @ half
         assert np.abs(proj @ proj - proj).max() <= 1e-8
-        assert rank_psd(proj) == rank_psd(m)
+        assert kernel_dim(proj) == kernel_dim(m)
 
 
 def test_loewner_zero_below_psd(rng):
@@ -183,8 +184,7 @@ def test_kernel_plus_rank(rng):
         k = int(rng.integers(1, 6))
         rank = int(rng.integers(0, k + 1))
         m = random_psd(rng, k, rank) if rank else np.zeros((k, k))
-        assert kernel_dim(m) + rank_psd(m) == k
-        assert rank_psd(m) == rank
+        assert kernel_dim(m) == k - rank
 
 
 def test_rank_cutoff_is_relative():
@@ -233,17 +233,15 @@ def test_kernel_dim_and_rank_match_two_pass_reference(rng, psd_tol):
             expected = reference_kernel_dim(m, tol)
         except NotPsdError as exc:
             raised += 1
-            for check in (kernel_dim, rank_psd):
-                with pytest.raises(NotPsdError) as got:
-                    check(m, tol)
-                assert str(got.value) == str(exc)
+            with pytest.raises(NotPsdError) as got:
+                kernel_dim(m, tol)
+            assert str(got.value) == str(exc)
             continue
         assert kernel_dim(m, tol) == expected
-        assert rank_psd(m, tol) == m.shape[0] - expected
     assert raised > 0
 
 
-@pytest.mark.parametrize("check", [is_psd, kernel_dim, rank_psd])
+@pytest.mark.parametrize("check", [is_psd, kernel_dim])
 def test_checks_symmetrize_and_solve_once(monkeypatch, rng, check):
     sym = count_calls(monkeypatch, "as_symmetric", linalg)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
@@ -254,11 +252,19 @@ def test_checks_symmetrize_and_solve_once(monkeypatch, rng, check):
 def test_not_psd_messages():
     bad = np.diag([1.0, -1.0])
     for check, message in ((kernel_dim, "kernel_dim requires a PSD matrix"),
-                           (rank_psd, "kernel_dim requires a PSD matrix"),
                            (pseudo_sqrt_inv, "pseudo_sqrt_inv requires a PSD matrix")):
         with pytest.raises(NotPsdError) as exc:
             check(bad)
         assert str(exc.value) == message
+
+
+def test_kernel_dim_of_values_checks_psd():
+    # every caller passes the eigenvalues of a PSD matrix, so the count
+    # applies the PSD floor, as kernel_dim does
+    assert kernel_dim_of_values(np.array([-1e-12, 0.0, 1.0])) == 2
+    with pytest.raises(NotPsdError, match="kernel_dim requires a PSD matrix"):
+        kernel_dim_of_values(np.array([-1e-3, 0.0, 1.0]))
+    assert kernel_dim_of_values(np.zeros(0), Tolerances(psd_tol=0.0)) == 0
 
 
 def test_pseudo_sqrt_inv_verdict_from_eigvalsh(monkeypatch):
@@ -268,3 +274,57 @@ def test_pseudo_sqrt_inv_verdict_from_eigvalsh(monkeypatch):
     solves = count_calls(monkeypatch, "eigh", np.linalg)
     pseudo_sqrt_inv(np.diag([4.0, 0.0]))
     assert (len(sym), len(verdicts), len(solves)) == (1, 1, 1)
+
+
+# --- one home for the tolerance rules -------------------------------------------
+
+TOLERANCE_FIELDS = ("rank_rel_tol", "resid_tol", "psd_tol")
+# (module, function, what) -> why that site may stay outside linalg
+CUTOFF_EXCEPTIONS = {
+    ("cli.py", "cmd_truss", ".resid_tol"):
+        "truss_rigidity's residual is already divided by linalg.residual_scale, "
+        "so the verdict compares it with resid_tol itself",
+}
+
+
+class _CutoffSites(ast.NodeVisitor):
+    """(function, what) for each tolerance read and each max(1.0, .) floor."""
+
+    def __init__(self):
+        self.functions = ["<module>"]
+        self.sites = []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr in TOLERANCE_FIELDS:
+            self.sites.append((self.functions[-1], f".{node.attr}"))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        floored = any(isinstance(arg, ast.Constant) and type(arg.value) is float
+                      and arg.value == 1.0 for arg in node.args)
+        if name in ("max", "maximum") and floored:
+            self.sites.append((self.functions[-1], f"{name}(1.0, .)"))
+        self.generic_visit(node)
+
+
+def test_only_linalg_turns_tolerances_into_cutoffs():
+    # every rule that makes a tolerance a cutoff lives in linalg (see the
+    # Tolerances docstring); no other module reads a tolerance field or
+    # writes its own max(1, .) floor
+    package = Path(linalg.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        sites = _CutoffSites()
+        sites.visit(ast.parse(path.read_text(), str(path)))
+        found.update((path.name, function, what) for function, what in sites.sites)
+    assert found - set(CUTOFF_EXCEPTIONS) == set()
+    assert set(CUTOFF_EXCEPTIONS) <= found, "an exception no longer needed"

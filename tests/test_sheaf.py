@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -366,6 +367,19 @@ def test_load_truss_errors():
     for data in (b"not json", b"\xff", b"[1]"):
         with pytest.raises(ParseError):
             load_truss(data)
+
+
+@pytest.mark.parametrize("points, edge", [
+    ([[0, 0, 0], [1, 0, 0]], {"u": 0.9, "v": 1, "s": 1.0}),  # read as 0 by truncation
+    ([[0, 0, 0], [1, 0, 0]], {"u": 0, "v": True, "s": 1.0}),
+    ([[0, 0, 0], [1, 0, 0]], {"u": "0", "v": 1, "s": 1.0}),
+    ([[0, 0, 0], [1, 0, 0]], {"u": 0, "v": 1, "s": "2.5"}),
+    ([[0, 0, 0], [1, "0", 0]], {"u": 0, "v": 1, "s": 1.0}),
+    ([[0, 0, 0], [1, 0, False]], {"u": 0, "v": 1, "s": 1.0}),
+])
+def test_load_truss_accepts_only_integer_joints_and_numeric_values(points, edge):
+    with pytest.raises(ParseError, match="must be a JSON"):
+        load_truss(json.dumps({"points": points, "edges": [edge]}))
 
 
 def test_coboundary_factors_bitwise_per_edge_reference(rng):
