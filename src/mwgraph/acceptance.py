@@ -8,13 +8,16 @@ pass/fail line with deterministic numeric details, so two runs with the
 same seed serialize to byte-identical JSON.
 
 The corpus criteria A2-A7 share one pass over the members, made the first
-time one of them runs.  The members stream from ``Suite.corpus``: each is
-built, assembled once, its regularity read once, every quantity the six
-criteria report taken from that one bundle, and then dropped, so the pass
-holds one member at a time.  The exhaustive scans A5 and A7 work in blocks
-of bounded size, and the n <= 8 cap on A5's 4^n subset pairs limits its
-time, not its memory.  Each criterion still reports the first error its own
-loop would meet, in member order.
+time one of them runs.  The members stream from ``Suite.corpus`` in chunks
+of 64: each is built, assembled once, its regularity read once,
+every quantity the six criteria report taken from that one bundle, and
+then dropped with its chunk, so the pass holds one chunk at a time.  The
+spectra, D^(+/2) and norms A2-A4 read are solved per shape group of a
+chunk, one LAPACK call per quantity, bitwise as each member alone would
+solve them.  The exhaustive scans A5 and A7 work in blocks of bounded size,
+and the n <= 8 cap on A5's 4^n subset pairs limits its time, not its
+memory.  Each criterion still reports the first error its own loop would
+meet, in member order.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ from .operators import (
     check_adjacency_trace_bounds,
     check_laplacian_trace_bounds,
     check_normalized_bound,
+    solve_stacked,
 )
-from .sheaf import Truss, sheaf_analysis, truss_rigidity
+from .sheaf import Truss, factorization, sheaf_analysis, truss_rigidity
 
 FRAME_TOL = 1e-12
 EXACT_TOL = 1e-12
@@ -69,6 +73,14 @@ IRREGULAR_GRAPHS = 500
 # A4 reports the worst factorization residual as a fraction of the
 # allowance under these tolerances, whatever resid_tol the suite runs under
 SHEAF_TOL = Tolerances(resid_tol=1e-9)
+# the corpus pass analyses this many members at a time
+_CHUNK = 64
+# what A2-A4 read of every member, solved per shape group of a chunk;
+# D^(+/2) comes before the normalized Laplacian that reads it
+_STACKED = (OperatorBundle.degree_pseudo_sqrt_inv, OperatorBundle.laplacian_values,
+           OperatorBundle.adjacency_values, OperatorBundle.normalized_laplacian_values,
+           OperatorBundle.trace_laplacian_values, OperatorBundle.trace_adjacency_values,
+           factorization)
 
 
 # each criterion's name and the Suite method that checks it, in run order
@@ -191,13 +203,17 @@ def _irregular_candidate(ops: OperatorBundle) -> IrregularContext | None:
 class _CorpusPass:
     """What A2-A7 read of the corpus, from one walk over ``Suite.corpus``.
 
-    Each member is built when reached, assembled once and its regularity
-    read once; each criterion takes what it reports from that bundle, and
-    only scalars and A6's irregular contexts are kept, so neither a member
-    nor its bundle outlives its turn.  A criterion whose work on a member
+    Members are built when reached, _CHUNK at a time, each assembled once.
+    ``solve_stacked`` fills the chunk's bundles with the _STACKED quantities,
+    one call per quantity per shape group; then each member, in order, has
+    its regularity read once and each criterion takes what it reports from
+    its bundle.  Only scalars and A6's irregular contexts are kept, so no
+    member or bundle outlives its chunk.  A criterion whose work on a member
     raises keeps that first MwgError and does no more work, as its own loop
-    would have stopped there; a member that fails to build gives its error
-    to every criterion that reads it.  ``raise_error`` re-raises the error.
+    would have stopped there: a stacked solve that raises fills nothing, so
+    each member of its group meets its own error.  A member that fails to
+    build gives its error, after the members before it are analysed, to
+    every criterion that reads it.  ``raise_error`` re-raises the error.
     """
 
     def __init__(self, suite: "Suite"):
@@ -211,21 +227,27 @@ class _CorpusPass:
         self.cheeger_slack, self.cheeger_graphs = np.inf, 0   # A7
         members = suite.corpus()
         while True:
+            chunk, failure = [], None
             try:
-                source, G = next(members)
-            except StopIteration:
-                break
+                for source, G in itertools.islice(members, _CHUNK):
+                    chunk.append((source, assemble(G, suite.tol)))
             except MwgError as exc:
+                failure = exc.with_traceback(None)
+            solve_stacked((ops for _, ops in chunk), _STACKED)
+            for source, ops in chunk:
+                self._analyse(source, ops)
+                self.graphs += 1
+            if failure is not None:
                 # each criterion's own loop built the whole corpus before its
                 # first member's work, so this error comes first; A6 reads
                 # only the random graphs, which all came before a lift
                 failed = ("A2", "A3", "A4", "A5", "A7")
                 if self.graphs < suite.random_count:
                     failed += ("A6",)
-                self.errors.update(dict.fromkeys(failed, exc.with_traceback(None)))
+                self.errors.update(dict.fromkeys(failed, failure))
                 break
-            self._analyse(source, assemble(G, suite.tol))
-            self.graphs += 1
+            if len(chunk) < _CHUNK:
+                break
 
     def _analyse(self, source: str, ops: OperatorBundle) -> None:
         reg = ops.regularity

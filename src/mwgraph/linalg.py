@@ -21,9 +21,9 @@ one (m, k, k) stack: one ``eigvalsh`` per graph for the PSD verdicts and one
 one matrix at a time with the LAPACK routine it uses for a single matrix,
 so each block gets the bits a per-block call gives it; the elementwise
 steps and the batched ``matmul`` are bitwise the per-block ones as well.
-The single-matrix functions (``as_symmetric``, ``pseudo_sqrt_inv``) are the
-one-element case of the stacked helpers, and a stack raises the error a
-per-block loop would raise first.
+The single-matrix functions (``as_symmetric``, ``pseudo_sqrt_inv``,
+``spectral_norm``) are the one-element case of the stacked helpers, and a
+stack raises the error a per-block loop would raise first.
 """
 
 from __future__ import annotations
@@ -126,12 +126,16 @@ def as_symmetric(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return sym[0]
 
 
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """spectral_norm of every matrix of an (m, r, c) stack, from one SVD call."""
+    if stack.size == 0:
+        return np.zeros(len(stack))
+    return np.linalg.norm(stack, 2, axis=(1, 2))
+
+
 def spectral_norm(m) -> float:
     """Operator 2-norm. For the symmetric matrices used here, max |eigenvalue|."""
-    arr = np.asarray(m, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.linalg.norm(arr, 2))
+    return float(_spectral_norms(np.asarray(m, dtype=float)[None])[0])
 
 
 def _psd_verdicts(sym: np.ndarray, psd_tol: float) -> tuple[np.ndarray, np.ndarray]:

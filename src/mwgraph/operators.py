@@ -7,16 +7,24 @@ vertices are handled uniformly.  The trace weighting w_e = tr(W_e), a k = 1
 graph that the trace bounds compare with L_W and A_W, is read as the
 bundle's n x n ``trace_adjacency``.  ``assemble`` pairs a graph with its
 tolerances in an ``OperatorBundle``, which forms each operator on first read.
+
+Each spectrum, D^(+/2) and norm a bundle caches is a ``Stacked`` quantity:
+one function solves it for a list of bundles of one shape with one LAPACK
+call on their stack, and reading it on one bundle is that function's
+one-element case.  numpy solves a stack one matrix at a time with the
+routine it uses for a single matrix, so ``solve_stacked``, which fills many
+bundles at once, gives each the bits it would get alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import MwgError
 from .graphs import MatrixWeightedGraph, Regularity, _regularity, all_degrees
 from .linalg import DEFAULT_TOL, Spectrum, Tolerances, _pseudo_sqrt_inv
 
@@ -68,6 +76,73 @@ class BoundReport:
         }
 
 
+class Stacked:
+    """A bundle quantity with one implementation: ``solve`` maps a list of
+    bundles of one shape (n, k) and one ``tol`` to their values, in order.
+
+    Read on a bundle it solves the one-element list and caches the value
+    there, as cached_property does; ``solve_stacked`` caches it for many
+    bundles at once.  In a class body it is read as an attribute and named
+    after it; elsewhere it is given a name and read with ``of``.
+    """
+
+    def __init__(self, solve: Callable[[list], list], name: str | None = None):
+        self.solve = solve
+        self.name = name
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, ops, owner=None):
+        return self if ops is None else self.of(ops)
+
+    def of(self, ops: "OperatorBundle"):
+        cache = ops.__dict__
+        if self.name not in cache:
+            cache[self.name] = self.solve([ops])[0]
+        return cache[self.name]
+
+
+def solve_stacked(bundles: Iterable["OperatorBundle"], quantities: Sequence[Stacked]) -> None:
+    """Cache each quantity, in order, on every bundle, from one ``solve`` per
+    group of bundles that share n, k and tol.  A group whose solve raises
+    MwgError gets nothing, so each of its members solves its own when read
+    and meets its own error there."""
+    groups: dict[tuple, list[OperatorBundle]] = {}
+    for ops in bundles:
+        groups.setdefault((ops.n, ops.k, ops.tol), []).append(ops)
+    for quantity in quantities:
+        for group in groups.values():
+            try:
+                values = quantity.solve(group)
+            except MwgError:
+                continue
+            for ops, value in zip(group, values):
+                ops.__dict__[quantity.name] = value
+
+
+def _eigvalsh_rows(matrices: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """Ascending eigenvalues of each matrix, read-only, from one eigvalsh."""
+    values = np.linalg.eigvalsh(np.stack(list(matrices)))
+    values.setflags(write=False)
+    return list(values)
+
+
+def _degree_pseudo_sqrt_invs(group: list["OperatorBundle"]) -> list[np.ndarray]:
+    """Block-diagonal D^(+/2) of each bundle: all their D_v^(+/2) from one
+    stacked pseudo_sqrt_inv."""
+    halves = _pseudo_sqrt_inv(np.concatenate([ops.degree_blocks for ops in group]),
+                              group[0].tol)
+    n = group[0].n
+    return [ops._block_diagonal(halves[i * n:(i + 1) * n]) for i, ops in enumerate(group)]
+
+
+def _trace_laplacian(ops: "OperatorBundle") -> np.ndarray:
+    A_tr = ops.trace_adjacency
+    # row sums, not assemble's edge-order degree sums: the two differ in the last bit
+    return np.diag(A_tr.sum(axis=1)) - A_tr
+
+
 @dataclass(frozen=True)
 class OperatorBundle:
     """The operators of a matrix-weighted graph under fixed tolerances.
@@ -76,10 +151,11 @@ class OperatorBundle:
     with ``tol``, the first time it is read: the degree blocks D_v (summed
     by ``all_degrees``) and ``regularity``, A, D (placed from the blocks)
     and L, the normalized operators and D^(+/2), ``trace_adjacency`` and
-    the spectra ``laplacian_values`` and ``adjacency_values`` (one
-    ``eigvalsh`` each, ascending).  So regularity and size are checked
-    before any kn x kn array exists.  Every analysis reads one bundle, so a
-    caller assembles and solves each graph once.
+    the ascending spectra of L, A, the normalized Laplacian and the trace
+    weighting's Laplacian and adjacency (one ``eigvalsh`` each).  So
+    regularity and size are checked before any kn x kn array exists.  Every
+    analysis reads one bundle, so a caller assembles and solves each graph
+    once.
     """
 
     graph: MatrixWeightedGraph
@@ -123,10 +199,7 @@ class OperatorBundle:
         out.reshape(n, k, n, k)[np.arange(n), :, np.arange(n), :] = blocks
         return out
 
-    @cached_property
-    def _degree_pseudo_sqrt_inv(self) -> np.ndarray:
-        """Block-diagonal D^(+/2): every D_v^(+/2) from one stacked solve."""
-        return self._block_diagonal(_pseudo_sqrt_inv(self.degree_blocks, self.tol))
+    degree_pseudo_sqrt_inv = Stacked(_degree_pseudo_sqrt_invs)
 
     @cached_property
     def trace_adjacency(self) -> np.ndarray:
@@ -139,29 +212,24 @@ class OperatorBundle:
         """The graph's regularity under ``tol``, tested on ``degree_blocks``."""
         return _regularity(self.degree_blocks, self.graph.base.geometric_degrees(), self.tol)
 
-    @cached_property
-    def laplacian_values(self) -> np.ndarray:
-        """Eigenvalues of L, ascending."""
-        values = np.linalg.eigvalsh(self.laplacian)
-        values.setflags(write=False)
-        return values
-
-    @cached_property
-    def adjacency_values(self) -> np.ndarray:
-        """Eigenvalues of A, ascending."""
-        values = np.linalg.eigvalsh(self.adjacency)
-        values.setflags(write=False)
-        return values
+    laplacian_values = Stacked(lambda group: _eigvalsh_rows(ops.laplacian for ops in group))
+    adjacency_values = Stacked(lambda group: _eigvalsh_rows(ops.adjacency for ops in group))
+    normalized_laplacian_values = Stacked(
+        lambda group: _eigvalsh_rows(ops.lap_normalized for ops in group))
+    trace_laplacian_values = Stacked(
+        lambda group: _eigvalsh_rows(_trace_laplacian(ops) for ops in group))
+    trace_adjacency_values = Stacked(
+        lambda group: _eigvalsh_rows(ops.trace_adjacency for ops in group))
 
     @cached_property
     def lap_normalized(self) -> np.ndarray:
-        half = self._degree_pseudo_sqrt_inv
+        half = self.degree_pseudo_sqrt_inv
         Lnorm = half @ self.laplacian @ half
         return (Lnorm + Lnorm.T) / 2.0
 
     @cached_property
     def adj_normalized(self) -> np.ndarray:
-        half = self._degree_pseudo_sqrt_inv
+        half = self.degree_pseudo_sqrt_inv
         Anorm = half @ self.adjacency @ half
         return (Anorm + Anorm.T) / 2.0
 
@@ -185,7 +253,7 @@ def adjacency_spectrum(ops: OperatorBundle) -> Spectrum:
 
 def check_normalized_bound(ops: OperatorBundle) -> BoundReport:
     """lambda_max of the normalized Laplacian is bounded above by 2."""
-    values = np.linalg.eigvalsh(ops.lap_normalized)
+    values = ops.normalized_laplacian_values
     lam_max = float(values[-1]) if values.size else 0.0
     return BoundReport.simple(
         "normalized_laplacian_upper_bound", lam_max, 2.0,
@@ -204,9 +272,7 @@ def check_laplacian_trace_bounds(ops: OperatorBundle) -> BoundReport:
     if n < 2:
         return BoundReport.chain("laplacian_trace_bounds", [], note="vacuous for n < 2")
     lam = ops.laplacian_values
-    A_tr = ops.trace_adjacency
-    # row sums, not assemble's edge-order degree sums: the two differ in the last bit
-    slam = np.linalg.eigvalsh(np.diag(A_tr.sum(axis=1)) - A_tr)
+    slam = ops.trace_laplacian_values
     low = float(np.sum(lam[k:2 * k]))
     high = float(np.sum(lam[(n - 1) * k:]))
     lam2_tr, lamn_tr = float(slam[1]), float(slam[-1])
@@ -228,7 +294,7 @@ def check_adjacency_trace_bounds(ops: OperatorBundle) -> BoundReport:
     if n < 1:
         return BoundReport.chain("adjacency_trace_bounds", [], note="vacuous for n < 1")
     mu = ops.adjacency_values[::-1]
-    smu = np.linalg.eigvalsh(ops.trace_adjacency)[::-1]
+    smu = ops.trace_adjacency_values[::-1]
     top = float(np.sum(mu[:k]))
     bottom = float(np.sum(mu[(n - 1) * k:]))
     mu1_tr, mun_tr = float(smu[0]), float(smu[-1])
@@ -247,10 +313,12 @@ __all__ = [
     "CHECK_TOL",
     "BoundReport",
     "OperatorBundle",
+    "Stacked",
     "assemble",
     "adjacency_spectrum",
     "check_adjacency_trace_bounds",
     "check_laplacian_trace_bounds",
     "check_normalized_bound",
     "laplacian_spectrum",
+    "solve_stacked",
 ]

@@ -19,9 +19,9 @@ import numpy as np
 from . import jsonio
 from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError, TooLargeError
 from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph
-from .linalg import (DEFAULT_TOL, Tolerances, as_symmetric, keep_cutoff, kernel_dim,
-                     kernel_dim_of_values, residual_allowance, residual_scale, spectral_norm)
-from .operators import BoundReport, OperatorBundle, assemble
+from .linalg import (DEFAULT_TOL, Tolerances, _spectral_norms, as_symmetric, keep_cutoff,
+                     kernel_dim, kernel_dim_of_values, residual_allowance, residual_scale)
+from .operators import BoundReport, OperatorBundle, Stacked, assemble
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,28 @@ def build_coboundary(G: MatrixWeightedGraph,
     return Coboundary(delta, k, n, edge_rows, orient, factors)
 
 
-def _factorization_report(L: np.ndarray, delta: np.ndarray, tol: Tolerances) -> BoundReport:
-    err = spectral_norm(delta.T @ delta - L)
-    norm = spectral_norm(L)
-    return BoundReport.simple("sheaf_factorization", err, residual_allowance(norm, tol),
-                              check_tol=0.0, laplacian_norm=norm)
+def _factorizations(group: list[OperatorBundle]) -> list[tuple[np.ndarray, float, float]]:
+    """Each bundle's coboundary delta, ||delta^T delta - L||_2 and ||L||_2,
+    each norm from one stacked SVD norm over the group."""
+    deltas = [build_coboundary(ops.graph, tol=ops.tol).matrix for ops in group]
+    laplacians = np.stack([ops.laplacian for ops in group])
+    errors = _spectral_norms(np.stack([delta.T @ delta for delta in deltas]) - laplacians)
+    norms = _spectral_norms(laplacians)
+    return list(zip(deltas, errors.tolist(), norms.tolist()))
+
+
+# a bundle's coboundary and the two norms of its factorization check
+factorization = Stacked(_factorizations, "sheaf_factorization")
 
 
 def _kernel_basis(delta: np.ndarray, tol: Tolerances) -> np.ndarray:
-    if delta.shape[0] == 0:
-        return np.eye(delta.shape[1])
-    _, sigma, vt = np.linalg.svd(delta)
+    """Orthonormal columns spanning ker(delta).  Only the right singular
+    vectors are read, so the rows x rows U is formed only when rows < nk,
+    where the full V is needed and U is the smaller factor."""
+    rows, cols = delta.shape
+    if rows == 0:
+        return np.eye(cols)
+    _, sigma, vt = np.linalg.svd(delta, full_matrices=rows < cols)
     rank = sigma.size - kernel_dim_of_values(sigma[::-1] ** 2, tol)
     return vt[rank:].T
 
@@ -114,9 +125,10 @@ def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
     kernel_dim(L) is read off the bundle's
     ``laplacian_values``: L is assembled exactly symmetric, so this is the
     count, and the PSD check, that kernel_dim(L) gives."""
-    delta = build_coboundary(ops.graph, tol=ops.tol).matrix
-    return (_factorization_report(ops.laplacian, delta, ops.tol), _kernel_basis(delta, ops.tol),
-            kernel_dim_of_values(ops.laplacian_values, ops.tol))
+    delta, err, norm = factorization.of(ops)
+    report = BoundReport.simple("sheaf_factorization", err, residual_allowance(norm, ops.tol),
+                                check_tol=0.0, laplacian_norm=norm)
+    return report, _kernel_basis(delta, ops.tol), kernel_dim_of_values(ops.laplacian_values, ops.tol)
 
 
 # --- trusses ---------------------------------------------------------------

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mwgraph.acceptance import Suite
@@ -67,6 +68,8 @@ def pass_calls(suite):
                                            OperatorBundle.__dict__["trace_adjacency"]),
             "build_coboundary": count_calls(mp, "build_coboundary", sheaf),
             "as_symmetric": count_calls(mp, "as_symmetric", linalg, sheaf, frames),
+            **{name: count_calls(mp, name, np.linalg)
+               for name in ("eigvalsh", "eigh", "norm", "svd")},
         }
         acceptance._CorpusPass(suite)
     return {"members": len(members), **{name: len(made) for name, made in calls.items()}}
@@ -100,8 +103,23 @@ def test_corpus_and_a2_to_a7_assembly_counts(monkeypatch):
     assert (len(assembled), len(classified)) == (1629, 1626)
 
 
+def test_corpus_pass_lapack_calls(pass_calls):
+    # A2-A4's five spectra, D^(+/2) and two sheaf norms are solved once per
+    # shape group of a 64-member chunk (362 groups at seed 0), not once per
+    # member: solved one member at a time, the pass made 11,001 eigvalsh,
+    # 3,234 eigh and 3,252 norm calls.  The SVD of each coboundary with
+    # edges (1,608 members) and each member's edge factors (one eigh) stay
+    # per member
+    assert pass_calls["members"] == 1626
+    assert (pass_calls["eigvalsh"], pass_calls["eigh"], pass_calls["norm"],
+            pass_calls["svd"]) == (3420, 1970, 724, 1608)
+
+
 def test_corpus_pass_holds_one_member_at_a_time():
-    # holding all 1,626 members and the parsed networkx atlas, it peaked at 28.5 MiB
+    # the pass holds one 64-member chunk of bundles and their stacked
+    # solves, and drops it before building the next: it peaked at 2.6 MiB.
+    # Holding all 1,626 members and the parsed networkx atlas, it peaked at
+    # 28.5 MiB
     from mwgraph import acceptance
     suite = Suite(seed=0)
     tracemalloc.start()

@@ -7,6 +7,7 @@ same details, floats equal with ==, and the same first error per criterion.
 """
 
 import dataclasses
+import importlib
 import itertools
 
 import numpy as np
@@ -22,7 +23,7 @@ from mwgraph.acceptance import (
     random_graph,
     unit_scalar_graph,
 )
-from mwgraph.errors import MwgError, SingularVolumeError
+from mwgraph.errors import MwgError, NotPsdError, SingularVolumeError
 from mwgraph.expansion import (
     cheeger_analysis,
     eml_irregular,
@@ -31,14 +32,15 @@ from mwgraph.expansion import (
     irregular_context,
 )
 from mwgraph.graphs import BaseGraph, MatrixWeightedGraph, lift_identity
-from mwgraph.linalg import Tolerances
+from mwgraph.linalg import Tolerances, _pseudo_sqrt_inv
 from mwgraph.operators import (
     assemble,
     check_adjacency_trace_bounds,
     check_laplacian_trace_bounds,
     check_normalized_bound,
+    solve_stacked,
 )
-from mwgraph.sheaf import sheaf_analysis
+from mwgraph.sheaf import build_coboundary, sheaf_analysis
 
 
 def members(suite):
@@ -266,3 +268,108 @@ def test_failing_built_expander_keeps_a6(monkeypatch):
     error = (False, {"error": "MwgError: expander failed"})
     assert outcomes == {"A2": error, "A3": error, "A4": error, "A5": error,
                         "A6": expected_a6, "A7": error}
+
+
+# --- the stacked solves of the shared pass -----------------------------------
+
+
+def _direct(ops):
+    """Each stacked quantity of ops, solved as a single matrix, as the pass
+    solved it one member at a time."""
+    A_tr = ops.trace_adjacency
+    half = ops._block_diagonal(_pseudo_sqrt_inv(ops.degree_blocks, ops.tol))
+    lap_normalized = half @ ops.laplacian @ half
+    delta = build_coboundary(ops.graph, tol=ops.tol).matrix
+    return (half,
+            np.linalg.eigvalsh(ops.laplacian),
+            np.linalg.eigvalsh(ops.adjacency),
+            np.linalg.eigvalsh((lap_normalized + lap_normalized.T) / 2.0),
+            np.linalg.eigvalsh(np.diag(A_tr.sum(axis=1)) - A_tr),
+            np.linalg.eigvalsh(A_tr),
+            (delta, np.linalg.norm(delta.T @ delta - ops.laplacian, 2),
+             np.linalg.norm(ops.laplacian, 2)))
+
+
+def _bytes(value):
+    if isinstance(value, tuple):
+        return tuple(np.asarray(v).tobytes() for v in value)
+    return value.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_fill_is_bitwise_each_members_own(seed):
+    # every quantity the pass solves per shape group of a chunk has the bits
+    # of the member's own single-bundle read and of a 2-D numpy call
+    from mwgraph import acceptance
+    members = [G for _, G in Suite(seed=seed).corpus()]
+    assert len(members) == 1626
+    shapes = set()
+    for start in range(0, len(members), acceptance._CHUNK):
+        chunk = members[start:start + acceptance._CHUNK]
+        bundles = [assemble(G) for G in chunk]
+        solve_stacked(bundles, acceptance._STACKED)
+        for G, ops in zip(chunk, bundles):
+            shapes.add((ops.n, ops.k, len(G.weights) > 0))
+            alone = assemble(G)
+            for quantity, direct in zip(acceptance._STACKED, _direct(alone)):
+                assert quantity.name in ops.__dict__
+                filled = _bytes(quantity.of(ops))
+                assert filled == _bytes(quantity.of(alone)) == _bytes(direct), quantity.name
+    # n = 1 edgeless members and k = 3 members, with and without edges
+    assert {(1, 1, False), (1, 3, False), (6, 3, True)} <= shapes
+
+
+def _outcomes_and_references(suite, reference_suite):
+    return corpus_outcomes(suite), {cid: outcome(REFERENCES[cid], reference_suite)
+                                    for cid in CORPUS_CRITERIA}
+
+
+@pytest.mark.parametrize("module_name, function_name, cid", [
+    ("operators", "_pseudo_sqrt_inv", "A2"),
+    ("sheaf", "build_coboundary", "A4"),
+])
+def test_stacked_solve_failing_mid_chunk_keeps_attribution(monkeypatch, module_name,
+                                                           function_name, cid):
+    # a stacked solve that raises for member 70, in the middle of the second
+    # chunk, fills nothing for its shape group; each member of the group
+    # then solves its own, so only member 70 meets the error, where the
+    # criterion's own loop meets it
+    chunk = [G for _, G in Suite(seed=0, random_count=100).corpus()][64:128]
+    marked = chunk[70 - 64]
+    assert sum((G.base.n, G.k) == (marked.base.n, marked.k) for G in chunk) > 1
+    # what marks member 70 in the argument: its first degree block in the
+    # stack _pseudo_sqrt_inv takes, its first edge weight in the graph
+    # build_coboundary takes
+    if module_name == "operators":
+        marker = assemble(marked).degree_blocks[0].tobytes()
+    else:
+        marker = next(iter(marked.weights.values())).tobytes()
+    module = importlib.import_module(f"mwgraph.{module_name}")
+    real = getattr(module, function_name)
+
+    def failing(arg, *args, **kwargs):
+        blocks = arg if module_name == "operators" else arg.weights.values()
+        if any(block.tobytes() == marker for block in blocks):
+            raise NotPsdError("member 70 failed")
+        return real(arg, *args, **kwargs)
+
+    monkeypatch.setattr(module, function_name, failing)
+    outcomes, references = _outcomes_and_references(Suite(seed=0, random_count=100),
+                                                    Suite(seed=0, random_count=100))
+    assert outcomes == references
+    assert outcomes[cid] == (False, {"error": "NotPsdError: member 70 failed"})
+
+
+@pytest.mark.parametrize("random_count", [100, 68])
+def test_member_failing_to_build_mid_chunk_keeps_attribution(monkeypatch, random_count):
+    # member 70 fails to build: the 6 members before it in its chunk are
+    # analysed first, so when member 70 is a lift A6 keeps its result, which
+    # reads random members 64-67 of that chunk
+    corpus = Suite.corpus
+    monkeypatch.setattr(Suite, "corpus",
+                        lambda self: failing_after(corpus(self), 70, "member 70 failed"))
+    outcomes, references = _outcomes_and_references(Suite(seed=0, random_count=random_count),
+                                                    Suite(seed=0, random_count=random_count))
+    assert outcomes == references
+    error = (False, {"error": "MwgError: member 70 failed"})
+    assert (outcomes["A6"] == error) == (random_count > 70)

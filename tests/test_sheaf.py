@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from mwgraph.sheaf import (
 from conftest import (
     FRAME_A,
     block_corpus_items,
+    complete_graph,
     count_calls,
     k33_latin_mwg,
     k4_abc_mwg,
@@ -244,13 +246,29 @@ def test_sheaf_analysis_builds_once(monkeypatch):
     G = k33_latin_mwg()
     assembled = count_calls(monkeypatch, "assemble", operators, sheaf)
     built = count_calls(monkeypatch, "build_coboundary", sheaf)
-    norms = count_calls(monkeypatch, "spectral_norm", sheaf)
+    # the bundle's factorization quantity takes both norms of a stack of one
+    norms = count_calls(monkeypatch, "_spectral_norms", sheaf)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     sym = count_calls(monkeypatch, "as_symmetric", linalg, sheaf)
     sheaf_analysis(operators.assemble(G))
     # kernel_dim(L) reads the bundle's laplacian_values: L is assembled
     # exactly symmetric, so it needs no as_symmetric
     assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 2, 1, 0)
+
+
+def test_global_sections_never_form_the_rows_by_rows_u():
+    # K_60 with k = 1 has 1,770 coboundary rows and nk = 60: the full U of
+    # its SVD is 1,770 x 1,770 (25 MB), and the analysis peaked at 24.9 MiB
+    # while it formed one.  Its thin U and delta are 0.8 MB each
+    ops = assemble(complete_graph(60))
+    tracemalloc.start()
+    try:
+        report, sections, kdim = sheaf_analysis(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and sections.shape == (60, 1) and kdim == 1
+    assert peak < 4 * 2 ** 20
 
 
 # --- trusses -----------------------------------------------------------------
