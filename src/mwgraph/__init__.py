@@ -64,15 +64,12 @@ from .graphs import (
     BaseGraph,
     MatrixWeightedGraph,
     Regularity,
-    degree,
     lift_identity,
     load,
     save,
-    volume,
 )
 from .linalg import (
     DEFAULT_TOL,
-    Spectrum,
     Tolerances,
     is_psd,
     kernel_dim,
@@ -81,12 +78,10 @@ from .linalg import (
 from .operators import (
     BoundReport,
     OperatorBundle,
-    adjacency_spectrum,
     assemble,
     check_adjacency_trace_bounds,
     check_laplacian_trace_bounds,
     check_normalized_bound,
-    laplacian_spectrum,
 )
 from .sheaf import (
     Coboundary,

@@ -76,7 +76,9 @@ SHEAF_TOL = Tolerances(resid_tol=1e-9)
 # the corpus pass analyses this many members at a time
 _CHUNK = 64
 # what A2-A4 read of every member, solved per shape group of a chunk;
-# D^(+/2) comes before the normalized Laplacian that reads it
+# D^(+/2) comes before the normalized Laplacian that reads it.  A6's
+# normalized adjacency spectrum is read for at most IRREGULAR_GRAPHS
+# members, so it is solved per member: stacked for all, the pass was slower
 _STACKED = (OperatorBundle.degree_pseudo_sqrt_inv, OperatorBundle.laplacian_values,
            OperatorBundle.adjacency_values, OperatorBundle.normalized_laplacian_values,
            OperatorBundle.trace_laplacian_values, OperatorBundle.trace_adjacency_values,

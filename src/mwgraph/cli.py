@@ -35,12 +35,7 @@ from .frames import (
 )
 from .graphs import load, save
 from .linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
-from .operators import (
-    adjacency_spectrum,
-    assemble,
-    check_normalized_bound,
-    laplacian_spectrum,
-)
+from .operators import assemble, check_normalized_bound
 from .sheaf import load_truss, sheaf_analysis, truss_rigidity
 
 EXIT_OK = 0
@@ -256,16 +251,14 @@ def _emit(report: dict, fmt: str) -> None:
 def cmd_spectrum(args, tol: Tolerances) -> int:
     G = _load_graph(args.file, tol)
     ops = assemble(G, tol)
-    lap = laplacian_spectrum(ops)
-    adj = adjacency_spectrum(ops)
     reg = ops.regularity
     bound = check_normalized_bound(ops)
     report = {
         "n": G.base.n,
         "k": G.k,
-        "lambda": [float(x) for x in lap.values],
-        "mu": [float(x) for x in adj.values],
-        "kernel_dim": kernel_dim_of_values(lap.values, tol),
+        "lambda": ops.laplacian_values.tolist(),
+        "mu": ops.adjacency_values[::-1].tolist(),
+        "kernel_dim": kernel_dim_of_values(ops.laplacian_values, tol),
         "regularity": {
             "kind": reg.kind,
             "scalar_degree": reg.scalar_degree,

@@ -273,7 +273,7 @@ def irregular_context(ops: OperatorBundle) -> IrregularContext:
     if values.size == 0 or float(values[0]) <= zero_cutoff(float(values[-1]), ops.tol):
         raise SingularVolumeError("vol(G) has an eigenvalue below the rank cutoff")
     vol_inv = np.linalg.inv(vol_total)
-    mu = np.linalg.eigvalsh(ops.adj_normalized)
+    mu = ops.normalized_adjacency_values
     order = np.lexsort((-mu, -np.abs(mu)))
     mu_by_abs = mu[order]
     abs_mu_tilde = abs(float(mu_by_abs[k])) if mu_by_abs.size > k else 0.0

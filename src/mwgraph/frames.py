@@ -284,18 +284,10 @@ class SearchResult:
 
 
 def _projection_groups(f: FusionFrame) -> list[int]:
-    """group id per frame element; equal projections share an id."""
-    groups: list[int] = []
-    reps: list[np.ndarray] = []
-    for P in f.projections:
-        for gid, rep in enumerate(reps):
-            if np.allclose(P, rep, atol=1e-12, rtol=0.0):
-                groups.append(gid)
-                break
-        else:
-            groups.append(len(reps))
-            reps.append(P)
-    return groups
+    """group id per frame element; equal projections (entry by entry, as
+    ``==`` compares them, so -0.0 equals 0.0) share an id."""
+    ids: dict[tuple[float, ...], int] = {}
+    return [ids.setdefault(tuple(P.ravel().tolist()), len(ids)) for P in f.projections]
 
 
 def _graph_results(args) -> list:

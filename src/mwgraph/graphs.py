@@ -23,7 +23,7 @@ Edge = tuple[int, int]
 
 # load() refuses n * k above this, and sheaf.Truss.make 3n, so that one
 # dense kn x kn float64 operator, such as the Laplacian that assemble forms,
-# stays within 128 MiB
+# stays within 128 MiB; sheaf.build_coboundary holds delta to the same size
 LOAD_MAX_NK = 4096
 
 
@@ -151,11 +151,6 @@ class Regularity:
         return self.kind == "scalar"
 
 
-def degree(G: MatrixWeightedGraph, v: int) -> np.ndarray:
-    """Algebraic degree D_v = sum of weights on edges at v (PSD)."""
-    return volume(G, [v])
-
-
 def all_degrees(G: MatrixWeightedGraph) -> list[np.ndarray]:
     out = [np.zeros((G.k, G.k)) for _ in range(G.base.n)]
     for (a, b), w in G.weights.items():
@@ -187,22 +182,6 @@ def lift_identity(g: MatrixWeightedGraph, k: int) -> MatrixWeightedGraph:
         raise ValueError(f"block size k must be >= 1, got {k}")
     items = [(u, v, w[0, 0] * np.eye(k)) for (u, v), w in g.weights.items()]
     return MatrixWeightedGraph.from_weights(g.base.n, k, items)
-
-
-def volume(G: MatrixWeightedGraph, S: Iterable[int]) -> np.ndarray:
-    """vol(S) = sum of degree matrices over S; vol(V) is vol(G)."""
-    degs = all_degrees(G)
-    vol = np.zeros((G.k, G.k))
-    seen = set()
-    for v in S:
-        v = int(v)
-        if not (0 <= v < G.base.n):
-            raise IndexOutOfRangeError(f"vertex {v} outside [0, {G.base.n})")
-        if v in seen:
-            continue
-        seen.add(v)
-        vol = vol + degs[v]
-    return vol
 
 
 # --- MWG-JSON format -------------------------------------------------------

@@ -24,6 +24,11 @@ steps and the batched ``matmul`` are bitwise the per-block ones as well.
 The single-matrix functions (``as_symmetric``, ``pseudo_sqrt_inv``,
 ``spectral_norm``) are the one-element case of the stacked helpers, and a
 stack raises the error a per-block loop would raise first.
+
+A graph's kn x kn operators are not solved here but once, in
+``operators.OperatorBundle``; ``kernel_dim_of_values`` counts dim ker L
+from the bundle's ``laplacian_values``, and ``kernel_dim`` is the same
+count for a matrix given as such.
 """
 
 from __future__ import annotations
@@ -71,17 +76,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues with matching orthonormal eigenvectors (as columns)."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reversed(self) -> "Spectrum":
-        return Spectrum(self.values[::-1].copy(), self.vectors[:, ::-1].copy())
 
 
 def _symmetrize(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, MwgError | None]:

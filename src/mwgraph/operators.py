@@ -8,6 +8,12 @@ graph that the trace bounds compare with L_W and A_W, is read as the
 bundle's n x n ``trace_adjacency``.  ``assemble`` pairs a graph with its
 tolerances in an ``OperatorBundle``, which forms each operator on first read.
 
+The bundle is the one place a graph operator is solved: the spectra of L,
+A, their normalized forms and the trace weighting are its cached
+eigenvalues, and dim ker L and ||L||_2 are read off them.  Elsewhere
+numpy.linalg solves k x k blocks, the sheaf coboundary delta and
+delta^T delta - L, and a truss's rigid-motion generators, never L or A.
+
 Each spectrum, D^(+/2) and norm a bundle caches is a ``Stacked`` quantity:
 one function solves it for a list of bundles of one shape with one LAPACK
 call on their stack, and reading it on one bundle is that function's
@@ -26,7 +32,7 @@ import numpy as np
 
 from .errors import MwgError
 from .graphs import MatrixWeightedGraph, Regularity, _regularity, all_degrees
-from .linalg import DEFAULT_TOL, Spectrum, Tolerances, _pseudo_sqrt_inv
+from .linalg import DEFAULT_TOL, Tolerances, _pseudo_sqrt_inv
 
 CHECK_TOL = 1e-8
 ATTAIN_TOL = 1e-7  # detection threshold for "bound attained", looser than resid_tol
@@ -151,8 +157,9 @@ class OperatorBundle:
     with ``tol``, the first time it is read: the degree blocks D_v (summed
     by ``all_degrees``) and ``regularity``, A, D (placed from the blocks)
     and L, the normalized operators and D^(+/2), ``trace_adjacency`` and
-    the ascending spectra of L, A, the normalized Laplacian and the trace
-    weighting's Laplacian and adjacency (one ``eigvalsh`` each).  So
+    the ascending spectra of L, A, both normalized forms and the trace
+    weighting's Laplacian and adjacency (one ``eigvalsh`` each), from which
+    ``laplacian_norm`` is read.  So
     regularity and size are checked before any kn x kn array exists.  Every
     analysis reads one bundle, so a caller assembles and solves each graph
     once.
@@ -216,10 +223,18 @@ class OperatorBundle:
     adjacency_values = Stacked(lambda group: _eigvalsh_rows(ops.adjacency for ops in group))
     normalized_laplacian_values = Stacked(
         lambda group: _eigvalsh_rows(ops.lap_normalized for ops in group))
+    normalized_adjacency_values = Stacked(
+        lambda group: _eigvalsh_rows(ops.adj_normalized for ops in group))
     trace_laplacian_values = Stacked(
         lambda group: _eigvalsh_rows(_trace_laplacian(ops) for ops in group))
     trace_adjacency_values = Stacked(
         lambda group: _eigvalsh_rows(ops.trace_adjacency for ops in group))
+
+    @property
+    def laplacian_norm(self) -> float:
+        """||L||_2 = max(|lambda_min|, |lambda_max|), read off ``laplacian_values``."""
+        values = self.laplacian_values
+        return max(abs(float(values[0])), abs(float(values[-1]))) if values.size else 0.0
 
     @cached_property
     def lap_normalized(self) -> np.ndarray:
@@ -237,18 +252,6 @@ class OperatorBundle:
 def assemble(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> OperatorBundle:
     """The bundle of G under ``tol``: the one place a graph meets its tolerances."""
     return OperatorBundle(G, tol)
-
-
-def laplacian_spectrum(ops: OperatorBundle) -> Spectrum:
-    """Laplacian eigenvalues lambda_i in increasing order."""
-    values, vectors = np.linalg.eigh(ops.laplacian)
-    return Spectrum(values, vectors)
-
-
-def adjacency_spectrum(ops: OperatorBundle) -> Spectrum:
-    """Adjacency eigenvalues mu_i in decreasing order."""
-    values, vectors = np.linalg.eigh(ops.adjacency)
-    return Spectrum(values, vectors).reversed()
 
 
 def check_normalized_bound(ops: OperatorBundle) -> BoundReport:
@@ -315,10 +318,8 @@ __all__ = [
     "OperatorBundle",
     "Stacked",
     "assemble",
-    "adjacency_spectrum",
     "check_adjacency_trace_bounds",
     "check_laplacian_trace_bounds",
     "check_normalized_bound",
-    "laplacian_spectrum",
     "solve_stacked",
 ]

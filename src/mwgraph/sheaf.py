@@ -20,7 +20,7 @@ from . import jsonio
 from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError, TooLargeError
 from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph
 from .linalg import (DEFAULT_TOL, Tolerances, _spectral_norms, as_symmetric, keep_cutoff,
-                     kernel_dim, kernel_dim_of_values, residual_allowance, residual_scale)
+                     kernel_dim_of_values, residual_allowance, residual_scale)
 from .operators import BoundReport, OperatorBundle, Stacked, assemble
 
 
@@ -60,7 +60,10 @@ def sqrt_factor(w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def build_coboundary(G: MatrixWeightedGraph,
                      orientation: Mapping[Edge, tuple[int, int]] | None = None,
                      tol: Tolerances = DEFAULT_TOL) -> Coboundary:
-    """Assemble delta for a given orientation (default: tail = min, head = max)."""
+    """Assemble delta for a given orientation (default: tail = min, head = max).
+
+    Raises TooLargeError, before delta is allocated, when its rows x nk
+    entries exceed LOAD_MAX_NK^2."""
     k, n = G.k, G.base.n
     orient: dict[Edge, tuple[int, int]] = {}
     for e in G.base.edges:
@@ -74,6 +77,9 @@ def build_coboundary(G: MatrixWeightedGraph,
     weights = np.array([G.weights[e] for e in G.base.edges]).reshape(len(G.base.edges), k, k)
     factors = dict(zip(G.base.edges, _sqrt_factors(weights, tol)))
     total = sum(f.shape[0] for f in factors.values())
+    if total * k * n > LOAD_MAX_NK ** 2:
+        raise TooLargeError(f"coboundary of {total} x {k * n} exceeds the limit of "
+                            f"{LOAD_MAX_NK ** 2} entries")
     delta = np.zeros((total, k * n))
     edge_rows: dict[Edge, tuple[int, int]] = {}
     row = 0
@@ -88,17 +94,16 @@ def build_coboundary(G: MatrixWeightedGraph,
     return Coboundary(delta, k, n, edge_rows, orient, factors)
 
 
-def _factorizations(group: list[OperatorBundle]) -> list[tuple[np.ndarray, float, float]]:
-    """Each bundle's coboundary delta, ||delta^T delta - L||_2 and ||L||_2,
-    each norm from one stacked SVD norm over the group."""
+def _factorizations(group: list[OperatorBundle]) -> list[tuple[np.ndarray, float]]:
+    """Each bundle's coboundary delta and ||delta^T delta - L||_2, the norms
+    from one stacked SVD norm over the group."""
     deltas = [build_coboundary(ops.graph, tol=ops.tol).matrix for ops in group]
     laplacians = np.stack([ops.laplacian for ops in group])
     errors = _spectral_norms(np.stack([delta.T @ delta for delta in deltas]) - laplacians)
-    norms = _spectral_norms(laplacians)
-    return list(zip(deltas, errors.tolist(), norms.tolist()))
+    return list(zip(deltas, errors.tolist()))
 
 
-# a bundle's coboundary and the two norms of its factorization check
+# a bundle's coboundary and the residual of its factorization check
 factorization = Stacked(_factorizations, "sheaf_factorization")
 
 
@@ -116,16 +121,17 @@ def _kernel_basis(delta: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
     """The factorization check, the global sections and kernel_dim(L), in
-    that order, from one coboundary, one ||L|| and one eigensolve of L.
+    that order, from one coboundary and the bundle's one eigensolve of L.
 
     The check is ||delta^T delta - L|| <= residual_allowance(||L||).  The
     global sections are an orthonormal basis of H^0 = ker(delta), as
     columns: sigma counts as zero when sigma^2 does in kernel_dim of delta^T
     delta, so their number is kernel_dim(L) exactly when ker delta = ker L.
-    kernel_dim(L) is read off the bundle's
-    ``laplacian_values``: L is assembled exactly symmetric, so this is the
-    count, and the PSD check, that kernel_dim(L) gives."""
-    delta, err, norm = factorization.of(ops)
+    ||L|| and kernel_dim(L) are read off the bundle's ``laplacian_values``:
+    L is assembled exactly symmetric, so this is the count, and the PSD
+    check, that kernel_dim(L) gives."""
+    delta, err = factorization.of(ops)
+    norm = ops.laplacian_norm
     report = BoundReport.simple("sheaf_factorization", err, residual_allowance(norm, ops.tol),
                                 check_tol=0.0, laplacian_norm=norm)
     return report, _kernel_basis(delta, ops.tol), kernel_dim_of_values(ops.laplacian_values, ops.tol)
@@ -202,13 +208,14 @@ def truss_to_mwg(t: Truss, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGraph
 def truss_rigidity(t: Truss, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, float]:
     """kernel_dim of the stiffness matrix L, the rigid motions M of the joints,
     and the residual max|L M| / max(1, ||L||_2) (0.0 when there are none)."""
-    L = assemble(truss_to_mwg(t, tol), tol).laplacian
+    ops = assemble(truss_to_mwg(t, tol), tol)
     motions = rigid_motions(t.points, tol)
     if motions.size:
-        residual = float(np.abs(L @ motions).max()) / residual_scale(float(np.linalg.norm(L, 2)))
+        scale = residual_scale(ops.laplacian_norm)
+        residual = float(np.abs(ops.laplacian @ motions).max()) / scale
     else:
         residual = 0.0
-    return kernel_dim(L, tol), motions, residual
+    return kernel_dim_of_values(ops.laplacian_values, tol), motions, residual
 
 
 def rigid_motions(points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -104,15 +104,15 @@ def test_corpus_and_a2_to_a7_assembly_counts(monkeypatch):
 
 
 def test_corpus_pass_lapack_calls(pass_calls):
-    # A2-A4's five spectra, D^(+/2) and two sheaf norms are solved once per
-    # shape group of a 64-member chunk (362 groups at seed 0), not once per
-    # member: solved one member at a time, the pass made 11,001 eigvalsh,
-    # 3,234 eigh and 3,252 norm calls.  The SVD of each coboundary with
-    # edges (1,608 members) and each member's edge factors (one eigh) stay
-    # per member
+    # A2-A4's five spectra, D^(+/2) and the sheaf residual's norm are solved
+    # once per shape group of a 64-member chunk (362 groups at seed 0), not
+    # once per member: solved one member at a time, the pass made 11,001
+    # eigvalsh, 3,234 eigh and 3,252 norm calls.  ||L|| is read off the
+    # Laplacian's eigenvalues.  The SVD of each coboundary with edges (1,608
+    # members) and each member's edge factors (one eigh) stay per member
     assert pass_calls["members"] == 1626
     assert (pass_calls["eigvalsh"], pass_calls["eigh"], pass_calls["norm"],
-            pass_calls["svd"]) == (3420, 1970, 724, 1608)
+            pass_calls["svd"]) == (3420, 1970, 362, 1608)
 
 
 def test_corpus_pass_holds_one_member_at_a_time():

@@ -286,8 +286,7 @@ def _direct(ops):
             np.linalg.eigvalsh((lap_normalized + lap_normalized.T) / 2.0),
             np.linalg.eigvalsh(np.diag(A_tr.sum(axis=1)) - A_tr),
             np.linalg.eigvalsh(A_tr),
-            (delta, np.linalg.norm(delta.T @ delta - ops.laplacian, 2),
-             np.linalg.norm(ops.laplacian, 2)))
+            (delta, np.linalg.norm(delta.T @ delta - ops.laplacian, 2)))
 
 
 def _bytes(value):

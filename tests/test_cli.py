@@ -193,6 +193,87 @@ def test_sheaf_check_builds_once(k4_abc_file, capsys, monkeypatch):
     assert (len(assembled), len(built)) == (1, 1)
 
 
+def test_sheaf_check_oversized_coboundary_exits_2(tmp_path, capsys):
+    # K_400 with k = 1 loads (nk = 400), but its coboundary has 79,800 rows:
+    # 255 MB dense, twice what one kn x kn operator may take
+    doc = {"k": 1, "n": 400, "edges": [{"u": u, "v": v, "w": [1.0]}
+                                       for u, v in itertools.combinations(range(400), 2)]}
+    path = tmp_path / "k400.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--format", "json", "sheaf-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: coboundary of 79800 x 400 exceeds the limit of "
+                            "16777216 entries\n")
+
+
+# a weighted path whose lambda_2 lies within rounding of the zero cutoff at
+# this rank_rel_tol: two solvers of L could count its kernel differently
+P5_WEIGHTS = (6.5314237522821178e-09, 0.17480664563342632, 0.32236232564266454,
+              0.20489138164808773)
+P5_RANK_REL_TOL = 8.16427947e-09
+
+
+def test_spectrum_and_sheaf_check_agree_on_kernel_dim(tmp_path, capsys):
+    from mwgraph.linalg import Tolerances, kernel_dim_of_values
+    from mwgraph.operators import assemble
+    G = MatrixWeightedGraph.from_weights(
+        5, 1, [(v, v + 1, [[w]]) for v, w in enumerate(P5_WEIGHTS)])
+    path = tmp_path / "p5.json"
+    path.write_bytes(save(G))
+    tol = Tolerances(rank_rel_tol=P5_RANK_REL_TOL)
+    expected = kernel_dim_of_values(assemble(load(path.read_bytes(), tol), tol).laplacian_values,
+                                    tol)
+    dims = []
+    for command in ("spectrum", "sheaf-check"):
+        main(["--rank-rel-tol", repr(P5_RANK_REL_TOL), "--format", "json", command, str(path)])
+        dims.append(json.loads(capsys.readouterr().out)["kernel_dim"])
+    assert dims == [expected, expected]
+
+
+def _record_solves(monkeypatch):
+    """The shape of the first argument of each numpy.linalg solve, by name."""
+    made = {}
+    for name in ("eigvalsh", "eigh", "svd", "norm"):
+        real = getattr(np.linalg, name)
+
+        def recording(a, *args, _real=real, _made=made.setdefault(name, []), **kwargs):
+            _made.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return made
+
+
+def test_commands_solve_each_operator_once(k4_abc_file, tmp_path, capsys, monkeypatch):
+    # k4_abc has n = 4, k = 2 and six rank-1 weights; the tetrahedron truss
+    # has a 12 x 12 stiffness matrix.  Every spectrum of an nk x nk operator
+    # is one eigvalsh of a stack of one; the other solves act on k x k
+    # blocks, the coboundary (6 x 8), ||delta^T delta - L||, the rigid-motion
+    # generators (12 x 6) and the strut vectors
+    truss = tmp_path / "tetra.json"
+    truss.write_text(json.dumps({
+        "points": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+        "edges": [{"u": u, "v": v, "s": 1.0} for u, v in itertools.combinations(range(4), 2)]}))
+    expected = {
+        # the weights' and degree blocks' PSD verdicts, then the normalized
+        # Laplacian, L and A; D^(+/2) of the degree blocks
+        "spectrum": {"eigvalsh": [(6, 2, 2), (4, 2, 2), (1, 8, 8), (1, 8, 8), (1, 8, 8)],
+                     "eigh": [(4, 2, 2)], "svd": [], "norm": []},
+        "sheaf-check": {"eigvalsh": [(6, 2, 2), (1, 8, 8)], "eigh": [(6, 2, 2)],
+                        "svd": [(6, 8)], "norm": [(1, 8, 8)]},
+        "truss": {"eigvalsh": [(6, 3, 3), (1, 12, 12)], "eigh": [], "svd": [(12, 6)],
+                  "norm": [(3,)] * 6},
+    }
+    for command, target in (("spectrum", k4_abc_file), ("sheaf-check", k4_abc_file),
+                            ("truss", truss)):
+        with monkeypatch.context() as mp:
+            made = _record_solves(mp)
+            assert main(["--format", "json", command, str(target)]) == 0
+        capsys.readouterr()
+        assert made == expected[command], command
+
+
 @pytest.mark.parametrize("flag", ["--ortho-tol", "--loewner-tol"])
 def test_removed_tolerance_flags_exit_2(k4_abc_file, capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -386,6 +386,22 @@ def test_search_identity_frame_dedupes_colorings():
     assert results[0].report.d == pytest.approx(2.0)
 
 
+def test_search_keeps_colorings_of_unequal_elements():
+    # the elements differ by 1e-13 in one entry: both pass as projections and
+    # the frame as tight, but the weightings differ, so C4's two colorings
+    # give two records.  -0.0 and 0.0 entries are equal, as == has them
+    from mwgraph import frames
+    nearly = FusionFrame.from_projections([np.eye(2), np.diag([1.0, 1.0 - 1e-13])])
+    assert frames._projection_groups(nearly) == [0, 1]
+    results = search_expanders(4, 2, nearly)
+    assert sorted(res.coloring for res in results) == [(0, 1, 1, 0), (1, 0, 0, 1)]
+    signed = FusionFrame.from_projections([np.eye(2), np.array([[1.0, -0.0], [-0.0, 1.0]])])
+    assert frames._projection_groups(signed) == [0, 0]
+    # the benchmark's frames
+    assert frames._projection_groups(named_frame("equiangular3+I", 4)) == [0, 1, 2, 3]
+    assert frames._projection_groups(named_frame("identity2", 3)) == [0, 0, 0]
+
+
 def test_search_identity_frame_colors_each_graph_once(monkeypatch):
     # every coloring, one record per distinct weighting, which for identity
     # copies is the first coloring listed: the search draws no other

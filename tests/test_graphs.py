@@ -16,12 +16,10 @@ from mwgraph.graphs import (
     LOAD_MAX_NK,
     BaseGraph,
     MatrixWeightedGraph,
-    degree,
     is_connected_edges,
     lift_identity,
     load,
     save,
-    volume,
 )
 from mwgraph.linalg import DEFAULT_TOL, Tolerances
 from mwgraph.operators import assemble
@@ -213,27 +211,26 @@ def test_save_load_k1_round_trip():
         {e: w.tobytes() for e, w in g.weights.items()}
 
 
+def volume(G, S):
+    """vol(S), the sum of the degree blocks D_v over the vertices of S."""
+    return assemble(G).degree_blocks[sorted(set(S))].sum(axis=0)
+
+
 def test_degree_isolated_vertex():
     G = MatrixWeightedGraph.from_weights(3, 2, [(0, 1, np.eye(2))])
-    assert np.array_equal(degree(G, 2), np.zeros((2, 2)))
+    assert np.array_equal(assemble(G).degree_blocks[2], np.zeros((2, 2)))
 
 
 def test_degree_sums_incident_weights():
     G = MatrixWeightedGraph.from_weights(3, 2, [(0, 1, FRAME_A), (0, 2, FRAME_B)])
     expected = np.array([[1.25, np.sqrt(3) / 4], [np.sqrt(3) / 4, 0.75]])
-    assert np.allclose(degree(G, 0), expected)
-
-
-def test_degree_out_of_range():
-    G = MatrixWeightedGraph.from_weights(2, 1, [(0, 1, [[1.0]])])
-    with pytest.raises(IndexOutOfRangeError):
-        degree(G, 2)
+    assert np.allclose(assemble(G).degree_blocks[0], expected)
 
 
 def test_k4_abc_degrees_and_regularity():
     G = k4_abc_mwg()
-    for v in range(4):
-        assert np.allclose(degree(G, v), 1.5 * np.eye(2), atol=1e-14)
+    for block in assemble(G).degree_blocks:
+        assert np.allclose(block, 1.5 * np.eye(2), atol=1e-14)
     reg = assemble(G).regularity
     assert reg.is_scalar_regular
     assert reg.scalar_degree == pytest.approx(1.5)
@@ -311,7 +308,7 @@ def test_lift_of_regular_is_scalar_regular():
 
 def test_volume_single_vertex_and_empty():
     G = k4_abc_mwg()
-    assert np.allclose(volume(G, [2]), degree(G, 2))
+    assert np.array_equal(volume(G, [2, 2]), assemble(G).degree_blocks[2])
     assert np.array_equal(volume(G, []), np.zeros((2, 2)))
 
 

@@ -288,7 +288,8 @@ CUTOFF_EXCEPTIONS = {
 
 
 class _CutoffSites(ast.NodeVisitor):
-    """(function, what) for each tolerance read and each max(1.0, .) floor."""
+    """(function, what) for each tolerance read, each max(1.0, .) floor and
+    each atol= or rtol= keyword (an allclose or isclose cutoff)."""
 
     def __init__(self):
         self.functions = ["<module>"]
@@ -311,13 +312,16 @@ class _CutoffSites(ast.NodeVisitor):
                       and arg.value == 1.0 for arg in node.args)
         if name in ("max", "maximum") and floored:
             self.sites.append((self.functions[-1], f"{name}(1.0, .)"))
+        for keyword in node.keywords:
+            if keyword.arg in ("atol", "rtol"):
+                self.sites.append((self.functions[-1], f"{keyword.arg}="))
         self.generic_visit(node)
 
 
 def test_only_linalg_turns_tolerances_into_cutoffs():
     # every rule that makes a tolerance a cutoff lives in linalg (see the
-    # Tolerances docstring); no other module reads a tolerance field or
-    # writes its own max(1, .) floor
+    # Tolerances docstring); no other module reads a tolerance field, writes
+    # its own max(1, .) floor or passes an absolute or relative tolerance
     package = Path(linalg.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):

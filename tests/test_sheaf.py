@@ -178,13 +178,15 @@ def test_h0_matches_kernel_dim(rng):
 def reference_sheaf(G, tol=DEFAULT_TOL):
     """The factorization check, the global sections and kernel_dim(L) as three
     separate passes, each assembling or building what it needs, as they ran
-    before sheaf_analysis shared one pass between them."""
+    before sheaf_analysis shared one pass between them.  ||L|| is the
+    largest |eigenvalue| of L."""
     L = assemble(G, tol).laplacian
     delta = build_coboundary(G, tol=tol).matrix
     err = spectral_norm(delta.T @ delta - L)
-    bound = tol.resid_tol * max(1.0, spectral_norm(L))
-    report = BoundReport.simple("sheaf_factorization", err, bound, check_tol=0.0,
-                                laplacian_norm=spectral_norm(L))
+    values = np.linalg.eigvalsh(L)
+    norm = max(abs(float(values[0])), abs(float(values[-1]))) if values.size else 0.0
+    report = BoundReport.simple("sheaf_factorization", err, tol.resid_tol * max(1.0, norm),
+                                check_tol=0.0, laplacian_norm=norm)
     delta = build_coboundary(G, tol=tol).matrix
     if delta.shape[0] == 0:
         basis = np.eye(delta.shape[1])
@@ -246,14 +248,15 @@ def test_sheaf_analysis_builds_once(monkeypatch):
     G = k33_latin_mwg()
     assembled = count_calls(monkeypatch, "assemble", operators, sheaf)
     built = count_calls(monkeypatch, "build_coboundary", sheaf)
-    # the bundle's factorization quantity takes both norms of a stack of one
+    # the bundle's factorization quantity takes the residual's norm of a
+    # stack of one; ||L|| is read off the bundle's laplacian_values
     norms = count_calls(monkeypatch, "_spectral_norms", sheaf)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     sym = count_calls(monkeypatch, "as_symmetric", linalg, sheaf)
     sheaf_analysis(operators.assemble(G))
     # kernel_dim(L) reads the bundle's laplacian_values: L is assembled
     # exactly symmetric, so it needs no as_symmetric
-    assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 2, 1, 0)
+    assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 1, 1, 0)
 
 
 def test_global_sections_never_form_the_rows_by_rows_u():
@@ -341,7 +344,9 @@ def test_truss_rigidity_matches_its_parts():
     L = assemble(truss_to_mwg(t)).laplacian
     assert kdim == kernel_dim(L) == 6
     assert motions.tobytes() == rigid_motions(t.points).tobytes()
-    assert residual == float(np.abs(L @ motions).max()) / max(1.0, np.linalg.norm(L, 2))
+    values = np.linalg.eigvalsh(L)
+    norm = max(abs(float(values[0])), abs(float(values[-1])))
+    assert residual == float(np.abs(L @ motions).max()) / max(1.0, norm)
     # a truss with no joints has no motions, and its residual reads 0.0
     kdim, motions, residual = truss_rigidity(Truss.make(np.zeros((0, 3)), []))
     assert (kdim, motions.size, residual) == (0, 0, 0.0)
@@ -411,6 +416,16 @@ def test_coboundary_factors_bitwise_per_edge_reference(rng):
             assert cob.factors[e].tobytes() == B.tobytes()
             assert sqrt_factor(w).tobytes() == B.tobytes()
         assert cob.matrix.shape == (sum(f.shape[0] for f in cob.factors.values()), n * k)
+
+
+def test_coboundary_size_bound(monkeypatch):
+    # delta may take rows x nk <= LOAD_MAX_NK^2 entries, here 10^2: K_6 with
+    # k = 1 has 15 x 6 = 90, K_7 21 x 7 = 147
+    from mwgraph import sheaf
+    monkeypatch.setattr(sheaf, "LOAD_MAX_NK", 10)
+    assert build_coboundary(complete_graph(6)).matrix.shape == (15, 6)
+    with pytest.raises(TooLargeError, match="coboundary of 21 x 7 exceeds the limit of 100"):
+        build_coboundary(complete_graph(7))
 
 
 def test_coboundary_one_solve_per_graph(monkeypatch):
