@@ -84,9 +84,7 @@ from .operators import (
     check_normalized_bound,
 )
 from .sheaf import (
-    Coboundary,
     Truss,
-    build_coboundary,
     load_truss,
     rigid_motions,
     sheaf_analysis,

@@ -59,7 +59,7 @@ from .operators import (
     check_normalized_bound,
     solve_stacked,
 )
-from .sheaf import Truss, factorization, sheaf_analysis, truss_rigidity
+from .sheaf import Truss, sheaf_analysis, sheaf_check, truss_rigidity
 
 FRAME_TOL = 1e-12
 EXACT_TOL = 1e-12
@@ -82,7 +82,7 @@ _CHUNK = 64
 _STACKED = (OperatorBundle.degree_pseudo_sqrt_inv, OperatorBundle.laplacian_values,
            OperatorBundle.adjacency_values, OperatorBundle.normalized_laplacian_values,
            OperatorBundle.trace_laplacian_values, OperatorBundle.trace_adjacency_values,
-           factorization)
+           sheaf_check)
 
 
 # each criterion's name and the Suite method that checks it, in run order

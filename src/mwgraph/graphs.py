@@ -11,7 +11,7 @@ lift_identity turns one into the weighting w_e * I_k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .linalg import DEFAULT_TOL, Tolerances, _checked_psd, residual_allowance
 Edge = tuple[int, int]
 
 # load() refuses n * k above this, and sheaf.Truss.make 3n, so that one
-# dense kn x kn float64 operator, such as the Laplacian that assemble forms,
-# stays within 128 MiB; sheaf.build_coboundary holds delta to the same size
+# dense kn x kn float64 operator, such as the Laplacian that assemble forms
+# or the sheaf check's Gram matrix delta^T delta, stays within 128 MiB
 LOAD_MAX_NK = 4096
 
 
@@ -151,12 +151,22 @@ class Regularity:
         return self.kind == "scalar"
 
 
-def all_degrees(G: MatrixWeightedGraph) -> list[np.ndarray]:
-    out = [np.zeros((G.k, G.k)) for _ in range(G.base.n)]
-    for (a, b), w in G.weights.items():
-        out[a] = out[a] + w
-        out[b] = out[b] + w
+def _weight_stack(G: MatrixWeightedGraph) -> np.ndarray:
+    """G's weights as an (m, k, k) stack, in the order of ``G.weights``."""
+    return np.array(list(G.weights.values())).reshape(len(G.weights), G.k, G.k)
+
+
+def _degree_sums(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
+    """The (n, k, k) degree blocks of weights[i] on edges[i]: each D_v is the
+    sum of the weights at v, added in edge order."""
+    out = np.zeros((n, *weights.shape[1:]))
+    # unbuffered, in index order: u0, v0, u1, v1, ...
+    np.add.at(out, np.array(edges, dtype=np.intp).reshape(-1), np.repeat(weights, 2, axis=0))
     return out
+
+
+def all_degrees(G: MatrixWeightedGraph) -> list[np.ndarray]:
+    return list(_degree_sums(G.base.n, list(G.weights), _weight_stack(G)))
 
 
 def _regularity(degs: np.ndarray, geo: tuple[int, ...], tol: Tolerances) -> Regularity:

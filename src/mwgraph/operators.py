@@ -7,12 +7,15 @@ vertices are handled uniformly.  The trace weighting w_e = tr(W_e), a k = 1
 graph that the trace bounds compare with L_W and A_W, is read as the
 bundle's n x n ``trace_adjacency``.  ``assemble`` pairs a graph with its
 tolerances in an ``OperatorBundle``, which forms each operator on first read.
+L is placed from a stack of edge weights by ``_weighted_laplacian``, which
+the sheaf check also feeds the weights B_e^T B_e of its edge factors.
 
 The bundle is the one place a graph operator is solved: the spectra of L,
 A, their normalized forms and the trace weighting are its cached
 eigenvalues, and dim ker L and ||L||_2 are read off them.  Elsewhere
-numpy.linalg solves k x k blocks, the sheaf coboundary delta and
-delta^T delta - L, and a truss's rigid-motion generators, never L or A.
+numpy.linalg solves k x k blocks, the sheaf's Gram matrix delta^T delta
+and its residual from L, and a truss's rigid-motion generators, never L
+or A.
 
 Each spectrum, D^(+/2) and norm a bundle caches is a ``Stacked`` quantity:
 one function solves it for a list of bundles of one shape with one LAPACK
@@ -31,7 +34,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MwgError
-from .graphs import MatrixWeightedGraph, Regularity, _regularity, all_degrees
+from .graphs import (Edge, MatrixWeightedGraph, Regularity, _degree_sums, _regularity,
+                     _weight_stack, all_degrees)
 from .linalg import DEFAULT_TOL, Tolerances, _pseudo_sqrt_inv
 
 CHECK_TOL = 1e-8
@@ -127,6 +131,32 @@ def solve_stacked(bundles: Iterable["OperatorBundle"], quantities: Sequence[Stac
                 ops.__dict__[quantity.name] = value
 
 
+def _adjacency(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
+    """The kn x kn matrix with weights[i] at blocks (u, v) and (v, u) of edges[i]."""
+    k = weights.shape[1]
+    A = np.zeros((k * n, k * n))
+    if len(edges):
+        u, v = np.array(edges).T
+        blocks = A.reshape(n, k, n, k)
+        blocks[u, :, v, :] = weights
+        blocks[v, :, u, :] = weights
+    return A
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The kn x kn block-diagonal matrix of an (n, k, k) stack."""
+    n, k = blocks.shape[:2]
+    out = np.zeros((k * n, k * n))
+    out.reshape(n, k, n, k)[np.arange(n), :, np.arange(n), :] = blocks
+    return out
+
+
+def _weighted_laplacian(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
+    """D - A for the weights[i] on edges[i], placed as a bundle places its
+    L: fed a graph's own ``_weight_stack``, it gives the bundle's L bitwise."""
+    return _block_diagonal(_degree_sums(n, edges, weights)) - _adjacency(n, edges, weights)
+
+
 def _eigvalsh_rows(matrices: Iterable[np.ndarray]) -> list[np.ndarray]:
     """Ascending eigenvalues of each matrix, read-only, from one eigvalsh."""
     values = np.linalg.eigvalsh(np.stack(list(matrices)))
@@ -140,7 +170,7 @@ def _degree_pseudo_sqrt_invs(group: list["OperatorBundle"]) -> list[np.ndarray]:
     halves = _pseudo_sqrt_inv(np.concatenate([ops.degree_blocks for ops in group]),
                               group[0].tol)
     n = group[0].n
-    return [ops._block_diagonal(halves[i * n:(i + 1) * n]) for i, ops in enumerate(group)]
+    return [_block_diagonal(halves[i * n:(i + 1) * n]) for i in range(len(group))]
 
 
 def _trace_laplacian(ops: "OperatorBundle") -> np.ndarray:
@@ -185,26 +215,15 @@ class OperatorBundle:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        k, n = self.k, self.n
-        A = np.zeros((k * n, k * n))
-        for (u, v), w in self.graph.weights.items():
-            A[u * k:(u + 1) * k, v * k:(v + 1) * k] = w
-            A[v * k:(v + 1) * k, u * k:(u + 1) * k] = w
-        return A
+        return _adjacency(self.n, list(self.graph.weights), _weight_stack(self.graph))
 
     @cached_property
     def degree(self) -> np.ndarray:
-        return self._block_diagonal(self.degree_blocks)
+        return _block_diagonal(self.degree_blocks)
 
     @cached_property
     def laplacian(self) -> np.ndarray:
         return self.degree - self.adjacency
-
-    def _block_diagonal(self, blocks: np.ndarray) -> np.ndarray:
-        k, n = self.k, self.n
-        out = np.zeros((k * n, k * n))
-        out.reshape(n, k, n, k)[np.arange(n), :, np.arange(n), :] = blocks
-        return out
 
     degree_pseudo_sqrt_inv = Stacked(_degree_pseudo_sqrt_invs)
 

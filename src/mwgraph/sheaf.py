@@ -1,11 +1,17 @@
 """Cellular-sheaf view of a matrix-weighted graph.
 
 Edge stalks carry orthonormal coordinates on im(W_e) scaled by the square
-roots of the weight eigenvalues, so the coboundary is an ordinary real
-matrix with delta^T delta equal to the Laplacian.  Also provides the
-bar-and-joint (truss) construction whose Laplacian is the stiffness matrix.
+roots of the weight eigenvalues: each edge's factor B_e (``sqrt_factor``)
+has B_e^T B_e = W_e, and the coboundary delta places +B_e at the edge's
+head block and -B_e at its tail.  Its Gram matrix is the sheaf Laplacian
+delta^T delta = sum_e b_e b_e^T (x) B_e^T B_e (Hansen and Ghrist, "Toward a
+spectral theory of cellular sheaves", 2019): the Laplacian of the weights
+B_e^T B_e, whatever the orientation.  So the sheaf check never forms delta,
+which has one row per unit of edge rank, but only nk x nk matrices.  Also
+provides the bar-and-joint (truss) construction whose Laplacian is the
+stiffness matrix.
 
-The sheaf checks take an ``OperatorBundle`` and read its tolerances; the
+The sheaf check takes an ``OperatorBundle`` and reads its tolerances; the
 constructors take a graph or truss and tolerances of their own.
 """
 
@@ -18,123 +24,84 @@ import numpy as np
 
 from . import jsonio
 from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError, TooLargeError
-from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph
+from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph, _weight_stack
 from .linalg import (DEFAULT_TOL, Tolerances, _spectral_norms, as_symmetric, keep_cutoff,
                      kernel_dim_of_values, residual_allowance, residual_scale)
-from .operators import BoundReport, OperatorBundle, Stacked, assemble
+from .operators import BoundReport, OperatorBundle, Stacked, _weighted_laplacian, assemble
 
 
-@dataclass(frozen=True)
-class Coboundary:
-    """The map delta: C^0 -> C^1 whose Gram matrix is the Laplacian.
-
-    Each edge contributes rank(W_e) rows; factors[e] is the matrix B_e with
-    B_e^T B_e = W_e, placed with +B_e at the head block and -B_e at the tail.
-    """
-
-    matrix: np.ndarray
-    k: int
-    n: int
-    edge_rows: Mapping[Edge, tuple[int, int]]
-    orientation: Mapping[Edge, tuple[int, int]]
-    factors: Mapping[Edge, np.ndarray]
-
-
-def _sqrt_factors(sym: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
-    """sqrt_factor of every matrix of an (m, k, k) stack already symmetrized,
-    such as a graph's stored weights, from one eigh."""
-    if len(sym) == 0:
-        return []
+def _kept_eigh(sym: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of every matrix of an (m, k, k) stack already symmetrized, with
+    each eigenvalue at or below keep_cutoff(lambda_max) set to 0."""
     values, vectors = np.linalg.eigh(sym)
-    keep = values > keep_cutoff(values[:, -1:], tol)
-    rows = np.sqrt(values[keep])[:, None] * vectors.transpose(0, 2, 1)[keep]
-    return np.split(rows, np.cumsum(keep.sum(axis=1))[:-1])
+    return np.where(values > keep_cutoff(values[:, -1:], tol), values, 0.0), vectors
 
 
 def sqrt_factor(w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """B with B^T B = W for PSD W; rows are sqrt(sigma_i) u_i^T over eigenpairs
     with sigma above the rank cutoff, in eigh's ascending order."""
-    return _sqrt_factors(as_symmetric(w, tol)[None], tol)[0]
+    values, vectors = _kept_eigh(as_symmetric(w, tol)[None], tol)
+    keep = values[0] > 0.0
+    return np.sqrt(values[0, keep])[:, None] * vectors[0].T[keep]
 
 
-def build_coboundary(G: MatrixWeightedGraph,
-                     orientation: Mapping[Edge, tuple[int, int]] | None = None,
-                     tol: Tolerances = DEFAULT_TOL) -> Coboundary:
-    """Assemble delta for a given orientation (default: tail = min, head = max).
-
-    Raises TooLargeError, before delta is allocated, when its rows x nk
-    entries exceed LOAD_MAX_NK^2."""
-    k, n = G.k, G.base.n
-    orient: dict[Edge, tuple[int, int]] = {}
-    for e in G.base.edges:
-        if orientation is not None and e in orientation:
-            tail, head = orientation[e]
-            if {tail, head} != {e[0], e[1]}:
-                raise ValueError(f"orientation {orientation[e]} does not match edge {e}")
-        else:
-            tail, head = e
-        orient[e] = (tail, head)
-    weights = np.array([G.weights[e] for e in G.base.edges]).reshape(len(G.base.edges), k, k)
-    factors = dict(zip(G.base.edges, _sqrt_factors(weights, tol)))
-    total = sum(f.shape[0] for f in factors.values())
-    if total * k * n > LOAD_MAX_NK ** 2:
-        raise TooLargeError(f"coboundary of {total} x {k * n} exceeds the limit of "
-                            f"{LOAD_MAX_NK ** 2} entries")
-    delta = np.zeros((total, k * n))
-    edge_rows: dict[Edge, tuple[int, int]] = {}
-    row = 0
-    for e in G.base.edges:
-        B = factors[e]
-        r = B.shape[0]
-        tail, head = orient[e]
-        delta[row:row + r, head * k:(head + 1) * k] = B
-        delta[row:row + r, tail * k:(tail + 1) * k] = -B
-        edge_rows[e] = (row, row + r)
-        row += r
-    return Coboundary(delta, k, n, edge_rows, orient, factors)
+def _factored_weights(sym: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """B^T B, taken exactly symmetric, for the sqrt_factor B of every matrix
+    of an (m, k, k) stack already symmetrized, such as a graph's stored
+    weights, from one eigh."""
+    values, vectors = _kept_eigh(sym, tol)
+    factors_t = vectors * np.sqrt(values)[:, None, :]
+    gram = factors_t @ factors_t.transpose(0, 2, 1)
+    return (gram + gram.transpose(0, 2, 1)) / 2.0
 
 
-def _factorizations(group: list[OperatorBundle]) -> list[tuple[np.ndarray, float]]:
-    """Each bundle's coboundary delta and ||delta^T delta - L||_2, the norms
-    from one stacked SVD norm over the group."""
-    deltas = [build_coboundary(ops.graph, tol=ops.tol).matrix for ops in group]
-    laplacians = np.stack([ops.laplacian for ops in group])
-    errors = _spectral_norms(np.stack([delta.T @ delta for delta in deltas]) - laplacians)
-    return list(zip(deltas, errors.tolist()))
+def _sheaf_checks(group: list[OperatorBundle]) -> list[tuple[float, np.ndarray]]:
+    """Each bundle's ||delta^T delta - L||_2 and an orthonormal basis of
+    H^0 = ker delta, as columns.
+
+    delta^T delta is the Laplacian of the factored weights B_e^T B_e, all
+    the group's from one eigh; the residuals' norms come from one
+    ``_spectral_norms`` of the stack.  dim H^0 counts the eigenvalues
+    sigma^2 of delta^T delta, clipped at 0 (it is PSD, so a negative one is
+    rounding), that are zero in kernel_dim: the zero cutoff at sigma_max^2,
+    in the units of delta's squared singular values.  They come from one
+    stacked eigvalsh, the routine kernel_dim(L) reads, so where delta^T
+    delta has L's bits the two counts agree; the basis is that many
+    eigenvectors from one eigh.
+    """
+    tol = group[0].tol
+    stacks = [_weight_stack(ops.graph) for ops in group]
+    factored = _factored_weights(np.concatenate(stacks), tol)
+    offsets = np.cumsum([0] + [len(stack) for stack in stacks])
+    grams = np.stack([_weighted_laplacian(ops.n, list(ops.graph.weights), factored[a:b])
+                      for ops, a, b in zip(group, offsets, offsets[1:])])
+    residuals = _spectral_norms(grams - np.stack([ops.laplacian for ops in group]))
+    dims = [kernel_dim_of_values(np.maximum(sigma2, 0.0), tol)
+            for sigma2 in np.linalg.eigvalsh(grams)]
+    vectors = np.linalg.eigh(grams)[1]
+    return [(residual, basis[:, :h0])
+            for residual, h0, basis in zip(residuals.tolist(), dims, vectors)]
 
 
-# a bundle's coboundary and the residual of its factorization check
-factorization = Stacked(_factorizations, "sheaf_factorization")
-
-
-def _kernel_basis(delta: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal columns spanning ker(delta).  Only the right singular
-    vectors are read, so the rows x rows U is formed only when rows < nk,
-    where the full V is needed and U is the smaller factor."""
-    rows, cols = delta.shape
-    if rows == 0:
-        return np.eye(cols)
-    _, sigma, vt = np.linalg.svd(delta, full_matrices=rows < cols)
-    rank = sigma.size - kernel_dim_of_values(sigma[::-1] ** 2, tol)
-    return vt[rank:].T
+# a bundle's factorization residual and global sections
+sheaf_check = Stacked(_sheaf_checks, "sheaf_check")
 
 
 def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
     """The factorization check, the global sections and kernel_dim(L), in
-    that order, from one coboundary and the bundle's one eigensolve of L.
+    that order, from the bundle's ``sheaf_check`` and its one eigensolve of L.
 
     The check is ||delta^T delta - L|| <= residual_allowance(||L||).  The
     global sections are an orthonormal basis of H^0 = ker(delta), as
-    columns: sigma counts as zero when sigma^2 does in kernel_dim of delta^T
-    delta, so their number is kernel_dim(L) exactly when ker delta = ker L.
+    columns, so their number is kernel_dim(L) exactly when ker delta = ker L.
     ||L|| and kernel_dim(L) are read off the bundle's ``laplacian_values``:
     L is assembled exactly symmetric, so this is the count, and the PSD
     check, that kernel_dim(L) gives."""
-    delta, err = factorization.of(ops)
+    err, sections = sheaf_check.of(ops)
     norm = ops.laplacian_norm
     report = BoundReport.simple("sheaf_factorization", err, residual_allowance(norm, ops.tol),
                                 check_tol=0.0, laplacian_norm=norm)
-    return report, _kernel_basis(delta, ops.tol), kernel_dim_of_values(ops.laplacian_values, ops.tol)
+    return report, sections, kernel_dim_of_values(ops.laplacian_values, ops.tol)
 
 
 # --- trusses ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from mwgraph.errors import NonFiniteError, NotPsdError, NotSymmetricError
 from mwgraph.graphs import BaseGraph, MatrixWeightedGraph
+from mwgraph.linalg import DEFAULT_TOL, zero_cutoff
 
 S3 = np.sqrt(3.0)
 
@@ -181,6 +182,31 @@ def reference_sqrt_factor(sym, tol):
     if not keep:
         return np.zeros((0, sym.shape[0]))
     return np.sqrt(values[keep])[:, None] * vectors[:, keep].T
+
+
+def reference_coboundary(G, orientation=None, tol=DEFAULT_TOL):
+    """The dense sheaf coboundary delta, whose Gram matrix is L: rank(W_e)
+    rows per edge, B_e = reference_sqrt_factor(W_e) at the head block and
+    -B_e at the tail.  ``orientation`` maps an edge to its (tail, head);
+    by default the tail is the smaller end."""
+    k, n = G.k, G.base.n
+    rows = [np.zeros((0, k * n))]
+    for e, w in G.weights.items():
+        B = reference_sqrt_factor(w, tol)
+        tail, head = (orientation or {}).get(e, e)
+        block = np.zeros((B.shape[0], k * n))
+        block[:, head * k:(head + 1) * k] = B
+        block[:, tail * k:(tail + 1) * k] = -B
+        rows.append(block)
+    return np.concatenate(rows)
+
+
+def reference_h0_dim(delta, tol=DEFAULT_TOL):
+    """dim ker delta: nk minus the number of singular values of delta whose
+    square is above the zero cutoff at sigma_max^2."""
+    sigma = np.linalg.svd(delta, compute_uv=False)
+    top = float(sigma[0]) ** 2 if sigma.size else 0.0
+    return delta.shape[1] - int(np.sum(sigma ** 2 > zero_cutoff(top, tol)))
 
 
 def block_corpus_items(rng):

@@ -66,7 +66,7 @@ def pass_calls(suite):
             "regularity": count_calls(mp, "_regularity", graphs, operators),
             "trace_adjacency": count_calls(mp, "func",
                                            OperatorBundle.__dict__["trace_adjacency"]),
-            "build_coboundary": count_calls(mp, "build_coboundary", sheaf),
+            "sheaf_weights": count_calls(mp, "_weight_stack", sheaf),
             "as_symmetric": count_calls(mp, "as_symmetric", linalg, sheaf, frames),
             **{name: count_calls(mp, name, np.linalg)
                for name in ("eigvalsh", "eigh", "norm", "svd")},
@@ -104,15 +104,17 @@ def test_corpus_and_a2_to_a7_assembly_counts(monkeypatch):
 
 
 def test_corpus_pass_lapack_calls(pass_calls):
-    # A2-A4's five spectra, D^(+/2) and the sheaf residual's norm are solved
-    # once per shape group of a 64-member chunk (362 groups at seed 0), not
-    # once per member: solved one member at a time, the pass made 11,001
-    # eigvalsh, 3,234 eigh and 3,252 norm calls.  ||L|| is read off the
-    # Laplacian's eigenvalues.  The SVD of each coboundary with edges (1,608
-    # members) and each member's edge factors (one eigh) stay per member
+    # A2-A4's five spectra, D^(+/2) and the sheaf check are solved once per
+    # shape group of a 64-member chunk (362 groups at seed 0), not once per
+    # member: solved one member at a time, the pass made 11,001 eigvalsh,
+    # 3,234 eigh and 3,252 norm calls.  ||L|| is read off the Laplacian's
+    # eigenvalues.  Each group's eigh calls are D^(+/2)'s and the sheaf
+    # check's two, of the edge weights and of the Gram matrices, whose
+    # kernels it counts with one more eigvalsh; its norm call is the sheaf
+    # residuals'.  No SVD is left: the per-member coboundary SVD made 1,608
     assert pass_calls["members"] == 1626
     assert (pass_calls["eigvalsh"], pass_calls["eigh"], pass_calls["norm"],
-            pass_calls["svd"]) == (3420, 1970, 362, 1608)
+            pass_calls["svd"]) == (3420 + 362, 3 * 362, 362, 0)
 
 
 def test_corpus_pass_holds_one_member_at_a_time():
@@ -154,11 +156,11 @@ def test_a4_sheaf_factorization(suite):
 
 def test_a4_one_analysis_per_graph(suite, pass_calls):
     # the sheaf analysis reads the pass's bundle; kernel_dim(L) comes from its
-    # laplacian_values and the coboundary factors the stored weights, which
+    # laplacian_values and the sheaf check factors the stored weights, which
     # from_weights symmetrized already, so nothing is symmetrized again
     assert suite.a4_sheaf_factorization().passed
     graphs = pass_calls["members"]
-    assert (pass_calls["assemble"], pass_calls["build_coboundary"],
+    assert (pass_calls["assemble"], pass_calls["sheaf_weights"],
             pass_calls["as_symmetric"]) == (graphs, graphs, 0)
 
 

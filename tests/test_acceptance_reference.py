@@ -32,15 +32,19 @@ from mwgraph.expansion import (
     irregular_context,
 )
 from mwgraph.graphs import BaseGraph, MatrixWeightedGraph, lift_identity
-from mwgraph.linalg import Tolerances, _pseudo_sqrt_inv
+from mwgraph.linalg import Tolerances, _pseudo_sqrt_inv, keep_cutoff, kernel_dim_of_values
 from mwgraph.operators import (
     assemble,
     check_adjacency_trace_bounds,
     check_laplacian_trace_bounds,
     check_normalized_bound,
     solve_stacked,
+    _block_diagonal,
+    _weighted_laplacian,
 )
-from mwgraph.sheaf import build_coboundary, sheaf_analysis
+from mwgraph.sheaf import sheaf_analysis
+
+from conftest import reference_coboundary, reference_h0_dim
 
 
 def members(suite):
@@ -273,20 +277,36 @@ def test_failing_built_expander_keeps_a6(monkeypatch):
 # --- the stacked solves of the shared pass -----------------------------------
 
 
+def _sheaf_direct(ops):
+    """The sheaf check of ops from 2-D numpy calls: each edge's factored
+    weight, the Gram matrix's residual from L and its kernel columns,
+    counted on its eigvalsh."""
+    factored = []
+    for w in ops.graph.weights.values():
+        values, vectors = np.linalg.eigh(w)
+        kept = np.where(values > keep_cutoff(values[-1], ops.tol), values, 0.0)
+        factor_t = vectors * np.sqrt(kept)
+        gram = factor_t @ factor_t.T
+        factored.append((gram + gram.T) / 2.0)
+    stack = np.array(factored).reshape(len(factored), ops.k, ops.k)
+    gram = _weighted_laplacian(ops.n, list(ops.graph.weights), stack)
+    h0 = kernel_dim_of_values(np.maximum(np.linalg.eigvalsh(gram), 0.0), ops.tol)
+    return np.linalg.norm(gram - ops.laplacian, 2), np.linalg.eigh(gram)[1][:, :h0]
+
+
 def _direct(ops):
     """Each stacked quantity of ops, solved as a single matrix, as the pass
     solved it one member at a time."""
     A_tr = ops.trace_adjacency
-    half = ops._block_diagonal(_pseudo_sqrt_inv(ops.degree_blocks, ops.tol))
+    half = _block_diagonal(_pseudo_sqrt_inv(ops.degree_blocks, ops.tol))
     lap_normalized = half @ ops.laplacian @ half
-    delta = build_coboundary(ops.graph, tol=ops.tol).matrix
     return (half,
             np.linalg.eigvalsh(ops.laplacian),
             np.linalg.eigvalsh(ops.adjacency),
             np.linalg.eigvalsh((lap_normalized + lap_normalized.T) / 2.0),
             np.linalg.eigvalsh(np.diag(A_tr.sum(axis=1)) - A_tr),
             np.linalg.eigvalsh(A_tr),
-            (delta, np.linalg.norm(delta.T @ delta - ops.laplacian, 2)))
+            _sheaf_direct(ops))
 
 
 def _bytes(value):
@@ -298,7 +318,9 @@ def _bytes(value):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_stacked_fill_is_bitwise_each_members_own(seed):
     # every quantity the pass solves per shape group of a chunk has the bits
-    # of the member's own single-bundle read and of a 2-D numpy call
+    # of the member's own single-bundle read and of a 2-D numpy call.  The
+    # sheaf check's H^0 has the dimension of ker delta, delta the dense
+    # coboundary, so A4 compares it with kernel_dim(L) as delta would
     from mwgraph import acceptance
     members = [G for _, G in Suite(seed=seed).corpus()]
     assert len(members) == 1626
@@ -314,6 +336,9 @@ def test_stacked_fill_is_bitwise_each_members_own(seed):
                 assert quantity.name in ops.__dict__
                 filled = _bytes(quantity.of(ops))
                 assert filled == _bytes(quantity.of(alone)) == _bytes(direct), quantity.name
+            _, sections, kdim = sheaf_analysis(ops)
+            h0 = reference_h0_dim(reference_coboundary(G))
+            assert (sections.shape[1], sections.shape[1] == kdim) == (h0, h0 == kdim)
     # n = 1 edgeless members and k = 3 members, with and without edges
     assert {(1, 1, False), (1, 3, False), (6, 3, True)} <= shapes
 
@@ -325,7 +350,7 @@ def _outcomes_and_references(suite, reference_suite):
 
 @pytest.mark.parametrize("module_name, function_name, cid", [
     ("operators", "_pseudo_sqrt_inv", "A2"),
-    ("sheaf", "build_coboundary", "A4"),
+    ("sheaf", "_weight_stack", "A4"),
 ])
 def test_stacked_solve_failing_mid_chunk_keeps_attribution(monkeypatch, module_name,
                                                            function_name, cid):
@@ -337,8 +362,8 @@ def test_stacked_solve_failing_mid_chunk_keeps_attribution(monkeypatch, module_n
     marked = chunk[70 - 64]
     assert sum((G.base.n, G.k) == (marked.base.n, marked.k) for G in chunk) > 1
     # what marks member 70 in the argument: its first degree block in the
-    # stack _pseudo_sqrt_inv takes, its first edge weight in the graph
-    # build_coboundary takes
+    # stack _pseudo_sqrt_inv takes, its first edge weight in the graph whose
+    # weights the sheaf check stacks
     if module_name == "operators":
         marker = assemble(marked).degree_blocks[0].tobytes()
     else:

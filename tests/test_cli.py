@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from mwgraph.graphs import MatrixWeightedGraph, load, save
 from mwgraph.frames import build_expander, equiangular_frame_2d, proper_edge_coloring
 from mwgraph.graphs import BaseGraph
 
-from conftest import count_calls, unit_graph
+from conftest import complete_graph, count_calls, unit_graph
 
 
 @pytest.fixture
@@ -186,25 +187,37 @@ def test_sheaf_check(k4_abc_file, capsys):
 
 
 def test_sheaf_check_builds_once(k4_abc_file, capsys, monkeypatch):
+    # one assembly; one eigh of the edge weights and one for the Gram
+    # matrix's kernel basis, and no SVD of a coboundary
     from mwgraph import cli, sheaf
     assembled = count_calls(monkeypatch, "assemble", cli, sheaf)
-    built = count_calls(monkeypatch, "build_coboundary", sheaf)
+    factored = count_calls(monkeypatch, "eigh", np.linalg)
+    svds = count_calls(monkeypatch, "svd", np.linalg)
     assert main(["--format", "json", "sheaf-check", str(k4_abc_file)]) == 0
-    assert (len(assembled), len(built)) == (1, 1)
+    assert (len(assembled), len(factored), len(svds)) == (1, 2, 0)
 
 
-def test_sheaf_check_oversized_coboundary_exits_2(tmp_path, capsys):
-    # K_400 with k = 1 loads (nk = 400), but its coboundary has 79,800 rows:
-    # 255 MB dense, twice what one kn x kn operator may take
-    doc = {"k": 1, "n": 400, "edges": [{"u": u, "v": v, "w": [1.0]}
-                                       for u, v in itertools.combinations(range(400), 2)]}
+def test_sheaf_check_k400_exits_0(tmp_path, capsys):
+    # K_400 with k = 1 loads (nk = 400); its coboundary would have 79,800
+    # rows, 255 MB dense, but the check holds only 400 x 400 matrices
+    from mwgraph.operators import assemble
+    from mwgraph.sheaf import sheaf_analysis
+    G = complete_graph(400)
     path = tmp_path / "k400.json"
-    path.write_text(json.dumps(doc))
-    assert main(["--format", "json", "sheaf-check", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: coboundary of 79800 x 400 exceeds the limit of "
-                            "16777216 entries\n")
+    path.write_bytes(save(G))
+    assert main(["--format", "json", "sheaf-check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["h0_dim"], report["kernel_dim"], report["dims_match"]) == (1, 1, True)
+    ops = assemble(G)
+    tracemalloc.start()
+    try:
+        sheaf_analysis(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # L, A, D, the Gram matrix, its difference from L and eigh's vectors:
+    # measured at 9.8 MiB, 8.0 arrays of 400 x 400
+    assert peak < 12 * 400 * 400 * 8
 
 
 # a weighted path whose lambda_2 lies within rounding of the zero cutoff at
@@ -231,6 +244,21 @@ def test_spectrum_and_sheaf_check_agree_on_kernel_dim(tmp_path, capsys):
     assert dims == [expected, expected]
 
 
+def test_sheaf_check_counts_h0_as_kernel_dim_counts_l(tmp_path, capsys):
+    # P5's delta^T delta has L's bits, and its lambda_2 lies within rounding
+    # of the zero cutoff: eigh puts it above (8.164279475758967e-09), the
+    # eigvalsh kernel_dim reads below (8.164279460900914e-09).  H^0 is
+    # counted on eigvalsh as well, so the two dimensions agree
+    G = MatrixWeightedGraph.from_weights(
+        5, 1, [(v, v + 1, [[w]]) for v, w in enumerate(P5_WEIGHTS)])
+    path = tmp_path / "p5.json"
+    path.write_bytes(save(G))
+    assert main(["--rank-rel-tol", repr(P5_RANK_REL_TOL), "--format", "json", "sheaf-check",
+                 str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["h0_dim"], report["kernel_dim"], report["dims_match"]) == (2, 2, True)
+
+
 def _record_solves(monkeypatch):
     """The shape of the first argument of each numpy.linalg solve, by name."""
     made = {}
@@ -249,8 +277,9 @@ def test_commands_solve_each_operator_once(k4_abc_file, tmp_path, capsys, monkey
     # k4_abc has n = 4, k = 2 and six rank-1 weights; the tetrahedron truss
     # has a 12 x 12 stiffness matrix.  Every spectrum of an nk x nk operator
     # is one eigvalsh of a stack of one; the other solves act on k x k
-    # blocks, the coboundary (6 x 8), ||delta^T delta - L||, the rigid-motion
-    # generators (12 x 6) and the strut vectors
+    # blocks, the sheaf's Gram matrix delta^T delta (its kernel count, its
+    # basis) and its residual from L, the rigid-motion generators (12 x 6)
+    # and the strut vectors
     truss = tmp_path / "tetra.json"
     truss.write_text(json.dumps({
         "points": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
@@ -260,8 +289,9 @@ def test_commands_solve_each_operator_once(k4_abc_file, tmp_path, capsys, monkey
         # Laplacian, L and A; D^(+/2) of the degree blocks
         "spectrum": {"eigvalsh": [(6, 2, 2), (4, 2, 2), (1, 8, 8), (1, 8, 8), (1, 8, 8)],
                      "eigh": [(4, 2, 2)], "svd": [], "norm": []},
-        "sheaf-check": {"eigvalsh": [(6, 2, 2), (1, 8, 8)], "eigh": [(6, 2, 2)],
-                        "svd": [(6, 8)], "norm": [(1, 8, 8)]},
+        "sheaf-check": {"eigvalsh": [(6, 2, 2), (1, 8, 8), (1, 8, 8)],
+                        "eigh": [(6, 2, 2), (1, 8, 8)],
+                        "svd": [], "norm": [(1, 8, 8)]},
         "truss": {"eigvalsh": [(6, 3, 3), (1, 12, 12)], "eigh": [], "svd": [(12, 6)],
                   "norm": [(3,)] * 6},
     }

@@ -6,7 +6,8 @@ import pytest
 from mwgraph.acceptance import Suite
 from mwgraph.errors import NonFiniteError, SingularVolumeError
 from mwgraph.expansion import irregular_context
-from mwgraph.graphs import MatrixWeightedGraph, Regularity, all_degrees, lift_identity
+from mwgraph.graphs import (MatrixWeightedGraph, Regularity, all_degrees, lift_identity,
+                            _weight_stack)
 from mwgraph.linalg import DEFAULT_TOL, Tolerances, kernel_dim
 from mwgraph.operators import (
     BoundReport,
@@ -14,6 +15,7 @@ from mwgraph.operators import (
     check_adjacency_trace_bounds,
     check_laplacian_trace_bounds,
     check_normalized_bound,
+    _weighted_laplacian,
 )
 
 from conftest import (
@@ -386,3 +388,36 @@ def test_analyses_share_one_spectrum_of_each_operator(monkeypatch):
                    for a in solved for m in a.reshape(-1, *a.shape[-2:]))
 
     assert (solves_of(ops.laplacian), solves_of(ops.adjacency)) == (1, 1)
+
+
+def _reference_laplacian(G):
+    """D - A from one loop over the edges: D_v summed in edge order, then
+    each weight copied to its two off-diagonal blocks."""
+    k, n = G.k, G.base.n
+    degrees = [np.zeros((k, k)) for _ in range(n)]
+    A = np.zeros((k * n, k * n))
+    for (u, v), w in G.weights.items():
+        degrees[u] = degrees[u] + w
+        degrees[v] = degrees[v] + w
+        A[u * k:(u + 1) * k, v * k:(v + 1) * k] = w
+        A[v * k:(v + 1) * k, u * k:(u + 1) * k] = w
+    D = np.zeros((k * n, k * n))
+    for v in range(n):
+        D[v * k:(v + 1) * k, v * k:(v + 1) * k] = degrees[v]
+    return np.array(degrees).reshape(n, k, k), A, D - A
+
+
+def test_weighted_laplacian_of_a_graphs_own_weights_is_its_l(rng):
+    # the placement the bundle and the sheaf check share gives the bits of
+    # a per-edge loop, and fed a graph's own weights, the bundle's L
+    graphs = [G for _, G in Suite(seed=0, random_count=100).corpus()]
+    graphs += [MatrixWeightedGraph.from_weights(n, k, items)
+               for n, k, items in block_corpus_items(rng)]
+    for G in graphs:
+        degrees, A, L = _reference_laplacian(G)
+        ops = assemble(G)
+        assert ops.degree_blocks.tobytes() == degrees.tobytes()
+        assert ops.adjacency.tobytes() == A.tobytes()
+        assert ops.laplacian.tobytes() == L.tobytes()
+        placed = _weighted_laplacian(G.base.n, list(G.weights), _weight_stack(G))
+        assert placed.tobytes() == L.tobytes()

@@ -7,22 +7,22 @@ import pytest
 
 from mwgraph.errors import (DegenerateEdgeError, IndexOutOfRangeError, NotPsdError,
                             NotSymmetricError, ParseError, TooLargeError)
-from mwgraph.graphs import LOAD_MAX_NK, MatrixWeightedGraph, lift_identity
+from mwgraph.graphs import LOAD_MAX_NK, MatrixWeightedGraph, lift_identity, _weight_stack
 from mwgraph.linalg import (
     DEFAULT_TOL,
     Tolerances,
-    as_symmetric,
     kernel_dim,
-    kernel_dim_of_values,
     spectral_norm,
+    zero_cutoff,
 )
-from mwgraph.operators import BoundReport, assemble
+from mwgraph.operators import assemble, solve_stacked
 from mwgraph.sheaf import (
     Truss,
-    build_coboundary,
+    _factored_weights,
     load_truss,
     rigid_motions,
     sheaf_analysis,
+    sheaf_check,
     sqrt_factor,
     truss_rigidity,
     truss_to_mwg,
@@ -37,43 +37,46 @@ from conftest import (
     k4_abc_mwg,
     random_mwg,
     random_psd,
+    reference_coboundary,
+    reference_h0_dim,
     reference_sqrt_factor,
     unit_graph,
 )
 
+EPS = np.finfo(float).eps
+
+
+def reversed_edges(G):
+    return {e: (e[1], e[0]) for e in G.base.edges}
+
 
 def test_coboundary_single_edge_identity():
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.eye(2))])
-    delta = build_coboundary(G).matrix
+    delta = reference_coboundary(G)
     assert delta.shape == (2, 4)
     assert np.allclose(delta, np.hstack([-np.eye(2), np.eye(2)]))
 
 
 def test_coboundary_single_edge_rank_one():
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, FRAME_A)])
-    delta = build_coboundary(G).matrix
+    delta = reference_coboundary(G)
     assert delta.shape == (1, 4)
     assert np.allclose(np.abs(delta), [[1.0, 0.0, 1.0, 0.0]])
     assert np.allclose(delta[0, :2], -delta[0, 2:])
 
 
 def test_coboundary_orientation_reversal(rng):
+    # reversing every edge negates delta and keeps its Gram matrix, the L
+    # of the factored weights that the sheaf check reads
     G = random_mwg(rng)
-    default = build_coboundary(G)
-    flipped = build_coboundary(G, {e: (e[1], e[0]) for e in G.base.edges})
-    assert np.allclose(default.matrix, -flipped.matrix)
-    assert np.allclose(default.matrix.T @ default.matrix,
-                       flipped.matrix.T @ flipped.matrix)
-
-
-def test_coboundary_rejects_foreign_orientation():
-    G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, np.eye(2))])
-    with pytest.raises(ValueError):
-        build_coboundary(G, {(0, 1): (0, 2)})
+    default = reference_coboundary(G)
+    flipped = reference_coboundary(G, reversed_edges(G))
+    assert np.array_equal(default, -flipped)
+    assert np.allclose(default.T @ default, flipped.T @ flipped)
+    assert np.allclose(default.T @ default, assemble(G).laplacian)
 
 
 def test_sqrt_factor_reconstructs_weight(rng):
-    from conftest import random_psd
     for _ in range(40):
         k = int(rng.integers(1, 5))
         rank = int(rng.integers(0, k + 1))
@@ -84,15 +87,17 @@ def test_sqrt_factor_reconstructs_weight(rng):
 
 
 def test_coboundary_factors_stored_weights_as_sqrt_factor(rng, monkeypatch):
+    # the sheaf check's factored weights are B^T B for the sqrt_factor B of
+    # each stored weight, exactly symmetric, and nothing is symmetrized again
     from mwgraph import linalg, sheaf
     graphs = [k4_abc_mwg(), k33_latin_mwg()] + [random_mwg(rng) for _ in range(20)]
-    expected = [{e: sqrt_factor(w) for e, w in G.weights.items()} for G in graphs]
+    expected = [[sqrt_factor(w) for w in G.weights.values()] for G in graphs]
     sym = count_calls(monkeypatch, "as_symmetric", linalg, sheaf)
     for G, factors in zip(graphs, expected):
-        cob = build_coboundary(G)
-        for e, B in factors.items():
-            assert cob.factors[e].shape == B.shape
-            assert cob.factors[e].tobytes() == B.tobytes()
+        factored = _factored_weights(_weight_stack(G), DEFAULT_TOL)
+        for w_hat, B, w in zip(factored, factors, G.weights.values()):
+            assert np.array_equal(w_hat, w_hat.T)
+            assert np.abs(w_hat - B.T @ B).max() <= 64 * EPS * np.abs(w).max()
     assert sym == []
     # the public entry still validates what it is given
     with pytest.raises(NotSymmetricError):
@@ -150,7 +155,7 @@ def test_global_sections_rank_deficient_weights():
     basis = sheaf_analysis(assemble(G))[1]
     assert basis.shape == (6, 4)
     assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
-    assert np.allclose(build_coboundary(G).matrix @ basis, 0.0, atol=1e-12)
+    assert np.allclose(reference_coboundary(G) @ basis, 0.0, atol=1e-12)
     assert np.allclose(assemble(G).laplacian @ basis, 0.0, atol=1e-12)
     assert kernel_dim(assemble(G).laplacian) == 4
 
@@ -163,10 +168,7 @@ def test_global_sections_edgeless_is_everything():
 def test_h0_dim_orientation_independent(rng):
     G = random_mwg(rng)
     base_dim = sheaf_analysis(assemble(G))[1].shape[1]
-    delta = build_coboundary(G, {e: (e[1], e[0]) for e in G.base.edges}).matrix
-    sing = np.linalg.svd(delta, compute_uv=False)
-    rank = int(np.sum(sing > 1e-10 * max(1.0, sing[0] if sing.size else 0.0)))
-    assert delta.shape[1] - rank == base_dim
+    assert reference_h0_dim(reference_coboundary(G, reversed_edges(G))) == base_dim
 
 
 def test_h0_matches_kernel_dim(rng):
@@ -176,32 +178,19 @@ def test_h0_matches_kernel_dim(rng):
 
 
 def reference_sheaf(G, tol=DEFAULT_TOL):
-    """The factorization check, the global sections and kernel_dim(L) as three
-    separate passes, each assembling or building what it needs, as they ran
-    before sheaf_analysis shared one pass between them.  ||L|| is the
-    largest |eigenvalue| of L."""
+    """From the dense coboundary delta: ||delta^T delta - L||_2, whether it is
+    within the allowance at ||L||, dim ker delta from delta's singular values
+    and kernel_dim(L), PSD check included, from eigvalsh of L."""
     L = assemble(G, tol).laplacian
-    delta = build_coboundary(G, tol=tol).matrix
+    delta = reference_coboundary(G, tol=tol)
     err = spectral_norm(delta.T @ delta - L)
-    values = np.linalg.eigvalsh(L)
+    values = np.linalg.eigvalsh(L) if L.size else np.zeros(0)
     norm = max(abs(float(values[0])), abs(float(values[-1]))) if values.size else 0.0
-    report = BoundReport.simple("sheaf_factorization", err, tol.resid_tol * max(1.0, norm),
-                                check_tol=0.0, laplacian_norm=norm)
-    delta = build_coboundary(G, tol=tol).matrix
-    if delta.shape[0] == 0:
-        basis = np.eye(delta.shape[1])
-    else:
-        _, sigma, vt = np.linalg.svd(delta)
-        basis = vt[sigma.size - kernel_dim_of_values(sigma[::-1] ** 2, tol):].T
-    sym = as_symmetric(assemble(G, tol).laplacian, tol)
-    again = as_symmetric(sym, tol)
-    if again.size:
-        values = np.linalg.eigvalsh(again)
-        norm = max(abs(float(values[0])), abs(float(values[-1])))
-        if float(values[0]) < -tol.psd_tol * max(1.0, norm):
-            raise NotPsdError("kernel_dim requires a PSD matrix")
-    kdim = kernel_dim_of_values(np.linalg.eigvalsh(sym), tol) if sym.size else 0
-    return report, basis, kdim
+    if values.size and float(values[0]) < -tol.psd_tol * max(1.0, norm):
+        raise NotPsdError("kernel_dim requires a PSD matrix")
+    kdim = int(np.sum(values <= zero_cutoff(float(values[-1]), tol))) if values.size else 0
+    holds = err <= tol.resid_tol * max(1.0, norm)
+    return err, holds, reference_h0_dim(delta, tol), kdim
 
 
 def _sheaf_corpus(rng):
@@ -215,6 +204,9 @@ def _sheaf_corpus(rng):
     # a weak link whose sigma^2 lies under the cutoff relative to sigma_max^2
     # but above the same cutoff relative to 1
     yield MatrixWeightedGraph.from_weights(3, 2, [(0, 1, 1e6 * np.eye(2)), (1, 2, 1e-5 * np.eye(2))])
+    # a weight whose small eigenvalue lies under the keep cutoff: its factor
+    # drops it, so delta^T delta differs from L by 1e-11, well above rounding
+    yield MatrixWeightedGraph.from_weights(3, 2, [(0, 1, np.diag([1.0, 1e-11])), (1, 2, np.eye(2))])
     for _ in range(60):
         G = random_mwg(rng)
         yield G
@@ -223,23 +215,37 @@ def _sheaf_corpus(rng):
             G.base.n, G.k, [(u, v, scale * w) for (u, v), w in G.weights.items()])
 
 
+# the Gram route's residual ||G_hat - L|| and the dense ||delta^T delta - L||
+# are both rounding; they differ by at most this many ulps of ||L||
+RESIDUAL_GAP = 16 * EPS
+
+
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(resid_tol=1e-9),
                                  Tolerances(psd_tol=1e-30), Tolerances(psd_tol=0.0)])
 def test_sheaf_analysis_matches_three_pass_reference(rng, tol):
     raised = 0
     for G in _sheaf_corpus(rng):
         try:
-            expected = reference_sheaf(G, tol)
+            err, holds, h0, kdim = reference_sheaf(G, tol)
         except NotPsdError as exc:
             raised += 1
             with pytest.raises(NotPsdError, match=str(exc)):
                 sheaf_analysis(assemble(G, tol))
             continue
-        report, basis, kdim = sheaf_analysis(assemble(G, tol))
-        assert report.to_jsonable() == expected[0].to_jsonable()
-        assert basis.shape == expected[1].shape
-        assert basis.tobytes() == expected[1].tobytes()
-        assert kdim == expected[2]
+        report, sections, got_kdim = sheaf_analysis(assemble(G, tol))
+        assert (report.holds, sections.shape[1], got_kdim) == (holds, h0, kdim)
+        # orthonormal sections that delta maps to zero
+        nk = G.base.n * G.k
+        assert sections.shape[0] == nk
+        assert np.abs(sections.T @ sections - np.eye(h0)).max(initial=0.0) <= 8 * nk * EPS
+        delta = reference_coboundary(G, tol=tol)
+        top = np.linalg.norm(delta, 2) ** 2 if delta.size else 0.0
+        image = np.linalg.norm(delta @ sections, 2) ** 2 if delta.size and h0 else 0.0
+        assert image <= zero_cutoff(top, tol)
+        norm = report.context["laplacian_norm"]
+        assert abs(report.lhs - err) <= RESIDUAL_GAP * norm
+        # orientation keeps H^0
+        assert reference_h0_dim(reference_coboundary(G, reversed_edges(G), tol), tol) == h0
     assert (raised > 0) == (tol.psd_tol < 1e-20)
 
 
@@ -247,22 +253,25 @@ def test_sheaf_analysis_builds_once(monkeypatch):
     from mwgraph import linalg, operators, sheaf
     G = k33_latin_mwg()
     assembled = count_calls(monkeypatch, "assemble", operators, sheaf)
-    built = count_calls(monkeypatch, "build_coboundary", sheaf)
-    # the bundle's factorization quantity takes the residual's norm of a
-    # stack of one; ||L|| is read off the bundle's laplacian_values
+    # the bundle's sheaf check takes one eigh of the edge weights, one
+    # eigvalsh and one eigh of the Gram matrix and the residual's norm, each
+    # of a stack of one; ||L|| is read off the bundle's laplacian_values
     norms = count_calls(monkeypatch, "_spectral_norms", sheaf)
+    factors = count_calls(monkeypatch, "eigh", np.linalg)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    svds = count_calls(monkeypatch, "svd", np.linalg)
     sym = count_calls(monkeypatch, "as_symmetric", linalg, sheaf)
     sheaf_analysis(operators.assemble(G))
     # kernel_dim(L) reads the bundle's laplacian_values: L is assembled
     # exactly symmetric, so it needs no as_symmetric
-    assert (len(assembled), len(built), len(norms), len(solves), len(sym)) == (1, 1, 1, 1, 0)
+    assert (len(assembled), len(norms), len(factors), len(solves), len(svds),
+            len(sym)) == (1, 1, 2, 2, 0, 0)
 
 
-def test_global_sections_never_form_the_rows_by_rows_u():
-    # K_60 with k = 1 has 1,770 coboundary rows and nk = 60: the full U of
-    # its SVD is 1,770 x 1,770 (25 MB), and the analysis peaked at 24.9 MiB
-    # while it formed one.  Its thin U and delta are 0.8 MB each
+def test_global_sections_peak_at_a_few_operators():
+    # K_60 with k = 1 has 1,770 edges and nk = 60: the check holds a few
+    # 60 x 60 matrices, never a 1,770-row coboundary or its 1,770 x 1,770
+    # left singular vectors (25 MB)
     ops = assemble(complete_graph(60))
     tracemalloc.start()
     try:
@@ -272,6 +281,27 @@ def test_global_sections_never_form_the_rows_by_rows_u():
         tracemalloc.stop()
     assert report.holds and sections.shape == (60, 1) and kdim == 1
     assert peak < 4 * 2 ** 20
+
+
+def test_sheaf_check_one_eigh_per_shape_group(rng, monkeypatch):
+    # a group of bundles of one shape: one eigh of all their edge weights,
+    # one eigvalsh and one eigh of all their Gram matrices, each member with
+    # the bits of its own read
+    graphs = [random_mwg(rng, n_max=5, k_max=2) for _ in range(40)]
+    shape = (graphs[0].base.n, graphs[0].k)
+    group = [G for G in graphs if (G.base.n, G.k) == shape]
+    assert len(group) > 1
+    bundles = [assemble(G) for G in group]
+    with monkeypatch.context() as mp:
+        solves = count_calls(mp, "eigh", np.linalg)
+        counts = count_calls(mp, "eigvalsh", np.linalg)
+        solve_stacked(bundles, [sheaf_check])
+    assert (len(solves), len(counts)) == (2, 1)
+    for G, ops in zip(group, bundles):
+        err, sections = sheaf_check.of(ops)
+        alone_err, alone_sections = sheaf_check.of(assemble(G))
+        assert err == alone_err
+        assert sections.tobytes() == alone_sections.tobytes()
 
 
 # --- trusses -----------------------------------------------------------------
@@ -406,29 +436,20 @@ def test_load_truss_accepts_only_integer_joints_and_numeric_values(points, edge)
 
 
 def test_coboundary_factors_bitwise_per_edge_reference(rng):
+    # a graph's factored weights from one stacked eigh have the bits of
+    # each weight's own; sqrt_factor has the per-edge reference's
     for n, k, items in block_corpus_items(rng):
         G = MatrixWeightedGraph.from_weights(n, k, items)
-        cob = build_coboundary(G)
-        assert list(cob.factors) == list(G.base.edges)
-        for e, w in G.weights.items():
+        factored = _factored_weights(_weight_stack(G), DEFAULT_TOL)
+        assert factored.shape == (len(G.weights), k, k)
+        for w_hat, w in zip(factored, G.weights.values()):
+            assert w_hat.tobytes() == _factored_weights(w[None], DEFAULT_TOL)[0].tobytes()
             B = reference_sqrt_factor(w, DEFAULT_TOL)
-            assert cob.factors[e].shape == B.shape
-            assert cob.factors[e].tobytes() == B.tobytes()
+            assert sqrt_factor(w).shape == B.shape
             assert sqrt_factor(w).tobytes() == B.tobytes()
-        assert cob.matrix.shape == (sum(f.shape[0] for f in cob.factors.values()), n * k)
-
-
-def test_coboundary_size_bound(monkeypatch):
-    # delta may take rows x nk <= LOAD_MAX_NK^2 entries, here 10^2: K_6 with
-    # k = 1 has 15 x 6 = 90, K_7 21 x 7 = 147
-    from mwgraph import sheaf
-    monkeypatch.setattr(sheaf, "LOAD_MAX_NK", 10)
-    assert build_coboundary(complete_graph(6)).matrix.shape == (15, 6)
-    with pytest.raises(TooLargeError, match="coboundary of 21 x 7 exceeds the limit of 100"):
-        build_coboundary(complete_graph(7))
 
 
 def test_coboundary_one_solve_per_graph(monkeypatch):
     solves = count_calls(monkeypatch, "eigh", np.linalg)
-    build_coboundary(k33_latin_mwg())
+    _factored_weights(_weight_stack(k33_latin_mwg()), DEFAULT_TOL)
     assert len(solves) == 1
