@@ -25,6 +25,7 @@ from .errors import (
     NotSymmetricError,
     NotTightError,
     ParseError,
+    SampleShortfallError,
     SingularVolumeError,
     TooLargeError,
 )

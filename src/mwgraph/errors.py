@@ -61,6 +61,10 @@ class NotColorableError(MwgError):
     """No proper edge coloring with the requested number of colors exists."""
 
 
+class SampleShortfallError(MwgError):
+    """Random sampling drew fewer graphs than requested within its attempt budget."""
+
+
 class NotProperlyColoredError(MwgError):
     """Edge coloring violates properness or degree requirements."""
 

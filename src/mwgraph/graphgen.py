@@ -129,13 +129,13 @@ def canonical_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
 
 
 def edges_code(n: int, edges: Iterable[tuple[int, int]]) -> int:
-    """Adjacency bit string of a labeled graph (no canonicalization)."""
-    adj = _neighbour_bits(n, edges)
-    code = 0
-    for j in range(1, n):
-        for i in range(j):
-            code = (code << 1) | ((adj[i] >> j) & 1)
-    return code
+    """Adjacency bit string of a labeled graph (no canonicalization), built
+    as one string of n (n - 1) / 2 binary digits."""
+    bits = bytearray(b"0" * (n * (n - 1) // 2))
+    for u, v in edges:
+        i, j = sorted((int(u), int(v)))
+        bits[j * (j - 1) // 2 + i] = ord("1")
+    return int(bits, 2) if bits else 0
 
 
 def code_to_edges(n: int, code: int) -> tuple[tuple[int, int], ...]:
@@ -153,20 +153,19 @@ def code_to_edges(n: int, code: int) -> tuple[tuple[int, int], ...]:
 
 
 def graph6_like(n: int, code: int) -> str:
-    """graph6-style string for a canonical code (n <= 62)."""
-    if not (0 <= n <= 62):
-        raise ValueError(f"graph6 size byte requires 0 <= n <= 62, got {n}")
+    """Standard graph6 string of an adjacency code in the column order above.
+
+    The size is one byte up to n = 62 and "~" plus three 6-bit bytes up to
+    n = 2^18 - 1; the n (n - 1) / 2 bits follow, padded with zeros to a
+    multiple of 6 and written 6 to a byte."""
+    if not (0 <= n < 1 << 18):
+        raise ValueError(f"graph6 sizes are 0 <= n < 2^18, got {n}")
     total = n * (n - 1) // 2
-    bits = [(code >> (total - 1 - i)) & 1 for i in range(total)]
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(63 + n)]
-    for i in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[i:i + 6]:
-            value = (value << 1) | bit
-        chars.append(chr(63 + value))
-    return "".join(chars)
+    bits = format(code, f"0{total}b") if total else ""
+    bits += "0" * (-total % 6)
+    size = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    values = size + [int(bits[i:i + 6], 2) for i in range(0, len(bits), 6)]
+    return "".join(chr(63 + value) for value in values)
 
 
 def enumerate_regular_graphs(n: int, r: int) -> list[BaseGraph]:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -481,12 +482,37 @@ def test_search_sampling_odd_n_exits_2_before_drawing(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("drew a graph")
 
-    monkeypatch.setattr(frames, "_random_regular_edges", forbidden)
+    monkeypatch.setattr(frames, "_matching_union", forbidden)
     start = time.perf_counter()
     assert main(["search", "--r", "4", "--n-max", "21", "--frame", "equiangular3+I",
                  "--samples", "1"]) == 2
     assert time.perf_counter() - start < 10.0
     assert capsys.readouterr().out == ""
+
+
+def test_search_sampling_over_the_size_bound_exits_2_before_drawing(capsys, monkeypatch):
+    # n k = 200,000 would make a dense 200,000 x 200,000 adjacency
+    from mwgraph import frames
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(frames, "_matching_union", forbidden)
+    assert main(["search", "--r", "4", "--n-max", "100000", "--frame", "equiangular3+I",
+                 "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n * k = 200000 exceeds the limit of 4096\n"
+
+
+def test_search_sampling_shortfall_exits_2(capsys):
+    # about one 6-matching union in 2,000 is simple, so 400 draws fall short
+    assert main(["search", "--r", "6", "--n-max", "40", "--frame", "equiangular6",
+                 "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: drew [01] of the 2 requested graphs \(6-regular on 40 "
+                        r"vertices\) in 400 attempts\n", captured.err)
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -787,18 +787,35 @@ def chunked_scan(G, d, tol, keep_per_subset):
     return _BoundaryScan(best_tr, best_mask, float(alpha), min_rank, per)
 
 
+# five random cubic graphs with a proper 3-edge-colouring each, as (edges,
+# one colour per edge in sorted edge order), keyed by (n, seed).  The scan
+# tests below depend on these exact graphs (seed 2's has a boundary of rank
+# 1), so they are literals: sample_expanders drew them by the pairing model
+# and first backtracked colouring it used before it drew matching unions.
+CUBIC_SAMPLES = {
+    (16, 0): ("0-2 0-10 0-13 1-4 1-7 1-9 2-14 2-15 3-5 3-9 3-15 4-6 4-12 5-7 5-15 6-11 "
+              "6-13 7-13 8-9 8-11 8-14 10-12 10-14 11-12", "012021122012110010210022"),
+    (16, 1): ("0-3 0-6 0-8 1-4 1-9 1-11 2-7 2-8 2-10 3-5 3-7 4-10 4-15 5-12 5-14 6-11 "
+              "6-13 7-12 8-13 9-14 9-15 10-11 12-13 14-15", "012021201212110200110022"),
+    (16, 2): ("0-7 0-8 0-14 1-2 1-8 1-13 2-3 2-7 3-4 3-5 4-12 4-14 5-6 5-10 6-9 6-11 "
+              "7-15 8-15 9-10 9-11 10-14 11-12 12-13 13-15", "012021120221011210200102"),
+    (16, 3): ("0-7 0-9 0-14 1-3 1-5 1-13 2-8 2-10 2-15 3-4 3-13 4-11 4-15 5-7 5-14 6-7 "
+              "6-12 6-15 8-10 8-14 9-11 9-12 10-12 11-13", "012102102200121120202011"),
+    (20, 20): ("0-11 0-13 0-19 1-5 1-7 1-14 2-6 2-10 2-12 3-8 3-15 3-19 4-6 4-12 4-19 "
+               "5-8 5-17 6-15 7-11 7-13 8-14 9-12 9-15 9-16 10-17 10-18 11-17 13-18 "
+               "14-16 16-18", "012012021201120122200012011210"),
+}
+
+
 def equiangular3_sample(n, seed):
     """A random cubic graph on n vertices, weighted by the equiangular3 frame
     on a proper 3-edge-colouring (k = 2, d = 3/2)."""
-    from mwgraph.frames import (
-        build_expander,
-        equiangular_frame_2d,
-        proper_edge_coloring,
-        sample_expanders,
-    )
-    frame = equiangular_frame_2d(3)
-    (sample,) = sample_expanders(n, 3, frame, samples=1, seed=seed)
-    return build_expander(sample.graph, proper_edge_coloring(sample.graph, 3), frame)
+    from mwgraph.frames import build_expander, equiangular_frame_2d
+    from mwgraph.graphs import BaseGraph
+    edges, colours = CUBIC_SAMPLES[n, seed]
+    base = BaseGraph.from_edges(n, [map(int, e.split("-")) for e in edges.split()])
+    assert len(base.edges) == len(colours) == 3 * n // 2
+    return build_expander(base, tuple(map(int, colours)), equiangular_frame_2d(3))
 
 
 def identity3_sample(n, seed):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from mwgraph.frames import (
     named_frame,
     proper_edge_coloring,
     ratio_inequality_holds,
+    sample_expanders,
     search_expanders,
     verify_tight,
 )
-from mwgraph.graphs import BaseGraph, lift_identity
+from mwgraph.graphs import BaseGraph, is_connected_edges, lift_identity
 from mwgraph.linalg import kernel_dim
 from mwgraph.operators import assemble
 
@@ -521,7 +523,6 @@ def test_search_locates_known_eta_instance():
 
 
 def test_sample_expanders_beyond_exhaustive_cap():
-    from mwgraph.frames import sample_expanders
     frame = equiangular_frame_2d(3)
     first = sample_expanders(14, 3, frame, samples=3, seed=7)
     assert len(first) == 3
@@ -537,12 +538,55 @@ def test_sample_expanders_beyond_exhaustive_cap():
 
 
 def test_sample_expanders_rejects_impossible():
-    from mwgraph.frames import sample_expanders
     with pytest.raises(ValueError):
         sample_expanders(5, 3, equiangular_frame_2d(3), samples=1)  # odd n * odd r
     with pytest.raises(NotColorableError):
         # 4-regular graphs on 21 vertices exist, proper 4-edge-colorings do not
         sample_expanders(21, 4, augment_with_identity(equiangular_frame_2d(3)), samples=1)
+
+
+def decode_graph6(text):
+    """(n, edges) of a graph6 string whose size is one byte, or "~" and three."""
+    values = [ord(ch) - 63 for ch in text]
+    if values[0] == 63:
+        n, values = (values[1] << 12) | (values[2] << 6) | values[3], values[4:]
+    else:
+        n, values = values[0], values[1:]
+    bits = "".join(format(value, "06b") for value in values)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    assert len(bits) == len(pairs) + (-len(pairs) % 6) and "1" not in bits[len(pairs):]
+    return n, sorted(pair for pair, bit in zip(pairs, bits) if bit == "1")
+
+
+@pytest.mark.parametrize("r, n, name, d", [(4, 100, "equiangular3+I", 2.5),
+                                           (3, 80, "equiangular3", 1.5)])
+def test_sample_expanders_draw_coloured_graphs(monkeypatch, r, n, name, d):
+    # sizes at which a backtracking colouring search stalls; each colour
+    # class is drawn as a perfect matching, so no colouring is searched
+    from mwgraph import frames
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("searched for a colouring")
+
+    monkeypatch.setattr(frames, "iter_proper_colorings", forbidden)
+    monkeypatch.setattr(frames, "proper_edge_coloring", forbidden)
+    frame = named_frame(name, r)
+    start = time.perf_counter()
+    first = sample_expanders(n, r, frame, samples=3, seed=0)
+    assert time.perf_counter() - start < 10.0
+    assert len(first) == 3
+    for res in first:
+        edges = res.graph.edges
+        assert res.n == res.graph.n == n and len(edges) == len(res.coloring) == n * r // 2
+        for c in range(r):
+            ends = sorted(x for e, col in zip(edges, res.coloring) if col == c for x in e)
+            assert ends == list(range(n)), f"colour {c} is not a perfect matching"
+        assert is_connected_edges(n, edges)
+        assert res.report.d == pytest.approx(d, abs=1e-10)
+        assert decode_graph6(res.code) == (n, list(edges))
+    second = sample_expanders(n, r, frame, samples=3, seed=0)
+    assert [(res.graph, res.code, res.coloring, res.report) for res in first] == \
+           [(res.graph, res.code, res.coloring, res.report) for res in second]
 
 
 def test_search_workers_match_serial():

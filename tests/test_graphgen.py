@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,32 @@ def test_graph6_known_strings():
     assert graph6_like(2, canonical_code(2, [(0, 1)])) == "A_"
     assert graph6_like(3, canonical_code(3, [(0, 1), (1, 2), (0, 2)])) == "Bw"
     assert graph6_like(4, canonical_code(4, list(itertools.combinations(range(4), 2)))) == "C~"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 64, 200])
+def test_graph6_matches_networkx_at_every_size(rng, n):
+    # one size byte up to n = 62, "~" and three size bytes above; n = 200
+    # has a code of 19,900 bits, whose decimal string Python refuses to make
+    import networkx as nx
+    for p in (0.0, 0.05, 0.5):
+        edges = [(int(u), int(v)) for u, v in
+                 rng.integers(0, max(n, 1), size=(int(p * n * n / 2), 2)) if u != v]
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(edges)
+        expected = nx.to_graph6_bytes(G, header=False).decode().rstrip("\n")
+        assert graph6_like(n, edges_code(n, edges)) == expected
+
+
+def test_graph6_is_linear_in_the_bits():
+    # a cycle with chords on 1,000 vertices: 499,500 bits, which a writer
+    # quadratic in the bits takes seconds over
+    n = 1000
+    edges = [(i, (i + step) % n) for i in range(n) for step in (1, 7)]
+    start = time.perf_counter()
+    text = graph6_like(n, edges_code(n, edges))
+    assert time.perf_counter() - start < 1.0
+    assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
 
 
 def test_enumerate_cubic_counts(monkeypatch):
