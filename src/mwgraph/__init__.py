@@ -73,7 +73,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     is_psd,
-    kernel_dim,
     pseudo_sqrt_inv,
 )
 from .operators import (

@@ -95,7 +95,7 @@ def edge_count(G: MatrixWeightedGraph, S: Iterable[int], T: Iterable[int]) -> np
     smask = subset_mask(S, n)
     tmask = subset_mask(T, n)
     E = np.zeros((G.k, G.k))
-    for (u, v), w in G.weights.items():
+    for (u, v), w in zip(G.base.edges, G.weight_stack):
         if (smask >> u) & 1 and (tmask >> v) & 1:
             E = E + w
         if (smask >> v) & 1 and (tmask >> u) & 1:
@@ -456,7 +456,7 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
     # bits, and the subsets it crosses when an even or an odd number of
     # those ends lie in S: a bool row, all of them (True) or none (None)
     terms = []
-    for (u, v), w in G.weights.items():
+    for (u, v), w in zip(G.base.edges, G.weight_stack):
         if v < b:
             rows = (bits[u] ^ bits[v], None)
         elif u == 0:

@@ -42,9 +42,10 @@ from .linalg import (DEFAULT_TOL, Tolerances, as_symmetric, is_projection, keep_
 from .operators import OperatorBundle, assemble
 
 SEARCH_MAX_N = 12
-# sample_expanders gives up after this many matching-union draws per sample;
-# at r = 4 about one draw in 20 is simple and connected, at r = 6 one in 2,000
-MAX_ATTEMPTS_PER_SAMPLE = 200
+# sample_expanders refuses, before its first draw, a request whose draw
+# budget, samples * _draw_budget(r), passes this: r = 6 up to 13 samples,
+# r = 7 (726,311 draws a sample) never
+MAX_SAMPLE_DRAWS = 500_000
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,8 @@ def build_expander(g: BaseGraph, colors: tuple[int, ...], f: FusionFrame,
         at_vertex[u].add(c)
         at_vertex[v].add(c)
     verify_tight(f, tol)
-    items = [(u, v, f.projections[c]) for (u, v), c in zip(g.edges, colors)]
-    return MatrixWeightedGraph.from_weights(g.n, f.k, items, tol)
+    stack = np.array(f.projections).reshape(r, f.k, f.k)[list(colors)]
+    return MatrixWeightedGraph._from_stack(g.n, f.k, g.edges, stack, tol)
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def eta(ops: OperatorBundle) -> ExpanderReport:
     d = require_scalar_regular(reg, positive=True)
     k = G.k
     ranks = set()
-    for e, w in G.weights.items():
+    for e, w in zip(G.base.edges, G.weight_stack):
         if not is_projection(w, tol):
             raise NotProjectionWeightsError(f"weight on edge {e} is not a projection")
         ranks.add(round(float(np.trace(w))))
@@ -375,6 +376,13 @@ def _matching_union(rng, n: int, r: int):
     return edges, tuple((order // (n // 2)).tolist())
 
 
+def _draw_budget(r: int) -> int:
+    """Matching-union draws allowed per sample: about 20 times the mean
+    e^(r(r-1)/4) that one simple union takes, and at least 200, which r = 2
+    needs on large n, where few unions of two matchings are connected."""
+    return max(200, math.ceil(20 * math.exp(r * (r - 1) / 4)))
+
+
 def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
                      seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> list[SearchResult]:
     """Seeded random-sampling mode for sizes beyond the exhaustive cap.
@@ -384,14 +392,15 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
     is simple and connected: a properly coloured r-regular graph with no
     colouring search.  For r >= 3 this model is contiguous to the uniform
     r-regular graph (Molloy, Robalewska, Robinson & Wormald 1997); about
-    e^(-r(r-1)/4) of the draws are simple, so the attempt budget reaches
-    r <= 4 comfortably and r = 5 only at times.  The records are those of
+    e^(-r(r-1)/4) of the draws are simple, so each sample is allowed
+    _draw_budget(r) draws, which reaches r <= 6.  The records are those of
     search_expanders.  Graphs are not canonicalized, so repeats can occur;
     the result is deterministic for a fixed seed.
 
     Raises TooLarge, before the first draw, when nk exceeds LOAD_MAX_NK,
-    the bound on one dense nk x nk operator, and SampleShortfall when
-    MAX_ATTEMPTS_PER_SAMPLE draws per sample yield fewer than `samples`.
+    the bound on one dense nk x nk operator, or the draw budget exceeds
+    MAX_SAMPLE_DRAWS (r >= 7), and SampleShortfall when the budget yields
+    fewer than `samples` graphs.
     """
     if r != len(f):
         raise ValueError(f"frame has {len(f)} elements but r = {r}")
@@ -402,12 +411,16 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
                                 f"({n}): each color class would be a perfect matching")
     if n * f.k > LOAD_MAX_NK:
         raise TooLargeError(f"n * k = {n * f.k} exceeds the limit of {LOAD_MAX_NK}")
+    budget = samples * _draw_budget(r)
+    if budget > MAX_SAMPLE_DRAWS:
+        raise TooLargeError(f"{samples} samples at r = {r} may take {budget} draws, "
+                            f"over the limit of {MAX_SAMPLE_DRAWS}")
     verify_tight(f, tol)
     rng = np.random.default_rng(seed)
     results: list[SearchResult] = []
     attempts = 0
     while len(results) < samples:
-        if attempts == MAX_ATTEMPTS_PER_SAMPLE * samples:
+        if attempts == budget:
             raise SampleShortfallError(
                 f"drew {len(results)} of the {samples} requested graphs "
                 f"({r}-regular on {n} vertices) in {attempts} attempts")

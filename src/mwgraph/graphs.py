@@ -1,17 +1,20 @@
 """Data model for matrix-weighted graphs and the MWG-JSON on-disk format.
 
 A matrix-weighted graph is an undirected simple graph plus a k x k PSD
-weight matrix per edge.  Multi-edges are representable because weights add;
-load() merges duplicate pairs by matrix summation, so one stored matrix per
-pair keeps W_uv well-defined.  A zero weight means "no edge" and is dropped
-on save.  An ordinary weighted graph is the k = 1 case, with w_e = W_e[0, 0];
-lift_identity turns one into the weighting w_e * I_k.
+weight matrix per edge, stored as the sorted edges and one aligned
+(m, k, k) weight stack.  Multi-edges are representable because weights add;
+the one constructor merges duplicate pairs by matrix summation, so one
+stored matrix per pair keeps W_uv well-defined.  A zero weight means "no
+edge" and is dropped on save.  An ordinary weighted graph is the k = 1
+case, with w_e = W_e[0, 0]; lift_identity turns one into the weighting
+w_e * I_k.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,13 +90,15 @@ def is_connected_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
 class MatrixWeightedGraph:
     """Base graph plus one k x k PSD weight matrix per edge.
 
-    Immutable after construction (weight arrays are marked read-only);
-    freely shareable across threads.  An absent pair means the zero matrix.
+    ``weight_stack[i]`` is the weight on ``base.edges[i]``, so the sorted
+    edges and the (m, k, k) stack are the whole graph.  Immutable after
+    construction (the stack is read-only); freely shareable across threads.
+    An absent pair means the zero matrix.
     """
 
     base: BaseGraph
     k: int
-    weights: Mapping[Edge, np.ndarray]
+    weight_stack: np.ndarray
 
     @classmethod
     def from_weights(cls, n: int, k: int,
@@ -102,7 +107,8 @@ class MatrixWeightedGraph:
         """Build from (u, v, matrix) triples; duplicate pairs merge by summation."""
         if k < 1:
             raise ValueError(f"block size k must be >= 1, got {k}")
-        merged: dict[Edge, np.ndarray] = {}
+        ends: list[int] = []
+        weights = []
         for u, v, w in items:
             u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
@@ -114,22 +120,43 @@ class MatrixWeightedGraph:
             if arr.shape != (k, k):
                 raise ValueError(
                     f"weight for edge ({u}, {v}) has shape {arr.shape}, expected ({k}, {k})")
-            key = _norm_edge(u, v)
-            merged[key] = merged.get(key, np.zeros((k, k))) + arr
-        keys = sorted(merged)
-        stack = np.array([merged[key] for key in keys]).reshape(len(keys), k, k)
-        sym = _checked_psd(stack, tol, lambda i: f"weight on edge {keys[i]} is not PSD")
+            ends += (u, v)
+            weights.append(arr)
+        return cls._from_stack(n, k, ends, np.array(weights).reshape(-1, k, k), tol)
+
+    @classmethod
+    def _from_stack(cls, n: int, k: int, ends, stack: np.ndarray,
+                    tol: Tolerances = DEFAULT_TOL) -> "MatrixWeightedGraph":
+        """The graph with weight stack[i] on pair i of ends, an (m, 2) array
+        of endpoints or anything that reshapes to one, with no self-loop:
+        the first pair outside 0..n-1 is an error, duplicate pairs are
+        summed in input order from zero, and the sums are validated
+        (finite, symmetric, PSD) in sorted pair order."""
+        pairs = np.asarray(ends).reshape(-1, 2)
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if outside.any():
+            # read from ends itself: an int past int64 makes pairs inexact
+            u, v = np.asarray(ends, dtype=object).reshape(-1, 2)[int(np.argmax(outside))]
+            raise IndexOutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
+        pairs = pairs.astype(np.int64)
+        keys, slot = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1), return_inverse=True)
+        merged = np.zeros((len(keys), k, k))
+        # unbuffered, in input order: each duplicate pair sums as a loop would
+        np.add.at(merged, slot, stack)
+        lo, hi = np.divmod(keys, n)
+        edges = tuple(zip(lo.tolist(), hi.tolist()))
+        sym = _checked_psd(merged, tol, lambda i: f"weight on edge {edges[i]} is not PSD")
         sym.setflags(write=False)
-        weights = dict(zip(keys, sym))
-        base = BaseGraph(n, tuple(keys))
-        return cls(base, k, weights)
+        return cls(BaseGraph(n, edges), k, sym)
 
     def weight(self, u: int, v: int) -> np.ndarray:
         """W_uv; the zero matrix when u and v are not adjacent."""
-        w = self.weights.get(_norm_edge(u, v))
-        if w is None:
-            return np.zeros((self.k, self.k))
-        return w
+        edges = self.base.edges
+        pair = _norm_edge(u, v)
+        i = bisect.bisect_left(edges, pair)
+        if i < len(edges) and edges[i] == pair:
+            return self.weight_stack[i]
+        return np.zeros((self.k, self.k))
 
 
 @dataclass(frozen=True)
@@ -151,11 +178,6 @@ class Regularity:
         return self.kind == "scalar"
 
 
-def _weight_stack(G: MatrixWeightedGraph) -> np.ndarray:
-    """G's weights as an (m, k, k) stack, in the order of ``G.weights``."""
-    return np.array(list(G.weights.values())).reshape(len(G.weights), G.k, G.k)
-
-
 def _degree_sums(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
     """The (n, k, k) degree blocks of weights[i] on edges[i]: each D_v is the
     sum of the weights at v, added in edge order."""
@@ -163,10 +185,6 @@ def _degree_sums(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarr
     # unbuffered, in index order: u0, v0, u1, v1, ...
     np.add.at(out, np.array(edges, dtype=np.intp).reshape(-1), np.repeat(weights, 2, axis=0))
     return out
-
-
-def all_degrees(G: MatrixWeightedGraph) -> list[np.ndarray]:
-    return list(_degree_sums(G.base.n, list(G.weights), _weight_stack(G)))
 
 
 def _regularity(degs: np.ndarray, geo: tuple[int, ...], tol: Tolerances) -> Regularity:
@@ -190,8 +208,8 @@ def lift_identity(g: MatrixWeightedGraph, k: int) -> MatrixWeightedGraph:
         raise ValueError(f"lift_identity requires k = 1, got k = {g.k}")
     if k < 1:
         raise ValueError(f"block size k must be >= 1, got {k}")
-    items = [(u, v, w[0, 0] * np.eye(k)) for (u, v), w in g.weights.items()]
-    return MatrixWeightedGraph.from_weights(g.base.n, k, items)
+    return MatrixWeightedGraph._from_stack(g.base.n, k, g.base.edges,
+                                           g.weight_stack[:, :1, :1] * np.eye(k))
 
 
 # --- MWG-JSON format -------------------------------------------------------
@@ -221,7 +239,8 @@ def load(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGrap
         raise ParseError(f"invalid header: k={doc.get('k')}, n={doc.get('n')}")
     if n * k > LOAD_MAX_NK:
         raise TooLargeError(f"n * k = {n * k} exceeds the limit of {LOAD_MAX_NK}")
-    items = []
+    ends: list[int] = []
+    entries: list[float] = []
     for i, ed in enumerate(edge_docs):
         try:
             u = jsonio.integer(ed["u"], "u")
@@ -234,16 +253,17 @@ def load(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGrap
                 f"edge ({u}, {v}) has {len(w)} weight entries, expected {k * k}")
         if u == v:
             raise ParseError(f"self-loop at vertex {u}")
-        items.append((u, v, np.array(w).reshape(k, k)))
-    return MatrixWeightedGraph.from_weights(n, k, items, tol)
+        ends += (u, v)
+        entries += w
+    stack = np.array(entries, dtype=float).reshape(-1, k, k)
+    return MatrixWeightedGraph._from_stack(n, k, ends, stack, tol)
 
 
 def save(G: MatrixWeightedGraph) -> bytes:
     """Serialize to canonical MWG-JSON (sorted edges, zero weights dropped)."""
-    edges = []
-    for (u, v), w in sorted(G.weights.items()):
-        if not np.any(w):
-            continue
-        edges.append({"u": u, "v": v, "w": [float(x) for x in w.ravel()]})
+    flat = G.weight_stack.reshape(len(G.base.edges), G.k * G.k)
+    edges = [{"u": u, "v": v, "w": w}
+             for (u, v), w, nonzero in zip(G.base.edges, flat.tolist(), flat.any(axis=1))
+             if nonzero]
     doc = {"k": G.k, "n": G.base.n, "edges": edges}
     return jsonio.dumps(doc).encode("utf-8")

@@ -27,8 +27,7 @@ stack raises the error a per-block loop would raise first.
 
 A graph's kn x kn operators are not solved here but once, in
 ``operators.OperatorBundle``; ``kernel_dim_of_values`` counts dim ker L
-from the bundle's ``laplacian_values``, and ``kernel_dim`` is the same
-count for a matrix given as such.
+from the bundle's ``laplacian_values``.
 """
 
 from __future__ import annotations
@@ -53,9 +52,10 @@ class Tolerances:
 
     sym_tol bounds |M - M^T| entrywise.  The others become cutoffs by four
     rules, each written once, below, at a scale (top: a largest eigenvalue):
-    - PSD floor (is_psd, kernel_dim): min eig >= -psd_tol * max(1, ||M||_2);
-    - zero cutoff (kernel_dim, vol(G)'s singularity, Cheeger boundary
-      ranks): a value <= rank_rel_tol * max(1, top) counts as zero;
+    - PSD floor (is_psd, kernel_dim_of_values): min eig >=
+      -psd_tol * max(1, ||M||_2);
+    - zero cutoff (kernel_dim_of_values, vol(G)'s singularity, Cheeger
+      boundary ranks): a value <= rank_rel_tol * max(1, top) counts as zero;
     - keep cutoff, unfloored (pseudo_sqrt_inv, sheaf edge factors,
       rigid_motions, eta's multiplicity of d): keep > rank_rel_tol * max(top, 0);
     - residual allowance (projection, tightness, regularity and sheaf
@@ -192,15 +192,10 @@ def pseudo_sqrt_inv(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _pseudo_sqrt_inv(as_symmetric(m, tol)[None], tol)[0]
 
 
-def kernel_dim(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of eigenvalues of a PSD matrix at or below zero_cutoff(lambda_max)."""
-    return kernel_dim_of_values(np.linalg.eigvalsh(as_symmetric(m, tol)), tol)
-
-
 def kernel_dim_of_values(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """kernel_dim, PSD check included, from the ascending eigenvalues of a
-    symmetric matrix already solved, such as an ``OperatorBundle``'s
-    ``laplacian_values``."""
+    """The kernel dimension of a PSD matrix, PSD check included, from its
+    ascending eigenvalues already solved, such as an ``OperatorBundle``'s
+    ``laplacian_values``: the number at or below zero_cutoff(lambda_max)."""
     if values.size == 0:
         return 0
     if not _values_psd(values[None], tol.psd_tol)[0]:

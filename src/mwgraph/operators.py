@@ -7,8 +7,9 @@ vertices are handled uniformly.  The trace weighting w_e = tr(W_e), a k = 1
 graph that the trace bounds compare with L_W and A_W, is read as the
 bundle's n x n ``trace_adjacency``.  ``assemble`` pairs a graph with its
 tolerances in an ``OperatorBundle``, which forms each operator on first read.
-L is placed from a stack of edge weights by ``_weighted_laplacian``, which
-the sheaf check also feeds the weights B_e^T B_e of its edge factors.
+D, A and L are placed from the graph's ``base.edges`` and ``weight_stack``;
+``_weighted_laplacian`` places L so from any weight stack, and the sheaf
+check feeds it the weights B_e^T B_e of its edge factors.
 
 The bundle is the one place a graph operator is solved: the spectra of L,
 A, their normalized forms and the trace weighting are its cached
@@ -34,8 +35,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MwgError
-from .graphs import (Edge, MatrixWeightedGraph, Regularity, _degree_sums, _regularity,
-                     _weight_stack, all_degrees)
+from .graphs import Edge, MatrixWeightedGraph, Regularity, _degree_sums, _regularity
 from .linalg import DEFAULT_TOL, Tolerances, _pseudo_sqrt_inv
 
 CHECK_TOL = 1e-8
@@ -153,7 +153,8 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
 
 def _weighted_laplacian(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
     """D - A for the weights[i] on edges[i], placed as a bundle places its
-    L: fed a graph's own ``_weight_stack``, it gives the bundle's L bitwise."""
+    L: fed a graph's own edges and weight stack, it gives the bundle's L
+    bitwise."""
     return _block_diagonal(_degree_sums(n, edges, weights)) - _adjacency(n, edges, weights)
 
 
@@ -185,7 +186,7 @@ class OperatorBundle:
 
     ``assemble`` fixes ``graph`` and ``tol``; every other field is formed,
     with ``tol``, the first time it is read: the degree blocks D_v (summed
-    by ``all_degrees``) and ``regularity``, A, D (placed from the blocks)
+    by ``_degree_sums``) and ``regularity``, A, D (placed from the blocks)
     and L, the normalized operators and D^(+/2), ``trace_adjacency`` and
     the ascending spectra of L, A, both normalized forms and the trace
     weighting's Laplacian and adjacency (one ``eigvalsh`` each), from which
@@ -209,13 +210,13 @@ class OperatorBundle:
     @cached_property
     def degree_blocks(self) -> np.ndarray:
         """The (n, k, k) stack of degree blocks D_v."""
-        blocks = np.array(all_degrees(self.graph)).reshape(self.n, self.k, self.k)
+        blocks = _degree_sums(self.n, self.graph.base.edges, self.graph.weight_stack)
         blocks.setflags(write=False)
         return blocks
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        return _adjacency(self.n, list(self.graph.weights), _weight_stack(self.graph))
+        return _adjacency(self.n, self.graph.base.edges, self.graph.weight_stack)
 
     @cached_property
     def degree(self) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError, TooLargeError
-from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph, _weight_stack
+from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph
 from .linalg import (DEFAULT_TOL, Tolerances, _spectral_norms, as_symmetric, keep_cutoff,
                      kernel_dim_of_values, residual_allowance, residual_scale)
 from .operators import BoundReport, OperatorBundle, Stacked, _weighted_laplacian, assemble
@@ -63,18 +63,18 @@ def _sheaf_checks(group: list[OperatorBundle]) -> list[tuple[float, np.ndarray]]
     the group's from one eigh; the residuals' norms come from one
     ``_spectral_norms`` of the stack.  dim H^0 counts the eigenvalues
     sigma^2 of delta^T delta, clipped at 0 (it is PSD, so a negative one is
-    rounding), that are zero in kernel_dim: the zero cutoff at sigma_max^2,
-    in the units of delta's squared singular values.  They come from one
-    stacked eigvalsh, the routine kernel_dim(L) reads, so where delta^T
-    delta has L's bits the two counts agree; the basis is that many
+    rounding), that are zero in kernel_dim_of_values: the zero cutoff at
+    sigma_max^2, in the units of delta's squared singular values.  They come
+    from one stacked eigvalsh, the routine dim ker L is read from, so where
+    delta^T delta has L's bits the two counts agree; the basis is that many
     eigenvectors from one eigh.
     """
     tol = group[0].tol
-    stacks = [_weight_stack(ops.graph) for ops in group]
-    factored = _factored_weights(np.concatenate(stacks), tol)
-    offsets = np.cumsum([0] + [len(stack) for stack in stacks])
-    grams = np.stack([_weighted_laplacian(ops.n, list(ops.graph.weights), factored[a:b])
-                      for ops, a, b in zip(group, offsets, offsets[1:])])
+    graphs = [ops.graph for ops in group]
+    factored = _factored_weights(np.concatenate([G.weight_stack for G in graphs]), tol)
+    offsets = np.cumsum([0] + [len(G.base.edges) for G in graphs])
+    grams = np.stack([_weighted_laplacian(G.base.n, G.base.edges, factored[a:b])
+                      for G, a, b in zip(graphs, offsets, offsets[1:])])
     residuals = _spectral_norms(grams - np.stack([ops.laplacian for ops in group]))
     dims = [kernel_dim_of_values(np.maximum(sigma2, 0.0), tol)
             for sigma2 in np.linalg.eigvalsh(grams)]
@@ -88,15 +88,14 @@ sheaf_check = Stacked(_sheaf_checks, "sheaf_check")
 
 
 def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
-    """The factorization check, the global sections and kernel_dim(L), in
-    that order, from the bundle's ``sheaf_check`` and its one eigensolve of L.
+    """The factorization check, the global sections and dim ker L, in that
+    order, from the bundle's ``sheaf_check`` and its one eigensolve of L.
 
     The check is ||delta^T delta - L|| <= residual_allowance(||L||).  The
     global sections are an orthonormal basis of H^0 = ker(delta), as
-    columns, so their number is kernel_dim(L) exactly when ker delta = ker L.
-    ||L|| and kernel_dim(L) are read off the bundle's ``laplacian_values``:
-    L is assembled exactly symmetric, so this is the count, and the PSD
-    check, that kernel_dim(L) gives."""
+    columns, so their number is dim ker L exactly when ker delta = ker L.
+    ||L|| and dim ker L, PSD check included, are read off the bundle's
+    ``laplacian_values`` by ``kernel_dim_of_values``."""
     err, sections = sheaf_check.of(ops)
     norm = ops.laplacian_norm
     report = BoundReport.simple("sheaf_factorization", err, residual_allowance(norm, ops.tol),
@@ -173,7 +172,7 @@ def truss_to_mwg(t: Truss, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGraph
 
 
 def truss_rigidity(t: Truss, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, float]:
-    """kernel_dim of the stiffness matrix L, the rigid motions M of the joints,
+    """dim ker L of the stiffness matrix L, the rigid motions M of the joints,
     and the residual max|L M| / max(1, ||L||_2) (0.0 when there are none)."""
     ops = assemble(truss_to_mwg(t, tol), tol)
     motions = rigid_motions(t.points, tol)

@@ -169,7 +169,7 @@ def reference_normalized(ops):
 def reference_trace_adjacency(G):
     """The n x n trace weighting, one np.trace per edge weight."""
     A = np.zeros((G.base.n, G.base.n))
-    for (u, v), w in G.weights.items():
+    for (u, v), w in zip(G.base.edges, G.weight_stack):
         A[u, v] = np.trace(w)
         A[v, u] = np.trace(w)
     return A
@@ -191,7 +191,7 @@ def reference_coboundary(G, orientation=None, tol=DEFAULT_TOL):
     by default the tail is the smaller end."""
     k, n = G.k, G.base.n
     rows = [np.zeros((0, k * n))]
-    for e, w in G.weights.items():
+    for e, w in zip(G.base.edges, G.weight_stack):
         B = reference_sqrt_factor(w, tol)
         tail, head = (orientation or {}).get(e, e)
         block = np.zeros((B.shape[0], k * n))

@@ -58,21 +58,30 @@ def pass_calls(suite):
     from mwgraph import acceptance, frames, graphs, linalg, operators, sheaf
     from mwgraph.operators import OperatorBundle
     members = list(suite.corpus())
+    factored = []  # the weights of each _factored_weights call
+    real_factored = sheaf._factored_weights
+
+    def factoring(sym, *args):
+        factored.append(len(sym))
+        return real_factored(sym, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(suite, "corpus", lambda: iter(members))
+        mp.setattr(sheaf, "_factored_weights", factoring)
         calls = {
             "assemble": count_calls(mp, "assemble", acceptance, operators, sheaf),
             # every regularity test runs _regularity
             "regularity": count_calls(mp, "_regularity", graphs, operators),
             "trace_adjacency": count_calls(mp, "func",
                                            OperatorBundle.__dict__["trace_adjacency"]),
-            "sheaf_weights": count_calls(mp, "_weight_stack", sheaf),
             "as_symmetric": count_calls(mp, "as_symmetric", linalg, sheaf, frames),
             **{name: count_calls(mp, name, np.linalg)
                for name in ("eigvalsh", "eigh", "norm", "svd")},
         }
         acceptance._CorpusPass(suite)
-    return {"members": len(members), **{name: len(made) for name, made in calls.items()}}
+    return {"members": len(members), "edges": sum(len(G.base.edges) for _, G in members),
+            "sheaf_weights": len(factored), "factored_weights": sum(factored),
+            **{name: len(made) for name, made in calls.items()}}
 
 
 def test_a3_one_assembly_per_graph(suite, pass_calls):
@@ -155,13 +164,16 @@ def test_a4_sheaf_factorization(suite):
 
 
 def test_a4_one_analysis_per_graph(suite, pass_calls):
-    # the sheaf analysis reads the pass's bundle; kernel_dim(L) comes from its
+    # the sheaf analysis reads the pass's bundle; dim ker L comes from its
     # laplacian_values and the sheaf check factors the stored weights, which
-    # from_weights symmetrized already, so nothing is symmetrized again
+    # from_weights symmetrized already, so nothing is symmetrized again.
+    # Each member's weights are factored once, in one call per shape group
+    # of a chunk (362 at seed 0)
     assert suite.a4_sheaf_factorization().passed
     graphs = pass_calls["members"]
-    assert (pass_calls["assemble"], pass_calls["sheaf_weights"],
-            pass_calls["as_symmetric"]) == (graphs, graphs, 0)
+    assert (pass_calls["assemble"], pass_calls["as_symmetric"]) == (graphs, 0)
+    assert (pass_calls["sheaf_weights"], pass_calls["factored_weights"]) == (
+        362, pass_calls["edges"])
 
 
 def test_a5_regular_eml(suite):

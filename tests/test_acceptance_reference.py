@@ -206,8 +206,7 @@ def test_atlas_lifts_match_identity_lifts():
     assert len(lifts) == len(expected) == 624
     for G, H in zip(lifts, expected):
         assert (G.base, G.k) == (H.base, H.k)
-        assert list(G.weights) == list(H.weights)
-        assert all(G.weights[e].tobytes() == H.weights[e].tobytes() for e in G.weights)
+        assert G.weight_stack.tobytes() == H.weight_stack.tobytes()
 
 
 CORPUS_CRITERIA = ("A2", "A3", "A4", "A5", "A6", "A7")
@@ -282,14 +281,14 @@ def _sheaf_direct(ops):
     weight, the Gram matrix's residual from L and its kernel columns,
     counted on its eigvalsh."""
     factored = []
-    for w in ops.graph.weights.values():
+    for w in ops.graph.weight_stack:
         values, vectors = np.linalg.eigh(w)
         kept = np.where(values > keep_cutoff(values[-1], ops.tol), values, 0.0)
         factor_t = vectors * np.sqrt(kept)
         gram = factor_t @ factor_t.T
         factored.append((gram + gram.T) / 2.0)
     stack = np.array(factored).reshape(len(factored), ops.k, ops.k)
-    gram = _weighted_laplacian(ops.n, list(ops.graph.weights), stack)
+    gram = _weighted_laplacian(ops.n, ops.graph.base.edges, stack)
     h0 = kernel_dim_of_values(np.maximum(np.linalg.eigvalsh(gram), 0.0), ops.tol)
     return np.linalg.norm(gram - ops.laplacian, 2), np.linalg.eigh(gram)[1][:, :h0]
 
@@ -320,7 +319,7 @@ def test_stacked_fill_is_bitwise_each_members_own(seed):
     # every quantity the pass solves per shape group of a chunk has the bits
     # of the member's own single-bundle read and of a 2-D numpy call.  The
     # sheaf check's H^0 has the dimension of ker delta, delta the dense
-    # coboundary, so A4 compares it with kernel_dim(L) as delta would
+    # coboundary, so A4 compares it with dim ker L as delta would
     from mwgraph import acceptance
     members = [G for _, G in Suite(seed=seed).corpus()]
     assert len(members) == 1626
@@ -330,7 +329,7 @@ def test_stacked_fill_is_bitwise_each_members_own(seed):
         bundles = [assemble(G) for G in chunk]
         solve_stacked(bundles, acceptance._STACKED)
         for G, ops in zip(chunk, bundles):
-            shapes.add((ops.n, ops.k, len(G.weights) > 0))
+            shapes.add((ops.n, ops.k, len(G.base.edges) > 0))
             alone = assemble(G)
             for quantity, direct in zip(acceptance._STACKED, _direct(alone)):
                 assert quantity.name in ops.__dict__
@@ -350,7 +349,7 @@ def _outcomes_and_references(suite, reference_suite):
 
 @pytest.mark.parametrize("module_name, function_name, cid", [
     ("operators", "_pseudo_sqrt_inv", "A2"),
-    ("sheaf", "_weight_stack", "A4"),
+    ("sheaf", "_factored_weights", "A4"),
 ])
 def test_stacked_solve_failing_mid_chunk_keeps_attribution(monkeypatch, module_name,
                                                            function_name, cid):
@@ -362,18 +361,17 @@ def test_stacked_solve_failing_mid_chunk_keeps_attribution(monkeypatch, module_n
     marked = chunk[70 - 64]
     assert sum((G.base.n, G.k) == (marked.base.n, marked.k) for G in chunk) > 1
     # what marks member 70 in the argument: its first degree block in the
-    # stack _pseudo_sqrt_inv takes, its first edge weight in the graph whose
-    # weights the sheaf check stacks
+    # stack _pseudo_sqrt_inv takes, its first edge weight in the stack of
+    # weights _factored_weights takes
     if module_name == "operators":
         marker = assemble(marked).degree_blocks[0].tobytes()
     else:
-        marker = next(iter(marked.weights.values())).tobytes()
+        marker = marked.weight_stack[0].tobytes()
     module = importlib.import_module(f"mwgraph.{module_name}")
     real = getattr(module, function_name)
 
     def failing(arg, *args, **kwargs):
-        blocks = arg if module_name == "operators" else arg.weights.values()
-        if any(block.tobytes() == marker for block in blocks):
+        if any(block.tobytes() == marker for block in arg):
             raise NotPsdError("member 70 failed")
         return real(arg, *args, **kwargs)
 

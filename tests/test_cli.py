@@ -1,7 +1,6 @@
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -65,7 +64,7 @@ def test_spectrum_assembles_once(k4_abc_file, capsys, monkeypatch):
 def test_spectrum_sums_degrees_once(k4_abc_file, capsys, monkeypatch):
     # assemble sums the degree blocks; the regularity report reads them back
     from mwgraph import graphs, operators
-    summed = count_calls(monkeypatch, "all_degrees", graphs, operators)
+    summed = count_calls(monkeypatch, "_degree_sums", graphs, operators)
     assert main(["--format", "json", "spectrum", str(k4_abc_file)]) == 0
     assert len(summed) == 1
 
@@ -402,7 +401,7 @@ def test_build_expander_assembles_once(k4_scalar_file, capsys, monkeypatch):
     # the regularity report and eta read one bundle
     from mwgraph import cli, frames, graphs, operators
     assembled = count_calls(monkeypatch, "assemble", cli, frames, operators)
-    summed = count_calls(monkeypatch, "all_degrees", graphs, operators)
+    summed = count_calls(monkeypatch, "_degree_sums", graphs, operators)
     assert main(["--format", "json", "build-expander", str(k4_scalar_file),
                  "--frame", "equiangular3"]) == 0
     assert len(assembled) == 1
@@ -505,14 +504,16 @@ def test_search_sampling_over_the_size_bound_exits_2_before_drawing(capsys, monk
     assert captured.err == "error: n * k = 200000 exceeds the limit of 4096\n"
 
 
-def test_search_sampling_shortfall_exits_2(capsys):
-    # about one 6-matching union in 2,000 is simple, so 400 draws fall short
+def test_search_sampling_shortfall_exits_2(capsys, monkeypatch):
+    # every draw is rejected, so both samples' budgets of 36,161 draws run out
+    from mwgraph import frames
+    monkeypatch.setattr(frames, "_matching_union", lambda rng, n, r: None)
     assert main(["search", "--r", "6", "--n-max", "40", "--frame", "equiangular6",
                  "--samples", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: drew [01] of the 2 requested graphs \(6-regular on 40 "
-                        r"vertices\) in 400 attempts\n", captured.err)
+    assert captured.err == ("error: drew 0 of the 2 requested graphs (6-regular on 40 "
+                            "vertices) in 72322 attempts\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -680,7 +680,7 @@ def assert_scan_matches_reference(G):
 def scaled(G, factor):
     """G with every weight multiplied by factor."""
     return MatrixWeightedGraph.from_weights(
-        G.base.n, G.k, [(u, v, factor * w) for (u, v), w in G.weights.items()])
+        G.base.n, G.k, [(u, v, factor * w) for (u, v), w in zip(G.base.edges, G.weight_stack)])
 
 
 @pytest.mark.parametrize("bits", [1, 2, 4, SCAN_BITS])
@@ -748,8 +748,8 @@ def chunked_scan(G, d, tol, keep_per_subset):
     """The scan as it was before blocks: every chunk rebuilds its subsets'
     bits and crossing rows, and every boundary goes to eigvalsh."""
     n, k = G.base.n, G.k
-    ends = np.array(list(G.weights), dtype=np.int64).reshape(-1, 2).T
-    W_flat = np.array(list(G.weights.values()), dtype=float).reshape(-1, k * k)
+    ends = np.array(G.base.edges, dtype=np.int64).reshape(-1, 2).T
+    W_flat = G.weight_stack.reshape(-1, k * k)
     count = (1 << (n - 1)) - 1
     best_tr, best_mask = np.inf, 0
     alpha = np.inf

@@ -33,7 +33,7 @@ from mwgraph.frames import (
     verify_tight,
 )
 from mwgraph.graphs import BaseGraph, is_connected_edges, lift_identity
-from mwgraph.linalg import kernel_dim
+from mwgraph.linalg import kernel_dim_of_values
 from mwgraph.operators import assemble
 
 from conftest import (
@@ -77,7 +77,8 @@ def test_projection_rank_is_trace(name, r):
     # FusionFrame and eta take a checked projection's rank from its trace
     frame = named_frame(name, r_context=r)
     assert len(frame) == r
-    ranks = tuple(frame.k - kernel_dim(P) for P in frame.projections)
+    ranks = tuple(frame.k - kernel_dim_of_values(np.linalg.eigvalsh(P))
+                  for P in frame.projections)
     assert tuple(round(float(np.trace(P))) for P in frame.projections) == ranks
     assert frame.ranks == ranks
 
@@ -289,12 +290,12 @@ def test_eta_invariant_under_relabeling_and_color_swap(rng):
     perm = list(rng.permutation(6))
     from mwgraph.graphs import MatrixWeightedGraph
     relabeled = MatrixWeightedGraph.from_weights(
-        6, 2, [(perm[u], perm[v], w) for (u, v), w in G.weights.items()])
+        6, 2, [(perm[u], perm[v], w) for (u, v), w in zip(G.base.edges, G.weight_stack)])
     assert eta(assemble(relabeled)).eta == pytest.approx(base_eta, abs=1e-10)
     # swapping two frame elements across all edges permutes the weighting
     # consistently, which leaves the spectrum unchanged
     items = []
-    for (u, v), w in G.weights.items():
+    for (u, v), w in zip(G.base.edges, G.weight_stack):
         if np.allclose(w, FRAME_A):
             items.append((u, v, FRAME_B))
         elif np.allclose(w, FRAME_B):
@@ -543,6 +544,32 @@ def test_sample_expanders_rejects_impossible():
     with pytest.raises(NotColorableError):
         # 4-regular graphs on 21 vertices exist, proper 4-edge-colorings do not
         sample_expanders(21, 4, augment_with_identity(equiangular_frame_2d(3)), samples=1)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sample_expanders_reach_r5(seed):
+    # about 0.67 % of 5-matching unions are simple; 200 draws a sample fell
+    # short at seeds 0, 3 and 6
+    frame = named_frame("equiangular5")
+    results = sample_expanders(40, 5, frame, samples=3, seed=seed)
+    assert len(results) == 3 and all(res.report.d == pytest.approx(2.5) for res in results)
+
+
+def test_sample_expanders_refuse_r7_before_drawing(monkeypatch):
+    # one r = 7 sample may take 726,311 draws, over MAX_SAMPLE_DRAWS; r = 6
+    # (36,161 a sample) stays allowed up to 13 samples
+    from mwgraph import frames
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(frames, "_matching_union", forbidden)
+    assert [frames._draw_budget(r) for r in (2, 3, 4, 5, 6, 7)] == \
+        [200, 200, 402, 2969, 36161, 726311]
+    with pytest.raises(TooLargeError, match="may take 726311 draws, over the limit of 500000"):
+        sample_expanders(40, 7, named_frame("equiangular7"), samples=1)
+    with pytest.raises(TooLargeError, match="may take 506254 draws"):
+        sample_expanders(40, 6, named_frame("equiangular6"), samples=14)
 
 
 def decode_graph6(text):

@@ -1,3 +1,4 @@
+import json
 import itertools
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_connected_components():
 def test_from_weights_merges_duplicates():
     G = MatrixWeightedGraph.from_weights(
         2, 2, [(0, 1, FRAME_A), (1, 0, FRAME_B)])
-    assert np.allclose(G.weights[(0, 1)], FRAME_A + FRAME_B)
+    assert np.allclose(G.weight(0, 1), FRAME_A + FRAME_B)
 
 
 def test_from_weights_rejects_non_psd():
@@ -101,7 +102,7 @@ def test_load_scalar_single_edge():
     doc = b'{"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": [2.0]}]}'
     G = load(doc)
     assert G.k == 1 and G.base.n == 2
-    assert G.weights[(0, 1)][0, 0] == 2.0
+    assert G.weight(0, 1)[0, 0] == 2.0
 
 
 def test_load_merges_duplicate_edges():
@@ -109,7 +110,7 @@ def test_load_merges_duplicate_edges():
            b'{"u": 0, "v": 1, "w": [1, 0, 0, 0]},'
            b'{"u": 1, "v": 0, "w": [0.25, 0.43301270189221935, 0.43301270189221935, 0.75]}]}')
     G = load(doc)
-    assert np.allclose(G.weights[(0, 1)], FRAME_A + FRAME_B)
+    assert np.allclose(G.weight(0, 1), FRAME_A + FRAME_B)
 
 
 def test_load_rejects_non_psd_weight_naming_edge():
@@ -156,14 +157,14 @@ def test_load_accepts_only_integer_indices_and_numeric_weights(doc):
         load(doc)
     # JSON integers stay valid weights
     G = load('{"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": [2]}]}')
-    assert G.weights[(0, 1)][0, 0] == 2.0
+    assert G.weight(0, 1)[0, 0] == 2.0
 
 
 def test_load_rejects_oversized_header_without_allocating(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("an oversized header reached from_weights")
+        raise AssertionError("an oversized header reached the graph constructor")
 
-    monkeypatch.setattr(MatrixWeightedGraph, "from_weights", never)
+    monkeypatch.setattr(MatrixWeightedGraph, "_from_stack", never)
     for k, n in [(1, 1_000_000_000), (1, LOAD_MAX_NK + 1), (4, LOAD_MAX_NK // 4 + 1)]:
         with pytest.raises(TooLargeError):
             load(f'{{"k": {k}, "n": {n}, "edges": []}}'.encode())
@@ -180,8 +181,7 @@ def test_save_load_roundtrip_exact(rng):
         reloaded = load(save(G))
         assert reloaded.base == G.base
         assert reloaded.k == G.k
-        for e in G.base.edges:
-            assert np.array_equal(reloaded.weights[e], G.weights[e])
+        assert np.array_equal(reloaded.weight_stack, G.weight_stack)
 
 
 def test_save_is_canonical_fixed_point(rng):
@@ -198,7 +198,7 @@ def test_save_sorts_edges_and_drops_zero_weights():
     assert text.index('"u": 0') < text.index('"u": 1')
     reloaded = load(save(G))
     assert reloaded.base.edges == ((0, 1), (1, 2))
-    assert reloaded.weights[(0, 1)][0, 0] == np.pi
+    assert reloaded.weight(0, 1)[0, 0] == np.pi
 
 
 def test_save_load_k1_round_trip():
@@ -207,8 +207,7 @@ def test_save_load_k1_round_trip():
     assert b'"k": 1' in text
     reloaded = load(text)
     assert reloaded.k == 1 and reloaded.base == g.base
-    assert {e: w.tobytes() for e, w in reloaded.weights.items()} == \
-        {e: w.tobytes() for e, w in g.weights.items()}
+    assert reloaded.weight_stack.tobytes() == g.weight_stack.tobytes()
 
 
 def volume(G, S):
@@ -262,7 +261,7 @@ def test_regularity_regular_but_not_scalar():
 def test_lift_identity_single_edge():
     g = unit_graph(2, [(0, 1)])
     G = lift_identity(g, 2)
-    assert np.array_equal(G.weights[(0, 1)], np.eye(2))
+    assert np.array_equal(G.weight(0, 1), np.eye(2))
 
 
 def test_lift_identity_requires_k1():
@@ -296,7 +295,7 @@ def test_scalarize_of_lift_scales_by_k():
     g = MatrixWeightedGraph.from_weights(3, 1, [(0, 1, [[2.0]]), (1, 2, [[0.5]])])
     for k in (1, 2, 3):
         back = assemble(lift_identity(g, k)).trace_adjacency
-        for (u, v), w in g.weights.items():
+        for (u, v), w in zip(g.base.edges, g.weight_stack):
             assert back[u, v] == back[v, u] == pytest.approx(k * w[0, 0])
 
 
@@ -324,7 +323,7 @@ def test_volume_additive_and_handshake(rng):
         left = volume(G, range(split))
         right = volume(G, range(split, n))
         assert np.allclose(left + right, volume(G, range(n)), atol=1e-12)
-        twice_edges = 2 * sum(G.weights.values())
+        twice_edges = 2 * G.weight_stack.sum(axis=0)
         assert np.allclose(volume(G, range(n)), twice_edges, atol=1e-12)
 
 
@@ -335,10 +334,10 @@ def test_from_weights_stores_per_edge_reference_bits(rng):
     for n, k, items in block_corpus_items(rng):
         G = MatrixWeightedGraph.from_weights(n, k, items)
         expected = reference_weights(k, items, DEFAULT_TOL)
-        assert list(G.weights) == list(expected) == list(G.base.edges)
-        for e, w in expected.items():
-            assert G.weights[e].tobytes() == w.tobytes()
-            assert not G.weights[e].flags.writeable
+        assert list(expected) == list(G.base.edges)
+        assert G.weight_stack.shape == (len(expected), k, k)
+        assert G.weight_stack.tobytes() == b"".join(w.tobytes() for w in expected.values())
+        assert not G.weight_stack.flags.writeable
 
 
 _BAD_WEIGHTS = {
@@ -381,3 +380,117 @@ def test_from_weights_raises_first_failing_edge_in_sorted_order(rng, psd_tol):
         assert got == expected
         seen.add(expected[0] if expected else None)
     assert seen >= {NonFiniteError, NotSymmetricError, NotPsdError}
+
+
+def test_constructor_sums_duplicates_and_negative_zeros_as_the_reference(rng):
+    # duplicates are summed in input order from zeros, so a -0.0 entry is
+    # stored as 0.0; load hands the constructor the same arrays
+    neg = np.array([[-0.0, -0.0], [-0.0, 1.0]])
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        items = []
+        for _ in range(int(rng.integers(0, 12))):
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            w = [neg, -0.0 * np.eye(2), FRAME_A, 1e-3 * FRAME_B][int(rng.integers(0, 4))]
+            items.append((u, v, w))
+        G = MatrixWeightedGraph.from_weights(n, 2, items)
+        expected = reference_weights(2, items, DEFAULT_TOL)
+        assert G.base.edges == tuple(expected)
+        assert G.weight_stack.tobytes() == b"".join(w.tobytes() for w in expected.values())
+        assert not np.signbit(G.weight_stack[G.weight_stack == 0.0]).any()
+        doc = {"k": 2, "n": n, "edges": [{"u": u, "v": v, "w": np.ravel(w).tolist()}
+                                         for u, v, w in items]}
+        loaded = load(json.dumps(doc))
+        assert loaded.base == G.base
+        assert loaded.weight_stack.tobytes() == G.weight_stack.tobytes()
+
+
+# one bad item of each kind, each on its own pair of 0..3
+_BAD_ITEMS = {
+    "shape": (0, 1, np.eye(3)),
+    "range": (1, 7, np.eye(2)),
+    "self-loop": (2, 2, np.eye(2)),
+    "not psd": (0, 3, np.diag([1.0, -1.0])),
+    "nan": (1, 2, np.array([[np.nan, 0.0], [0.0, 1.0]])),
+}
+
+
+def _raised(call):
+    try:
+        call()
+    except (MwgError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def reference_first_error(n, k, items, tol):
+    """from_weights' error as a loop gives it: each item's range, self-loop
+    and shape in input order, then the merged weights in sorted pair order."""
+    for u, v, w in items:
+        if not (0 <= u < n and 0 <= v < n):
+            return IndexOutOfRangeError, f"edge ({u}, {v}) outside vertex range [0, {n})"
+        if u == v:
+            return ValueError, f"self-loop at vertex {u}"
+        shape = np.shape(w)
+        if shape != (k, k):
+            return ValueError, f"weight for edge ({u}, {v}) has shape {shape}, expected ({k}, {k})"
+    return _raised(lambda: reference_weights(k, items, tol))
+
+
+def test_from_weights_first_error_over_mixed_bad_items():
+    seen = set()
+    for size in range(1, len(_BAD_ITEMS) + 1):
+        for order in itertools.permutations(_BAD_ITEMS, size):
+            items = [(0, 2, np.eye(2))] + [_BAD_ITEMS[name] for name in order]
+            expected = reference_first_error(4, 2, items, DEFAULT_TOL)
+            assert _raised(lambda: MatrixWeightedGraph.from_weights(4, 2, items)) == expected
+            seen.add(expected[0])
+    assert seen == {ValueError, IndexOutOfRangeError, NotPsdError, NonFiniteError}
+
+
+def test_load_first_error_over_mixed_bad_edges():
+    # load's per-edge checks (entry count, self-loop) come first, in file
+    # order, then the vertex range, in file order, then the merged weights
+    # in sorted pair order: (0, 3) before (1, 2)
+    bad = {
+        "count": ({"u": 0, "v": 1, "w": [1.0]},
+                  ParseError, "edge (0, 1) has 1 weight entries, expected 4"),
+        "self-loop": ({"u": 2, "v": 2, "w": [1.0, 0.0, 0.0, 1.0]},
+                      ParseError, "self-loop at vertex 2"),
+        "range": ({"u": 1, "v": 7, "w": [1.0, 0.0, 0.0, 1.0]},
+                  IndexOutOfRangeError, "edge (1, 7) outside vertex range [0, 4)"),
+        "huge": ({"u": 2 ** 63, "v": 1, "w": [1.0, 0.0, 0.0, 1.0]},
+                 IndexOutOfRangeError, f"edge ({2 ** 63}, 1) outside vertex range [0, 4)"),
+        "not psd": ({"u": 3, "v": 0, "w": [1.0, 0.0, 0.0, -1.0]},
+                    NotPsdError, "weight on edge (0, 3) is not PSD"),
+        "nan": ({"u": 2, "v": 1, "w": [float("nan"), 0.0, 0.0, 1.0]},
+                NonFiniteError, "matrix contains NaN or Inf entries"),
+    }
+    stages = (("count", "self-loop"), ("range", "huge"))
+    for size in range(1, len(bad) + 1):
+        for order in itertools.permutations(bad, size):
+            doc = {"k": 2, "n": 4, "edges": [bad[name][0] for name in order]}
+            present = [[name for name in order if name in stage] for stage in stages]
+            present.append([name for name in ("not psd", "nan") if name in order])
+            first = next(names[0] for names in present if names)
+            assert _raised(lambda: load(json.dumps(doc))) == bad[first][1:]
+
+
+def test_weight_reads_the_stack_by_either_orientation(rng):
+    for _ in range(20):
+        G = random_mwg(rng)
+        rows = dict(zip(G.base.edges, G.weight_stack))
+        for u, v in itertools.product(range(G.base.n), repeat=2):
+            w = G.weight(u, v)
+            if (min(u, v), max(u, v)) in rows:
+                assert w is not None and not w.flags.writeable
+                assert w.tobytes() == rows[(min(u, v), max(u, v))].tobytes()
+                assert G.weight(v, u).tobytes() == w.tobytes()
+            else:
+                assert np.array_equal(w, np.zeros((G.k, G.k)))
+    # past the last edge, before the first and on an edgeless graph
+    G = MatrixWeightedGraph.from_weights(5, 2, [(1, 2, np.eye(2)), (3, 2, FRAME_A)])
+    for u, v in ((3, 4), (4, 3), (0, 1), (1, 0), (1, 3)):
+        assert np.array_equal(G.weight(u, v), np.zeros((2, 2)))
+    assert np.array_equal(G.weight(3, 2), FRAME_A)
+    assert np.array_equal(MatrixWeightedGraph.from_weights(3, 1, []).weight(2, 0), [[0.0]])

@@ -17,12 +17,16 @@ from mwgraph.linalg import (
     Tolerances,
     as_symmetric,
     is_psd,
-    kernel_dim,
     kernel_dim_of_values,
     pseudo_sqrt_inv,
 )
 
 from conftest import FRAME_A, FRAME_B, FRAME_C, count_calls, random_psd
+
+
+def kernel_count(m, tol=DEFAULT_TOL):
+    """dim ker m, PSD check included, from one eigvalsh of m."""
+    return kernel_dim_of_values(np.linalg.eigvalsh(m), tol)
 
 
 def test_tolerances_defaults():
@@ -68,16 +72,16 @@ def test_as_symmetric_rejects_nonsquare():
 
 
 def test_as_symmetric_rejects_nan():
-    for check in (as_symmetric, is_psd, kernel_dim, pseudo_sqrt_inv):
+    for check in (as_symmetric, is_psd, pseudo_sqrt_inv):
         with pytest.raises(NonFiniteError):
             check([[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_as_symmetric_rejects_overflowing_sum():
-    # finite entries beyond ~9e307 overflow (M + M^T)/2; kernel_dim no
-    # longer symmetrizes twice, so as_symmetric must catch it
+    # finite entries beyond ~9e307 overflow (M + M^T)/2; each check
+    # symmetrizes once, so as_symmetric must catch it
     with np.errstate(over="ignore"):
-        for check in (as_symmetric, is_psd, kernel_dim, pseudo_sqrt_inv):
+        for check in (as_symmetric, is_psd, pseudo_sqrt_inv):
             with pytest.raises(NonFiniteError):
                 check([[1e308, 0.0], [0.0, 1.0]])
 
@@ -123,7 +127,7 @@ def test_pseudo_sqrt_inv_projector_property(rng):
         half = pseudo_sqrt_inv(m)
         proj = half @ m @ half
         assert np.abs(proj @ proj - proj).max() <= 1e-8
-        assert kernel_dim(proj) == kernel_dim(m)
+        assert kernel_count(proj) == kernel_count(m)
 
 
 def test_loewner_zero_below_psd(rng):
@@ -163,11 +167,11 @@ def test_loewner_reflexive_transitive(rng):
 
 
 def test_kernel_dim_identity():
-    assert kernel_dim(np.eye(4)) == 0
+    assert kernel_count(np.eye(4)) == 0
 
 
 def test_kernel_dim_zero_matrix():
-    assert kernel_dim(np.zeros((4, 4))) == 4
+    assert kernel_count(np.zeros((4, 4))) == 4
 
 
 def test_kernel_dim_single_edge_laplacian():
@@ -176,7 +180,7 @@ def test_kernel_dim_single_edge_laplacian():
     values = np.linalg.eigvalsh(L)
     oracle = int(np.sum(values <= 1e-10 * max(1.0, values[-1])))
     assert oracle == 3
-    assert kernel_dim(L) == 3
+    assert kernel_count(L) == 3
 
 
 def test_kernel_plus_rank(rng):
@@ -184,19 +188,19 @@ def test_kernel_plus_rank(rng):
         k = int(rng.integers(1, 6))
         rank = int(rng.integers(0, k + 1))
         m = random_psd(rng, k, rank) if rank else np.zeros((k, k))
-        assert kernel_dim(m) == k - rank
+        assert kernel_count(m) == k - rank
 
 
 def test_rank_cutoff_is_relative():
     # scaling must not change the detected rank
     m = np.diag([1.0, 1e-16])
-    assert kernel_dim(m) == 1
-    assert kernel_dim(1e12 * m) == 1
+    assert kernel_count(m) == 1
+    assert kernel_count(1e12 * m) == 1
 
 
-def reference_kernel_dim(m, tol=DEFAULT_TOL):
-    """kernel_dim as it was before the shared solve: it symmetrized the
-    matrix again for the PSD verdict and solved it twice."""
+def reference_kernel_count(m, tol=DEFAULT_TOL):
+    """The kernel count as it was before the shared solve: it symmetrized
+    the matrix again for the PSD verdict and solved it twice."""
     sym = as_symmetric(m, tol)
     again = as_symmetric(sym, tol)
     if again.size:
@@ -230,18 +234,18 @@ def test_kernel_dim_and_rank_match_two_pass_reference(rng, psd_tol):
     raised = 0
     for m in _borderline_matrices(rng):
         try:
-            expected = reference_kernel_dim(m, tol)
+            expected = reference_kernel_count(m, tol)
         except NotPsdError as exc:
             raised += 1
             with pytest.raises(NotPsdError) as got:
-                kernel_dim(m, tol)
+                kernel_count(as_symmetric(m, tol), tol)
             assert str(got.value) == str(exc)
             continue
-        assert kernel_dim(m, tol) == expected
+        assert kernel_count(as_symmetric(m, tol), tol) == expected
     assert raised > 0
 
 
-@pytest.mark.parametrize("check", [is_psd, kernel_dim])
+@pytest.mark.parametrize("check", [is_psd])
 def test_checks_symmetrize_and_solve_once(monkeypatch, rng, check):
     sym = count_calls(monkeypatch, "as_symmetric", linalg)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
@@ -251,7 +255,7 @@ def test_checks_symmetrize_and_solve_once(monkeypatch, rng, check):
 
 def test_not_psd_messages():
     bad = np.diag([1.0, -1.0])
-    for check, message in ((kernel_dim, "kernel_dim requires a PSD matrix"),
+    for check, message in ((kernel_count, "kernel_dim requires a PSD matrix"),
                            (pseudo_sqrt_inv, "pseudo_sqrt_inv requires a PSD matrix")):
         with pytest.raises(NotPsdError) as exc:
             check(bad)
@@ -260,7 +264,7 @@ def test_not_psd_messages():
 
 def test_kernel_dim_of_values_checks_psd():
     # every caller passes the eigenvalues of a PSD matrix, so the count
-    # applies the PSD floor, as kernel_dim does
+    # applies the PSD floor
     assert kernel_dim_of_values(np.array([-1e-12, 0.0, 1.0])) == 2
     with pytest.raises(NotPsdError, match="kernel_dim requires a PSD matrix"):
         kernel_dim_of_values(np.array([-1e-3, 0.0, 1.0]))
