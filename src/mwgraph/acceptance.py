@@ -68,8 +68,15 @@ TARGET_ETA = 0.094
 TARGET_MU_MIN = -2.406
 TARGET_MU_MAX = 1.803
 TARGET_MATCH_TOL = 2e-3
-# A6 checks this many irregular graphs: the corpus's, then fresh draws
+# A6 checks this many irregular graphs: the corpus's, then fresh draws,
+# each on this many random (S, T) pairs
 IRREGULAR_GRAPHS = 500
+IRREGULAR_PAIRS = 200
+# the seeded random members have 2..RANDOM_N_MAX vertices and blocks of
+# size 1..RANDOM_K_MAX; the atlas graphs are lifted to each of LIFT_K
+RANDOM_N_MAX = 8
+RANDOM_K_MAX = 3
+LIFT_K = (1, 2, 3)
 # A4 reports the worst factorization residual as a fraction of the
 # allowance under these tolerances, whatever resid_tol the suite runs under
 SHEAF_TOL = Tolerances(resid_tol=1e-9)
@@ -130,9 +137,9 @@ def random_psd_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
     return scale * (B.T @ B)
 
 
-def random_graph(rng: np.random.Generator, n_max: int = 8, k_max: int = 3) -> MatrixWeightedGraph:
-    n = int(rng.integers(2, n_max + 1))
-    k = int(rng.integers(1, k_max + 1))
+def random_graph(rng: np.random.Generator) -> MatrixWeightedGraph:
+    n = int(rng.integers(2, RANDOM_N_MAX + 1))
+    k = int(rng.integers(1, RANDOM_K_MAX + 1))
     p = float(rng.uniform(0.3, 0.95))
     items = []
     for u in range(n):
@@ -181,13 +188,13 @@ ATLAS = (
 )
 
 
-def atlas_lift_graphs(k_values=(1, 2, 3)) -> Iterator[MatrixWeightedGraph]:
+def atlas_lift_graphs() -> Iterator[MatrixWeightedGraph]:
     """Identity-lifts (unit weights) of every atlas graph, in atlas order."""
     for n, masks in enumerate(ATLAS, start=1):
         for mask in masks:
             edges = [e for i, e in enumerate(ATLAS_PAIRS) if (mask >> i) & 1]
             scalar = unit_scalar_graph(n, edges)
-            for k in k_values:
+            for k in LIFT_K:
                 # the k = 1 lift is the scalar graph itself
                 yield scalar if k == 1 else lift_identity(scalar, k)
 
@@ -420,7 +427,7 @@ class Suite:
         passed = count > 0 and worst >= -CHECK_TOL
         return _criterion("A5", passed, {"graphs": count, "min_slack": float(worst)})
 
-    def a6_irregular_eml(self, pairs_each: int = 200) -> CriterionResult:
+    def a6_irregular_eml(self) -> CriterionResult:
         corpus = self._corpus_pass
         corpus.raise_error("A6")
         rng = np.random.default_rng(self.seed + 1)
@@ -433,8 +440,8 @@ class Suite:
         worst = np.inf
         for ctx in candidates:
             n = ctx.n
-            ind_S = (rng.random((pairs_each, n)) < 0.5).astype(float)
-            ind_T = (rng.random((pairs_each, n)) < 0.5).astype(float)
+            ind_S = (rng.random((IRREGULAR_PAIRS, n)) < 0.5).astype(float)
+            ind_T = (rng.random((IRREGULAR_PAIRS, n)) < 0.5).astype(float)
             lhs, rhs = eml_irregular_pairs(ctx, ind_S, ind_T)
             worst = min(worst, float(np.min(rhs - lhs)))
         k2 = MatrixWeightedGraph.from_weights(2, 1, [(0, 1, np.array([[1.0]]))])
@@ -442,7 +449,7 @@ class Suite:
         k2_gap = max(abs(float(report.lhs) - 0.5), abs(float(report.rhs) - 0.5))
         passed = worst >= -CHECK_TOL and k2_gap <= EXACT_TOL
         return _criterion("A6", passed,
-                          {"graphs": len(candidates), "pairs_each": pairs_each,
+                          {"graphs": len(candidates), "pairs_each": IRREGULAR_PAIRS,
                            "min_slack": float(worst), "k2_equality_gap": float(k2_gap)})
 
     def a7_cheeger_lower_bounds(self) -> CriterionResult:

@@ -5,6 +5,10 @@ A tight fusion frame (orthogonal projections summing to c I) assigned to the
 color classes of a properly r-edge-colored r-regular graph yields a
 dI-regular matrix-weighted graph with d = c; when all ranks equal l the
 degree is r l / k, which need not be an integer.
+
+A frame is checked once, by ``FusionFrame.from_projections``: each element
+a symmetric projection, the stack of them PSD.  build_expander checks the
+graph, its coloring and the frame's tightness, then places that stack.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .graphgen import (
     iter_proper_colorings,
 )
 from .graphs import LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, is_connected_edges
-from .linalg import (DEFAULT_TOL, Tolerances, as_symmetric, is_projection, keep_cutoff,
-                     residual_allowance, spectral_norm)
+from .linalg import (DEFAULT_TOL, Tolerances, _checked_psd, as_symmetric, is_projection,
+                     keep_cutoff, residual_allowance, spectral_norm)
 from .operators import OperatorBundle, assemble
 
 SEARCH_MAX_N = 12
@@ -50,10 +54,11 @@ MAX_SAMPLE_DRAWS = 500_000
 
 @dataclass(frozen=True)
 class FusionFrame:
-    """A list of k x k orthogonal projections (possibly tight)."""
+    """k x k orthogonal projections (possibly tight), as one read-only
+    (r, k, k) stack; the constructor trusts it, from_projections checks."""
 
     k: int
-    projections: tuple[np.ndarray, ...]
+    projections: np.ndarray
     ranks: tuple[int, ...]
 
     @classmethod
@@ -70,7 +75,6 @@ class FusionFrame:
                     f"projection #{i} has dimension {P.shape[0]}, expected {k}")
             if not is_projection(P, tol):
                 raise NotProjectionError(f"element #{i} is not an orthogonal projection")
-            P.setflags(write=False)
             projections.append(P)
             # a projection's eigenvalues are 0 and 1, so its rank is its trace
             ranks.append(round(float(np.trace(P))))
@@ -78,7 +82,12 @@ class FusionFrame:
             raise ValueError("empty frame needs an explicit ambient dimension k")
         if k < 1:
             raise DomainError(f"frame dimension k must be >= 1, got k={k}")
-        return cls(k, tuple(projections), tuple(ranks))
+        # + 0.0 stores a -0.0 as 0.0, as a graph's checked constructors do,
+        # so the stack is the weights build_expander places, bit for bit
+        stack = np.array(projections).reshape(-1, k, k) + 0.0
+        stack = _checked_psd(stack, tol, lambda i: f"element #{i} is not PSD")
+        stack.setflags(write=False)
+        return cls(k, stack, tuple(ranks))
 
     def __len__(self) -> int:
         return len(self.projections)
@@ -156,6 +165,7 @@ def build_expander(g: BaseGraph, colors: tuple[int, ...], f: FusionFrame,
     This is where a coloring is checked: it must be proper, with one color
     in [0, r), r = len(f), per edge, so every vertex sees all r colors.
     With a tight frame the result is then c I-regular, c the frame constant.
+    The weights are rows of the frame's checked stack, not checked again.
     """
     r = len(f)
     degrees = g.geometric_degrees()
@@ -174,8 +184,9 @@ def build_expander(g: BaseGraph, colors: tuple[int, ...], f: FusionFrame,
         at_vertex[u].add(c)
         at_vertex[v].add(c)
     verify_tight(f, tol)
-    stack = np.array(f.projections).reshape(r, f.k, f.k)[list(colors)]
-    return MatrixWeightedGraph._from_stack(g.n, f.k, g.edges, stack, tol)
+    stack = f.projections[list(colors)]
+    stack.setflags(write=False)
+    return MatrixWeightedGraph(g, f.k, stack)
 
 
 @dataclass(frozen=True)
@@ -286,6 +297,11 @@ class SearchResult:
         }
 
 
+def _search_order(res: SearchResult) -> tuple:
+    """The order of search records: eta descending, then code, then coloring."""
+    return (-res.report.eta, res.code, res.coloring)
+
+
 def _projection_groups(f: FusionFrame) -> list[int]:
     """group id per frame element; equal projections (entry by entry, as
     ``==`` compares them, so -0.0 equals 0.0) share an id."""
@@ -354,15 +370,16 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
     else:
         chunks = [_graph_results(task) for task in tasks]
     results = [res for chunk in chunks for res in chunk]
-    results.sort(key=lambda res: (-res.report.eta, res.code, res.coloring))
+    results.sort(key=_search_order)
     return results
 
 
 def _matching_union(rng, n: int, r: int):
     """r uniform perfect matchings of 0..n-1, matching c giving colour c.
 
-    Returns (edges, colouring), the edges sorted as BaseGraph.from_edges
-    sorts them, or None when an edge repeats or the union is disconnected.
+    Returns (edges, colouring), the edges sorted, each (min, max), as the
+    BaseGraph constructor takes them, or None when an edge repeats or the
+    union is disconnected.
     """
     pairs = np.sort([rng.permutation(n).reshape(-1, 2) for _ in range(r)], axis=2)
     keys = (pairs[..., 0] * n + pairs[..., 1]).ravel()
@@ -370,7 +387,7 @@ def _matching_union(rng, n: int, r: int):
     keys = keys[order]
     if np.any(keys[1:] == keys[:-1]):
         return None
-    edges = [divmod(key, n) for key in keys.tolist()]
+    edges = tuple(divmod(key, n) for key in keys.tolist())
     if not is_connected_edges(n, edges):
         return None
     return edges, tuple((order // (n // 2)).tolist())
@@ -429,11 +446,11 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
         if draw is None:
             continue
         edges, coloring = draw
-        base = BaseGraph.from_edges(n, edges)
+        base = BaseGraph(n, edges)
         G = build_expander(base, coloring, f, tol)
         code_str = graph6_like(n, edges_code(n, base.edges))
         results.append(SearchResult(n, code_str, base, coloring, eta(assemble(G, tol))))
-    results.sort(key=lambda res: (-res.report.eta, res.code, res.coloring))
+    results.sort(key=_search_order)
     return results
 
 

@@ -3,11 +3,15 @@
 A matrix-weighted graph is an undirected simple graph plus a k x k PSD
 weight matrix per edge, stored as the sorted edges and one aligned
 (m, k, k) weight stack.  Multi-edges are representable because weights add;
-the one constructor merges duplicate pairs by matrix summation, so one
+the checked constructors merge duplicate pairs by matrix summation, so one
 stored matrix per pair keeps W_uv well-defined.  A zero weight means "no
 edge" and is dropped on save.  An ordinary weighted graph is the k = 1
 case, with w_e = W_e[0, 0]; lift_identity turns one into the weighting
 w_e * I_k.
+
+Input is checked once, by ``BaseGraph.from_edges``, ``from_weights`` and
+``load``.  The dataclass constructors trust their arguments, so code that
+holds checked parts (lift_identity, frames.build_expander) calls them.
 """
 
 from __future__ import annotations
@@ -36,30 +40,25 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """Undirected simple graph on vertices 0..n-1."""
+    """Undirected simple graph on vertices 0..n-1, its edges sorted, each
+    (min, max) and unique; the constructor trusts them, from_edges checks."""
 
     n: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise IndexOutOfRangeError(
-                    f"edge ({u}, {v}) outside vertex range [0, {self.n})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                raise ValueError(f"edge ({u}, {v}) not normalized as (min, max)")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "BaseGraph":
+        """The graph of edges in either orientation, repeats dropped; the
+        first bad edge in sorted order is the error."""
         normalized = sorted({_norm_edge(int(u), int(v)) for u, v in edges})
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        for u, v in normalized:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexOutOfRangeError(
+                    f"edge ({u}, {v}) outside vertex range [0, {n})")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
         return cls(n, tuple(normalized))
 
     def geometric_degrees(self) -> tuple[int, ...]:
@@ -93,7 +92,8 @@ class MatrixWeightedGraph:
     ``weight_stack[i]`` is the weight on ``base.edges[i]``, so the sorted
     edges and the (m, k, k) stack are the whole graph.  Immutable after
     construction (the stack is read-only); freely shareable across threads.
-    An absent pair means the zero matrix.
+    An absent pair means the zero matrix.  The constructor trusts its
+    arguments; from_weights and load check theirs.
     """
 
     base: BaseGraph
@@ -129,9 +129,11 @@ class MatrixWeightedGraph:
                     tol: Tolerances = DEFAULT_TOL) -> "MatrixWeightedGraph":
         """The graph with weight stack[i] on pair i of ends, an (m, 2) array
         of endpoints or anything that reshapes to one, with no self-loop:
-        the first pair outside 0..n-1 is an error, duplicate pairs are
-        summed in input order from zero, and the sums are validated
-        (finite, symmetric, PSD) in sorted pair order."""
+        n < 0, then the first pair outside 0..n-1, is an error, duplicate
+        pairs are summed in input order from zero, and the sums are
+        validated (finite, symmetric, PSD) in sorted pair order."""
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
         pairs = np.asarray(ends).reshape(-1, 2)
         outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
         if outside.any():
@@ -208,8 +210,11 @@ def lift_identity(g: MatrixWeightedGraph, k: int) -> MatrixWeightedGraph:
         raise ValueError(f"lift_identity requires k = 1, got k = {g.k}")
     if k < 1:
         raise ValueError(f"block size k must be >= 1, got {k}")
-    return MatrixWeightedGraph._from_stack(g.base.n, k, g.base.edges,
-                                           g.weight_stack[:, :1, :1] * np.eye(k))
+    # g's weights passed when g was built, and w I_k has w's eigenvalues;
+    # + 0.0 stores a -0.0 as 0.0, as the checked constructors do
+    stack = g.weight_stack[:, :1, :1] * np.eye(k) + 0.0
+    stack.setflags(write=False)
+    return MatrixWeightedGraph(g.base, k, stack)
 
 
 # --- MWG-JSON format -------------------------------------------------------

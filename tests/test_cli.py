@@ -561,13 +561,27 @@ def test_verify_paper_overtight_tolerance_flags_cause(capsys):
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["all_passed"] is False
-    # each criterion is flagged with its own cause; the others still pass
+    # each criterion is flagged with its own cause; the others still pass.
+    # The library's own exact projections and lifts are not judged again
+    # below float rounding, so A3 (lifts), A5 and A9 (frame expanders)
+    # pass; the failures left are the kernel_dim floor on Laplacians and
+    # the degree blocks' PSD check
     failed = {c["id"]: c["details"]["error"].split(":")[0]
               for c in report["criteria"] if not c["passed"]}
     assert failed == {cid: "NotPsdError" for cid in
-                      ("A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A11")}
+                      ("A2", "A4", "A6", "A7", "A8", "A11")}
     passed = [c["id"] for c in report["criteria"] if c["passed"]]
-    assert passed == ["A1", "A10", "A12"]
+    assert passed == ["A1", "A3", "A5", "A9", "A10", "A12"]
+
+
+def test_search_at_zero_psd_tol_gives_the_default_bytes(capsys):
+    # equiangular3+I's exact projections have eigenvalues of about -3e-17;
+    # the frame is checked once, when built, so the search's weights are not
+    # judged again under --psd-tol 0
+    argv = ["search", "--r", "4", "--n-max", "6", "--frame", "equiangular3+I"]
+    default = _run_in_process(["--format", "json", *argv], capsys)
+    assert default[0] == 0 and len(default[1].splitlines()) == 48
+    assert _run_in_process(["--format", "json", "--psd-tol", "0", *argv], capsys) == default
 
 
 def test_tolerance_override_rejects_marginal_psd(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from mwgraph.errors import (
     NotProjectionError,
     NotProjectionWeightsError,
     NotProperlyColoredError,
+    NotPsdError,
     NotScalarRegularError,
     NotTightError,
     ParseError,
@@ -33,7 +35,7 @@ from mwgraph.frames import (
     verify_tight,
 )
 from mwgraph.graphs import BaseGraph, is_connected_edges, lift_identity
-from mwgraph.linalg import kernel_dim_of_values
+from mwgraph.linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from mwgraph.operators import assemble
 
 from conftest import (
@@ -44,6 +46,8 @@ from conftest import (
     count_calls,
     k33_latin_mwg,
     petersen_graph,
+    reference_as_symmetric,
+    reference_weights,
     unit_graph,
 )
 
@@ -221,6 +225,60 @@ def test_build_expander_rejects_untight_frame():
     frame = FusionFrame.from_projections([FRAME_A, FRAME_B, FRAME_B])
     with pytest.raises(NotTightError):
         build_expander(base, proper_edge_coloring(base, 3), frame)
+
+
+def _signed_zeros(mats):
+    """The matrices with every zero entry written as -0.0."""
+    return [np.where(np.asarray(P) == 0.0, -0.0, P) for P in mats]
+
+
+def test_build_expander_stores_the_checked_constructor_bits():
+    # build_expander places rows of the frame's stack with no further check;
+    # the result is what the checked constructor stores for the items
+    # (u, v, P_c), P_c symmetrized as the frame's input was: -0.0 as 0.0
+    from mwgraph import frames
+    rng = np.random.default_rng(7)
+    equi3 = list(equiangular_frame_2d(3).projections)
+    inputs = [equi3, _signed_zeros(equi3), list(named_frame("equiangular3+I").projections),
+              [np.eye(2)] * 4, _signed_zeros([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])]
+    for mats in inputs:
+        frame = FusionFrame.from_projections(mats)
+        raw = [reference_as_symmetric(P, DEFAULT_TOL) for P in mats]
+        for n in (6, 8, 10) * 3:
+            draw = None
+            while draw is None:
+                draw = frames._matching_union(rng, n, len(mats))
+            base = BaseGraph.from_edges(n, draw[0])
+            G = build_expander(base, draw[1], frame)
+            items = [(u, v, raw[c]) for (u, v), c in zip(base.edges, draw[1])]
+            expected = reference_weights(frame.k, items, DEFAULT_TOL)
+            assert G.base == base and tuple(expected) == base.edges
+            assert G.weight_stack.tobytes() == b"".join(w.tobytes() for w in expected.values())
+            assert not np.signbit(G.weight_stack[G.weight_stack == 0.0]).any()
+            assert not G.weight_stack.flags.writeable
+
+
+def test_frame_stack_is_one_read_only_array():
+    frame = FusionFrame.from_projections(_signed_zeros([np.diag([1.0, 0.0]),
+                                                        np.diag([0.0, 1.0])]))
+    assert isinstance(frame.projections, np.ndarray)
+    assert frame.projections.shape == (2, 2, 2) and not frame.projections.flags.writeable
+    assert not np.signbit(frame.projections).any()
+    assert FusionFrame.from_projections([], k=3).projections.shape == (0, 3, 3)
+
+
+def test_near_projection_frame_is_rejected_when_built():
+    # an eigenvalue of -5e-9 passes as a projection (residual 5e-9 within
+    # resid_tol) but not the PSD floor (-1e-9), so the frame that would have
+    # failed in build_expander fails where it is built; at -5e-10 it passes
+    near = np.diag([1.0, -5e-9])
+    doc = json.dumps({"k": 2, "projections": [[1.0, 0.0, 0.0, 1.0], near.ravel().tolist()]})
+    with pytest.raises(NotPsdError, match="^element #1 is not PSD$"):
+        FusionFrame.from_projections([np.eye(2), near])
+    with pytest.raises(NotPsdError, match="^element #1 is not PSD$"):
+        load_frame(doc)
+    assert FusionFrame.from_projections([np.eye(2), near], Tolerances(psd_tol=1e-8)).ranks == (2, 1)
+    assert FusionFrame.from_projections([np.eye(2), np.diag([1.0, -5e-10])]).ranks == (2, 1)
 
 
 # --- eta ---------------------------------------------------------------------
@@ -441,21 +499,22 @@ def test_search_identity_frame_colors_each_graph_once(monkeypatch):
 
 
 def test_search_validates_once(monkeypatch):
-    # per coloring: build_expander checks the coloring once, from_weights
-    # symmetrizes and judges its weights as one stack with one eigvalsh, and
-    # eta solves the adjacency once; eta reads ranks off the traces of the
-    # projections it checks, so nothing is symmetrized matrix by matrix
+    # per coloring: build_expander checks the coloring once and places the
+    # frame's stack, checked when the frame was built, with no further
+    # check, and eta solves the adjacency once; eta reads ranks off the
+    # traces of the projections it checks, so nothing is symmetrized matrix
+    # by matrix
     from mwgraph import frames, graphs, linalg
     frame = augment_with_identity(equiangular_frame_2d(3))
     sym = count_calls(monkeypatch, "as_symmetric", frames, linalg)
-    stacked = count_calls(monkeypatch, "_checked_psd", graphs)
+    stacked = count_calls(monkeypatch, "_checked_psd", frames, graphs, linalg)
+    merged = count_calls(monkeypatch, "_from_stack", graphs.MatrixWeightedGraph)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     builds = count_calls(monkeypatch, "build_expander", frames)
     results = search_expanders(7, 4, frame)
     assert len(results) == 48
-    assert len(sym) == 0
-    assert len(stacked) == len(results)
-    assert len(solves) == 2 * len(results)
+    assert len(sym) == len(stacked) == len(merged) == 0
+    assert len(solves) == len(results)
     assert len(builds) == len(results)
 
 

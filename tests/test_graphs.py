@@ -53,6 +53,40 @@ def test_base_graph_rejects_out_of_range():
         BaseGraph.from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: BaseGraph.from_edges(-1, []), ValueError, "vertex count must be >= 0, got -1"),
+    (lambda: BaseGraph.from_edges(-2, [(0, 1), (1, 1)]), ValueError,
+     "vertex count must be >= 0, got -2"),
+    # the first bad edge in sorted order is named, whatever order it came in
+    (lambda: BaseGraph.from_edges(3, [(4, 4), (2, 2), (5, 1)]), IndexOutOfRangeError,
+     "edge (1, 5) outside vertex range [0, 3)"),
+    (lambda: BaseGraph.from_edges(3, [(5, 5), (2, 2), (0, 1)]), ValueError,
+     "self-loop at vertex 2"),
+    (lambda: BaseGraph.from_edges(3, [(0, 0), (1, -1)]), IndexOutOfRangeError,
+     "edge (-1, 1) outside vertex range [0, 3)"),
+    (lambda: BaseGraph.from_edges(2, [(1, 0), (0, 1), (2, 1)]), IndexOutOfRangeError,
+     "edge (1, 2) outside vertex range [0, 2)"),
+    # out of range before self-loop on one edge
+    (lambda: BaseGraph.from_edges(3, [(3, 3)]), IndexOutOfRangeError,
+     "edge (3, 3) outside vertex range [0, 3)"),
+    # from_weights names the first bad item in input order
+    (lambda: MatrixWeightedGraph.from_weights(-1, 1, []), ValueError,
+     "vertex count must be >= 0, got -1"),
+    (lambda: MatrixWeightedGraph.from_weights(-1, 1, [(0, 1, [[1.0]])]), IndexOutOfRangeError,
+     "edge (0, 1) outside vertex range [0, -1)"),
+    (lambda: MatrixWeightedGraph.from_weights(3, 1, [(2, 2, [[1.0]]), (0, 3, [[1.0]])]),
+     ValueError, "self-loop at vertex 2"),
+    (lambda: MatrixWeightedGraph.from_weights(3, 1, [(0, 1, [[1.0]]), (3, 3, [[1.0]])]),
+     IndexOutOfRangeError, "edge (3, 3) outside vertex range [0, 3)"),
+    (lambda: MatrixWeightedGraph.from_weights(-1, 0, []), ValueError,
+     "block size k must be >= 1, got 0"),
+])
+def test_checked_constructors_name_the_first_bad_input(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_connected_components():
     edges = [(0, 1), (1, 2), (3, 4)]
     assert not is_connected_edges(5, edges)
@@ -271,6 +305,27 @@ def test_lift_identity_requires_k1():
             lift_identity(G, k)
     with pytest.raises(ValueError, match="block size"):
         lift_identity(unit_graph(2, [(0, 1)]), 0)
+
+
+def test_lift_identity_stores_the_checked_constructor_bits():
+    # the lift builds from g's checked weights without judging them again;
+    # it stores what the checked constructor stores for the items w_e I_k,
+    # a -0.0 as 0.0 and a weight of -1e-12, within the PSD floor, as given
+    base = BaseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    raw = np.array([-0.0, -1e-12, 2.5, 0.0, np.pi]).reshape(-1, 1, 1)
+    trusted = MatrixWeightedGraph(base, 1, raw)
+    checked = MatrixWeightedGraph.from_weights(
+        4, 1, [(u, v, w) for (u, v), w in zip(base.edges, raw)])
+    for g in (trusted, checked):
+        for k in (1, 2, 3):
+            lifted = lift_identity(g, k)
+            items = [(u, v, w[0, 0] * np.eye(k)) for (u, v), w in zip(base.edges, raw)]
+            expected = reference_weights(k, items, DEFAULT_TOL)
+            assert lifted.base == base and lifted.k == k
+            assert lifted.weight_stack.tobytes() == b"".join(
+                w.tobytes() for w in expected.values())
+            assert not np.signbit(lifted.weight_stack[lifted.weight_stack == 0.0]).any()
+            assert not lifted.weight_stack.flags.writeable
 
 
 def test_scalarize_trace_frame_weights():
