@@ -8,7 +8,9 @@ degree is r l / k, which need not be an integer.
 
 A frame is checked once, by ``FusionFrame.from_projections``: each element
 a symmetric projection, the stack of them PSD.  build_expander checks the
-graph, its coloring and the frame's tightness, then places that stack.
+graph, its coloring and the frame's tightness, then places that stack.  The
+searches check the frame's tightness once, then check and place each
+coloring.  Frames and graphs compare and hash by value.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .graphgen import (
     graph6_like,
     iter_proper_colorings,
 )
-from .graphs import LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, is_connected_edges
+from .graphs import (LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, _stack_key,
+                     is_connected_edges)
 from .linalg import (DEFAULT_TOL, Tolerances, _checked_psd, as_symmetric, is_projection,
                      keep_cutoff, residual_allowance, spectral_norm)
 from .operators import OperatorBundle, assemble
@@ -55,11 +58,24 @@ MAX_SAMPLE_DRAWS = 500_000
 @dataclass(frozen=True)
 class FusionFrame:
     """k x k orthogonal projections (possibly tight), as one read-only
-    (r, k, k) stack; the constructor trusts it, from_projections checks."""
+    (r, k, k) stack; the constructor trusts it, from_projections checks.
+    Two frames are equal, and hash alike, when their projections are equal
+    value by value."""
 
     k: int
     projections: np.ndarray
     ranks: tuple[int, ...]
+
+    def _key(self) -> tuple:
+        return self.k, _stack_key(self.projections), self.ranks
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_projections(cls, mats: Iterable, tol: Tolerances = DEFAULT_TOL,
@@ -164,9 +180,19 @@ def build_expander(g: BaseGraph, colors: tuple[int, ...], f: FusionFrame,
 
     This is where a coloring is checked: it must be proper, with one color
     in [0, r), r = len(f), per edge, so every vertex sees all r colors.
-    With a tight frame the result is then c I-regular, c the frame constant.
-    The weights are rows of the frame's checked stack, not checked again.
+    The frame must be tight, so the result is c I-regular, c the frame
+    constant.  The weights are rows of the frame's checked stack, not
+    checked again.
     """
+    G = _place_frame(g, colors, f)
+    verify_tight(f, tol)
+    return G
+
+
+def _place_frame(g: BaseGraph, colors: tuple[int, ...],
+                 f: FusionFrame) -> MatrixWeightedGraph:
+    """build_expander without its tightness check (one SVD), for the
+    searches, which check the frame once before they place it."""
     r = len(f)
     degrees = g.geometric_degrees()
     if any(d != r for d in degrees):
@@ -183,7 +209,6 @@ def build_expander(g: BaseGraph, colors: tuple[int, ...], f: FusionFrame,
                 f"color {c} repeats at an endpoint of edge ({u}, {v})")
         at_vertex[u].add(c)
         at_vertex[v].add(c)
-    verify_tight(f, tol)
     stack = f.projections[list(colors)]
     stack.setflags(write=False)
     return MatrixWeightedGraph(g, f.k, stack)
@@ -326,7 +351,7 @@ def _graph_results(args) -> list:
             if key in seen_weightings:
                 continue
             seen_weightings.add(key)
-        G = build_expander(graph, coloring, f, tol)
+        G = _place_frame(graph, coloring, f)
         results.append(SearchResult(n, code_str, graph, coloring, eta(assemble(G, tol))))
     return results
 
@@ -447,7 +472,7 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
             continue
         edges, coloring = draw
         base = BaseGraph(n, edges)
-        G = build_expander(base, coloring, f, tol)
+        G = _place_frame(base, coloring, f)
         code_str = graph6_like(n, edges_code(n, base.edges))
         results.append(SearchResult(n, code_str, base, coloring, eta(assemble(G, tol))))
     results.sort(key=_search_order)

@@ -85,6 +85,12 @@ def is_connected_edges(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     return all(seen)
 
 
+def _stack_key(stack: np.ndarray) -> tuple:
+    """What == and hash read of a read-only stack: its shape and float64
+    bytes, -0.0 read as 0.0, so stacks equal entry by entry share a key."""
+    return stack.shape, (np.asarray(stack, dtype=float) + 0.0).tobytes()
+
+
 @dataclass(frozen=True)
 class MatrixWeightedGraph:
     """Base graph plus one k x k PSD weight matrix per edge.
@@ -93,12 +99,24 @@ class MatrixWeightedGraph:
     edges and the (m, k, k) stack are the whole graph.  Immutable after
     construction (the stack is read-only); freely shareable across threads.
     An absent pair means the zero matrix.  The constructor trusts its
-    arguments; from_weights and load check theirs.
+    arguments; from_weights and load check theirs.  Two graphs are equal,
+    and hash alike, when their edges and weights are equal value by value.
     """
 
     base: BaseGraph
     k: int
     weight_stack: np.ndarray
+
+    def _key(self) -> tuple:
+        return self.base, self.k, _stack_key(self.weight_stack)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_weights(cls, n: int, k: int,

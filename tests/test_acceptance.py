@@ -2,10 +2,12 @@
 
 Each test prints one pass/fail line.  The shared Suite fixture builds the
 graph corpus once per session; A12 runs the verify-paper command twice and
-compares raw bytes.
+compares raw bytes.  Suite.run, which runs A9 in a second process, is
+checked against the criteria called in turn in this one.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,8 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mwgraph.acceptance import Suite
+from mwgraph import jsonio
+from mwgraph.acceptance import CRITERIA, CriterionResult, Suite, results_to_jsonable
 from mwgraph.cli import main
+from mwgraph.errors import MwgError, NotTightError
+from mwgraph.linalg import Tolerances
 
 from conftest import count_calls
 
@@ -244,3 +249,65 @@ def test_a12_verify_paper_deterministic(capsys):
     assert report["all_passed"] is True
     ids = [c["id"] for c in report["criteria"]]
     assert ids == [f"A{i}" for i in range(1, 13)]
+
+
+# --- Suite.run's two processes -------------------------------------------------
+
+
+def _criteria_in_turn(suite):
+    """A1..A11, each Suite method called in turn in this process, an
+    MwgError made its criterion's failure row."""
+    results = []
+    for cid, (name, method) in CRITERIA.items():
+        try:
+            results.append(getattr(suite, method)())
+        except MwgError as exc:
+            results.append(CriterionResult(cid, name, False,
+                                           {"error": f"{type(exc).__name__}: {exc}"}))
+    return results
+
+
+def _assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    # no child process at all, running or exited and unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raising(exc):
+    def criterion(self):
+        raise exc
+    return criterion
+
+
+@pytest.mark.parametrize("settings", [{}, {"workers": 2}, {"tol": Tolerances(psd_tol=1e-30)}],
+                         ids=["default", "workers2", "psd_tol_1e-30"])
+def test_run_gives_the_bytes_of_the_criteria_in_turn(settings):
+    # A9 runs in a forked child (with its own pool at workers = 2) beside
+    # the rest; at psd_tol = 1e-30 six criteria are failure rows
+    ran = Suite(seed=0, random_count=20, **settings).run()
+    _assert_no_child_left()
+    in_turn = _criteria_in_turn(Suite(seed=0, random_count=20, **settings))
+    assert [result.cid for result in ran] == list(CRITERIA)
+    assert jsonio.dumps(results_to_jsonable(ran)) == jsonio.dumps(results_to_jsonable(in_turn))
+
+
+def test_mwg_error_in_the_search_child_is_its_failure_row(monkeypatch):
+    monkeypatch.setattr(Suite, "a9_expander_search", _raising(NotTightError("injected")))
+    results = Suite(seed=0, random_count=20).run()
+    _assert_no_child_left()
+    assert [result.cid for result in results] == list(CRITERIA)
+    a9 = results[list(CRITERIA).index("A9")]
+    assert (a9.name, a9.passed, a9.details) == (
+        CRITERIA["A9"][0], False, {"error": "NotTightError: injected"})
+    assert all(result.passed for result in results if result.cid != "A9")
+
+
+@pytest.mark.parametrize("method", ["a9_expander_search", "a2_normalized_bound"])
+def test_other_errors_propagate_from_either_process(monkeypatch, method):
+    # A9's from the child, A2's from this process while the child searches;
+    # either way the child is joined before run() raises
+    monkeypatch.setattr(Suite, method, _raising(RuntimeError(f"injected into {method}")))
+    with pytest.raises(RuntimeError, match=f"^injected into {method}$"):
+        Suite(seed=0, random_count=20).run()
+    _assert_no_child_left()

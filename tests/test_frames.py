@@ -258,6 +258,29 @@ def test_build_expander_stores_the_checked_constructor_bits():
             assert not G.weight_stack.flags.writeable
 
 
+def test_frames_graphs_and_bundles_compare_and_hash_by_value():
+    # equal stacks compare equal and hash alike, -0.0 read as 0.0; neither
+    # == nor hash raises on the array fields, nor on a bundle holding them
+    frame, again = named_frame("equiangular3"), named_frame("equiangular3")
+    signed = FusionFrame(frame.k, np.where(frame.projections == 0.0, -0.0, frame.projections),
+                         frame.ranks)
+    assert frame is not again and frame == again == signed
+    assert hash(frame) == hash(again) == hash(signed) and len({frame, again, signed}) == 1
+    assert frame != named_frame("equiangular3+I") and frame != equiangular_frame_2d(4)
+    assert frame != FusionFrame(frame.k, frame.projections[::-1], frame.ranks)
+    assert frame != "equiangular3"
+    base = k4_base()
+    colors = proper_edge_coloring(base, 3)
+    G, H = build_expander(base, colors, frame), build_expander(base, colors, again)
+    assert G is not H and G == H and hash(G) == hash(H) and len({G, H}) == 1
+    assert G != build_expander(base, tuple((c + 1) % 3 for c in colors), frame)
+    assert G != lift_identity(unit_graph(4, base.edges), 2)
+    ops = assemble(G)
+    assert ops.laplacian_values is not None  # a filled cache is not compared
+    assert ops == assemble(H) and hash(ops) == hash(assemble(H))
+    assert ops != assemble(G, Tolerances(psd_tol=1e-6))
+
+
 def test_frame_stack_is_one_read_only_array():
     frame = FusionFrame.from_projections(_signed_zeros([np.diag([1.0, 0.0]),
                                                         np.diag([0.0, 1.0])]))
@@ -499,23 +522,24 @@ def test_search_identity_frame_colors_each_graph_once(monkeypatch):
 
 
 def test_search_validates_once(monkeypatch):
-    # per coloring: build_expander checks the coloring once and places the
-    # frame's stack, checked when the frame was built, with no further
-    # check, and eta solves the adjacency once; eta reads ranks off the
-    # traces of the projections it checks, so nothing is symmetrized matrix
-    # by matrix
+    # the frame's tightness is checked once per search; per coloring the
+    # coloring is checked once and the frame's stack, checked when the
+    # frame was built, placed with no further check, and eta solves the
+    # adjacency once; eta reads ranks off the traces of the projections it
+    # checks, so nothing is symmetrized matrix by matrix
     from mwgraph import frames, graphs, linalg
     frame = augment_with_identity(equiangular_frame_2d(3))
     sym = count_calls(monkeypatch, "as_symmetric", frames, linalg)
     stacked = count_calls(monkeypatch, "_checked_psd", frames, graphs, linalg)
     merged = count_calls(monkeypatch, "_from_stack", graphs.MatrixWeightedGraph)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
-    builds = count_calls(monkeypatch, "build_expander", frames)
+    tight = count_calls(monkeypatch, "verify_tight", frames)
+    placed = count_calls(monkeypatch, "_place_frame", frames)
     results = search_expanders(7, 4, frame)
     assert len(results) == 48
     assert len(sym) == len(stacked) == len(merged) == 0
-    assert len(solves) == len(results)
-    assert len(builds) == len(results)
+    assert len(solves) == len(placed) == len(results)
+    assert len(tight) == 1
 
 
 def test_search_skips_odd_n(monkeypatch):
@@ -612,6 +636,16 @@ def test_sample_expanders_reach_r5(seed):
     frame = named_frame("equiangular5")
     results = sample_expanders(40, 5, frame, samples=3, seed=seed)
     assert len(results) == 3 and all(res.report.d == pytest.approx(2.5) for res in results)
+
+
+def test_sampling_checks_tightness_once(monkeypatch):
+    # the frame's tightness is checked before the draws, not per sample
+    from mwgraph import frames
+    frame = augment_with_identity(equiangular_frame_2d(3))
+    tight = count_calls(monkeypatch, "verify_tight", frames)
+    placed = count_calls(monkeypatch, "_place_frame", frames)
+    assert len(sample_expanders(40, 4, frame, samples=3, seed=0)) == 3
+    assert (len(tight), len(placed)) == (1, 3)
 
 
 def test_sample_expanders_refuse_r7_before_drawing(monkeypatch):
