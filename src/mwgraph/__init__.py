@@ -43,7 +43,6 @@ from .expansion import (
 )
 from .frames import (
     ExpanderReport,
-    FrameExistence,
     FusionFrame,
     SearchResult,
     alon_boppana_compare,
@@ -51,7 +50,6 @@ from .frames import (
     build_expander,
     equiangular_frame_2d,
     eta,
-    frame_existence,
     load_frame,
     named_frame,
     proper_edge_coloring,

@@ -2,8 +2,8 @@
 
 Subcommands: spectrum, eml, cheeger, sheaf-check, truss, build-expander,
 search, verify-paper.  Exit codes: 0 success, 1 verification failure,
-2 usage/input error.  Identical inputs and flags produce byte-identical
-JSON output.
+2 usage error (from argparse) or input error (exactly an MwgError).
+Identical inputs and flags produce byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -146,10 +146,7 @@ def _load_graph(path: Path, tol: Tolerances):
 def _resolve_frame(spec: str, tol: Tolerances, r_context: int | None = None):
     if spec.startswith("@"):
         return load_frame(_read(Path(spec[1:])), tol)
-    try:
-        return named_frame(spec, r_context)
-    except ValueError as exc:
-        raise MwgError(str(exc)) from exc
+    return named_frame(spec, r_context)
 
 
 # --- output rendering --------------------------------------------------------
@@ -446,24 +443,19 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        sys.stderr.write("error: --workers must be >= 1\n")
-        return EXIT_INPUT_ERROR
-    cpus = os.cpu_count() or 1
-    if args.workers > cpus:
-        sys.stderr.write(f"error: --workers must be <= {cpus}, the CPU count\n")
-        return EXIT_INPUT_ERROR
+    """Exit 2 exactly when an MwgError is raised; any other exception is a
+    bug and propagates."""
+    args = build_parser().parse_args(argv)
     try:
-        tol = _tolerances(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    handler = _HANDLERS[args.command]
-    try:
-        return handler(args, tol)
-    except (MwgError, ValueError) as exc:
+        if args.workers < 1:
+            raise MwgError("--workers must be >= 1")
+        cpus = os.cpu_count() or 1
+        if args.workers > cpus:
+            raise MwgError(f"--workers must be <= {cpus}, the CPU count")
+        if args.seed < 0:
+            raise MwgError("--seed must be >= 0")
+        return _HANDLERS[args.command](args, _tolerances(args))
+    except MwgError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

@@ -1,8 +1,9 @@
 """Exception types shared across the package."""
 
 
-class MwgError(Exception):
-    """Base class for all mwgraph errors."""
+class MwgError(ValueError):
+    """Base class for all mwgraph errors: every rejection of an input or a
+    parameter.  A ValueError, so callers that catch ValueError still catch it."""
 
 
 class NonFiniteError(MwgError):
@@ -30,7 +31,7 @@ class ParseError(MwgError):
 
 
 class DegenerateEdgeError(MwgError):
-    """A truss edge has zero length."""
+    """An edge is a self-loop, or a truss edge has zero length."""
 
 
 class NotScalarRegularError(MwgError):

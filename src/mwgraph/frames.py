@@ -25,6 +25,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import (
+    DimMismatchError,
     DomainError,
     NotColorableError,
     NotProjectionError,
@@ -42,7 +43,7 @@ from .graphgen import (
     graph6_like,
     iter_proper_colorings,
 )
-from .graphs import (LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, _stack_key,
+from .graphs import (LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, _ByValue, _stack_key,
                      is_connected_edges)
 from .linalg import (DEFAULT_TOL, Tolerances, _checked_psd, as_symmetric, is_projection,
                      keep_cutoff, residual_allowance, spectral_norm)
@@ -55,8 +56,8 @@ SEARCH_MAX_N = 12
 MAX_SAMPLE_DRAWS = 500_000
 
 
-@dataclass(frozen=True)
-class FusionFrame:
+@dataclass(frozen=True, eq=False)
+class FusionFrame(_ByValue):
     """k x k orthogonal projections (possibly tight), as one read-only
     (r, k, k) stack; the constructor trusts it, from_projections checks.
     Two frames are equal, and hash alike, when their projections are equal
@@ -68,14 +69,6 @@ class FusionFrame:
 
     def _key(self) -> tuple:
         return self.k, _stack_key(self.projections), self.ranks
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @classmethod
     def from_projections(cls, mats: Iterable, tol: Tolerances = DEFAULT_TOL,
@@ -95,7 +88,7 @@ class FusionFrame:
             # a projection's eigenvalues are 0 and 1, so its rank is its trace
             ranks.append(round(float(np.trace(P))))
         if k is None:
-            raise ValueError("empty frame needs an explicit ambient dimension k")
+            raise DimMismatchError("empty frame needs an explicit ambient dimension k")
         if k < 1:
             raise DomainError(f"frame dimension k must be >= 1, got k={k}")
         # + 0.0 stores a -0.0 as 0.0, as a graph's checked constructors do,
@@ -122,7 +115,7 @@ def verify_tight(f: FusionFrame, tol: Tolerances = DEFAULT_TOL) -> float:
 def equiangular_frame_2d(r: int) -> FusionFrame:
     """r rank-1 projections onto lines at angles i*pi/r; tight with c = r/2."""
     if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
+        raise DomainError(f"need r >= 2, got {r}")
     mats = []
     for i in range(r):
         theta = i * math.pi / r
@@ -134,24 +127,6 @@ def equiangular_frame_2d(r: int) -> FusionFrame:
 def augment_with_identity(f: FusionFrame) -> FusionFrame:
     """Append I_k; a tight frame with constant c becomes tight with c + 1."""
     return FusionFrame.from_projections(list(f.projections) + [np.eye(f.k)])
-
-
-class FrameExistence:
-    EXISTS = "exists"
-    NONE = "none"
-    UNKNOWN_BY_BOUNDS = "unknown_by_bounds"
-
-
-def frame_existence(k: int, l: int, r: int) -> str:
-    """Known existence window for tight fusion frames of r rank-l subspaces in R^k."""
-    if not (1 <= l <= k) or r < 1:
-        raise ValueError(f"need 1 <= l <= k and r >= 1, got k={k}, l={l}, r={r}")
-    threshold = math.ceil(k / l)
-    if r >= threshold + 2:
-        return FrameExistence.EXISTS
-    if r <= threshold:
-        return FrameExistence.NONE
-    return FrameExistence.UNKNOWN_BY_BOUNDS
 
 
 # --- edge colorings ----------------------------------------------------------
@@ -374,7 +349,7 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
     if n_max > SEARCH_MAX_N:
         raise TooLargeError(f"search capped at n_max <= {SEARCH_MAX_N}")
     if r != len(f):
-        raise ValueError(f"frame has {len(f)} elements but r = {r}")
+        raise DimMismatchError(f"frame has {len(f)} elements but r = {r}")
     verify_tight(f, tol)
     groups = _projection_groups(f)
     tasks = []
@@ -445,9 +420,9 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
     fewer than `samples` graphs.
     """
     if r != len(f):
-        raise ValueError(f"frame has {len(f)} elements but r = {r}")
+        raise DimMismatchError(f"frame has {len(f)} elements but r = {r}")
     if n <= r or (n * r) % 2 != 0:
-        raise ValueError(f"no {r}-regular graphs on {n} vertices")
+        raise DomainError(f"no {r}-regular graphs on {n} vertices")
     if n % 2:
         raise NotColorableError(f"no proper {r}-edge-coloring on an odd number of vertices "
                                 f"({n}): each color class would be a perfect matching")
@@ -489,19 +464,30 @@ def named_frame(name: str, r_context: int | None = None) -> FusionFrame:
 
     identity{k} yields r_context copies of I_k (the trivial lift weighting),
     so it needs the regular degree from context.
+
+    An r-element frame in R^k weights only r-regular graphs, which have
+    n > r vertices, so n k >= (r + 1) k.  A name whose (r + 1) k passes
+    LOAD_MAX_NK, the bound on a loadable graph, raises TooLarge before
+    anything is built, as does a number longer than that bound, before
+    int() reads it.
     """
     m = _NAMED_FRAME.match(name)
     if not m:
-        raise ValueError(f"unknown frame name {name!r}")
-    if m.group(4):
-        k = int(m.group(4))
-        if r_context is None:
-            raise ValueError("identity{k} frame needs the number of colors (r)")
-        return FusionFrame.from_projections([np.eye(k)] * r_context)
-    frame = equiangular_frame_2d(int(m.group(2)))
-    if m.group(3):
-        frame = augment_with_identity(frame)
-    return frame
+        raise ParseError(f"unknown frame name {name!r}")
+    identity = m.group(4) is not None
+    if identity and r_context is None:
+        raise DomainError("identity{k} frame needs the number of colors (r)")
+    digits = (m.group(4) or m.group(2)).lstrip("0")
+    if len(digits) <= len(str(LOAD_MAX_NK)):
+        size = int(digits or "0")
+        r, k = (r_context, size) if identity else (size + bool(m.group(3)), 2)
+        if (r + 1) * k <= LOAD_MAX_NK:
+            if identity:
+                return FusionFrame.from_projections([np.eye(k)] * r)
+            frame = equiangular_frame_2d(size)
+            return augment_with_identity(frame) if m.group(3) else frame
+    raise TooLargeError(f"frame {name!r:.40} weights only graphs with n * k over "
+                        f"the limit of {LOAD_MAX_NK}")
 
 
 def load_frame(data: bytes | str, tol: Tolerances = DEFAULT_TOL) -> FusionFrame:

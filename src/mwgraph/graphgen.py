@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
+from .errors import DomainError
 from .graphs import BaseGraph
 
 # _max_code merges equal frontier states once a level has more than this
@@ -159,7 +160,7 @@ def graph6_like(n: int, code: int) -> str:
     n = 2^18 - 1; the n (n - 1) / 2 bits follow, padded with zeros to a
     multiple of 6 and written 6 to a byte."""
     if not (0 <= n < 1 << 18):
-        raise ValueError(f"graph6 sizes are 0 <= n < 2^18, got {n}")
+        raise DomainError(f"graph6 sizes are 0 <= n < 2^18, got {n}")
     total = n * (n - 1) // 2
     bits = format(code, f"0{total}b") if total else ""
     bits += "0" * (-total % 6)
@@ -205,7 +206,7 @@ def enumerate_regular_graphs(n: int, r: int) -> list[BaseGraph]:
     Returned graphs carry their canonical labeling, sorted by code.
     """
     if r < 0 or n < 0:
-        raise ValueError("n and r must be nonnegative")
+        raise DomainError("n and r must be nonnegative")
     if r == 0:
         return [BaseGraph.from_edges(1, [])] if n == 1 else []
     if n <= r or (n * r) % 2 != 0:

@@ -23,7 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import jsonio
-from .errors import IndexOutOfRangeError, ParseError, TooLargeError
+from .errors import (DegenerateEdgeError, DimMismatchError, DomainError, IndexOutOfRangeError,
+                     ParseError, TooLargeError)
 from .linalg import DEFAULT_TOL, Tolerances, _checked_psd, residual_allowance
 
 Edge = tuple[int, int]
@@ -52,13 +53,13 @@ class BaseGraph:
         first bad edge in sorted order is the error."""
         normalized = sorted({_norm_edge(int(u), int(v)) for u, v in edges})
         if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
+            raise DomainError(f"vertex count must be >= 0, got {n}")
         for u, v in normalized:
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexOutOfRangeError(
                     f"edge ({u}, {v}) outside vertex range [0, {n})")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise DegenerateEdgeError(f"self-loop at vertex {u}")
         return cls(n, tuple(normalized))
 
     def geometric_degrees(self) -> tuple[int, ...]:
@@ -91,8 +92,21 @@ def _stack_key(stack: np.ndarray) -> tuple:
     return stack.shape, (np.asarray(stack, dtype=float) + 0.0).tobytes()
 
 
-@dataclass(frozen=True)
-class MatrixWeightedGraph:
+class _ByValue:
+    """== and hash through the class's _key(), for frozen dataclasses with
+    array fields, declared eq=False so that dataclass adds neither."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixWeightedGraph(_ByValue):
     """Base graph plus one k x k PSD weight matrix per edge.
 
     ``weight_stack[i]`` is the weight on ``base.edges[i]``, so the sorted
@@ -110,21 +124,13 @@ class MatrixWeightedGraph:
     def _key(self) -> tuple:
         return self.base, self.k, _stack_key(self.weight_stack)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     @classmethod
     def from_weights(cls, n: int, k: int,
                      items: Iterable[tuple[int, int, np.ndarray]],
                      tol: Tolerances = DEFAULT_TOL) -> "MatrixWeightedGraph":
         """Build from (u, v, matrix) triples; duplicate pairs merge by summation."""
         if k < 1:
-            raise ValueError(f"block size k must be >= 1, got {k}")
+            raise DomainError(f"block size k must be >= 1, got {k}")
         ends: list[int] = []
         weights = []
         for u, v, w in items:
@@ -133,10 +139,10 @@ class MatrixWeightedGraph:
                 raise IndexOutOfRangeError(
                     f"edge ({u}, {v}) outside vertex range [0, {n})")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise DegenerateEdgeError(f"self-loop at vertex {u}")
             arr = np.asarray(w, dtype=float)
             if arr.shape != (k, k):
-                raise ValueError(
+                raise DimMismatchError(
                     f"weight for edge ({u}, {v}) has shape {arr.shape}, expected ({k}, {k})")
             ends += (u, v)
             weights.append(arr)
@@ -151,7 +157,7 @@ class MatrixWeightedGraph:
         pairs are summed in input order from zero, and the sums are
         validated (finite, symmetric, PSD) in sorted pair order."""
         if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
+            raise DomainError(f"vertex count must be >= 0, got {n}")
         pairs = np.asarray(ends).reshape(-1, 2)
         outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
         if outside.any():
@@ -183,13 +189,12 @@ class MatrixWeightedGraph:
 class Regularity:
     """Result of the regularity test.
 
-    kind is "irregular", "regular" (common degree matrix D), or "scalar"
-    (additionally D = dI).  Geometric degrees are reported separately from
-    the algebraic degree.
+    kind is "irregular", "regular" (every degree block D_v the same D), or
+    "scalar" (additionally D = dI).  Geometric degrees are reported separately from
+    the algebraic degree.  Compares and hashes by value.
     """
 
     kind: str
-    degree_matrix: np.ndarray | None
     scalar_degree: float | None
     geometric_degrees: tuple[int, ...] = field(default=())
 
@@ -211,23 +216,23 @@ def _regularity(degs: np.ndarray, geo: tuple[int, ...], tol: Tolerances) -> Regu
     """The regularity test on the (n, k, k) stack of degree blocks D_v."""
     k = degs.shape[1]
     if not len(degs):
-        return Regularity("scalar", np.zeros((k, k)), 0.0, geo)
+        return Regularity("scalar", 0.0, geo)
     allowed = residual_allowance(float(np.max(np.abs(degs))), tol)
     D0 = degs[0]
     if float(np.max(np.abs(degs[1:] - D0), initial=0.0)) > allowed:
-        return Regularity("irregular", None, None, geo)
+        return Regularity("irregular", None, geo)
     d_scalar = float(np.trace(D0)) / k
     if float(np.max(np.abs(D0 - d_scalar * np.eye(k)))) <= residual_allowance(abs(d_scalar), tol):
-        return Regularity("scalar", D0, d_scalar, geo)
-    return Regularity("regular", D0, None, geo)
+        return Regularity("scalar", d_scalar, geo)
+    return Regularity("regular", None, geo)
 
 
 def lift_identity(g: MatrixWeightedGraph, k: int) -> MatrixWeightedGraph:
     """Matrix weighting W_e = w_e * I_k of a k = 1 graph; its Laplacian is L_g tensor I_k."""
     if g.k != 1:
-        raise ValueError(f"lift_identity requires k = 1, got k = {g.k}")
+        raise DimMismatchError(f"lift_identity requires k = 1, got k = {g.k}")
     if k < 1:
-        raise ValueError(f"block size k must be >= 1, got {k}")
+        raise DomainError(f"block size k must be >= 1, got {k}")
     # g's weights passed when g was built, and w I_k has w's eigenvalues;
     # + 0.0 stores a -0.0 as 0.0, as the checked constructors do
     stack = g.weight_stack[:, :1, :1] * np.eye(k) + 0.0

@@ -25,12 +25,13 @@ def format_float(x: float) -> str:
 
 
 def loads(data: bytes | str, what: str):
-    """Decode (UTF-8) and parse one JSON document; any failure is a ParseError."""
+    """Decode (UTF-8) and parse one JSON document; any failure is a ParseError,
+    nesting past the interpreter's recursion limit included."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         return json.loads(data)
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
         raise ParseError(f"invalid {what}: {exc}") from exc
 
 
@@ -42,10 +43,14 @@ def integer(value, name: str) -> int:
 
 
 def number(value, name: str) -> float:
-    """float(value) if it is a JSON integer or float; TypeError otherwise."""
+    """float(value) if it is a JSON integer or float; TypeError otherwise,
+    and ParseError for an integer beyond float range."""
     if type(value) is not float and type(value) is not int:
         raise TypeError(f"{name} must be a JSON number, got {value!r:.40}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{name} must fit a float, got {value!r:.40}") from None
 
 
 def dumps(obj) -> str:

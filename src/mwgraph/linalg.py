@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     DimMismatchError,
+    DomainError,
     MwgError,
     NonFiniteError,
     NotPsdError,
@@ -72,7 +73,7 @@ class Tolerances:
         for f in fields(self):
             value = getattr(self, f.name)
             if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
+                raise DomainError(f"{f.name} must be finite and >= 0, got {value}")
 
 
 DEFAULT_TOL = Tolerances()

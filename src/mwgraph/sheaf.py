@@ -23,8 +23,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import jsonio
-from .errors import DegenerateEdgeError, IndexOutOfRangeError, ParseError, TooLargeError
-from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph
+from .errors import (DegenerateEdgeError, DimMismatchError, DomainError, IndexOutOfRangeError,
+                     ParseError, TooLargeError)
+from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph, _ByValue, _stack_key
 from .linalg import (DEFAULT_TOL, Tolerances, _spectral_norms, as_symmetric, keep_cutoff,
                      kernel_dim_of_values, residual_allowance, residual_scale)
 from .operators import BoundReport, OperatorBundle, Stacked, _weighted_laplacian, assemble
@@ -106,13 +107,18 @@ def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
 # --- trusses ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Truss:
-    """Bar-and-joint structure in R^3: joint positions, struts, stiffnesses."""
+@dataclass(frozen=True, eq=False)
+class Truss(_ByValue):
+    """Bar-and-joint structure in R^3: joint positions, struts, stiffnesses.
+    Two trusses are equal, and hash alike, when their points, struts and
+    stiffnesses are equal value by value, as frames and graphs compare."""
 
     points: np.ndarray
     edges: tuple[Edge, ...]
     stiffness: Mapping[Edge, float]
+
+    def _key(self) -> tuple:
+        return _stack_key(self.points), self.edges, tuple(map(self.stiffness.get, self.edges))
 
     @classmethod
     def make(cls, points, members: Iterable[tuple[int, int, float]]) -> "Truss":
@@ -120,7 +126,7 @@ class Truss:
         LOAD_MAX_NK (the stiffness matrix is dense 3n x 3n)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
+            raise DimMismatchError(f"points must have shape (n, 3), got {pts.shape}")
         if 3 * len(pts) > LOAD_MAX_NK:
             raise TooLargeError(f"3n = {3 * len(pts)} exceeds the limit of {LOAD_MAX_NK}")
         pts.setflags(write=False)
@@ -133,7 +139,7 @@ class Truss:
                     f"edge {key} outside joint range [0, {len(pts)})")
             s = float(s)
             if s <= 0:
-                raise ValueError(f"stiffness on edge {key} must be positive, got {s}")
+                raise DomainError(f"stiffness on edge {key} must be positive, got {s}")
             stiffness[key] = stiffness.get(key, 0.0) + s
         return cls(pts, tuple(sorted(stiffness)), stiffness)
 
@@ -149,10 +155,7 @@ def load_truss(data: bytes | str) -> Truss:
         raise ParseError(f"malformed truss JSON: {exc}") from exc
     if any(len(p) != 3 for p in points):
         raise ParseError("each point must have exactly 3 coordinates")
-    try:
-        return Truss.make(points, members)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return Truss.make(points, members)
 
 
 def truss_to_mwg(t: Truss, tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGraph:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mwgraph.cli import main
+from mwgraph.errors import MwgError
 from mwgraph.graphs import MatrixWeightedGraph, load, save
 from mwgraph.frames import build_expander, equiangular_frame_2d, proper_edge_coloring
 from mwgraph.graphs import BaseGraph
@@ -644,3 +645,70 @@ def test_shared_parser_carries_nothing_between_calls(k4_abc_file, tmp_path, caps
     assert {code for code, _, _ in seen} == {0, 1, 2}
     for argv, got in zip(runs, seen):
         assert got == _run_alone(argv), argv
+
+
+# --- the failure contract: exit 2 exactly when an MwgError is raised ---------
+
+_HUGE = 10**400  # a valid JSON integer beyond float range
+_LONG_NAME = "equiangular" + "1" * 5000  # past int()'s 4,300-digit limit
+_CONTRACT_FILES = {
+    "GRAPH_HUGE": json.dumps({"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": [_HUGE]}]}),
+    "FRAME_HUGE": json.dumps({"k": 1, "projections": [[_HUGE]]}),
+    "TRUSS_HUGE": json.dumps({"points": [[_HUGE, 0, 0]], "edges": []}),
+    "DEEP": "[" * 100_000 + "]" * 100_000,  # past the interpreter's recursion limit
+}
+_SEARCH = ["search", "--n-max", "8"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["spectrum", "GRAPH_HUGE"],
+     "malformed edge entry #0: w entry must fit a float, got 1" + "0" * 39),
+    (["build-expander", "K4", "--frame", "@FRAME_HUGE"],
+     "malformed frame JSON: projection entry must fit a float, got 1" + "0" * 39),
+    (["truss", "TRUSS_HUGE"],
+     "malformed truss JSON: point coordinate must fit a float, got 1" + "0" * 39),
+    (["spectrum", "DEEP"], "invalid MWG-JSON: maximum recursion depth exceeded"),
+    (["--seed", "-1"] + _SEARCH + ["--r", "3", "--frame", "equiangular3", "--samples", "1"],
+     "--seed must be >= 0"),
+    (["--seed", "-1", "verify-paper"], "--seed must be >= 0"),
+    (_SEARCH + ["--r", "4", "--frame", "identity100000"],
+     "frame 'identity100000' weights only graphs with n * k over the limit of 4096"),
+    (_SEARCH + ["--r", "3", "--frame", _LONG_NAME],
+     f"frame {_LONG_NAME!r:.40} weights only graphs with n * k over the limit of 4096"),
+    (_SEARCH + ["--r", "1", "--frame", "equiangular1"], "need r >= 2, got 1"),
+    (_SEARCH + ["--r", "4", "--frame", "equiangular3"], "frame has 3 elements but r = 4"),
+    (["search", "--r", "3", "--n-max", "9", "--frame", "equiangular3", "--samples", "2"],
+     "no 3-regular graphs on 9 vertices"),
+    (["search", "--r", "4", "--n-max", "9", "--frame", "equiangular3+I", "--samples", "2"],
+     "no proper 4-edge-coloring on an odd number of vertices (9)"),
+    (["--psd-tol", "-1", "spectrum", "K4"], "psd_tol must be finite and >= 0, got -1.0"),
+    (["--workers", "0", "spectrum", "K4"], "--workers must be >= 1"),
+], ids=["graph-huge", "frame-huge", "truss-huge", "deep", "seed-search", "seed-verify",
+        "identity100000", "long-name", "r1", "r-mismatch", "odd-n-r3", "odd-n-r4",
+        "psd-tol", "workers0"])
+def test_every_rejection_exits_2_with_one_error_line(k4_scalar_file, tmp_path, capsys,
+                                                     argv, expected):
+    paths = {"K4": str(k4_scalar_file)}
+    for name, text in _CONTRACT_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(text)
+    paths["@FRAME_HUGE"] = "@" + paths["FRAME_HUGE"]
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {expected}") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n") and "Traceback" not in captured.err
+
+
+def test_an_error_that_is_not_an_mwg_error_propagates(k4_scalar_file, capsys, monkeypatch):
+    # a bare ValueError is a bug, not an input error: main does not exit 2 on it
+    from mwgraph import cli
+
+    def broken(args, tol):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "spectrum", broken)
+    with pytest.raises(ValueError, match="^a bug$") as err:
+        main(["spectrum", str(k4_scalar_file)])
+    assert not isinstance(err.value, MwgError)
+    assert capsys.readouterr().err == ""

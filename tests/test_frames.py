@@ -18,14 +18,12 @@ from mwgraph.errors import (
     TooLargeError,
 )
 from mwgraph.frames import (
-    FrameExistence,
     FusionFrame,
     alon_boppana_compare,
     augment_with_identity,
     build_expander,
     equiangular_frame_2d,
     eta,
-    frame_existence,
     load_frame,
     named_frame,
     proper_edge_coloring,
@@ -34,9 +32,11 @@ from mwgraph.frames import (
     search_expanders,
     verify_tight,
 )
-from mwgraph.graphs import BaseGraph, is_connected_edges, lift_identity
+from mwgraph.acceptance import regular_tetrahedron_truss
+from mwgraph.graphs import LOAD_MAX_NK, BaseGraph, is_connected_edges, lift_identity
 from mwgraph.linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from mwgraph.operators import assemble
+from mwgraph.sheaf import Truss
 
 from conftest import (
     FRAME_A,
@@ -138,13 +138,6 @@ def test_augment_empty_frame():
     out = augment_with_identity(f)
     assert len(out) == 1
     assert verify_tight(out) == pytest.approx(1.0)
-
-
-def test_frame_existence_window():
-    assert frame_existence(4, 1, 6) == FrameExistence.EXISTS
-    assert frame_existence(4, 2, 2) == FrameExistence.NONE
-    # the bounds are not sharp: equiangular_frame_2d(3) exhibits (2, 1, 3)
-    assert frame_existence(2, 1, 3) == FrameExistence.UNKNOWN_BY_BOUNDS
 
 
 # --- colorings ---------------------------------------------------------------
@@ -279,6 +272,22 @@ def test_frames_graphs_and_bundles_compare_and_hash_by_value():
     assert ops.laplacian_values is not None  # a filled cache is not compared
     assert ops == assemble(H) and hash(ops) == hash(assemble(H))
     assert ops != assemble(G, Tolerances(psd_tol=1e-6))
+
+
+def test_regularity_and_truss_compare_and_hash_by_value():
+    # dataclasses with array fields, whose generated == and hash raised
+    k44 = bipartite(4, 4)
+    G = build_expander(k44, proper_edge_coloring(k44, 4), named_frame("equiangular3+I"))
+    reg, again = assemble(G).regularity, assemble(G).regularity
+    assert reg is not again and reg == again and hash(reg) == hash(again)
+    assert len({reg, again}) == 1
+    assert reg != assemble(lift_identity(unit_graph(3, [(0, 1), (1, 2)]), 2)).regularity
+    truss, same = regular_tetrahedron_truss(), regular_tetrahedron_truss()
+    assert truss is not same and truss == same and hash(truss) == hash(same)
+    assert len({truss, same}) == 1
+    assert truss != Truss.make(truss.points, [(u, v, 2.0) for u, v in truss.edges])
+    assert truss != Truss.make(-truss.points, [(u, v, 1.0) for u, v in truss.edges])
+    assert truss != Truss.make(truss.points, [(u, v, 1.0) for u, v in truss.edges[1:]])
 
 
 def test_frame_stack_is_one_read_only_array():
@@ -728,6 +737,37 @@ def test_named_frames():
         named_frame("identity3")
     with pytest.raises(ValueError):
         named_frame("nonsense")
+
+
+@pytest.mark.parametrize("name, r_context, size", [
+    # (r + 1) k = 4096, the largest n k an r-element frame can weight
+    ("identity4", 1023, 1023), ("identity0001", 4095, 4095), ("equiangular2047", None, 2047),
+    ("equiangular2046+I", None, 2047),
+])
+def test_named_frames_up_to_the_size_bound_are_built(name, r_context, size):
+    assert len(named_frame(name, r_context)) == size
+
+
+@pytest.mark.parametrize("name, r_context", [
+    ("identity4", 1024), ("identity820", 4), ("identity100000", 4), ("identity5", 1000),
+    ("equiangular2048", None), ("equiangular2047+I", None),
+    ("identity" + "9" * 5000, 4), ("equiangular" + "1" * 5000, None),
+], ids=["identity4-r1024", "identity820-r4", "identity100000-r4", "identity5-r1000",
+        "equiangular2048", "equiangular2047+I", "identity-5000-digits",
+        "equiangular-5000-digits"])
+def test_named_frames_past_the_size_bound_are_refused_before_building(monkeypatch, name,
+                                                                        r_context):
+    from mwgraph import frames
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a frame")
+
+    monkeypatch.setattr(np, "eye", forbidden)
+    monkeypatch.setattr(frames, "equiangular_frame_2d", forbidden)
+    with pytest.raises(TooLargeError) as err:
+        named_frame(name, r_context)
+    assert str(err.value) == (f"frame {name!r:.40} weights only graphs with n * k over "
+                              f"the limit of {LOAD_MAX_NK}")
 
 
 def test_load_frame_json():

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from mwgraph.errors import (
+    DegenerateEdgeError,
+    DimMismatchError,
+    DomainError,
     IndexOutOfRangeError,
     MwgError,
     NonFiniteError,
@@ -54,13 +57,13 @@ def test_base_graph_rejects_out_of_range():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: BaseGraph.from_edges(-1, []), ValueError, "vertex count must be >= 0, got -1"),
-    (lambda: BaseGraph.from_edges(-2, [(0, 1), (1, 1)]), ValueError,
+    (lambda: BaseGraph.from_edges(-1, []), DomainError, "vertex count must be >= 0, got -1"),
+    (lambda: BaseGraph.from_edges(-2, [(0, 1), (1, 1)]), DomainError,
      "vertex count must be >= 0, got -2"),
     # the first bad edge in sorted order is named, whatever order it came in
     (lambda: BaseGraph.from_edges(3, [(4, 4), (2, 2), (5, 1)]), IndexOutOfRangeError,
      "edge (1, 5) outside vertex range [0, 3)"),
-    (lambda: BaseGraph.from_edges(3, [(5, 5), (2, 2), (0, 1)]), ValueError,
+    (lambda: BaseGraph.from_edges(3, [(5, 5), (2, 2), (0, 1)]), DegenerateEdgeError,
      "self-loop at vertex 2"),
     (lambda: BaseGraph.from_edges(3, [(0, 0), (1, -1)]), IndexOutOfRangeError,
      "edge (-1, 1) outside vertex range [0, 3)"),
@@ -70,15 +73,15 @@ def test_base_graph_rejects_out_of_range():
     (lambda: BaseGraph.from_edges(3, [(3, 3)]), IndexOutOfRangeError,
      "edge (3, 3) outside vertex range [0, 3)"),
     # from_weights names the first bad item in input order
-    (lambda: MatrixWeightedGraph.from_weights(-1, 1, []), ValueError,
+    (lambda: MatrixWeightedGraph.from_weights(-1, 1, []), DomainError,
      "vertex count must be >= 0, got -1"),
     (lambda: MatrixWeightedGraph.from_weights(-1, 1, [(0, 1, [[1.0]])]), IndexOutOfRangeError,
      "edge (0, 1) outside vertex range [0, -1)"),
     (lambda: MatrixWeightedGraph.from_weights(3, 1, [(2, 2, [[1.0]]), (0, 3, [[1.0]])]),
-     ValueError, "self-loop at vertex 2"),
+     DegenerateEdgeError, "self-loop at vertex 2"),
     (lambda: MatrixWeightedGraph.from_weights(3, 1, [(0, 1, [[1.0]]), (3, 3, [[1.0]])]),
      IndexOutOfRangeError, "edge (3, 3) outside vertex range [0, 3)"),
-    (lambda: MatrixWeightedGraph.from_weights(-1, 0, []), ValueError,
+    (lambda: MatrixWeightedGraph.from_weights(-1, 0, []), DomainError,
      "block size k must be >= 1, got 0"),
 ])
 def test_checked_constructors_name_the_first_bad_input(build, error, message):
@@ -286,10 +289,10 @@ def test_regularity_path_is_irregular():
 def test_regularity_regular_but_not_scalar():
     W = np.diag([2.0, 1.0])
     G = MatrixWeightedGraph.from_weights(2, 2, [(0, 1, W)])
-    reg = assemble(G).regularity
-    assert reg.kind == "regular"
-    assert reg.scalar_degree is None
-    assert np.allclose(reg.degree_matrix, W)
+    ops = assemble(G)
+    assert ops.regularity.kind == "regular"
+    assert ops.regularity.scalar_degree is None
+    assert np.allclose(ops.degree_blocks[0], W)
 
 
 def test_lift_identity_single_edge():
@@ -485,10 +488,10 @@ def reference_first_error(n, k, items, tol):
         if not (0 <= u < n and 0 <= v < n):
             return IndexOutOfRangeError, f"edge ({u}, {v}) outside vertex range [0, {n})"
         if u == v:
-            return ValueError, f"self-loop at vertex {u}"
+            return DegenerateEdgeError, f"self-loop at vertex {u}"
         shape = np.shape(w)
         if shape != (k, k):
-            return ValueError, f"weight for edge ({u}, {v}) has shape {shape}, expected ({k}, {k})"
+            return DimMismatchError, f"weight for edge ({u}, {v}) has shape {shape}, expected ({k}, {k})"
     return _raised(lambda: reference_weights(k, items, tol))
 
 
@@ -500,7 +503,8 @@ def test_from_weights_first_error_over_mixed_bad_items():
             expected = reference_first_error(4, 2, items, DEFAULT_TOL)
             assert _raised(lambda: MatrixWeightedGraph.from_weights(4, 2, items)) == expected
             seen.add(expected[0])
-    assert seen == {ValueError, IndexOutOfRangeError, NotPsdError, NonFiniteError}
+    assert seen == {DegenerateEdgeError, DimMismatchError, IndexOutOfRangeError, NotPsdError,
+                    NonFiniteError}
 
 
 def test_load_first_error_over_mixed_bad_edges():

@@ -4,8 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from mwgraph.errors import NonFiniteError
+from mwgraph.errors import NonFiniteError, ParseError
+from mwgraph.frames import load_frame
+from mwgraph.graphs import load
 from mwgraph.jsonio import dumps, format_float
+from mwgraph.sheaf import load_truss
+
+# an integer literal beyond float range: float() raises OverflowError on it
+HUGE = 10**400
+# one file per loader, each with HUGE in its first number entry
+HUGE_FILES = [
+    (load, {"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": [HUGE]}]},
+     "malformed edge entry #0: w entry must fit a float, got 1000"),
+    (load_frame, {"k": 1, "projections": [[HUGE]]},
+     "malformed frame JSON: projection entry must fit a float, got 1000"),
+    (load_truss, {"points": [[HUGE, 0, 0]], "edges": []},
+     "malformed truss JSON: point coordinate must fit a float, got 1000"),
+]
 
 
 def test_dumps_basic_types():
@@ -48,3 +63,18 @@ def test_format_float_is_deterministic():
     assert format_float(0.1) == format_float(0.1)
     assert format_float(1.0) == "1"
     assert float(format_float(math.sqrt(2))) == math.sqrt(2)
+
+
+@pytest.mark.parametrize("loader, doc, message", HUGE_FILES,
+                         ids=["graph", "frame", "truss"])
+def test_loaders_reject_an_integer_beyond_float_range(loader, doc, message):
+    with pytest.raises(ParseError) as err:
+        loader(json.dumps(doc).encode())
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("loader", [load, load_frame, load_truss])
+def test_loaders_reject_nesting_past_the_recursion_limit(loader):
+    depth = 100_000
+    with pytest.raises(ParseError, match="^invalid .*: maximum recursion depth exceeded"):
+        loader(b"[" * depth + b"]" * depth)
