@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from . import jsonio
-from .errors import MwgError, SingularVolumeError
+from .errors import DomainError, MwgError, SingularVolumeError
 from .expansion import (
     IrregularContext,
     cheeger_analysis,
@@ -88,11 +88,13 @@ SHEAF_TOL = Tolerances(resid_tol=1e-9)
 # the corpus pass analyses this many members at a time
 _CHUNK = 64
 # what A2-A4 read of every member, solved per shape group of a chunk;
-# D^(+/2) comes before the normalized Laplacian that reads it.  A6's
-# normalized adjacency spectrum is read for at most IRREGULAR_GRAPHS
-# members, so it is solved per member: stacked for all, the pass was slower
-_STACKED = (OperatorBundle.degree_pseudo_sqrt_inv, OperatorBundle.laplacian_values,
-           OperatorBundle.adjacency_values, OperatorBundle.normalized_laplacian_values,
+# the degree blocks come before the D^(+/2) that reads them, and D^(+/2)
+# before the normalized Laplacian that reads it.  A6's normalized
+# adjacency spectrum is read for at most IRREGULAR_GRAPHS members, so it
+# is solved per member: stacked for all, the pass was slower
+_STACKED = (OperatorBundle.degree_blocks, OperatorBundle.degree_pseudo_sqrt_inv,
+           OperatorBundle.laplacian_values, OperatorBundle.adjacency_values,
+           OperatorBundle.normalized_laplacian_values,
            OperatorBundle.trace_laplacian_values, OperatorBundle.trace_adjacency_values,
            sheaf_check)
 
@@ -341,6 +343,8 @@ class Suite:
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL, seed: int = 0,
                  workers: int = 1, random_count: int = 1000):
+        if seed < 0:
+            raise DomainError("seed must be >= 0")
         self.tol = tol
         self.seed = seed
         self.workers = workers

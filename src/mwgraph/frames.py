@@ -11,6 +11,12 @@ a symmetric projection, the stack of them PSD.  build_expander checks the
 graph, its coloring and the frame's tightness, then places that stack.  The
 searches check the frame's tightness once, then check and place each
 coloring.  Frames and graphs compare and hash by value.
+
+The expander report (eta, the nontrivial adjacency extremes and the
+Alon-Boppana comparison) is the ``Stacked`` quantity ``expander_report``:
+one solve serves a list of bundles of one shape, such as every coloring
+of one graph in the search, and ``eta`` is its one-element case, with the
+same checks and the same first error.
 """
 
 from __future__ import annotations
@@ -47,9 +53,15 @@ from .graphs import (LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, _ByValue, _sta
                      is_connected_edges)
 from .linalg import (DEFAULT_TOL, Tolerances, _checked_psd, as_symmetric, is_projection,
                      keep_cutoff, residual_allowance, spectral_norm)
-from .operators import OperatorBundle, assemble
+from .operators import OperatorBundle, Stacked, assemble, solve_stacked
 
 SEARCH_MAX_N = 12
+# the bytes the adjacency stack of one stacked expander-report solve may
+# take (128 KiB): 64 colourings of an n = 8, k = 2 graph, while one
+# operator past it, such as an n = 200, k = 2 draw (1.2 MiB), is solved
+# alone.  Budgets from 16 KiB to 1.25 MiB searched n <= 8 equally fast;
+# 1.25 MiB held 3.2 MiB at its peak, 128 KiB 1.4 MiB
+REPORT_BUDGET = 1 << 17
 # sample_expanders refuses, before its first draw, a request whose draw
 # budget, samples * _draw_budget(r), passes this: r = 6 up to 13 samples,
 # r = 7 (726,311 draws a sample) never
@@ -218,35 +230,76 @@ class ExpanderReport:
         }
 
 
+def _expander_reports(group: list[OperatorBundle]) -> list[ExpanderReport]:
+    """Each bundle's ExpanderReport, raising what eta on the bundles in turn
+    raises first: a graph that is not dI-regular with d > 0, then a weight
+    that is not a projection.
+
+    The group's degree blocks and regularity verdicts, its weight traces
+    (whose rounded values are the ranks) and its adjacency spectra come
+    from one call each.  Regularity is checked on the degree blocks before
+    any adjacency exists, and the adjacencies are placed from the weight
+    stacks, so no bundle keeps a kn x kn A.  The projection check is one
+    call per weight."""
+    solve_stacked(group, (OperatorBundle.degree_blocks, OperatorBundle.regularity))
+    tol, k = group[0].tol, group[0].k
+    traces = np.trace(np.concatenate([ops.graph.weight_stack for ops in group]),
+                      axis1=1, axis2=2).tolist()
+    degrees, rank_sets, start = [], [], 0
+    for ops in group:
+        degrees.append(require_scalar_regular(ops.regularity, positive=True))
+        G = ops.graph
+        for e, w in zip(G.base.edges, G.weight_stack):
+            if not is_projection(w, tol):
+                raise NotProjectionWeightsError(f"weight on edge {e} is not a projection")
+        stop = start + len(G.base.edges)
+        rank_sets.append({round(t) for t in traces[start:stop]})
+        start = stop
+    solve_stacked(group, (OperatorBundle.adjacency_values,))
+    reports = []
+    for ops, d, ranks in zip(group, degrees, rank_sets):
+        mu = ops.adjacency_values[::-1]
+        cluster = int(np.sum(np.abs(mu - d) <= keep_cutoff(d, tol)))
+        nontrivial = mu[k:]
+        hi = float(nontrivial[0])
+        lo = float(nontrivial[-1])
+        eta_value = d - max(abs(hi), abs(lo))
+        geo = set(ops.regularity.geometric_degrees)
+        ab_matrix = ab_classical = None
+        if len(ranks) == 1 and len(geo) == 1:
+            l = next(iter(ranks))
+            r = next(iter(geo))
+            if r >= 2:
+                ab_matrix = 2.0 * (l / k) * math.sqrt(r - 1)
+            if d > 1:
+                ab_classical = 2.0 * math.sqrt(d - 1)
+        reports.append(ExpanderReport(d, float(eta_value), hi, lo, ab_matrix, ab_classical,
+                                      cluster != k))
+    return reports
+
+
+# a bundle's expansion constant and its Alon-Boppana comparison
+expander_report = Stacked(_expander_reports, "expander_report")
+
+
 def eta(ops: OperatorBundle) -> ExpanderReport:
     """Expansion constant: all nontrivial |mu| are at most d - eta.
 
-    Regularity is checked on the degree blocks, before A is formed."""
-    G, tol, reg = ops.graph, ops.tol, ops.regularity
-    d = require_scalar_regular(reg, positive=True)
-    k = G.k
-    ranks = set()
-    for e, w in zip(G.base.edges, G.weight_stack):
-        if not is_projection(w, tol):
-            raise NotProjectionWeightsError(f"weight on edge {e} is not a projection")
-        ranks.add(round(float(np.trace(w))))
-    mu = ops.adjacency_values[::-1]
-    cluster = int(np.sum(np.abs(mu - d) <= keep_cutoff(d, tol)))
-    nontrivial = mu[k:]
-    hi = float(nontrivial[0])
-    lo = float(nontrivial[-1])
-    eta_value = d - max(abs(hi), abs(lo))
-    geo = set(reg.geometric_degrees)
-    ab_matrix = ab_classical = None
-    if len(ranks) == 1 and len(geo) == 1:
-        l = next(iter(ranks))
-        r = next(iter(geo))
-        if r >= 2:
-            ab_matrix = 2.0 * (l / k) * math.sqrt(r - 1)
-        if d > 1:
-            ab_classical = 2.0 * math.sqrt(d - 1)
-    return ExpanderReport(d, float(eta_value), hi, lo, ab_matrix, ab_classical,
-                          cluster != k)
+    The one-element case of ``expander_report``: regularity is checked on
+    the degree blocks, before A is formed, then each weight's projection."""
+    return expander_report.of(ops)
+
+
+def _reports(bundles: list[OperatorBundle]) -> list[ExpanderReport]:
+    """expander_report of each bundle, all of one shape, solved stacked in
+    runs whose adjacency stack takes at most REPORT_BUDGET bytes, and at
+    least one bundle each."""
+    if bundles:
+        nk = bundles[0].n * bundles[0].k
+        run = max(1, REPORT_BUDGET // (8 * nk * nk or 1))
+        for i in range(0, len(bundles), run):
+            solve_stacked(bundles[i:i + run], (expander_report,))
+    return [expander_report.of(ops) for ops in bundles]
 
 
 class AlonBoppana(NamedTuple):
@@ -317,7 +370,7 @@ def _graph_results(args) -> list:
         # one projection (identity{k}): every coloring gives the same
         # weighting, so the first one found is the only record
         colorings = itertools.islice(colorings, 1)
-    results = []
+    kept = []
     seen_weightings: set[tuple[int, ...]] = set()
     dedupe = distinct < len(groups)
     for coloring in colorings:
@@ -326,9 +379,10 @@ def _graph_results(args) -> list:
             if key in seen_weightings:
                 continue
             seen_weightings.add(key)
-        G = _place_frame(graph, coloring, f)
-        results.append(SearchResult(n, code_str, graph, coloring, eta(assemble(G, tol))))
-    return results
+        kept.append(coloring)
+    reports = _reports([assemble(_place_frame(graph, coloring, f), tol) for coloring in kept])
+    return [SearchResult(n, code_str, graph, coloring, report)
+            for coloring, report in zip(kept, reports)]
 
 
 def search_expanders(n_max: int, r: int, f: FusionFrame,
@@ -338,18 +392,25 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
 
     Graphs come from orderly generation, one per isomorphism class in its
     canonical labeling; colorings yielding identical weightings (possible
-    only when the frame has repeated elements) are deduplicated.  Results
-    are sorted by eta descending, then canonical code, then coloring.
+    only when the frame has repeated elements) are deduplicated.  The
+    colorings of one graph share a shape, so their expander reports are
+    one stacked solve (``expander_report``), cut into runs by
+    REPORT_BUDGET; ``workers`` > 1 spreads the graphs over a forked pool.
+    Results are sorted by eta descending, then canonical code, then
+    coloring.
 
     Enumeration reaches the n_max = 12 cap for r <= 4 (the 1544 classes of
-    r = 4, n = 12 take about 2 s); the limit is now the per-coloring eta, one
-    eigensolve for each of the 20,544 colorings at r = 4, n = 10 alone.
-    Use sample_expanders beyond the cap.
+    r = 4, n = 12 take about 2 s); the limit is now the colorings, 20,544
+    at r = 4, n = 10 alone.  Use sample_expanders beyond the cap.  Raises
+    TooLarge, before enumerating, when n_max k exceeds LOAD_MAX_NK, the
+    bound on one dense nk x nk operator.
     """
     if n_max > SEARCH_MAX_N:
         raise TooLargeError(f"search capped at n_max <= {SEARCH_MAX_N}")
     if r != len(f):
         raise DimMismatchError(f"frame has {len(f)} elements but r = {r}")
+    if n_max * f.k > LOAD_MAX_NK:
+        raise TooLargeError(f"n_max * k = {n_max * f.k} exceeds the limit of {LOAD_MAX_NK}")
     verify_tight(f, tol)
     groups = _projection_groups(f)
     tasks = []
@@ -365,7 +426,9 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        # fork by name: the default start method differs across platforms
+        # and Python versions
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_graph_results, tasks)
     else:
         chunks = [_graph_results(task) for task in tasks]
@@ -414,11 +477,15 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
     search_expanders.  Graphs are not canonicalized, so repeats can occur;
     the result is deterministic for a fixed seed.
 
-    Raises TooLarge, before the first draw, when nk exceeds LOAD_MAX_NK,
-    the bound on one dense nk x nk operator, or the draw budget exceeds
-    MAX_SAMPLE_DRAWS (r >= 7), and SampleShortfall when the budget yields
-    fewer than `samples` graphs.
+    The draws' expander reports are solved stacked, as the search's are.
+
+    Raises Domain for a negative seed; TooLarge, before the first draw,
+    when nk exceeds LOAD_MAX_NK, the bound on one dense nk x nk operator,
+    or the draw budget exceeds MAX_SAMPLE_DRAWS (r >= 7); and
+    SampleShortfall when the budget yields fewer than `samples` graphs.
     """
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     if r != len(f):
         raise DimMismatchError(f"frame has {len(f)} elements but r = {r}")
     if n <= r or (n * r) % 2 != 0:
@@ -434,22 +501,26 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
                             f"over the limit of {MAX_SAMPLE_DRAWS}")
     verify_tight(f, tol)
     rng = np.random.default_rng(seed)
-    results: list[SearchResult] = []
+    colorings: list[tuple[int, ...]] = []
+    bundles: list[OperatorBundle] = []
     attempts = 0
-    while len(results) < samples:
+    while len(bundles) < samples:
         if attempts == budget:
+            # a drawn graph's error comes first, as if each were solved when drawn
+            _reports(bundles)
             raise SampleShortfallError(
-                f"drew {len(results)} of the {samples} requested graphs "
+                f"drew {len(bundles)} of the {samples} requested graphs "
                 f"({r}-regular on {n} vertices) in {attempts} attempts")
         attempts += 1
         draw = _matching_union(rng, n, r)
         if draw is None:
             continue
         edges, coloring = draw
-        base = BaseGraph(n, edges)
-        G = _place_frame(base, coloring, f)
-        code_str = graph6_like(n, edges_code(n, base.edges))
-        results.append(SearchResult(n, code_str, base, coloring, eta(assemble(G, tol))))
+        colorings.append(coloring)
+        bundles.append(assemble(_place_frame(BaseGraph(n, edges), coloring, f), tol))
+    results = [SearchResult(n, graph6_like(n, edges_code(n, ops.graph.base.edges)),
+                            ops.graph.base, coloring, report)
+               for ops, coloring, report in zip(bundles, colorings, _reports(bundles))]
     results.sort(key=_search_order)
     return results
 

@@ -140,7 +140,11 @@ class MatrixWeightedGraph(_ByValue):
                     f"edge ({u}, {v}) outside vertex range [0, {n})")
             if u == v:
                 raise DegenerateEdgeError(f"self-loop at vertex {u}")
-            arr = np.asarray(w, dtype=float)
+            try:
+                arr = np.asarray(w, dtype=float)
+            except ValueError as exc:  # ragged nesting, or an entry that is not a number
+                raise DimMismatchError(
+                    f"weight for edge ({u}, {v}) is not a ({k}, {k}) array of numbers") from exc
             if arr.shape != (k, k):
                 raise DimMismatchError(
                     f"weight for edge ({u}, {v}) has shape {arr.shape}, expected ({k}, {k})")
@@ -203,28 +207,39 @@ class Regularity:
         return self.kind == "scalar"
 
 
-def _degree_sums(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
-    """The (n, k, k) degree blocks of weights[i] on edges[i]: each D_v is the
-    sum of the weights at v, added in edge order."""
+def _degree_sums(n: int, edges, weights: np.ndarray) -> np.ndarray:
+    """The (n, k, k) degree blocks of weights[i] on edges[i], a sequence of
+    pairs or an (m, 2) array: each D_v is the sum of the weights at v, added
+    in edge order."""
     out = np.zeros((n, *weights.shape[1:]))
     # unbuffered, in index order: u0, v0, u1, v1, ...
     np.add.at(out, np.array(edges, dtype=np.intp).reshape(-1), np.repeat(weights, 2, axis=0))
     return out
 
 
-def _regularity(degs: np.ndarray, geo: tuple[int, ...], tol: Tolerances) -> Regularity:
-    """The regularity test on the (n, k, k) stack of degree blocks D_v."""
-    k = degs.shape[1]
-    if not len(degs):
-        return Regularity("scalar", 0.0, geo)
-    allowed = residual_allowance(float(np.max(np.abs(degs))), tol)
-    D0 = degs[0]
-    if float(np.max(np.abs(degs[1:] - D0), initial=0.0)) > allowed:
-        return Regularity("irregular", None, geo)
-    d_scalar = float(np.trace(D0)) / k
-    if float(np.max(np.abs(D0 - d_scalar * np.eye(k)))) <= residual_allowance(abs(d_scalar), tol):
-        return Regularity("scalar", d_scalar, geo)
-    return Regularity("regular", None, geo)
+def _regularity(degs: np.ndarray, geos: Sequence[tuple[int, ...]],
+                tol: Tolerances) -> list[Regularity]:
+    """The regularity test of each graph of an (m, n, k, k) stack of degree
+    blocks D_v, whose geometric degrees are geos[i]: elementwise steps on the
+    whole stack, each graph's verdict bitwise what it gets alone."""
+    n, k = degs.shape[1:3]
+    if not n:
+        return [Regularity("scalar", 0.0, geo) for geo in geos]
+    D0 = degs[:, 0]
+    spread = np.max(np.abs(degs[:, 1:] - D0[:, None]), axis=(1, 2, 3), initial=0.0)
+    d_scalar = np.trace(D0, axis1=1, axis2=2) / k
+    gap = np.max(np.abs(D0 - d_scalar[:, None, None] * np.eye(k)), axis=(1, 2))
+    verdicts = []
+    for top, spread_i, d, gap_i, geo in zip(np.max(np.abs(degs), axis=(1, 2, 3)).tolist(),
+                                            spread.tolist(), d_scalar.tolist(),
+                                            gap.tolist(), geos):
+        if spread_i > residual_allowance(top, tol):
+            verdicts.append(Regularity("irregular", None, geo))
+        elif gap_i <= residual_allowance(abs(d), tol):
+            verdicts.append(Regularity("scalar", d, geo))
+        else:
+            verdicts.append(Regularity("regular", None, geo))
+    return verdicts
 
 
 def lift_identity(g: MatrixWeightedGraph, k: int) -> MatrixWeightedGraph:

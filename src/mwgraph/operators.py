@@ -18,12 +18,15 @@ numpy.linalg solves k x k blocks, the sheaf's Gram matrix delta^T delta
 and its residual from L, and a truss's rigid-motion generators, never L
 or A.
 
-Each spectrum, D^(+/2) and norm a bundle caches is a ``Stacked`` quantity:
-one function solves it for a list of bundles of one shape with one LAPACK
-call on their stack, and reading it on one bundle is that function's
-one-element case.  numpy solves a stack one matrix at a time with the
-routine it uses for a single matrix, so ``solve_stacked``, which fills many
-bundles at once, gives each the bits it would get alone.
+Each spectrum, D^(+/2) and norm a bundle caches, and its degree blocks and
+regularity, is a ``Stacked`` quantity: one function solves it for a list
+of bundles of one shape with one call on their stack, and reading it on
+one bundle is that function's one-element case.  numpy solves a stack one
+matrix at a time with the routine it uses for a single matrix, so
+``solve_stacked``, which fills many bundles at once, gives each the bits
+it would get alone.  The adjacency spectrum is solved from adjacencies
+placed straight from the weight stacks, so reading it leaves no kn x kn A
+on the bundle.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MwgError
-from .graphs import Edge, MatrixWeightedGraph, Regularity, _degree_sums, _regularity
+from .graphs import Edge, MatrixWeightedGraph, _degree_sums, _regularity
 from .linalg import DEFAULT_TOL, Tolerances, _pseudo_sqrt_inv
 
 CHECK_TOL = 1e-8
@@ -114,33 +117,54 @@ class Stacked:
 
 
 def solve_stacked(bundles: Iterable["OperatorBundle"], quantities: Sequence[Stacked]) -> None:
-    """Cache each quantity, in order, on every bundle, from one ``solve`` per
-    group of bundles that share n, k and tol.  A group whose solve raises
-    MwgError gets nothing, so each of its members solves its own when read
-    and meets its own error there."""
+    """Cache each quantity, in order, on every bundle that does not hold it
+    yet, from one ``solve`` per group of such bundles that share n, k and
+    tol.  A group whose solve raises MwgError gets nothing, so each of its
+    members solves its own when read and meets its own error there."""
     groups: dict[tuple, list[OperatorBundle]] = {}
     for ops in bundles:
         groups.setdefault((ops.n, ops.k, ops.tol), []).append(ops)
     for quantity in quantities:
         for group in groups.values():
+            pending = [ops for ops in group if quantity.name not in ops.__dict__]
+            if not pending:
+                continue
             try:
-                values = quantity.solve(group)
+                values = quantity.solve(pending)
             except MwgError:
                 continue
-            for ops, value in zip(group, values):
+            for ops, value in zip(pending, values):
                 ops.__dict__[quantity.name] = value
+
+
+def _group_edges(group: list["OperatorBundle"]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of a group of bundles on n vertices each as one (E, 2)
+    array, vertex v of member i read as i n + v, and their weights as one
+    (E, k, k) stack aligned with them."""
+    n, k = group[0].n, group[0].k
+    ends = [np.array(ops.graph.base.edges, dtype=np.intp).reshape(-1, 2) + i * n
+            for i, ops in enumerate(group)]
+    weights = [ops.graph.weight_stack for ops in group]
+    return np.concatenate(ends), np.concatenate(weights).reshape(-1, k, k)
+
+
+def _adjacencies(count: int, n: int, ends: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (count, kn, kn) stack of adjacencies with weights[i] at blocks
+    (u, v) and (v, u) of graph g, where row i of ends is (g n + u, g n + v)."""
+    k = weights.shape[1]
+    A = np.zeros((count, k * n, k * n))
+    if len(ends):
+        g, u = np.divmod(ends[:, 0], n)
+        v = ends[:, 1] - g * n
+        blocks = A.reshape(count, n, k, n, k)
+        blocks[g, u, :, v, :] = weights
+        blocks[g, v, :, u, :] = weights
+    return A
 
 
 def _adjacency(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
     """The kn x kn matrix with weights[i] at blocks (u, v) and (v, u) of edges[i]."""
-    k = weights.shape[1]
-    A = np.zeros((k * n, k * n))
-    if len(edges):
-        u, v = np.array(edges).T
-        blocks = A.reshape(n, k, n, k)
-        blocks[u, :, v, :] = weights
-        blocks[v, :, u, :] = weights
-    return A
+    return _adjacencies(1, n, np.array(edges, dtype=np.intp).reshape(-1, 2), weights)[0]
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -158,11 +182,26 @@ def _weighted_laplacian(n: int, edges: Sequence[Edge], weights: np.ndarray) -> n
     return _block_diagonal(_degree_sums(n, edges, weights)) - _adjacency(n, edges, weights)
 
 
-def _eigvalsh_rows(matrices: Iterable[np.ndarray]) -> list[np.ndarray]:
-    """Ascending eigenvalues of each matrix, read-only, from one eigvalsh."""
-    values = np.linalg.eigvalsh(np.stack(list(matrices)))
+def _eigvalsh_rows(stack: np.ndarray) -> list[np.ndarray]:
+    """Ascending eigenvalues of each matrix of a stack, read-only, from one eigvalsh."""
+    values = np.linalg.eigvalsh(stack)
     values.setflags(write=False)
     return list(values)
+
+
+def _degree_blocks(group: list["OperatorBundle"]) -> list[np.ndarray]:
+    """Each bundle's read-only (n, k, k) stack of degree blocks D_v, all the
+    group's from one ``_degree_sums``."""
+    n, k = group[0].n, group[0].k
+    blocks = _degree_sums(len(group) * n, *_group_edges(group))
+    blocks.setflags(write=False)
+    return list(blocks.reshape(len(group), n, k, k))
+
+
+def _group_adjacency_values(group: list["OperatorBundle"]) -> list[np.ndarray]:
+    """Each bundle's ascending adjacency spectrum, from one eigvalsh of the
+    group's adjacencies, placed from the weight stacks: no bundle forms A."""
+    return _eigvalsh_rows(_adjacencies(len(group), group[0].n, *_group_edges(group)))
 
 
 def _degree_pseudo_sqrt_invs(group: list["OperatorBundle"]) -> list[np.ndarray]:
@@ -207,12 +246,8 @@ class OperatorBundle:
     def n(self) -> int:
         return self.graph.base.n
 
-    @cached_property
-    def degree_blocks(self) -> np.ndarray:
-        """The (n, k, k) stack of degree blocks D_v."""
-        blocks = _degree_sums(self.n, self.graph.base.edges, self.graph.weight_stack)
-        blocks.setflags(write=False)
-        return blocks
+    # the (n, k, k) stack of degree blocks D_v
+    degree_blocks = Stacked(_degree_blocks)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -234,21 +269,22 @@ class OperatorBundle:
         n, k = self.n, self.k
         return np.trace(self.adjacency.reshape(n, k, n, k), axis1=1, axis2=3)
 
-    @cached_property
-    def regularity(self) -> Regularity:
-        """The graph's regularity under ``tol``, tested on ``degree_blocks``."""
-        return _regularity(self.degree_blocks, self.graph.base.geometric_degrees(), self.tol)
+    # the graph's Regularity under tol, tested on degree_blocks
+    regularity = Stacked(lambda group: _regularity(
+        np.stack([ops.degree_blocks for ops in group]),
+        [ops.graph.base.geometric_degrees() for ops in group], group[0].tol))
 
-    laplacian_values = Stacked(lambda group: _eigvalsh_rows(ops.laplacian for ops in group))
-    adjacency_values = Stacked(lambda group: _eigvalsh_rows(ops.adjacency for ops in group))
+    laplacian_values = Stacked(
+        lambda group: _eigvalsh_rows(np.stack([ops.laplacian for ops in group])))
+    adjacency_values = Stacked(_group_adjacency_values)
     normalized_laplacian_values = Stacked(
-        lambda group: _eigvalsh_rows(ops.lap_normalized for ops in group))
+        lambda group: _eigvalsh_rows(np.stack([ops.lap_normalized for ops in group])))
     normalized_adjacency_values = Stacked(
-        lambda group: _eigvalsh_rows(ops.adj_normalized for ops in group))
+        lambda group: _eigvalsh_rows(np.stack([ops.adj_normalized for ops in group])))
     trace_laplacian_values = Stacked(
-        lambda group: _eigvalsh_rows(_trace_laplacian(ops) for ops in group))
+        lambda group: _eigvalsh_rows(np.stack([_trace_laplacian(ops) for ops in group])))
     trace_adjacency_values = Stacked(
-        lambda group: _eigvalsh_rows(ops.trace_adjacency for ops in group))
+        lambda group: _eigvalsh_rows(np.stack([ops.trace_adjacency for ops in group])))
 
     @property
     def laplacian_norm(self) -> float:

@@ -124,7 +124,10 @@ class Truss(_ByValue):
     def make(cls, points, members: Iterable[tuple[int, int, float]]) -> "Truss":
         """Raises TooLargeError, before reading any member, when 3n exceeds
         LOAD_MAX_NK (the stiffness matrix is dense 3n x 3n)."""
-        pts = np.asarray(points, dtype=float)
+        try:
+            pts = np.asarray(points, dtype=float)
+        except ValueError as exc:  # ragged nesting, or an entry that is not a number
+            raise DimMismatchError("points must be an (n, 3) array of numbers") from exc
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DimMismatchError(f"points must have shape (n, 3), got {pts.shape}")
         if 3 * len(pts) > LOAD_MAX_NK:

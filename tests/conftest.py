@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,53 @@ def reference_trace_adjacency(G):
         A[u, v] = np.trace(w)
         A[v, u] = np.trace(w)
     return A
+
+
+def reference_eta(G, tol=DEFAULT_TOL):
+    """The per-graph expander report: the bundle's regularity, then one
+    projection check and one np.trace per weight, then one eigvalsh of the
+    kn x kn adjacency placed block by block."""
+    from mwgraph.errors import NotProjectionWeightsError
+    from mwgraph.expansion import require_scalar_regular
+    from mwgraph.frames import ExpanderReport
+    from mwgraph.linalg import is_projection, keep_cutoff
+    from mwgraph.operators import assemble
+    k = G.k
+    reg = assemble(G, tol).regularity
+    d = require_scalar_regular(reg, positive=True)
+    ranks = set()
+    A = np.zeros((G.base.n * k, G.base.n * k))
+    for (u, v), w in zip(G.base.edges, G.weight_stack):
+        if not is_projection(w, tol):
+            raise NotProjectionWeightsError(f"weight on edge {(u, v)} is not a projection")
+        ranks.add(round(float(np.trace(w))))
+        A[u * k:(u + 1) * k, v * k:(v + 1) * k] = w
+        A[v * k:(v + 1) * k, u * k:(u + 1) * k] = w
+    mu = np.linalg.eigvalsh(A)[::-1]
+    cluster = int(np.sum(np.abs(mu - d) <= keep_cutoff(d, tol)))
+    hi, lo = float(mu[k]), float(mu[-1])
+    geo = set(reg.geometric_degrees)
+    ab_matrix = ab_classical = None
+    if len(ranks) == 1 and len(geo) == 1:
+        l, r = next(iter(ranks)), next(iter(geo))
+        if r >= 2:
+            ab_matrix = 2.0 * (l / k) * math.sqrt(r - 1)
+        if d > 1:
+            ab_classical = 2.0 * math.sqrt(d - 1)
+    return ExpanderReport(d, float(d - max(abs(hi), abs(lo))), hi, lo, ab_matrix,
+                          ab_classical, cluster != k)
+
+
+def same_bits(a, b):
+    """Two dataclasses of floats, bools and Nones agree field by field, each
+    float in its 64 bits."""
+    import dataclasses
+    import struct
+
+    def bits(x):
+        return x if x is None or isinstance(x, bool) else struct.pack("<d", x)
+
+    return [bits(x) for x in dataclasses.astuple(a)] == [bits(x) for x in dataclasses.astuple(b)]
 
 
 def reference_sqrt_factor(sym, tol):

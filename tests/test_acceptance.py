@@ -20,7 +20,7 @@ import pytest
 from mwgraph import jsonio
 from mwgraph.acceptance import CRITERIA, CriterionResult, Suite, results_to_jsonable
 from mwgraph.cli import main
-from mwgraph.errors import MwgError, NotTightError
+from mwgraph.errors import DomainError, MwgError, NotTightError
 from mwgraph.linalg import Tolerances
 
 from conftest import count_calls
@@ -235,6 +235,11 @@ def test_a11_builds_each_truss_once(suite, monkeypatch):
     analysed = count_calls(monkeypatch, "truss_rigidity", acceptance)
     assert suite.a11_truss().passed
     assert (len(built), len(analysed)) == (1, 2)
+
+
+def test_suite_rejects_a_negative_seed():
+    with pytest.raises(DomainError, match="^seed must be >= 0$"):
+        Suite(seed=-1)
 
 
 def test_a12_verify_paper_deterministic(capsys):

@@ -31,7 +31,7 @@ from mwgraph.expansion import (
     eml_regular_exhaustive,
     irregular_context,
 )
-from mwgraph.graphs import BaseGraph, MatrixWeightedGraph, lift_identity
+from mwgraph.graphs import BaseGraph, MatrixWeightedGraph, _degree_sums, lift_identity
 from mwgraph.linalg import Tolerances, _pseudo_sqrt_inv, keep_cutoff, kernel_dim_of_values
 from mwgraph.operators import (
     assemble,
@@ -297,9 +297,11 @@ def _direct(ops):
     """Each stacked quantity of ops, solved as a single matrix, as the pass
     solved it one member at a time."""
     A_tr = ops.trace_adjacency
-    half = _block_diagonal(_pseudo_sqrt_inv(ops.degree_blocks, ops.tol))
+    degrees = _degree_sums(ops.n, ops.graph.base.edges, ops.graph.weight_stack)
+    half = _block_diagonal(_pseudo_sqrt_inv(degrees, ops.tol))
     lap_normalized = half @ ops.laplacian @ half
-    return (half,
+    return (degrees,
+            half,
             np.linalg.eigvalsh(ops.laplacian),
             np.linalg.eigvalsh(ops.adjacency),
             np.linalg.eigvalsh((lap_normalized + lap_normalized.T) / 2.0),

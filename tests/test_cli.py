@@ -683,9 +683,11 @@ _SEARCH = ["search", "--n-max", "8"]
      "no proper 4-edge-coloring on an odd number of vertices (9)"),
     (["--psd-tol", "-1", "spectrum", "K4"], "psd_tol must be finite and >= 0, got -1.0"),
     (["--workers", "0", "spectrum", "K4"], "--workers must be >= 1"),
+    (["search", "--r", "3", "--n-max", "12", "--frame", "identity400"],
+     "n_max * k = 4800 exceeds the limit of 4096"),
 ], ids=["graph-huge", "frame-huge", "truss-huge", "deep", "seed-search", "seed-verify",
         "identity100000", "long-name", "r1", "r-mismatch", "odd-n-r3", "odd-n-r4",
-        "psd-tol", "workers0"])
+        "psd-tol", "workers0", "search-nk"])
 def test_every_rejection_exits_2_with_one_error_line(k4_scalar_file, tmp_path, capsys,
                                                      argv, expected):
     paths = {"K4": str(k4_scalar_file)}

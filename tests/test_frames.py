@@ -7,6 +7,7 @@ import pytest
 
 from mwgraph.errors import (
     DomainError,
+    MwgError,
     NotColorableError,
     NotProjectionError,
     NotProjectionWeightsError,
@@ -15,6 +16,7 @@ from mwgraph.errors import (
     NotScalarRegularError,
     NotTightError,
     ParseError,
+    SampleShortfallError,
     TooLargeError,
 )
 from mwgraph.frames import (
@@ -33,7 +35,9 @@ from mwgraph.frames import (
     verify_tight,
 )
 from mwgraph.acceptance import regular_tetrahedron_truss
-from mwgraph.graphs import LOAD_MAX_NK, BaseGraph, is_connected_edges, lift_identity
+from mwgraph.graphgen import enumerate_regular_graphs, iter_proper_colorings
+from mwgraph.graphs import (LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, is_connected_edges,
+                            lift_identity)
 from mwgraph.linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from mwgraph.operators import assemble
 from mwgraph.sheaf import Truss
@@ -47,7 +51,9 @@ from conftest import (
     k33_latin_mwg,
     petersen_graph,
     reference_as_symmetric,
+    reference_eta,
     reference_weights,
+    same_bits,
     unit_graph,
 )
 
@@ -533,9 +539,10 @@ def test_search_identity_frame_colors_each_graph_once(monkeypatch):
 def test_search_validates_once(monkeypatch):
     # the frame's tightness is checked once per search; per coloring the
     # coloring is checked once and the frame's stack, checked when the
-    # frame was built, placed with no further check, and eta solves the
-    # adjacency once; eta reads ranks off the traces of the projections it
-    # checks, so nothing is symmetrized matrix by matrix
+    # frame was built, placed with no further check; the colorings of one
+    # graph share one eigvalsh of their adjacencies, and each weight is
+    # checked to be a projection once; ranks are read off the traces, so
+    # nothing is symmetrized matrix by matrix
     from mwgraph import frames, graphs, linalg
     frame = augment_with_identity(equiangular_frame_2d(3))
     sym = count_calls(monkeypatch, "as_symmetric", frames, linalg)
@@ -544,11 +551,113 @@ def test_search_validates_once(monkeypatch):
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     tight = count_calls(monkeypatch, "verify_tight", frames)
     placed = count_calls(monkeypatch, "_place_frame", frames)
+    projections = count_calls(monkeypatch, "is_projection", frames)
     results = search_expanders(7, 4, frame)
     assert len(results) == 48
     assert len(sym) == len(stacked) == len(merged) == 0
-    assert len(solves) == len(placed) == len(results)
+    assert len(placed) == len(results)
+    assert len(solves) == len({res.code for res in results}) == 1
+    assert len(projections) == sum(len(res.graph.edges) for res in results) == 576
     assert len(tight) == 1
+
+
+@pytest.mark.parametrize("source", ["search_frame", "search_enum", "samples"])
+def test_stacked_reports_are_eta_bitwise(source):
+    # every record of both benchmark searches and five sampled draws: the
+    # report solved with its graph's other colorings is eta's, solved
+    # alone, and the per-graph reference's, field by field and bit by bit
+    if source == "search_frame":
+        frame = named_frame("equiangular3+I")
+        results = search_expanders(8, 4, frame)
+    elif source == "search_enum":
+        frame = named_frame("identity2", 3)
+        results = search_expanders(12, 3, frame)
+    else:
+        frame = named_frame("equiangular3+I")
+        results = sample_expanders(20, 4, frame, samples=5, seed=0)
+    assert len(results) == {"search_frame": 1488, "search_enum": 105, "samples": 5}[source]
+    for res in results:
+        G = build_expander(res.graph, res.coloring, frame)
+        assert same_bits(res.report, eta(assemble(G)))
+        assert same_bits(res.report, reference_eta(G))
+
+
+def _expander_group(bad=None, at=0):
+    """Bundles of n = 8, k = 2 graphs: four colorings of one frame
+    expander, with ``bad``, when given, inserted at index ``at``."""
+    frame = named_frame("equiangular3+I")
+    base = enumerate_regular_graphs(8, 4)[0]
+    colorings = itertools.islice(iter_proper_colorings(base, 4), 4)
+    graphs = [build_expander(base, coloring, frame) for coloring in colorings]
+    if bad is not None:
+        graphs.insert(at, bad)
+    return [assemble(G) for G in graphs]
+
+
+def _irregular_member():
+    return lift_identity(unit_graph(8, [(i, i + 1) for i in range(7)]), 2)
+
+
+def _non_projection_member():
+    # 3/2 P_0 and I - 1/2 P_0 in place of P_0 and I keep every degree block
+    # 5/2 I (up to rounding) and every weight PSD, but neither is a projection
+    frame = named_frame("equiangular3+I")
+    P = frame.projections
+    weights_of = [1.5 * P[0], P[1], P[2], np.eye(2) - 0.5 * P[0]]
+    base = enumerate_regular_graphs(8, 4)[0]
+    coloring = next(iter_proper_colorings(base, 4))
+    weights = [weights_of[c] for c in coloring]
+    return MatrixWeightedGraph.from_weights(
+        8, 2, [(u, v, w) for (u, v), w in zip(base.edges, weights)])
+
+
+def _first_error(calls):
+    try:
+        for call in calls:
+            call()
+    except MwgError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("member", ["irregular", "non_projection"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_a_group_raises_what_eta_in_turn_raises(member, at):
+    from mwgraph.frames import _reports, expander_report
+    bad = _irregular_member() if member == "irregular" else _non_projection_member()
+    expected = _first_error([lambda ops=ops: reference_eta(ops.graph)
+                             for ops in _expander_group(bad, at)])
+    assert expected[0] is (NotScalarRegularError if member == "irregular"
+                           else NotProjectionWeightsError)
+    assert _first_error([lambda: expander_report.solve(_expander_group(bad, at))]) == expected
+    # solve_stacked fills nothing for the group, so each member, read in
+    # turn, meets its own error
+    bundles = _expander_group(bad, at)
+    assert _first_error([lambda: _reports(bundles)]) == expected
+    assert all("expander_report" in vars(ops) for ops in bundles[:at])
+    assert _first_error([lambda ops=ops: eta(ops) for ops in _expander_group(bad, at)]) == expected
+
+
+def test_stacked_reports_leave_no_adjacency_on_the_bundles():
+    from mwgraph.frames import _reports
+    bundles = _expander_group()
+    reports = _reports(bundles)
+    for ops, report in zip(bundles, reports):
+        assert same_bits(report, reference_eta(ops.graph))
+        assert not {"adjacency", "laplacian", "degree"} & set(vars(ops))
+
+
+def test_stacked_reports_are_cut_by_the_byte_budget(monkeypatch):
+    # 64 colorings of an n = 8, k = 2 graph fit REPORT_BUDGET; at a budget
+    # of two adjacencies, four bundles take two eigvalsh calls
+    from mwgraph import frames
+    assert frames.REPORT_BUDGET // (8 * 16 * 16) == 64
+    monkeypatch.setattr(frames, "REPORT_BUDGET", 2 * 8 * 16 * 16)
+    bundles = _expander_group()
+    solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    reports = frames._reports(bundles)
+    assert len(solves) == 2
+    assert all(same_bits(rep, reference_eta(ops.graph)) for ops, rep in zip(bundles, reports))
 
 
 def test_search_skips_odd_n(monkeypatch):
@@ -592,6 +701,42 @@ def test_search_caps_n_max():
         search_expanders(13, 3, equiangular_frame_2d(3))
 
 
+def test_search_refuses_n_max_k_past_the_size_bound_before_enumerating(monkeypatch):
+    # n_max * k = 4,800 > 4,096: an n = 12 graph would need 4,800 x 4,800
+    # operators; n_max = 10 (4,000) reaches the enumeration
+    from mwgraph import frames
+
+    def forbidden(n, r):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(frames, "enumerate_regular_graphs", forbidden)
+    frame = named_frame("identity400", 3)
+    with pytest.raises(TooLargeError, match="n_max \\* k = 4800 exceeds the limit of 4096"):
+        search_expanders(12, 3, frame)
+    with pytest.raises(AssertionError, match="enumerated"):
+        search_expanders(10, 3, frame)
+
+
+def test_search_pool_is_forked(monkeypatch):
+    import multiprocessing
+    methods = []
+    real = multiprocessing.get_context
+
+    def recording(method=None):
+        methods.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    frame = equiangular_frame_2d(3)
+    serial = search_expanders(6, 3, frame)
+    assert methods == []
+    pooled = search_expanders(6, 3, frame, workers=2)
+    assert methods == ["fork"]
+    assert len(serial) == len(pooled) == 24
+    assert all(a.coloring == b.coloring and same_bits(a.report, b.report)
+               for a, b in zip(serial, pooled))
+
+
 def test_search_frame_size_mismatch():
     with pytest.raises(ValueError):
         search_expanders(6, 4, equiangular_frame_2d(3))
@@ -628,6 +773,36 @@ def test_sample_expanders_beyond_exhaustive_cap():
            [(r.code, r.coloring, r.report.eta) for r in second]
     other_seed = sample_expanders(14, 3, frame, samples=3, seed=8)
     assert len(other_seed) == 3
+
+
+def test_sample_expanders_rejects_a_negative_seed():
+    with pytest.raises(DomainError, match="^seed must be >= 0$"):
+        sample_expanders(8, 3, named_frame("equiangular3"), samples=1, seed=-1)
+
+
+@pytest.mark.parametrize("projections_pass, error", [(True, SampleShortfallError),
+                                                     (False, NotProjectionWeightsError)])
+def test_sampling_shortfall_comes_after_a_drawn_graphs_error(monkeypatch, projections_pass,
+                                                             error):
+    # one draw succeeds and every later one fails: the drawn graph is solved
+    # before the shortfall is raised, so its error comes first
+    from mwgraph import frames
+    rng, draw = np.random.default_rng(0), None
+    while draw is None:
+        draw = frames._matching_union(rng, 8, 3)
+    draws = []
+
+    def once(rng, n, r):
+        draws.append(1)
+        return draw if len(draws) == 1 else None
+
+    frame = named_frame("identity2", 3)
+    monkeypatch.setattr(frames, "_matching_union", once)
+    if not projections_pass:
+        monkeypatch.setattr(frames, "is_projection", lambda P, tol: False)
+    with pytest.raises(error):
+        sample_expanders(8, 3, frame, samples=2)
+    assert len(draws) == 2 * frames._draw_budget(3)
 
 
 def test_sample_expanders_rejects_impossible():

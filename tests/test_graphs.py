@@ -83,6 +83,17 @@ def test_base_graph_rejects_out_of_range():
      IndexOutOfRangeError, "edge (3, 3) outside vertex range [0, 3)"),
     (lambda: MatrixWeightedGraph.from_weights(-1, 0, []), DomainError,
      "block size k must be >= 1, got 0"),
+    # a ragged weight is a dimension mismatch, named in the same order
+    (lambda: MatrixWeightedGraph.from_weights(2, 2, [(0, 1, [[1, 0], [0]])]), DimMismatchError,
+     "weight for edge (0, 1) is not a (2, 2) array of numbers"),
+    (lambda: MatrixWeightedGraph.from_weights(3, 2, [(0, 1, [[1, 0], [0]]), (1, 2, np.eye(3))]),
+     DimMismatchError, "weight for edge (0, 1) is not a (2, 2) array of numbers"),
+    (lambda: MatrixWeightedGraph.from_weights(3, 2, [(0, 1, np.eye(3)), (1, 2, [[1, 0], [0]])]),
+     DimMismatchError, "weight for edge (0, 1) has shape (3, 3), expected (2, 2)"),
+    (lambda: MatrixWeightedGraph.from_weights(3, 2, [(0, 3, [[1, 0], [0]])]),
+     IndexOutOfRangeError, "edge (0, 3) outside vertex range [0, 3)"),
+    (lambda: MatrixWeightedGraph.from_weights(3, 2, [(1, 1, [[1, 0], [0]])]),
+     DegenerateEdgeError, "self-loop at vertex 1"),
 ])
 def test_checked_constructors_name_the_first_bad_input(build, error, message):
     with pytest.raises(error) as err:

@@ -10,10 +10,12 @@ from mwgraph.graphs import MatrixWeightedGraph, Regularity, lift_identity
 from mwgraph.linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from mwgraph.operators import (
     BoundReport,
+    OperatorBundle,
     assemble,
     check_adjacency_trace_bounds,
     check_laplacian_trace_bounds,
     check_normalized_bound,
+    solve_stacked,
     _weighted_laplacian,
 )
 
@@ -398,6 +400,44 @@ def _reference_laplacian(G):
     for v in range(n):
         D[v * k:(v + 1) * k, v * k:(v + 1) * k] = degrees[v]
     return np.array(degrees).reshape(n, k, k), A, D - A
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(resid_tol=0.0),
+                                 Tolerances(resid_tol=0.5)])
+def test_stacked_degree_blocks_regularity_and_adjacency_spectra_are_each_members_own(rng, tol):
+    # solved per shape group, each member's degree blocks, regularity and
+    # adjacency spectrum are the bits of its own per-edge loop, and the
+    # spectrum is solved with no kn x kn A left on the bundle
+    graphs = [G for _, G in Suite(seed=0, random_count=100).corpus()]
+    graphs += [MatrixWeightedGraph.from_weights(n, k, items)
+               for n, k, items in block_corpus_items(rng)]
+    bundles = [assemble(G, tol) for G in graphs]
+    solve_stacked(bundles, (OperatorBundle.degree_blocks, OperatorBundle.regularity,
+                            OperatorBundle.adjacency_values))
+    assert len({(ops.n, ops.k) for ops in bundles}) < len(bundles)
+    for G, ops in zip(graphs, bundles):
+        degrees, A, _ = _reference_laplacian(G)
+        assert ops.degree_blocks.tobytes() == degrees.tobytes()
+        assert ops.regularity == reference_regularity(G, tol)
+        assert ops.adjacency_values.tobytes() == np.linalg.eigvalsh(A).tobytes()
+        assert "adjacency" not in vars(ops)
+
+
+def test_solve_stacked_fills_only_what_a_bundle_lacks(monkeypatch):
+    from mwgraph import operators
+    bundles = [assemble(G) for G in (complete_graph(4), cycle_graph(4), complete_graph(4))]
+    held = bundles[1].regularity
+    solved = []
+    real = operators._regularity
+
+    def recording(degs, *args):
+        solved.append(len(degs))
+        return real(degs, *args)
+
+    monkeypatch.setattr(operators, "_regularity", recording)
+    solve_stacked(bundles, (OperatorBundle.regularity,))
+    assert solved == [2] and bundles[1].regularity is held
+    assert [ops.regularity.kind for ops in bundles] == ["scalar"] * 3
 
 
 def test_weighted_laplacian_of_a_graphs_own_weights_is_its_l(rng):

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mwgraph.errors import (DegenerateEdgeError, IndexOutOfRangeError, NotPsdError,
-                            NotSymmetricError, ParseError, TooLargeError)
+from mwgraph.errors import (DegenerateEdgeError, DimMismatchError, IndexOutOfRangeError,
+                            NotPsdError, NotSymmetricError, ParseError, TooLargeError)
 from mwgraph.graphs import LOAD_MAX_NK, MatrixWeightedGraph, lift_identity
 from mwgraph.linalg import (
     DEFAULT_TOL,
@@ -336,6 +336,18 @@ def test_truss_rejects_endpoint_out_of_range(u, v):
     # a negative endpoint would index the points from the end
     with pytest.raises(IndexOutOfRangeError, match=r"outside joint range \[0, 2\)"):
         Truss.make([[0, 0, 0], [1, 0, 0]], [(u, v, 1.0)])
+
+
+@pytest.mark.parametrize("points, members", [
+    ([[0, 0, 0], [1, 0]], []),
+    # the points are checked before any member
+    ([[0, 0, 0], [1, 0]], [(0, 5, 1.0)]),
+])
+def test_truss_rejects_ragged_points(points, members):
+    with pytest.raises(DimMismatchError) as err:
+        Truss.make(points, members)
+    assert type(err.value) is DimMismatchError
+    assert str(err.value) == "points must be an (n, 3) array of numbers"
 
 
 def test_truss_size_limit():
