@@ -368,11 +368,12 @@ def cmd_build_expander(args, tol: Tolerances) -> int:
         colors = proper_edge_coloring(base, r)
     G = build_expander(base, colors, frame, tol)
     ops = assemble(G, tol)
-    reg = ops.regularity
     try:
         expander = eta(ops).to_jsonable()
     except NotScalarRegularError:
         expander = None
+    # eta solved the regularity before it checked it
+    reg = ops.regularity
     report = {
         "n": G.base.n,
         "k": G.k,

@@ -25,7 +25,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -56,11 +56,10 @@ from .linalg import (DEFAULT_TOL, Tolerances, _checked_psd, as_symmetric, is_pro
 from .operators import OperatorBundle, Stacked, assemble, solve_stacked
 
 SEARCH_MAX_N = 12
-# the bytes the adjacency stack of one stacked expander-report solve may
-# take (128 KiB): 64 colourings of an n = 8, k = 2 graph, while one
-# operator past it, such as an n = 200, k = 2 draw (1.2 MiB), is solved
-# alone.  Budgets from 16 KiB to 1.25 MiB searched n <= 8 equally fast;
-# 1.25 MiB held 3.2 MiB at its peak, 128 KiB 1.4 MiB
+# the bytes the bundles of one stacked expander-report solve may take at
+# its peak (128 KiB): 39 colourings of an r = 4, n = 8, k = 2 graph, while
+# one bundle past it, such as an n = 200, k = 2 draw (1.2 MiB), is solved
+# alone.  Budgets from 16 KiB to 1.25 MiB searched n <= 8 equally fast
 REPORT_BUDGET = 1 << 17
 # sample_expanders refuses, before its first draw, a request whose draw
 # budget, samples * _draw_budget(r), passes this: r = 6 up to 13 samples,
@@ -290,16 +289,20 @@ def eta(ops: OperatorBundle) -> ExpanderReport:
     return expander_report.of(ops)
 
 
-def _reports(bundles: list[OperatorBundle]) -> list[ExpanderReport]:
-    """expander_report of each bundle, all of one shape, solved stacked in
-    runs whose adjacency stack takes at most REPORT_BUDGET bytes, and at
-    least one bundle each."""
-    if bundles:
-        nk = bundles[0].n * bundles[0].k
-        run = max(1, REPORT_BUDGET // (8 * nk * nk or 1))
-        for i in range(0, len(bundles), run):
-            solve_stacked(bundles[i:i + run], (expander_report,))
-    return [expander_report.of(ops) for ops in bundles]
+def _reports(items: list, bundle: Callable[..., OperatorBundle], n: int, m: int,
+             k: int) -> list[ExpanderReport]:
+    """expander_report of bundle(item) for each item, all with n vertices,
+    m edges and dimension k.  The bundles are formed and solved stacked a
+    run at a time, and only the reports outlive their run: a run holds
+    REPORT_BUDGET bytes of adjacencies, weights and degree blocks, and at
+    least one bundle, whatever the number of items."""
+    # one bundle's arrays at the peak of the solve: its kn x kn adjacency,
+    # its weights and their stacked copy, and its degree blocks
+    run = max(1, REPORT_BUDGET // (8 * ((n * k) ** 2 + (2 * m + n) * k * k)))
+    reports: list[ExpanderReport] = []
+    for i in range(0, len(items), run):
+        reports += expander_report.solve([bundle(item) for item in items[i:i + run]])
+    return reports
 
 
 class AlonBoppana(NamedTuple):
@@ -380,7 +383,8 @@ def _graph_results(args) -> list:
                 continue
             seen_weightings.add(key)
         kept.append(coloring)
-    reports = _reports([assemble(_place_frame(graph, coloring, f), tol) for coloring in kept])
+    reports = _reports(kept, lambda coloring: assemble(_place_frame(graph, coloring, f), tol),
+                       n, len(graph.edges), f.k)
     return [SearchResult(n, code_str, graph, coloring, report)
             for coloring, report in zip(kept, reports)]
 
@@ -501,26 +505,28 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
                             f"over the limit of {MAX_SAMPLE_DRAWS}")
     verify_tight(f, tol)
     rng = np.random.default_rng(seed)
-    colorings: list[tuple[int, ...]] = []
-    bundles: list[OperatorBundle] = []
+
+    def place(draw: tuple[BaseGraph, tuple[int, ...]]) -> OperatorBundle:
+        return assemble(_place_frame(*draw, f), tol)
+
+    draws: list[tuple[BaseGraph, tuple[int, ...]]] = []
     attempts = 0
-    while len(bundles) < samples:
+    while len(draws) < samples:
         if attempts == budget:
             # a drawn graph's error comes first, as if each were solved when drawn
-            _reports(bundles)
+            _reports(draws, place, n, n * r // 2, f.k)
             raise SampleShortfallError(
-                f"drew {len(bundles)} of the {samples} requested graphs "
+                f"drew {len(draws)} of the {samples} requested graphs "
                 f"({r}-regular on {n} vertices) in {attempts} attempts")
         attempts += 1
         draw = _matching_union(rng, n, r)
         if draw is None:
             continue
         edges, coloring = draw
-        colorings.append(coloring)
-        bundles.append(assemble(_place_frame(BaseGraph(n, edges), coloring, f), tol))
-    results = [SearchResult(n, graph6_like(n, edges_code(n, ops.graph.base.edges)),
-                            ops.graph.base, coloring, report)
-               for ops, coloring, report in zip(bundles, colorings, _reports(bundles))]
+        draws.append((BaseGraph(n, edges), coloring))
+    reports = _reports(draws, place, n, n * r // 2, f.k)
+    results = [SearchResult(n, graph6_like(n, edges_code(n, base.edges)), base, coloring, report)
+               for (base, coloring), report in zip(draws, reports)]
     results.sort(key=_search_order)
     return results
 

@@ -117,23 +117,20 @@ class Stacked:
 
 
 def solve_stacked(bundles: Iterable["OperatorBundle"], quantities: Sequence[Stacked]) -> None:
-    """Cache each quantity, in order, on every bundle that does not hold it
-    yet, from one ``solve`` per group of such bundles that share n, k and
-    tol.  A group whose solve raises MwgError gets nothing, so each of its
-    members solves its own when read and meets its own error there."""
+    """Cache each quantity, in order, on every bundle, from one ``solve`` per
+    group of bundles that share n, k and tol.  A group whose solve raises
+    MwgError gets nothing, so each of its members solves its own when read
+    and meets its own error there."""
     groups: dict[tuple, list[OperatorBundle]] = {}
     for ops in bundles:
         groups.setdefault((ops.n, ops.k, ops.tol), []).append(ops)
     for quantity in quantities:
         for group in groups.values():
-            pending = [ops for ops in group if quantity.name not in ops.__dict__]
-            if not pending:
-                continue
             try:
-                values = quantity.solve(pending)
+                values = quantity.solve(group)
             except MwgError:
                 continue
-            for ops, value in zip(pending, values):
+            for ops, value in zip(group, values):
                 ops.__dict__[quantity.name] = value
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -582,16 +583,20 @@ def test_stacked_reports_are_eta_bitwise(source):
         assert same_bits(res.report, reference_eta(G))
 
 
-def _expander_group(bad=None, at=0):
-    """Bundles of n = 8, k = 2 graphs: four colorings of one frame
-    expander, with ``bad``, when given, inserted at index ``at``."""
+def _expander_graphs(bad=None, at=0):
+    """Four n = 8, k = 2 frame expanders, the colorings of one graph, with
+    ``bad``, when given, inserted at index ``at``."""
     frame = named_frame("equiangular3+I")
     base = enumerate_regular_graphs(8, 4)[0]
     colorings = itertools.islice(iter_proper_colorings(base, 4), 4)
     graphs = [build_expander(base, coloring, frame) for coloring in colorings]
     if bad is not None:
         graphs.insert(at, bad)
-    return [assemble(G) for G in graphs]
+    return graphs
+
+
+def _expander_group(bad=None, at=0):
+    return [assemble(G) for G in _expander_graphs(bad, at)]
 
 
 def _irregular_member():
@@ -622,8 +627,10 @@ def _first_error(calls):
 
 @pytest.mark.parametrize("member", ["irregular", "non_projection"])
 @pytest.mark.parametrize("at", [0, 2, 4])
-def test_a_group_raises_what_eta_in_turn_raises(member, at):
-    from mwgraph.frames import _reports, expander_report
+def test_a_group_raises_what_eta_in_turn_raises(member, at, monkeypatch):
+    from mwgraph import frames
+    from mwgraph.frames import expander_report
+    from mwgraph.operators import solve_stacked
     bad = _irregular_member() if member == "irregular" else _non_projection_member()
     expected = _first_error([lambda ops=ops: reference_eta(ops.graph)
                              for ops in _expander_group(bad, at)])
@@ -633,31 +640,72 @@ def test_a_group_raises_what_eta_in_turn_raises(member, at):
     # solve_stacked fills nothing for the group, so each member, read in
     # turn, meets its own error
     bundles = _expander_group(bad, at)
-    assert _first_error([lambda: _reports(bundles)]) == expected
-    assert all("expander_report" in vars(ops) for ops in bundles[:at])
+    solve_stacked(bundles, (expander_report,))
+    assert not any("expander_report" in vars(ops) for ops in bundles)
+    assert _first_error([lambda ops=ops: eta(ops) for ops in bundles]) == expected
+    # runs of two: the error is met in the run that holds the bad member
+    monkeypatch.setattr(frames, "REPORT_BUDGET", 2 * 8 * (16 * 16 + (32 + 8) * 4))
+    graphs = _expander_graphs(bad, at)
+    assert _first_error([lambda: frames._reports(graphs, assemble, 8, 16, 2)]) == expected
     assert _first_error([lambda ops=ops: eta(ops) for ops in _expander_group(bad, at)]) == expected
 
 
 def test_stacked_reports_leave_no_adjacency_on_the_bundles():
-    from mwgraph.frames import _reports
+    from mwgraph.frames import expander_report
+    from mwgraph.operators import solve_stacked
     bundles = _expander_group()
-    reports = _reports(bundles)
-    for ops, report in zip(bundles, reports):
-        assert same_bits(report, reference_eta(ops.graph))
+    solve_stacked(bundles, (expander_report,))
+    for ops in bundles:
+        assert same_bits(expander_report.of(ops), reference_eta(ops.graph))
         assert not {"adjacency", "laplacian", "degree"} & set(vars(ops))
 
 
 def test_stacked_reports_are_cut_by_the_byte_budget(monkeypatch):
-    # 64 colorings of an n = 8, k = 2 graph fit REPORT_BUDGET; at a budget
-    # of two adjacencies, four bundles take two eigvalsh calls
+    # a bundle of an r = 4, n = 8, k = 2 graph counts its 16 x 16 adjacency,
+    # its 16 weights twice and its 8 degree blocks: 39 fit REPORT_BUDGET;
+    # at a budget of two, four bundles take two eigvalsh calls
     from mwgraph import frames
-    assert frames.REPORT_BUDGET // (8 * 16 * 16) == 64
-    monkeypatch.setattr(frames, "REPORT_BUDGET", 2 * 8 * 16 * 16)
-    bundles = _expander_group()
+    one = 8 * (16 * 16 + (2 * 16 + 8) * 2 * 2)
+    assert frames.REPORT_BUDGET // one == 39
+    monkeypatch.setattr(frames, "REPORT_BUDGET", 2 * one)
+    graphs = _expander_graphs()
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
-    reports = frames._reports(bundles)
+    reports = frames._reports(graphs, assemble, 8, 16, 2)
     assert len(solves) == 2
-    assert all(same_bits(rep, reference_eta(ops.graph)) for ops, rep in zip(bundles, reports))
+    assert all(same_bits(rep, reference_eta(G)) for G, rep in zip(graphs, reports))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_peak_does_not_grow_with_samples():
+    # an n = 4, k = 128 draw holds 1.25 MiB of weights and degree blocks
+    # once solved; keeping every draw's bundle to the end held 12 MiB more
+    # at 12 samples than at 2
+    frame = named_frame("identity128", 3)
+    few, many = (_traced_peak(lambda s=s: sample_expanders(4, 3, frame, samples=s))
+                 for s in (2, 12))
+    assert many < few + (1 << 20)
+
+
+def test_search_peak_does_not_grow_with_colorings():
+    # a tight frame of three distinct k = 64 projections gives 24 records
+    # up to n = 6; identity64 gives one per graph, three.  Keeping each
+    # graph's bundles to its last coloring held 5 MiB more
+    k = 64
+    half = np.diag([1.0] * (k // 2) + [0.0] * (k // 2))
+    distinct = FusionFrame.from_projections([half, np.eye(k) - half, np.eye(k)])
+    identity = named_frame("identity64", 3)
+    assert [len(search_expanders(6, 3, f)) for f in (distinct, identity)] == [24, 3]
+    one, many = (_traced_peak(lambda f=f: search_expanders(6, 3, f))
+                 for f in (identity, distinct))
+    assert many < one + (1 << 20)
 
 
 def test_search_skips_odd_n(monkeypatch):

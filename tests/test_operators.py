@@ -423,23 +423,6 @@ def test_stacked_degree_blocks_regularity_and_adjacency_spectra_are_each_members
         assert "adjacency" not in vars(ops)
 
 
-def test_solve_stacked_fills_only_what_a_bundle_lacks(monkeypatch):
-    from mwgraph import operators
-    bundles = [assemble(G) for G in (complete_graph(4), cycle_graph(4), complete_graph(4))]
-    held = bundles[1].regularity
-    solved = []
-    real = operators._regularity
-
-    def recording(degs, *args):
-        solved.append(len(degs))
-        return real(degs, *args)
-
-    monkeypatch.setattr(operators, "_regularity", recording)
-    solve_stacked(bundles, (OperatorBundle.regularity,))
-    assert solved == [2] and bundles[1].regularity is held
-    assert [ops.regularity.kind for ops in bundles] == ["scalar"] * 3
-
-
 def test_weighted_laplacian_of_a_graphs_own_weights_is_its_l(rng):
     # the placement the bundle and the sheaf check share gives the bits of
     # a per-edge loop, and fed a graph's own weights, the bundle's L
