@@ -216,8 +216,10 @@ def eml_regular_exhaustive(ops: OperatorBundle) -> BoundReport:
     ind = _indicators(range(m), n)
     sizes = ind.sum(axis=1)
     frac = sizes / n
-    # block tensor wt[u, v] = W_uv, read off the assembled adjacency
-    wt = np.ascontiguousarray(ops.adjacency.reshape(n, k, n, k).transpose(0, 2, 1, 3))
+    # block tensor wt[u, v] = W_uv, placed from the weight stack
+    wt = np.zeros((n, n, k, k))
+    u, v = np.array(ops.graph.base.edges, dtype=np.intp).reshape(-1, 2).T
+    wt[u, v] = wt[v, u] = ops.graph.weight_stack
     trace_rows = ind @ ops.trace_adjacency
     # the contraction order of the whole table, which a block's shapes could change
     path = np.einsum_path("as,stij,bt->abij", ind, wt, ind, optimize=True)[0]

@@ -29,9 +29,9 @@ from .linalg import DEFAULT_TOL, Tolerances, _checked_psd, residual_allowance
 
 Edge = tuple[int, int]
 
-# load() refuses n * k above this, and sheaf.Truss.make 3n, so that one
-# dense kn x kn float64 operator, such as the Laplacian that assemble forms
-# or the sheaf check's Gram matrix delta^T delta, stays within 128 MiB
+# load() refuses n * k above this, and sheaf.Truss.make 3n, so that one dense
+# kn x kn float64 operator, such as L or delta^T delta placed to be solved (a
+# bundle keeps none; a spectrum holds about three at once), stays within 128 MiB
 LOAD_MAX_NK = 4096
 
 

@@ -6,10 +6,7 @@ directly as D^(+/2) A D^(+/2) rather than via I - Lnorm so singular-degree
 vertices are handled uniformly.  The trace weighting w_e = tr(W_e), a k = 1
 graph that the trace bounds compare with L_W and A_W, is read as the
 bundle's n x n ``trace_adjacency``.  ``assemble`` pairs a graph with its
-tolerances in an ``OperatorBundle``, which forms each operator on first read.
-D, A and L are placed from the graph's ``base.edges`` and ``weight_stack``;
-``_weighted_laplacian`` places L so from any weight stack, and the sheaf
-check feeds it the weights B_e^T B_e of its edge factors.
+tolerances in an ``OperatorBundle``, which solves each quantity on first read.
 
 The bundle is the one place a graph operator is solved: the spectra of L,
 A, their normalized forms and the trace weighting are its cached
@@ -24,9 +21,11 @@ of bundles of one shape with one call on their stack, and reading it on
 one bundle is that function's one-element case.  numpy solves a stack one
 matrix at a time with the routine it uses for a single matrix, so
 ``solve_stacked``, which fills many bundles at once, gives each the bits
-it would get alone.  The adjacency spectrum is solved from adjacencies
-placed straight from the weight stacks, so reading it leaves no kn x kn A
-on the bundle.
+it would get alone.  A solve places a shape group's kn x kn A or L
+(``_adjacencies``, ``_laplacians``) and drops it once solved, so a bundle
+keeps spectra and (n, k, k) blocks, never an operator; ``adjacency`` and
+``laplacian`` place a fresh one per read.  The sheaf check's Gram
+matrices are ``_laplacians`` of its edge factors' B_e^T B_e.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MwgError
-from .graphs import Edge, MatrixWeightedGraph, _degree_sums, _regularity
+from .graphs import MatrixWeightedGraph, _degree_sums, _regularity
 from .linalg import DEFAULT_TOL, Tolerances, _pseudo_sqrt_inv
 
 CHECK_TOL = 1e-8
@@ -159,24 +158,42 @@ def _adjacencies(count: int, n: int, ends: np.ndarray, weights: np.ndarray) -> n
     return A
 
 
-def _adjacency(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
-    """The kn x kn matrix with weights[i] at blocks (u, v) and (v, u) of edges[i]."""
-    return _adjacencies(1, n, np.array(edges, dtype=np.intp).reshape(-1, 2), weights)[0]
-
-
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The kn x kn block-diagonal matrix of an (n, k, k) stack."""
-    n, k = blocks.shape[:2]
-    out = np.zeros((k * n, k * n))
-    out.reshape(n, k, n, k)[np.arange(n), :, np.arange(n), :] = blocks
+def _block_diagonals(blocks: np.ndarray) -> np.ndarray:
+    """The (count, kn, kn) stack of block-diagonal matrices of a (count, n, k, k) stack."""
+    count, n, k = blocks.shape[:3]
+    out = np.zeros((count, k * n, k * n))
+    vertices = np.arange(n)
+    out.reshape(count, n, k, n, k)[np.arange(count)[:, None], vertices, :, vertices, :] = blocks
     return out
 
 
-def _weighted_laplacian(n: int, edges: Sequence[Edge], weights: np.ndarray) -> np.ndarray:
-    """D - A for the weights[i] on edges[i], placed as a bundle places its
-    L: fed a graph's own edges and weight stack, it gives the bundle's L
-    bitwise."""
-    return _block_diagonal(_degree_sums(n, edges, weights)) - _adjacency(n, edges, weights)
+def _laplacians(degrees: np.ndarray, ends: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (count, kn, kn) stack of D - A: the block diagonals of a
+    (count, n, k, k) stack of degree blocks, less the adjacencies of the
+    weights on ends, placed as ``_adjacencies`` places them."""
+    L = _block_diagonals(degrees)
+    L -= _adjacencies(len(degrees), degrees.shape[1], ends, weights)
+    return L
+
+
+def _adjacency_stack(group: list["OperatorBundle"]) -> np.ndarray:
+    """The group's adjacencies, placed from their edges and weight stacks."""
+    return _adjacencies(len(group), group[0].n, *_group_edges(group))
+
+
+def _laplacian_stack(group: list["OperatorBundle"]) -> np.ndarray:
+    """The group's Laplacians, placed from their degree blocks, edges and weight stacks."""
+    return _laplacians(np.stack([ops.degree_blocks for ops in group]), *_group_edges(group))
+
+
+def _normalized(place: Callable, group: list["OperatorBundle"]) -> np.ndarray:
+    """The stack of D^(+/2) op D^(+/2), taken exactly symmetric, for the
+    group's operators op that ``place`` (``_adjacency_stack`` or
+    ``_laplacian_stack``) places."""
+    half = _block_diagonals(np.stack([ops.degree_pseudo_sqrt_inv for ops in group]))
+    op = half @ place(group) @ half
+    del half
+    return (op + op.transpose(0, 2, 1)) / 2.0
 
 
 def _eigvalsh_rows(stack: np.ndarray) -> list[np.ndarray]:
@@ -195,19 +212,13 @@ def _degree_blocks(group: list["OperatorBundle"]) -> list[np.ndarray]:
     return list(blocks.reshape(len(group), n, k, k))
 
 
-def _group_adjacency_values(group: list["OperatorBundle"]) -> list[np.ndarray]:
-    """Each bundle's ascending adjacency spectrum, from one eigvalsh of the
-    group's adjacencies, placed from the weight stacks: no bundle forms A."""
-    return _eigvalsh_rows(_adjacencies(len(group), group[0].n, *_group_edges(group)))
-
-
 def _degree_pseudo_sqrt_invs(group: list["OperatorBundle"]) -> list[np.ndarray]:
-    """Block-diagonal D^(+/2) of each bundle: all their D_v^(+/2) from one
-    stacked pseudo_sqrt_inv."""
+    """Each bundle's read-only (n, k, k) stack of blocks D_v^(+/2), all the
+    group's from one stacked pseudo_sqrt_inv."""
     halves = _pseudo_sqrt_inv(np.concatenate([ops.degree_blocks for ops in group]),
                               group[0].tol)
-    n = group[0].n
-    return [_block_diagonal(halves[i * n:(i + 1) * n]) for i in range(len(group))]
+    halves.setflags(write=False)
+    return list(halves.reshape(len(group), group[0].n, *halves.shape[1:]))
 
 
 def _trace_laplacian(ops: "OperatorBundle") -> np.ndarray:
@@ -220,16 +231,16 @@ def _trace_laplacian(ops: "OperatorBundle") -> np.ndarray:
 class OperatorBundle:
     """The operators of a matrix-weighted graph under fixed tolerances.
 
-    ``assemble`` fixes ``graph`` and ``tol``; every other field is formed,
+    ``assemble`` fixes ``graph`` and ``tol``; every other field is solved,
     with ``tol``, the first time it is read: the degree blocks D_v (summed
-    by ``_degree_sums``) and ``regularity``, A, D (placed from the blocks)
-    and L, the normalized operators and D^(+/2), ``trace_adjacency`` and
-    the ascending spectra of L, A, both normalized forms and the trace
-    weighting's Laplacian and adjacency (one ``eigvalsh`` each), from which
-    ``laplacian_norm`` is read.  So
-    regularity and size are checked before any kn x kn array exists.  Every
-    analysis reads one bundle, so a caller assembles and solves each graph
-    once.
+    by ``_degree_sums``) and ``regularity``, the blocks of D^(+/2),
+    ``trace_adjacency`` and the ascending spectra of L, A, both normalized
+    forms and the trace weighting's Laplacian and adjacency (one
+    ``eigvalsh`` each), from which ``laplacian_norm`` is read.  So
+    regularity and size are checked before any kn x kn array exists, and
+    the kn x kn operators each spectrum is solved from are dropped once it
+    is.  Every analysis reads one bundle, so a caller assembles and solves
+    each graph once.
     """
 
     graph: MatrixWeightedGraph
@@ -243,41 +254,37 @@ class OperatorBundle:
     def n(self) -> int:
         return self.graph.base.n
 
-    # the (n, k, k) stack of degree blocks D_v
-    degree_blocks = Stacked(_degree_blocks)
-
-    @cached_property
+    @property
     def adjacency(self) -> np.ndarray:
-        return _adjacency(self.n, self.graph.base.edges, self.graph.weight_stack)
+        """A fresh kn x kn adjacency A on each read; the bundle keeps none."""
+        return _adjacency_stack([self])[0]
 
-    @cached_property
-    def degree(self) -> np.ndarray:
-        return _block_diagonal(self.degree_blocks)
-
-    @cached_property
+    @property
     def laplacian(self) -> np.ndarray:
-        return self.degree - self.adjacency
+        """A fresh kn x kn Laplacian L = D - A on each read; the bundle keeps none."""
+        return _laplacian_stack([self])[0]
 
+    # the (n, k, k) stacks of degree blocks D_v and of their D_v^(+/2)
+    degree_blocks = Stacked(_degree_blocks)
     degree_pseudo_sqrt_inv = Stacked(_degree_pseudo_sqrt_invs)
 
     @cached_property
     def trace_adjacency(self) -> np.ndarray:
         """The n x n adjacency of the trace weighting: entry (u, v) is tr(W_uv)."""
-        n, k = self.n, self.k
-        return np.trace(self.adjacency.reshape(n, k, n, k), axis1=1, axis2=3)
+        ends, weights = _group_edges([self])
+        return _adjacencies(1, self.n, ends, np.trace(weights, axis1=1, axis2=2)[:, None, None])[0]
 
     # the graph's Regularity under tol, tested on degree_blocks
     regularity = Stacked(lambda group: _regularity(
         np.stack([ops.degree_blocks for ops in group]),
         [ops.graph.base.geometric_degrees() for ops in group], group[0].tol))
 
-    laplacian_values = Stacked(
-        lambda group: _eigvalsh_rows(np.stack([ops.laplacian for ops in group])))
-    adjacency_values = Stacked(_group_adjacency_values)
+    laplacian_values = Stacked(lambda group: _eigvalsh_rows(_laplacian_stack(group)))
+    adjacency_values = Stacked(lambda group: _eigvalsh_rows(_adjacency_stack(group)))
     normalized_laplacian_values = Stacked(
-        lambda group: _eigvalsh_rows(np.stack([ops.lap_normalized for ops in group])))
+        lambda group: _eigvalsh_rows(_normalized(_laplacian_stack, group)))
     normalized_adjacency_values = Stacked(
-        lambda group: _eigvalsh_rows(np.stack([ops.adj_normalized for ops in group])))
+        lambda group: _eigvalsh_rows(_normalized(_adjacency_stack, group)))
     trace_laplacian_values = Stacked(
         lambda group: _eigvalsh_rows(np.stack([_trace_laplacian(ops) for ops in group])))
     trace_adjacency_values = Stacked(
@@ -288,18 +295,6 @@ class OperatorBundle:
         """||L||_2 = max(|lambda_min|, |lambda_max|), read off ``laplacian_values``."""
         values = self.laplacian_values
         return max(abs(float(values[0])), abs(float(values[-1]))) if values.size else 0.0
-
-    @cached_property
-    def lap_normalized(self) -> np.ndarray:
-        half = self.degree_pseudo_sqrt_inv
-        Lnorm = half @ self.laplacian @ half
-        return (Lnorm + Lnorm.T) / 2.0
-
-    @cached_property
-    def adj_normalized(self) -> np.ndarray:
-        half = self.degree_pseudo_sqrt_inv
-        Anorm = half @ self.adjacency @ half
-        return (Anorm + Anorm.T) / 2.0
 
 
 def assemble(G: MatrixWeightedGraph, tol: Tolerances = DEFAULT_TOL) -> OperatorBundle:

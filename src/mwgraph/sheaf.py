@@ -7,9 +7,10 @@ head block and -B_e at its tail.  Its Gram matrix is the sheaf Laplacian
 delta^T delta = sum_e b_e b_e^T (x) B_e^T B_e (Hansen and Ghrist, "Toward a
 spectral theory of cellular sheaves", 2019): the Laplacian of the weights
 B_e^T B_e, whatever the orientation.  So the sheaf check never forms delta,
-which has one row per unit of edge rank, but only nk x nk matrices.  Also
-provides the bar-and-joint (truss) construction whose Laplacian is the
-stiffness matrix.
+which has one row per unit of edge rank, but only a shape group's nk x nk
+Gram matrices and Laplacians, solved and dropped: a bundle keeps only the
+residual and H^0.  Also provides the bar-and-joint (truss) construction
+whose Laplacian is the stiffness matrix.
 
 The sheaf check takes an ``OperatorBundle`` and reads its tolerances; the
 constructors take a graph or truss and tolerances of their own.
@@ -25,10 +26,11 @@ import numpy as np
 from . import jsonio
 from .errors import (DegenerateEdgeError, DimMismatchError, DomainError, IndexOutOfRangeError,
                      ParseError, TooLargeError)
-from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph, _ByValue, _stack_key
+from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph, _ByValue, _degree_sums, _stack_key
 from .linalg import (DEFAULT_TOL, Tolerances, _spectral_norms, as_symmetric, keep_cutoff,
                      kernel_dim_of_values, residual_allowance, residual_scale)
-from .operators import BoundReport, OperatorBundle, Stacked, _weighted_laplacian, assemble
+from .operators import (BoundReport, OperatorBundle, Stacked, _group_edges, _laplacian_stack,
+                        _laplacians, assemble)
 
 
 def _kept_eigh(sym: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -61,26 +63,26 @@ def _sheaf_checks(group: list[OperatorBundle]) -> list[tuple[float, np.ndarray]]
     H^0 = ker delta, as columns.
 
     delta^T delta is the Laplacian of the factored weights B_e^T B_e, all
-    the group's from one eigh; the residuals' norms come from one
-    ``_spectral_norms`` of the stack.  dim H^0 counts the eigenvalues
-    sigma^2 of delta^T delta, clipped at 0 (it is PSD, so a negative one is
-    rounding), that are zero in kernel_dim_of_values: the zero cutoff at
-    sigma_max^2, in the units of delta's squared singular values.  They come
-    from one stacked eigvalsh, the routine dim ker L is read from, so where
-    delta^T delta has L's bits the two counts agree; the basis is that many
-    eigenvectors from one eigh.
+    the group's from one eigh, placed on the group's edges as its L is;
+    the residuals' norms come from one ``_spectral_norms`` of the stack.
+    dim H^0 counts the eigenvalues sigma^2 of delta^T delta, clipped at 0
+    (it is PSD, so a negative one is rounding), that are zero in
+    kernel_dim_of_values: the zero cutoff at sigma_max^2, in the units of
+    delta's squared singular values.  They come from one stacked eigvalsh,
+    the routine dim ker L is read from, so where delta^T delta has L's bits
+    the two counts agree; the basis is that many eigenvectors from one eigh.
     """
-    tol = group[0].tol
-    graphs = [ops.graph for ops in group]
-    factored = _factored_weights(np.concatenate([G.weight_stack for G in graphs]), tol)
-    offsets = np.cumsum([0] + [len(G.base.edges) for G in graphs])
-    grams = np.stack([_weighted_laplacian(G.base.n, G.base.edges, factored[a:b])
-                      for G, a, b in zip(graphs, offsets, offsets[1:])])
-    residuals = _spectral_norms(grams - np.stack([ops.laplacian for ops in group]))
+    tol, n, k = group[0].tol, group[0].n, group[0].k
+    ends, weights = _group_edges(group)
+    factored = _factored_weights(weights, tol)
+    degrees = _degree_sums(len(group) * n, ends, factored).reshape(len(group), n, k, k)
+    grams = _laplacians(degrees, ends, factored)
+    residuals = _spectral_norms(grams - _laplacian_stack(group))
     dims = [kernel_dim_of_values(np.maximum(sigma2, 0.0), tol)
             for sigma2 in np.linalg.eigvalsh(grams)]
     vectors = np.linalg.eigh(grams)[1]
-    return [(residual, basis[:, :h0])
+    # copied, so that a bundle's sections keep no view of the group's eigenvectors
+    return [(residual, basis[:, :h0].copy())
             for residual, h0, basis in zip(residuals.tolist(), dims, vectors)]
 
 

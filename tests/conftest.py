@@ -156,10 +156,10 @@ def reference_pseudo_sqrt_inv(m, tol):
 def reference_normalized(ops):
     """(lap_normalized, adj_normalized) with one D_v^(+/2) solve per vertex."""
     k = ops.k
-    half = np.zeros_like(ops.degree)
+    half = np.zeros((k * ops.n, k * ops.n))
     for v in range(ops.n):
         block = slice(v * k, (v + 1) * k)
-        half[block, block] = reference_pseudo_sqrt_inv(ops.degree[block, block], ops.tol)
+        half[block, block] = reference_pseudo_sqrt_inv(ops.degree_blocks[v], ops.tol)
     out = []
     for op in (ops.laplacian, ops.adjacency):
         norm = half @ op @ half

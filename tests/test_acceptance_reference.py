@@ -39,8 +39,8 @@ from mwgraph.operators import (
     check_laplacian_trace_bounds,
     check_normalized_bound,
     solve_stacked,
-    _block_diagonal,
-    _weighted_laplacian,
+    _block_diagonals,
+    _laplacians,
 )
 from mwgraph.sheaf import sheaf_analysis
 
@@ -288,7 +288,8 @@ def _sheaf_direct(ops):
         gram = factor_t @ factor_t.T
         factored.append((gram + gram.T) / 2.0)
     stack = np.array(factored).reshape(len(factored), ops.k, ops.k)
-    gram = _weighted_laplacian(ops.n, ops.graph.base.edges, stack)
+    ends = np.array(ops.graph.base.edges, dtype=np.intp).reshape(-1, 2)
+    gram = _laplacians(_degree_sums(ops.n, ends, stack)[None], ends, stack)[0]
     h0 = kernel_dim_of_values(np.maximum(np.linalg.eigvalsh(gram), 0.0), ops.tol)
     return np.linalg.norm(gram - ops.laplacian, 2), np.linalg.eigh(gram)[1][:, :h0]
 
@@ -298,10 +299,11 @@ def _direct(ops):
     solved it one member at a time."""
     A_tr = ops.trace_adjacency
     degrees = _degree_sums(ops.n, ops.graph.base.edges, ops.graph.weight_stack)
-    half = _block_diagonal(_pseudo_sqrt_inv(degrees, ops.tol))
+    blocks = _pseudo_sqrt_inv(degrees, ops.tol)
+    half = _block_diagonals(blocks[None])[0]
     lap_normalized = half @ ops.laplacian @ half
     return (degrees,
-            half,
+            blocks,
             np.linalg.eigvalsh(ops.laplacian),
             np.linalg.eigvalsh(ops.adjacency),
             np.linalg.eigvalsh((lap_normalized + lap_normalized.T) / 2.0),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mwgraph.acceptance import Suite
 from mwgraph.errors import NonFiniteError, SingularVolumeError
 from mwgraph.expansion import irregular_context
-from mwgraph.graphs import MatrixWeightedGraph, Regularity, lift_identity
+from mwgraph.graphs import MatrixWeightedGraph, Regularity, _degree_sums, lift_identity
 from mwgraph.linalg import DEFAULT_TOL, Tolerances, kernel_dim_of_values
 from mwgraph.operators import (
     BoundReport,
@@ -16,7 +17,11 @@ from mwgraph.operators import (
     check_laplacian_trace_bounds,
     check_normalized_bound,
     solve_stacked,
-    _weighted_laplacian,
+    _adjacency_stack,
+    _block_diagonals,
+    _laplacian_stack,
+    _laplacians,
+    _normalized,
 )
 
 from conftest import (
@@ -55,13 +60,15 @@ def test_assemble_single_edge_blocks():
     assert b.graph is G
     assert np.allclose(b.adjacency, np.block([[np.zeros((2, 2)), W], [W, np.zeros((2, 2))]]))
     assert np.allclose(b.laplacian, np.block([[W, -W], [-W, W]]))
-    assert np.allclose(b.degree, np.block([[W, np.zeros((2, 2))], [np.zeros((2, 2)), W]]))
+    assert np.allclose(_block_diagonals(b.degree_blocks[None])[0],
+                       np.block([[W, np.zeros((2, 2))], [np.zeros((2, 2)), W]]))
 
 
 def test_assemble_empty_graph():
     G = MatrixWeightedGraph.from_weights(3, 2, [])
     b = assemble(G)
-    for op in (b.adjacency, b.laplacian, b.degree, b.lap_normalized, b.adj_normalized):
+    for op in (b.adjacency, b.laplacian, _block_diagonals(b.degree_blocks[None])[0],
+               _normalized(_laplacian_stack, [b])[0], _normalized(_adjacency_stack, [b])[0]):
         assert not np.any(op)
 
 
@@ -71,10 +78,11 @@ def test_assemble_forms_normalized_operators_on_demand(monkeypatch):
     calls = count_calls(monkeypatch, "_pseudo_sqrt_inv", operators)
     G = k4_abc_mwg()
     b = assemble(G)
-    assert b.adjacency.shape == b.laplacian.shape == b.degree.shape == (8, 8)
+    degree = _block_diagonals(b.degree_blocks[None])[0]
+    assert b.adjacency.shape == b.laplacian.shape == degree.shape == (8, 8)
     assert calls == []
-    lam = np.linalg.eigvalsh(b.lap_normalized)
-    mu = np.linalg.eigvalsh(b.adj_normalized)
+    lam = np.linalg.eigvalsh(_normalized(_laplacian_stack, [b])[0])
+    mu = np.linalg.eigvalsh(_normalized(_adjacency_stack, [b])[0])
     assert len(calls) == 1  # every D_v^(+/2) in one stacked call, shared by both operators
     # D = 1.5 I, so the normalized operators are L / 1.5 and A / 1.5
     assert np.allclose(lam, np.linalg.eigvalsh(b.laplacian) / 1.5, atol=1e-12)
@@ -138,12 +146,12 @@ def test_normalized_adjacency_complements_laplacian(rng):
     for _ in range(20):
         G = random_mwg(rng, k_max=2)
         b = assemble(G)
-        degs = [b.degree[v * G.k:(v + 1) * G.k, v * G.k:(v + 1) * G.k]
-                for v in range(G.base.n)]
+        degs = list(b.degree_blocks)
         if any(np.linalg.eigvalsh(d)[0] < 1e-8 for d in degs):
             continue
         identity = np.eye(G.k * G.base.n)
-        assert np.allclose(b.adj_normalized, identity - b.lap_normalized, atol=1e-8)
+        assert np.allclose(_normalized(_adjacency_stack, [b])[0],
+                           identity - _normalized(_laplacian_stack, [b])[0], atol=1e-8)
 
 
 def test_normalized_bound_attained_on_bipartite():
@@ -164,7 +172,7 @@ def test_normalized_bound_random_suite(rng):
         G = random_mwg(rng)
         rep = check_normalized_bound(assemble(G))
         assert rep.holds
-        values = np.linalg.eigvalsh(assemble(G).lap_normalized)
+        values = np.linalg.eigvalsh(_normalized(_laplacian_stack, [assemble(G)])[0])
         assert values[0] >= -DEFAULT_TOL.resid_tol
         assert values[-1] <= 2.0 + DEFAULT_TOL.resid_tol
 
@@ -282,8 +290,8 @@ def test_normalized_operators_bitwise_per_vertex_reference(rng):
     for G in graphs:
         ops = assemble(G)
         lap, adj = reference_normalized(ops)
-        assert ops.lap_normalized.tobytes() == lap.tobytes()
-        assert ops.adj_normalized.tobytes() == adj.tobytes()
+        assert _normalized(_laplacian_stack, [ops])[0].tobytes() == lap.tobytes()
+        assert _normalized(_adjacency_stack, [ops])[0].tobytes() == adj.tobytes()
 
 
 def test_normalized_operators_reject_overflowing_degree():
@@ -292,9 +300,9 @@ def test_normalized_operators_reject_overflowing_degree():
     for count in (2, 4):
         items = [(1, v, np.array([[5e307, 0.0], [0.0, 1.0]])) for v in (0, 2, 3, 4)[:count]]
         G = MatrixWeightedGraph.from_weights(5, 2, items)
-        for name in ("lap_normalized", "adj_normalized"):
+        for place in (_laplacian_stack, _adjacency_stack):
             with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
-                getattr(assemble(G), name)
+                _normalized(place, [assemble(G)])
             assert str(err.value) == "matrix contains NaN or Inf entries"
 
 
@@ -435,5 +443,39 @@ def test_weighted_laplacian_of_a_graphs_own_weights_is_its_l(rng):
         assert ops.degree_blocks.tobytes() == degrees.tobytes()
         assert ops.adjacency.tobytes() == A.tobytes()
         assert ops.laplacian.tobytes() == L.tobytes()
-        placed = _weighted_laplacian(G.base.n, G.base.edges, G.weight_stack)
+        ends = np.array(G.base.edges, dtype=np.intp).reshape(-1, 2)
+        placed = _laplacians(_degree_sums(G.base.n, ends, G.weight_stack)[None], ends,
+                             G.weight_stack)[0]
         assert placed.tobytes() == L.tobytes()
+
+
+def test_spectra_leave_no_operator_on_the_bundle():
+    # an n = 256, k = 2 frame expander: nk = 512, 2 MiB per kn x kn operator.
+    # A bundle that kept D^(+/2), D, A, L and the normalized Laplacian held
+    # 5.0 operators here and peaked at 6.0; placed per solve and dropped,
+    # they leave 0.02 held and peak at 3.0
+    from mwgraph.frames import build_expander, named_frame, sample_expanders
+    from mwgraph.sheaf import sheaf_analysis
+    frame = named_frame("equiangular3+I")
+    res = sample_expanders(256, 4, frame, samples=1)[0]
+    ops = assemble(build_expander(res.graph, res.coloring, frame))
+    entries = (ops.n * ops.k) ** 2
+    operator = 8 * entries
+    assert ops.n * ops.k == 512
+    tracemalloc.start()
+    try:
+        ops.regularity
+        check_normalized_bound(ops)
+        ops.laplacian_values
+        ops.adjacency_values
+        held, peak = tracemalloc.get_traced_memory()
+        sheaf_analysis(ops)
+        held_after_sheaf = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    fields = [a for value in vars(ops).values()
+              for a in (value if isinstance(value, tuple) else (value,))]
+    assert not [a for a in fields if isinstance(a, np.ndarray) and a.size >= entries]
+    assert held <= 0.1 * operator
+    assert peak <= 4.5 * operator
+    assert held_after_sheaf <= 0.1 * operator

@@ -305,6 +305,19 @@ def test_sheaf_check_one_eigh_per_shape_group(rng, monkeypatch):
         assert sections.tobytes() == alone_sections.tobytes()
 
 
+def test_sheaf_sections_keep_no_view_of_the_groups_eigenvectors(rng):
+    # the sections were columns of the group's (m, kn, kn) eigh output, so
+    # each bundle's cached sheaf check kept the whole stack of eigenvectors
+    graphs = [random_mwg(rng, n_max=5, k_max=2) for _ in range(40)]
+    shape = (graphs[0].base.n, graphs[0].k)
+    bundles = [assemble(G) for G in graphs if (G.base.n, G.k) == shape]
+    assert len(bundles) > 1
+    solve_stacked(bundles, [sheaf_check])
+    for ops in bundles:
+        sections = sheaf_check.of(ops)[1]
+        assert sections.base is None and sections.shape[0] == ops.n * ops.k
+
+
 # --- trusses -----------------------------------------------------------------
 
 
