@@ -345,6 +345,8 @@ class Suite:
                  workers: int = 1, random_count: int = 1000):
         if seed < 0:
             raise DomainError("seed must be >= 0")
+        if random_count < 0:
+            raise DomainError("random_count must be >= 0")
         self.tol = tol
         self.seed = seed
         self.workers = workers

@@ -390,8 +390,6 @@ def cmd_build_expander(args, tol: Tolerances) -> int:
 
 
 def cmd_search(args, tol: Tolerances) -> int:
-    if args.samples is not None and args.samples < 1:
-        raise MwgError("--samples must be >= 1")
     frame = _resolve_frame(args.frame, tol, args.r)
     if args.samples is not None:
         results = sample_expanders(args.n_max, args.r, frame, samples=args.samples,
@@ -415,8 +413,6 @@ def cmd_search(args, tol: Tolerances) -> int:
 
 
 def cmd_verify_paper(args, tol: Tolerances) -> int:
-    if args.random_count < 0:
-        raise MwgError("--random-count must be >= 0")
     results = acceptance.run_suite_with_determinism(
         tol, seed=args.seed, workers=args.workers, random_count=args.random_count)
     report = acceptance.results_to_jsonable(results)

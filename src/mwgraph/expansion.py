@@ -17,11 +17,11 @@ smallest bitmask.  It computes every boundary E(S, V-S) directly, as the sum
 of W_e over the crossing edges in edge order, so each per-subset matrix and
 the trace constant are bitwise those of cheeger_ratios on the same subset:
 no sum carries over from one subset to the next.  Only the boundaries that
-cheap eigenvalue bounds cannot rule out reach eigvalsh: those that might
-set or tie alpha, or fall below rank k.  Every other boundary provably
-returns, from eigvalsh, a lambda_min above alpha and rank k, so alpha and
-the minimum boundary rank are still bitwise what eigvalsh on every
-cheeger_ratios matrix gives (see _scan_boundaries).
+the trace-Frobenius eigenvalue bounds cannot rule out reach eigvalsh: those
+that might set or tie alpha, or fall below rank k.  Every other boundary
+provably returns, from eigvalsh, a lambda_min above alpha and rank k, so
+alpha and the minimum boundary rank are still bitwise what eigvalsh on
+every cheeger_ratios matrix gives (see _scan_boundaries).
 """
 
 from __future__ import annotations
@@ -274,7 +274,10 @@ def irregular_context(ops: OperatorBundle) -> IrregularContext:
     values = np.linalg.eigvalsh(vol_total)
     if values.size == 0 or float(values[0]) <= zero_cutoff(float(values[-1]), ops.tol):
         raise SingularVolumeError("vol(G) has an eigenvalue below the rank cutoff")
-    vol_inv = np.linalg.inv(vol_total)
+    try:
+        vol_inv = np.linalg.inv(vol_total)
+    except np.linalg.LinAlgError as exc:
+        raise SingularVolumeError("vol(G) is singular") from exc
     mu = ops.normalized_adjacency_values
     order = np.lexsort((-mu, -np.abs(mu)))
     mu_by_abs = mu[order]
@@ -386,8 +389,8 @@ class _BoundaryScan:
 def _block_bits(n: int, k: int) -> int:
     """Low bits b of a Cheeger scan block: the most, up to min(SCAN_BITS, n),
     whose 2^(b-1) masks keep the block's float arrays within SCAN_BUDGET."""
-    # per mask: two upper triangles, k diagonal or row-sum entries, a full
-    # k x k matrix when every subset goes to eigvalsh, and the scalar rows
+    # per mask: two upper triangles, k diagonal entries, a full k x k
+    # matrix when every subset goes to eigvalsh, and the scalar rows
     per_mask = 8 * (2 * k * k + 2 * k + _SCAN_ROWS)
     b = min(SCAN_BITS, n)
     while b > 1 and per_mask << (b - 1) > SCAN_BUDGET:
@@ -420,22 +423,24 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
     those bits too.
 
     alpha and the ranks come from eigvalsh on the same h(S), but only for
-    the subsets whose cheap bounds, read off the triangles, leave them in
-    doubt; only those are gathered into full k x k matrices, unless
-    keep_per_subset asks for every one.  For eigenvalues l_1 <= ... <= l_k
-    of a symmetric h, l_1 <= min_i h_ii, l_k <= min(||h||_F, max row
-    abs-sum) and l_1 >= tr h - (k - 1) l_k.  Each bound is widened by a
-    margin of 2^-30 k^3 ||h||_F = 2^23 k^3 u ||h||_F, with u = 2^-53.  The
-    bounds' own rounding is a small multiple of k^3.5 u ||h||_F, and
-    eigvalsh is backward stable, so its values lie within a modest
-    polynomial in k times u ||h||_2 of the exact ones; the margin exceeds
-    both by orders of magnitude for any k, so the widened bounds hold for
-    the values eigvalsh would return.  A subset skips eigvalsh only when
-    its lower bound exceeds an upper bound on alpha, so that it can neither
-    set nor tie alpha, and when the rank rule, applied to its bounds in the
-    same monotone arithmetic, gives rank k.  A subset whose ||h||_F^2 is
-    near underflow, where the norm loses its relative accuracy, is always
-    solved and bounds nothing.
+    the subsets whose cheap bounds, read off the sums tr h and ||h||_F^2
+    that the scan already takes, leave them in doubt; only those are
+    gathered into full k x k matrices, unless keep_per_subset asks for
+    every one.  The eigenvalues of a symmetric h have mean t = tr h / k and
+    variance s^2 = ||h||_F^2 / k - t^2, so all lie within t +- sqrt((k - 1)
+    s^2) (Wolkowicz and Styan 1980), exact at k = 2; and l_1 <= min_i h_ii.
+    Each bound is widened by a margin of 2^-20 k ||h||_F.  Near h = cI, s^2
+    is a difference of nearly equal sums whose rounding, a few u ||h||_F^2
+    with u = 2^-53, enters under the square root: the spread is off by at
+    most about k sqrt(u) ||h||_F = 2^-26.5 k ||h||_F.  eigvalsh is backward
+    stable, so its values lie within p(k) u ||h||_2 of the exact ones, p a
+    modest polynomial.  The margin exceeds both by orders of magnitude, so
+    the widened bounds hold for the values eigvalsh would return.  A subset
+    skips eigvalsh only when its lower bound exceeds an upper bound on
+    alpha, so that it can neither set nor tie alpha, and when the rank
+    rule, applied to its bounds in the same monotone arithmetic, gives rank
+    k.  A subset whose ||h||_F^2 is near underflow, where the sum loses its
+    relative accuracy, is always solved and bounds nothing.
     """
     n, k = G.base.n, G.k
     b = _block_bits(n, k)
@@ -446,14 +451,10 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
         bits[v] = (np.arange(width) >> (v - 1)) & 1
     unset = ~bits
     low_size = bits.sum(axis=0, dtype=float)
-    # upper-triangle entries, the diagonal first, and the (k, tri) incidence
-    # that sums a row's absolute values from them
+    # upper-triangle entries, the diagonal first
     off_i, off_j = np.triu_indices(k, 1)
     iu = np.concatenate([np.arange(k), off_i])
     ju = np.concatenate([np.arange(k), off_j])
-    incidence = np.zeros((k, iu.size))
-    incidence[iu, np.arange(iu.size)] = 1.0
-    incidence[ju, np.arange(iu.size)] = 1.0
     # per edge: its triangle as a column, its high ends as a mask of high
     # bits, and the subsets it crosses when an even or an odd number of
     # those ends lie in S: a bool row, all of them (True) or none (None)
@@ -470,9 +471,6 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
         terms.append((w[iu, ju].reshape(-1, 1), (1 << u | 1 << v) >> b, rows))
     E = np.empty((iu.size, width))
     spare = np.empty_like(E)
-    # the diagonals (masks, k) for the trace, then the row sums (k, masks)
-    diag_rows = np.empty(k * width)
-    margin_rel = 2.0 ** -30 * k ** 3
     smallest_sq = np.finfo(float).tiny / np.finfo(float).eps
     best_tr, best_mask = np.inf, 0
     alpha = np.inf
@@ -501,30 +499,25 @@ def _scan_boundaries(G: MatrixWeightedGraph, d: float, tol: Tolerances,
         denom *= d
         # summed along contiguous rows, the diagonals reduce as np.trace
         # reduces the diagonal of one matrix
-        diag = diag_rows[:count * k].reshape(count, k)
-        np.copyto(diag, Eb[:k].T)
-        tr = diag.sum(axis=1)
+        tr = np.ascontiguousarray(Eb[:k].T).sum(axis=1)
         tr /= denom
         np.divide(Eb, denom, out=h)
         # masks increase, so the first minimum is the smallest tied mask
         first = int(np.argmin(tr))
         if tr[first] < best_tr:
             best_tr, best_mask = float(tr[first]), (hi << b) | (2 * first + 1)
-        # ||h||_F^2 and the row abs-sums, from the triangle
+        # ||h||_F^2 from the triangle; a sum near underflow has lost its
+        # relative accuracy: no bounds
         np.square(h, out=Eb)
         sq = Eb[:k].sum(axis=0)
         sq += 2.0 * Eb[k:].sum(axis=0)
-        np.abs(h, out=Eb)
-        row_sums = diag_rows[:count * k].reshape(k, count)
-        np.matmul(incidence, Eb, out=row_sums)
-        # a norm near underflow has lost its relative accuracy: no bounds
         sound = sq >= smallest_sq
-        fro = np.sqrt(sq, out=sq)
-        margin = margin_rel * fro
-        top = np.minimum(fro, row_sums.max(axis=0))
-        top += margin
-        lower = tr - (k - 1) * top
-        lower -= margin
+        # every eigenvalue lies within mean +- sqrt((k - 1) s^2), where s^2 =
+        # ||h||_F^2 / k - mean^2 is the variance of the eigenvalues
+        mean = tr / k
+        margin = np.sqrt(sq) * (2.0 ** -20 * k)
+        spread = np.sqrt((k - 1) * np.maximum(sq / k - mean * mean, 0.0)) + margin
+        lower, top = mean - spread, mean + spread
         upper = h[:k].min(axis=0)
         upper += margin
         upper[~sound] = np.inf
@@ -558,7 +551,14 @@ class CounterexampleCertificate:
 
     A certifying instance has a Laplacian kernel of dimension >= 2k (so
     lambda_{2k} = 0) while every boundary E(S, V-S) is full rank, alpha > 0,
-    and h_trace > 0.
+    and h_trace > 0.  The kernel and rank conditions decide it: a boundary
+    is a sum of PSD weights, so full rank makes it positive definite, with
+    lambda_min > 0 and a positive trace.  The scan's rank rule counts only
+    eigenvalues strictly above zero_cutoff >= 0, and a boundary that skips
+    eigvalsh has rank k only when its lower bound clears that cutoff, so
+    min_boundary_rank == k also puts every computed lambda_min, and alpha,
+    above 0.  On a singular boundary the sign of alpha is rounding, and it
+    never decides holds.
     """
 
     k: int
@@ -569,10 +569,7 @@ class CounterexampleCertificate:
 
     @property
     def holds(self) -> bool:
-        return (self.kernel_dim >= 2 * self.k
-                and self.min_boundary_rank == self.k
-                and self.alpha > 0.0
-                and self.h_trace > 0.0)
+        return self.kernel_dim >= 2 * self.k and self.min_boundary_rank == self.k
 
     def to_jsonable(self) -> dict:
         return {

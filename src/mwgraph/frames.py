@@ -483,13 +483,15 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
 
     The draws' expander reports are solved stacked, as the search's are.
 
-    Raises Domain for a negative seed; TooLarge, before the first draw,
-    when nk exceeds LOAD_MAX_NK, the bound on one dense nk x nk operator,
-    or the draw budget exceeds MAX_SAMPLE_DRAWS (r >= 7); and
+    Raises Domain for a negative seed or samples < 1; TooLarge, before the
+    first draw, when nk exceeds LOAD_MAX_NK, the bound on one dense nk x nk
+    operator, or the draw budget exceeds MAX_SAMPLE_DRAWS (r >= 7); and
     SampleShortfall when the budget yields fewer than `samples` graphs.
     """
     if seed < 0:
         raise DomainError("seed must be >= 0")
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
     if r != len(f):
         raise DimMismatchError(f"frame has {len(f)} elements but r = {r}")
     if n <= r or (n * r) % 2 != 0:
@@ -554,6 +556,8 @@ def named_frame(name: str, r_context: int | None = None) -> FusionFrame:
     identity = m.group(4) is not None
     if identity and r_context is None:
         raise DomainError("identity{k} frame needs the number of colors (r)")
+    if identity and r_context < 1:
+        raise DomainError(f"identity{{k}} frame needs r >= 1 colors, got r = {r_context}")
     digits = (m.group(4) or m.group(2)).lstrip("0")
     if len(digits) <= len(str(LOAD_MAX_NK)):
         size = int(digits or "0")

@@ -242,6 +242,11 @@ def test_suite_rejects_a_negative_seed():
         Suite(seed=-1)
 
 
+def test_suite_rejects_a_negative_random_count():
+    with pytest.raises(DomainError, match="^random_count must be >= 0$"):
+        Suite(random_count=-5)
+
+
 def test_a12_verify_paper_deterministic(capsys):
     argv = ["--format", "json", "verify-paper"]
     assert main(argv) == 0

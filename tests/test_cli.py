@@ -523,7 +523,7 @@ def test_search_samples_must_be_positive(capsys, samples):
                  "--samples", samples]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --samples must be >= 1\n"
+    assert captured.err == "error: samples must be >= 1\n"
 
 
 def test_verify_paper_random_count_must_be_nonnegative(capsys, monkeypatch):
@@ -532,11 +532,11 @@ def test_verify_paper_random_count_must_be_nonnegative(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran the suite")
 
-    monkeypatch.setattr(acceptance, "run_suite_with_determinism", forbidden)
+    monkeypatch.setattr(acceptance.Suite, "run", forbidden)
     assert main(["verify-paper", "--random-count", "-5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --random-count must be >= 0\n"
+    assert captured.err == "error: random_count must be >= 0\n"
 
 
 def test_workers_must_be_positive(capsys, monkeypatch):
@@ -656,6 +656,12 @@ _CONTRACT_FILES = {
     "FRAME_HUGE": json.dumps({"k": 1, "projections": [[_HUGE]]}),
     "TRUSS_HUGE": json.dumps({"points": [[_HUGE, 0, 0]], "edges": []}),
     "DEEP": "[" * 100_000 + "]" * 100_000,  # past the interpreter's recursion limit
+    "EDGELESS": json.dumps({"k": 2, "n": 3, "edges": []}),
+    # vol(G) has eigenvalues 1.08e-19 and 0.0776: np.linalg.inv rejects it
+    # when a zero cutoff of 0 lets it through
+    "SINGULAR_VOL": json.dumps({"k": 2, "n": 3, "edges": [{"u": 1, "v": 2, "w": [
+        0.038648151809319783, -0.0024521574174957593,
+        -0.0024521574174957593, 0.00015558508540968453]}]}),
 }
 _SEARCH = ["search", "--n-max", "8"]
 
@@ -685,9 +691,18 @@ _SEARCH = ["search", "--n-max", "8"]
     (["--workers", "0", "spectrum", "K4"], "--workers must be >= 1"),
     (["search", "--r", "3", "--n-max", "12", "--frame", "identity400"],
      "n_max * k = 4800 exceeds the limit of 4096"),
+    (_SEARCH + ["--r", "0", "--frame", "identity1"],
+     "identity{k} frame needs r >= 1 colors, got r = 0"),
+    (_SEARCH + ["--r", "-1", "--frame", "identity1"],
+     "identity{k} frame needs r >= 1 colors, got r = -1"),
+    (["build-expander", "EDGELESS", "--frame", "identity2"],
+     "identity{k} frame needs r >= 1 colors, got r = 0"),
+    (["--rank-rel-tol", "0", "eml", "SINGULAR_VOL", "--S", "0", "--T", "1"],
+     "graph is neither dI-regular nor has invertible volume; nothing to check"),
 ], ids=["graph-huge", "frame-huge", "truss-huge", "deep", "seed-search", "seed-verify",
         "identity100000", "long-name", "r1", "r-mismatch", "odd-n-r3", "odd-n-r4",
-        "psd-tol", "workers0", "search-nk"])
+        "psd-tol", "workers0", "search-nk", "identity-r0", "identity-r-1",
+        "identity-edgeless", "singular-volume"])
 def test_every_rejection_exits_2_with_one_error_line(k4_scalar_file, tmp_path, capsys,
                                                      argv, expected):
     paths = {"K4": str(k4_scalar_file)}

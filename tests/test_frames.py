@@ -828,6 +828,21 @@ def test_sample_expanders_rejects_a_negative_seed():
         sample_expanders(8, 3, named_frame("equiangular3"), samples=1, seed=-1)
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_sample_expanders_rejects_fewer_than_one_sample(samples):
+    # checked before the frame and the size, so a bad count never reads as
+    # an empty result
+    with pytest.raises(DomainError, match="^samples must be >= 1$"):
+        sample_expanders(20, 4, named_frame("equiangular3+I"), samples=samples)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_identity_frame_names_a_colour_count_below_one(r):
+    message = f"^identity{{k}} frame needs r >= 1 colors, got r = {r}$"
+    with pytest.raises(DomainError, match=message):
+        named_frame("identity2", r)
+
+
 @pytest.mark.parametrize("projections_pass, error", [(True, SampleShortfallError),
                                                      (False, NotProjectionWeightsError)])
 def test_sampling_shortfall_comes_after_a_drawn_graphs_error(monkeypatch, projections_pass,
