@@ -21,8 +21,7 @@ meet, in member order.
 
 ``Suite.run`` runs the expander search (SEARCH_CRITERIA) in one forked
 child process while the parent runs the other criteria, so on two CPUs a
-pass takes about as long as its longer half; ``workers`` sizes the
-search's own pool, inside the child.
+pass takes about as long as its longer half.
 """
 
 from __future__ import annotations
@@ -342,14 +341,13 @@ class Suite:
     """Input corpus plus criterion implementations (A1..A11)."""
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL, seed: int = 0,
-                 workers: int = 1, random_count: int = 1000):
+                 random_count: int = 1000):
         if seed < 0:
             raise DomainError("seed must be >= 0")
         if random_count < 0:
             raise DomainError("random_count must be >= 0")
         self.tol = tol
         self.seed = seed
-        self.workers = workers
         self.random_count = random_count
 
     @cached_property
@@ -476,7 +474,7 @@ class Suite:
         return _criterion("A7", passed, {"graphs": count, "min_slack": float(worst)})
 
     def a8_counterexample(self) -> CriterionResult:
-        results = search_expanders(8, 3, self.frame3, self.tol, workers=self.workers)
+        results = search_expanders(8, 3, self.frame3, self.tol)
         witnesses = []
         for res in results:
             G = build_expander(res.graph, res.coloring, self.frame3, self.tol)
@@ -497,7 +495,7 @@ class Suite:
         return _criterion("A8", passed, details)
 
     def a9_expander_search(self) -> CriterionResult:
-        results = search_expanders(8, 4, self.frame4, self.tol, workers=self.workers)
+        results = search_expanders(8, 4, self.frame4, self.tol)
         # the search's eta raises unless an expander is dI-regular with
         # d > 0, and report.d is that d
         worst_degree_gap = max((abs(res.report.d - 2.5) for res in results), default=0.0)
@@ -598,17 +596,16 @@ def results_to_jsonable(results: list[CriterionResult]) -> dict:
     }
 
 
-def run_suite(tol: Tolerances = DEFAULT_TOL, seed: int = 0, workers: int = 1,
+def run_suite(tol: Tolerances = DEFAULT_TOL, seed: int = 0,
               random_count: int = 1000) -> list[CriterionResult]:
-    return Suite(tol, seed, workers, random_count).run()
+    return Suite(tol, seed, random_count).run()
 
 
 def run_suite_with_determinism(tol: Tolerances = DEFAULT_TOL, seed: int = 0,
-                               workers: int = 1,
                                random_count: int = 1000) -> list[CriterionResult]:
     """A1..A11 plus an A12 row comparing two independent runs byte-for-byte."""
-    first = run_suite(tol, seed, workers, random_count)
-    second = run_suite(tol, seed, workers, random_count)
+    first = run_suite(tol, seed, random_count)
+    second = run_suite(tol, seed, random_count)
     text_a = jsonio.dumps(results_to_jsonable(first))
     text_b = jsonio.dumps(results_to_jsonable(second))
     identical = text_a == text_b

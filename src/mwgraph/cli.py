@@ -368,12 +368,11 @@ def cmd_build_expander(args, tol: Tolerances) -> int:
         colors = proper_edge_coloring(base, r)
     G = build_expander(base, colors, frame, tol)
     ops = assemble(G, tol)
+    reg = ops.regularity
     try:
         expander = eta(ops).to_jsonable()
     except NotScalarRegularError:
         expander = None
-    # eta solved the regularity before it checked it
-    reg = ops.regularity
     report = {
         "n": G.base.n,
         "k": G.k,
@@ -413,8 +412,8 @@ def cmd_search(args, tol: Tolerances) -> int:
 
 
 def cmd_verify_paper(args, tol: Tolerances) -> int:
-    results = acceptance.run_suite_with_determinism(
-        tol, seed=args.seed, workers=args.workers, random_count=args.random_count)
+    results = acceptance.run_suite_with_determinism(tol, seed=args.seed,
+                                                    random_count=args.random_count)
     report = acceptance.results_to_jsonable(results)
     if args.format != "text":
         _emit(report, args.format)

@@ -7,16 +7,17 @@ dI-regular matrix-weighted graph with d = c; when all ranks equal l the
 degree is r l / k, which need not be an integer.
 
 A frame is checked once, by ``FusionFrame.from_projections``: each element
-a symmetric projection, the stack of them PSD.  build_expander checks the
-graph, its coloring and the frame's tightness, then places that stack.  The
-searches check the frame's tightness once, then check and place each
-coloring.  Frames and graphs compare and hash by value.
+a symmetric projection, the stack of them PSD.  build_expander is the one
+place a (graph, coloring, frame) triple from outside the library is
+checked: the graph's regularity, its coloring and the frame's tightness,
+before it places that stack.  Frames and graphs compare and hash by value.
 
 The expander report (eta, the nontrivial adjacency extremes and the
-Alon-Boppana comparison) is the ``Stacked`` quantity ``expander_report``:
-one solve serves a list of bundles of one shape, such as every coloring
-of one graph in the search, and ``eta`` is its one-element case, with the
-same checks and the same first error.
+Alon-Boppana comparison) of N graphs is solved from (N, m, 2) edges and
+(N, m, k, k) weights.  The searches check the frame's tightness once and
+place it on the colorings they make, proper by construction, as such
+arrays, with no graph, bundle or check per coloring.  ``eta`` is the
+one-graph case, with the same first error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -49,16 +50,16 @@ from .graphgen import (
     graph6_like,
     iter_proper_colorings,
 )
-from .graphs import (LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, _ByValue, _stack_key,
-                     is_connected_edges)
+from .graphs import (LOAD_MAX_NK, BaseGraph, MatrixWeightedGraph, _ByValue, _degree_sums,
+                     _regularity, _stack_key, is_connected_edges)
 from .linalg import (DEFAULT_TOL, Tolerances, _checked_psd, as_symmetric, is_projection,
                      keep_cutoff, residual_allowance, spectral_norm)
-from .operators import OperatorBundle, Stacked, assemble, solve_stacked
+from .operators import OperatorBundle, _adjacencies
 
 SEARCH_MAX_N = 12
-# the bytes the bundles of one stacked expander-report solve may take at
+# the bytes the graphs of one stacked expander-report solve may take at
 # its peak (128 KiB): 39 colourings of an r = 4, n = 8, k = 2 graph, while
-# one bundle past it, such as an n = 200, k = 2 draw (1.2 MiB), is solved
+# one graph past it, such as an n = 200, k = 2 draw (1.2 MiB), is solved
 # alone.  Budgets from 16 KiB to 1.25 MiB searched n <= 8 equally fast
 REPORT_BUDGET = 1 << 17
 # sample_expanders refuses, before its first draw, a request whose draw
@@ -164,21 +165,12 @@ def build_expander(g: BaseGraph, colors: tuple[int, ...], f: FusionFrame,
                    tol: Tolerances = DEFAULT_TOL) -> MatrixWeightedGraph:
     """Assign frame element P_{colors[i]} to edge g.edges[i] of an r-regular graph.
 
-    This is where a coloring is checked: it must be proper, with one color
-    in [0, r), r = len(f), per edge, so every vertex sees all r colors.
-    The frame must be tight, so the result is c I-regular, c the frame
-    constant.  The weights are rows of the frame's checked stack, not
-    checked again.
+    This is where a coloring from outside the library is checked: the
+    graph must be r-regular, r = len(f), and the coloring proper, with one
+    color in [0, r) per edge, so every vertex sees all r colors.  The frame
+    must be tight, so the result is c I-regular, c the frame constant.  The
+    weights are rows of the frame's checked stack, not checked again.
     """
-    G = _place_frame(g, colors, f)
-    verify_tight(f, tol)
-    return G
-
-
-def _place_frame(g: BaseGraph, colors: tuple[int, ...],
-                 f: FusionFrame) -> MatrixWeightedGraph:
-    """build_expander without its tightness check (one SVD), for the
-    searches, which check the frame once before they place it."""
     r = len(f)
     degrees = g.geometric_degrees()
     if any(d != r for d in degrees):
@@ -195,6 +187,7 @@ def _place_frame(g: BaseGraph, colors: tuple[int, ...],
                 f"color {c} repeats at an endpoint of edge ({u}, {v})")
         at_vertex[u].add(c)
         at_vertex[v].add(c)
+    verify_tight(f, tol)
     stack = f.projections[list(colors)]
     stack.setflags(write=False)
     return MatrixWeightedGraph(g, f.k, stack)
@@ -229,79 +222,84 @@ class ExpanderReport:
         }
 
 
-def _expander_reports(group: list[OperatorBundle]) -> list[ExpanderReport]:
-    """Each bundle's ExpanderReport, raising what eta on the bundles in turn
-    raises first: a graph that is not dI-regular with d > 0, then a weight
-    that is not a projection.
+def _alon_boppana(r: int, l: int, k: int, d: float) -> tuple[float | None, float | None]:
+    """(2 (l/k) sqrt(r-1), 2 sqrt(d-1)), each None where undefined (r < 2, d <= 1)."""
+    return (2.0 * (l / k) * math.sqrt(r - 1) if r >= 2 else None,
+            2.0 * math.sqrt(d - 1) if d > 1 else None)
 
-    The group's degree blocks and regularity verdicts, its weight traces
-    (whose rounded values are the ranks) and its adjacency spectra come
-    from one call each.  Regularity is checked on the degree blocks before
-    any adjacency exists, and the adjacencies are placed from the weight
-    stacks, so no bundle keeps a kn x kn A.  The projection check is one
-    call per weight."""
-    solve_stacked(group, (OperatorBundle.degree_blocks, OperatorBundle.regularity))
-    tol, k = group[0].tol, group[0].k
-    traces = np.trace(np.concatenate([ops.graph.weight_stack for ops in group]),
-                      axis1=1, axis2=2).tolist()
-    degrees, rank_sets, start = [], [], 0
-    for ops in group:
-        degrees.append(require_scalar_regular(ops.regularity, positive=True))
-        G = ops.graph
-        for e, w in zip(G.base.edges, G.weight_stack):
+
+def _expander_reports(n: int, k: int, tol: Tolerances, edges: np.ndarray,
+                      weights: np.ndarray,
+                      ops: OperatorBundle | None = None) -> list[ExpanderReport]:
+    """The ExpanderReport of each of N graphs on n vertices, graph i the
+    (m, k, k) weights[i] on the (m, 2) edges[i], raising what eta on the
+    graphs in turn raises first: a graph that is not dI-regular with d > 0,
+    then a weight that is not a projection.
+
+    The degree blocks, regularity verdicts, weight traces (whose rounded
+    values are the ranks) and adjacency spectra of all N come from one call
+    each, on them read as one graph on N n vertices, and regularity is
+    checked before any adjacency exists.  The projection check is one call
+    per weight.  ``ops``, one graph's bundle, gives its cached regularity
+    and spectrum, from the same calls on the same arrays, in their place."""
+    count = len(weights)
+    ends = (edges + n * np.arange(count)[:, None, None]).reshape(-1, 2)
+    stack = weights.reshape(-1, k, k)
+    if ops is None:
+        geos = np.bincount(ends.ravel(), minlength=count * n).reshape(count, n).tolist()
+        verdicts = _regularity(_degree_sums(count * n, ends, stack).reshape(count, n, k, k),
+                               [tuple(geo) for geo in geos], tol)
+    else:
+        verdicts = [ops.regularity]
+    traces = np.trace(weights, axis1=2, axis2=3).tolist()
+    ds = []
+    for i, reg in enumerate(verdicts):
+        ds.append(require_scalar_regular(reg, positive=True))
+        for j, w in enumerate(weights[i]):
             if not is_projection(w, tol):
-                raise NotProjectionWeightsError(f"weight on edge {e} is not a projection")
-        stop = start + len(G.base.edges)
-        rank_sets.append({round(t) for t in traces[start:stop]})
-        start = stop
-    solve_stacked(group, (OperatorBundle.adjacency_values,))
+                raise NotProjectionWeightsError(
+                    f"weight on edge {tuple(edges[i, j].tolist())} is not a projection")
+    spectra = (np.linalg.eigvalsh(_adjacencies(count, n, ends, stack)) if ops is None
+               else [ops.adjacency_values])
     reports = []
-    for ops, d, ranks in zip(group, degrees, rank_sets):
-        mu = ops.adjacency_values[::-1]
+    for values, d, reg, graph_traces in zip(spectra, ds, verdicts, traces):
+        mu = values[::-1]
         cluster = int(np.sum(np.abs(mu - d) <= keep_cutoff(d, tol)))
-        nontrivial = mu[k:]
-        hi = float(nontrivial[0])
-        lo = float(nontrivial[-1])
-        eta_value = d - max(abs(hi), abs(lo))
-        geo = set(ops.regularity.geometric_degrees)
-        ab_matrix = ab_classical = None
-        if len(ranks) == 1 and len(geo) == 1:
-            l = next(iter(ranks))
-            r = next(iter(geo))
-            if r >= 2:
-                ab_matrix = 2.0 * (l / k) * math.sqrt(r - 1)
-            if d > 1:
-                ab_classical = 2.0 * math.sqrt(d - 1)
-        reports.append(ExpanderReport(d, float(eta_value), hi, lo, ab_matrix, ab_classical,
+        hi, lo = float(mu[k]), float(mu[-1])
+        ranks, geo = {round(t) for t in graph_traces}, set(reg.geometric_degrees)
+        bounds = (_alon_boppana(next(iter(geo)), next(iter(ranks)), k, d)
+                  if len(ranks) == 1 and len(geo) == 1 else (None, None))
+        reports.append(ExpanderReport(d, float(d - max(abs(hi), abs(lo))), hi, lo, *bounds,
                                       cluster != k))
     return reports
-
-
-# a bundle's expansion constant and its Alon-Boppana comparison
-expander_report = Stacked(_expander_reports, "expander_report")
 
 
 def eta(ops: OperatorBundle) -> ExpanderReport:
     """Expansion constant: all nontrivial |mu| are at most d - eta.
 
-    The one-element case of ``expander_report``: regularity is checked on
-    the degree blocks, before A is formed, then each weight's projection."""
-    return expander_report.of(ops)
+    The one-graph case of the searches' report, on the bundle's regularity
+    and adjacency spectrum: regularity is checked on the degree blocks,
+    before A is formed, then each weight.  The bundle keeps no operator."""
+    G = ops.graph
+    edges = np.array(G.base.edges, dtype=np.intp).reshape(1, -1, 2)
+    return _expander_reports(ops.n, ops.k, ops.tol, edges, G.weight_stack[None], ops)[0]
 
 
-def _reports(items: list, bundle: Callable[..., OperatorBundle], n: int, m: int,
-             k: int) -> list[ExpanderReport]:
-    """expander_report of bundle(item) for each item, all with n vertices,
-    m edges and dimension k.  The bundles are formed and solved stacked a
-    run at a time, and only the reports outlive their run: a run holds
-    REPORT_BUDGET bytes of adjacencies, weights and degree blocks, and at
-    least one bundle, whatever the number of items."""
-    # one bundle's arrays at the peak of the solve: its kn x kn adjacency,
-    # its weights and their stacked copy, and its degree blocks
+def _reports(n: int, edges: np.ndarray, colorings: list, f: FusionFrame,
+             tol: Tolerances) -> list[ExpanderReport]:
+    """The ExpanderReports of f placed on N graphs on n vertices: edge
+    edges[i, j] of an (N, m, 2) array gets f.projections[colorings[i][j]].
+    The weights are placed and solved a run at a time, and only the reports
+    outlive their run: a run holds REPORT_BUDGET bytes of adjacencies,
+    weights and degree blocks, and at least one graph."""
+    m, k = edges.shape[1], f.k
+    # one graph's arrays at the peak of the solve: its kn x kn adjacency,
+    # its weights counted twice, and its degree blocks
     run = max(1, REPORT_BUDGET // (8 * ((n * k) ** 2 + (2 * m + n) * k * k)))
     reports: list[ExpanderReport] = []
-    for i in range(0, len(items), run):
-        reports += expander_report.solve([bundle(item) for item in items[i:i + run]])
+    for i in range(0, len(colorings), run):
+        weights = f.projections[np.array(colorings[i:i + run], dtype=np.intp)]
+        reports += _expander_reports(n, k, tol, edges[i:i + run], weights)
     return reports
 
 
@@ -319,7 +317,7 @@ def alon_boppana_compare(r: int, l: int, k: int) -> AlonBoppana:
     d = r * l / k
     if d <= 1:
         raise DomainError(f"classical bound needs d > 1, got d = {d}")
-    return AlonBoppana(2.0 * (l / k) * math.sqrt(r - 1), 2.0 * math.sqrt(d - 1))
+    return AlonBoppana(*_alon_boppana(r, l, k, d))
 
 
 def ratio_inequality_holds(d: float, r: float) -> bool | None:
@@ -383,8 +381,9 @@ def _graph_results(args) -> list:
                 continue
             seen_weightings.add(key)
         kept.append(coloring)
-    reports = _reports(kept, lambda coloring: assemble(_place_frame(graph, coloring, f), tol),
-                       n, len(graph.edges), f.k)
+    # enumerated colorings are proper, so they are placed on the edges unchecked
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    reports = _reports(n, np.broadcast_to(edges, (len(kept), *edges.shape)), kept, f, tol)
     return [SearchResult(n, code_str, graph, coloring, report)
             for coloring, report in zip(kept, reports)]
 
@@ -397,11 +396,11 @@ def search_expanders(n_max: int, r: int, f: FusionFrame,
     Graphs come from orderly generation, one per isomorphism class in its
     canonical labeling; colorings yielding identical weightings (possible
     only when the frame has repeated elements) are deduplicated.  The
-    colorings of one graph share a shape, so their expander reports are
-    one stacked solve (``expander_report``), cut into runs by
-    REPORT_BUDGET; ``workers`` > 1 spreads the graphs over a forked pool.
-    Results are sorted by eta descending, then canonical code, then
-    coloring.
+    frame is placed on a graph's colorings as one weight array on its edges,
+    with no graph, bundle or coloring check per coloring (build_expander
+    checks one), and solved stacked, in runs cut by REPORT_BUDGET;
+    ``workers`` > 1 spreads the graphs over a forked pool.  Results are
+    sorted by eta descending, then canonical code, then coloring.
 
     Enumeration reaches the n_max = 12 cap for r <= 4 (the 1544 classes of
     r = 4, n = 12 take about 2 s); the limit is now the colorings, 20,544
@@ -481,7 +480,8 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
     search_expanders.  Graphs are not canonicalized, so repeats can occur;
     the result is deterministic for a fixed seed.
 
-    The draws' expander reports are solved stacked, as the search's are.
+    The frame is placed on the draws' own edges as the search places it,
+    with no graph, bundle or colouring check per draw.
 
     Raises Domain for a negative seed or samples < 1; TooLarge, before the
     first draw, when nk exceeds LOAD_MAX_NK, the bound on one dense nk x nk
@@ -508,15 +508,17 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
     verify_tight(f, tol)
     rng = np.random.default_rng(seed)
 
-    def place(draw: tuple[BaseGraph, tuple[int, ...]]) -> OperatorBundle:
-        return assemble(_place_frame(*draw, f), tol)
+    def solve() -> list[ExpanderReport]:
+        edges = np.array([base.edges for base, _ in draws], dtype=np.intp)
+        return _reports(n, edges.reshape(-1, n * r // 2, 2),
+                        [coloring for _, coloring in draws], f, tol)
 
     draws: list[tuple[BaseGraph, tuple[int, ...]]] = []
     attempts = 0
     while len(draws) < samples:
         if attempts == budget:
             # a drawn graph's error comes first, as if each were solved when drawn
-            _reports(draws, place, n, n * r // 2, f.k)
+            solve()
             raise SampleShortfallError(
                 f"drew {len(draws)} of the {samples} requested graphs "
                 f"({r}-regular on {n} vertices) in {attempts} attempts")
@@ -526,7 +528,7 @@ def sample_expanders(n: int, r: int, f: FusionFrame, samples: int = 10,
             continue
         edges, coloring = draw
         draws.append((BaseGraph(n, edges), coloring))
-    reports = _reports(draws, place, n, n * r // 2, f.k)
+    reports = solve()
     results = [SearchResult(n, graph6_like(n, edges_code(n, base.edges)), base, coloring, report)
                for (base, coloring), report in zip(draws, reports)]
     results.sort(key=_search_order)

@@ -28,7 +28,7 @@ from conftest import count_calls
 
 @pytest.fixture(scope="module")
 def suite():
-    return Suite(seed=0, workers=1, random_count=1000)
+    return Suite(seed=0, random_count=1000)
 
 
 def _check(result):
@@ -290,11 +290,11 @@ def _raising(exc):
     return criterion
 
 
-@pytest.mark.parametrize("settings", [{}, {"workers": 2}, {"tol": Tolerances(psd_tol=1e-30)}],
-                         ids=["default", "workers2", "psd_tol_1e-30"])
+@pytest.mark.parametrize("settings", [{}, {"tol": Tolerances(psd_tol=1e-30)}],
+                         ids=["default", "psd_tol_1e-30"])
 def test_run_gives_the_bytes_of_the_criteria_in_turn(settings):
-    # A9 runs in a forked child (with its own pool at workers = 2) beside
-    # the rest; at psd_tol = 1e-30 six criteria are failure rows
+    # A9 runs in a forked child beside the rest; at psd_tol = 1e-30 six
+    # criteria are failure rows
     ran = Suite(seed=0, random_count=20, **settings).run()
     _assert_no_child_left()
     in_turn = _criteria_in_turn(Suite(seed=0, random_count=20, **settings))

@@ -401,8 +401,8 @@ def test_build_expander_with_colors(k4_scalar_file, capsys):
 def test_build_expander_assembles_once(k4_scalar_file, capsys, monkeypatch):
     # the regularity report and eta read one bundle
     from mwgraph import cli, frames, graphs, operators
-    assembled = count_calls(monkeypatch, "assemble", cli, frames, operators)
-    summed = count_calls(monkeypatch, "_degree_sums", graphs, operators)
+    assembled = count_calls(monkeypatch, "assemble", cli, operators)
+    summed = count_calls(monkeypatch, "_degree_sums", graphs, operators, frames)
     assert main(["--format", "json", "build-expander", str(k4_scalar_file),
                  "--frame", "equiangular3"]) == 0
     assert len(assembled) == 1

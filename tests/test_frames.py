@@ -171,15 +171,24 @@ def test_proper_edge_coloring_petersen():
 
 
 def test_edge_coloring_validation():
-    # build_expander is where a coloring is checked
+    # build_expander is where a coloring is checked, in this order: the
+    # graph's regularity, the color count, each color's range, then its
+    # repeats, and the frame's tightness last.  Each fault also carries
+    # every later one, so the message shows which check comes first
     base = k4_base()
-    frame = equiangular_frame_2d(3)
-    faults = [((0, 0, 1, 1, 2, 2), r"color 0 repeats at an endpoint of edge \(0, 2\)"),
-              ((0, 1, 2), "3 colors for 6 edges"),
-              ((0, 1, 2, 2, 1, 5), r"color 5 outside \[0, 3\)")]
-    for colors, message in faults:
-        with pytest.raises(NotProperlyColoredError, match=f"^{message}$"):
-            build_expander(base, colors, frame)
+    untight = FusionFrame.from_projections([FRAME_A, FRAME_B, FRAME_B])
+    path = BaseGraph.from_edges(3, [(0, 1), (1, 2)])
+    faults = [(path, (5, 5), r"graph is not 3-regular \(degrees \[1, 2\]\)"),
+              (base, (5, 5, 5), "3 colors for 6 edges"),
+              (base, (5, 0, 0, 1, 1, 2), r"color 5 outside \[0, 3\)"),
+              (base, (0, 0, 1, 1, 2, 2), r"color 0 repeats at an endpoint of edge \(0, 2\)"),
+              (base, (0, 1, 2, 2, 1, 5), r"color 5 outside \[0, 3\)")]
+    for graph, colors, message in faults:
+        for frame in (equiangular_frame_2d(3), untight):
+            with pytest.raises(NotProperlyColoredError, match=f"^{message}$"):
+                build_expander(graph, colors, frame)
+    with pytest.raises(NotTightError):
+        build_expander(base, proper_edge_coloring(base, 3), untight)
 
 
 # --- build_expander ----------------------------------------------------------
@@ -538,12 +547,12 @@ def test_search_identity_frame_colors_each_graph_once(monkeypatch):
 
 
 def test_search_validates_once(monkeypatch):
-    # the frame's tightness is checked once per search; per coloring the
-    # coloring is checked once and the frame's stack, checked when the
-    # frame was built, placed with no further check; the colorings of one
-    # graph share one eigvalsh of their adjacencies, and each weight is
-    # checked to be a projection once; ranks are read off the traces, so
-    # nothing is symmetrized matrix by matrix
+    # the frame's tightness is checked once per search; the colorings,
+    # proper as enumerated, are not checked again, and the frame's stack,
+    # checked when the frame was built, is placed with no further check;
+    # the colorings of one graph share one eigvalsh of their adjacencies,
+    # and each weight is checked to be a projection once; ranks are read
+    # off the traces, so nothing is symmetrized matrix by matrix
     from mwgraph import frames, graphs, linalg
     frame = augment_with_identity(equiangular_frame_2d(3))
     sym = count_calls(monkeypatch, "as_symmetric", frames, linalg)
@@ -551,12 +560,10 @@ def test_search_validates_once(monkeypatch):
     merged = count_calls(monkeypatch, "_from_stack", graphs.MatrixWeightedGraph)
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
     tight = count_calls(monkeypatch, "verify_tight", frames)
-    placed = count_calls(monkeypatch, "_place_frame", frames)
     projections = count_calls(monkeypatch, "is_projection", frames)
     results = search_expanders(7, 4, frame)
     assert len(results) == 48
     assert len(sym) == len(stacked) == len(merged) == 0
-    assert len(placed) == len(results)
     assert len(solves) == len({res.code for res in results}) == 1
     assert len(projections) == sum(len(res.graph.edges) for res in results) == 576
     assert len(tight) == 1
@@ -583,24 +590,31 @@ def test_stacked_reports_are_eta_bitwise(source):
         assert same_bits(res.report, reference_eta(G))
 
 
-def _expander_graphs(bad=None, at=0):
+def _expander_graphs(bad=(), at=0):
     """Four n = 8, k = 2 frame expanders, the colorings of one graph, with
-    ``bad``, when given, inserted at index ``at``."""
+    the graphs ``bad`` inserted at index ``at``."""
     frame = named_frame("equiangular3+I")
     base = enumerate_regular_graphs(8, 4)[0]
     colorings = itertools.islice(iter_proper_colorings(base, 4), 4)
     graphs = [build_expander(base, coloring, frame) for coloring in colorings]
-    if bad is not None:
-        graphs.insert(at, bad)
+    graphs[at:at] = bad
     return graphs
 
 
-def _expander_group(bad=None, at=0):
-    return [assemble(G) for G in _expander_graphs(bad, at)]
+def _edges_and_weights(graphs):
+    """The (N, m, 2) edges and (N, m, k, k) weights of N graphs of one shape."""
+    return (np.array([G.base.edges for G in graphs], dtype=np.intp),
+            np.array([G.weight_stack for G in graphs]))
 
 
 def _irregular_member():
-    return lift_identity(unit_graph(8, [(i, i + 1) for i in range(7)]), 2)
+    # K_{4,4} with edge (0, 4) moved to (0, 1): 8 vertices and 16 edges, as
+    # the expanders have, weighted by the frame's projections, but vertex 1
+    # meets five weights and vertex 4 three
+    P = named_frame("equiangular3+I").projections
+    edges = [(0, 1)] + [(u, v) for u in range(4) for v in range(4, 8) if (u, v) != (0, 4)]
+    return MatrixWeightedGraph.from_weights(
+        8, 2, [(u, v, P[i % 4]) for i, (u, v) in enumerate(edges)])
 
 
 def _non_projection_member():
@@ -625,54 +639,77 @@ def _first_error(calls):
     return None
 
 
-@pytest.mark.parametrize("member", ["irregular", "non_projection"])
+@pytest.mark.parametrize("members", [["irregular"], ["non_projection"],
+                                     ["irregular", "non_projection"],
+                                     ["non_projection", "irregular"]],
+                         ids=["irregular", "non_projection", "irregular_first",
+                              "non_projection_first"])
 @pytest.mark.parametrize("at", [0, 2, 4])
-def test_a_group_raises_what_eta_in_turn_raises(member, at, monkeypatch):
+def test_a_group_raises_what_eta_in_turn_raises(members, at, monkeypatch):
+    # with two bad members, the first one's error: each graph's regularity
+    # and then its weights are checked before the next graph's
     from mwgraph import frames
-    from mwgraph.frames import expander_report
-    from mwgraph.operators import solve_stacked
-    bad = _irregular_member() if member == "irregular" else _non_projection_member()
-    expected = _first_error([lambda ops=ops: reference_eta(ops.graph)
-                             for ops in _expander_group(bad, at)])
-    assert expected[0] is (NotScalarRegularError if member == "irregular"
-                           else NotProjectionWeightsError)
-    assert _first_error([lambda: expander_report.solve(_expander_group(bad, at))]) == expected
-    # solve_stacked fills nothing for the group, so each member, read in
-    # turn, meets its own error
-    bundles = _expander_group(bad, at)
-    solve_stacked(bundles, (expander_report,))
-    assert not any("expander_report" in vars(ops) for ops in bundles)
-    assert _first_error([lambda ops=ops: eta(ops) for ops in bundles]) == expected
-    # runs of two: the error is met in the run that holds the bad member
-    monkeypatch.setattr(frames, "REPORT_BUDGET", 2 * 8 * (16 * 16 + (32 + 8) * 4))
+    bad = [_irregular_member() if member == "irregular" else _non_projection_member()
+           for member in members]
     graphs = _expander_graphs(bad, at)
-    assert _first_error([lambda: frames._reports(graphs, assemble, 8, 16, 2)]) == expected
-    assert _first_error([lambda ops=ops: eta(ops) for ops in _expander_group(bad, at)]) == expected
+    expected = _first_error([lambda G=G: reference_eta(G) for G in graphs])
+    assert expected[0] is (NotScalarRegularError if members[0] == "irregular"
+                           else NotProjectionWeightsError)
+    edges, weights = _edges_and_weights(graphs)
+    assert _first_error([lambda: frames._expander_reports(8, 2, DEFAULT_TOL, edges,
+                                                          weights)]) == expected
+    assert _first_error([lambda G=G: eta(assemble(G)) for G in graphs]) == expected
+    # runs of two: the error is met in the run that holds the first bad member.
+    # The trusted constructor takes every weight as a frame element, so
+    # graph i's coloring is the indices of its own weights
+    monkeypatch.setattr(frames, "REPORT_BUDGET", 2 * 8 * (16 * 16 + (32 + 8) * 4))
+    every_weight = FusionFrame(2, weights.reshape(-1, 2, 2), ())
+    colorings = [tuple(range(16 * i, 16 * (i + 1))) for i in range(len(graphs))]
+    assert _first_error([lambda: frames._reports(8, edges, colorings, every_weight,
+                                                 DEFAULT_TOL)]) == expected
 
 
-def test_stacked_reports_leave_no_adjacency_on_the_bundles():
-    from mwgraph.frames import expander_report
-    from mwgraph.operators import solve_stacked
-    bundles = _expander_group()
-    solve_stacked(bundles, (expander_report,))
-    for ops in bundles:
-        assert same_bits(expander_report.of(ops), reference_eta(ops.graph))
-        assert not {"adjacency", "laplacian", "degree"} & set(vars(ops))
+def test_eta_leaves_no_adjacency_on_the_bundle():
+    for ops in [assemble(G) for G in _expander_graphs()]:
+        assert same_bits(eta(ops), reference_eta(ops.graph))
+        kn = ops.n * ops.k
+        assert not [name for name, value in vars(ops).items()
+                    if isinstance(value, np.ndarray) and value.shape[-2:] == (kn, kn)]
 
 
 def test_stacked_reports_are_cut_by_the_byte_budget(monkeypatch):
-    # a bundle of an r = 4, n = 8, k = 2 graph counts its 16 x 16 adjacency,
-    # its 16 weights twice and its 8 degree blocks: 39 fit REPORT_BUDGET;
-    # at a budget of two, four bundles take two eigvalsh calls
+    # a graph of r = 4, n = 8, k = 2 counts its 16 x 16 adjacency, its 16
+    # weights twice and its 8 degree blocks: 39 fit REPORT_BUDGET; at a
+    # budget of two, four colorings take two eigvalsh calls
     from mwgraph import frames
     one = 8 * (16 * 16 + (2 * 16 + 8) * 2 * 2)
     assert frames.REPORT_BUDGET // one == 39
     monkeypatch.setattr(frames, "REPORT_BUDGET", 2 * one)
-    graphs = _expander_graphs()
+    frame = named_frame("equiangular3+I")
+    base = enumerate_regular_graphs(8, 4)[0]
+    colorings = list(itertools.islice(iter_proper_colorings(base, 4), 4))
+    edges = np.broadcast_to(np.array(base.edges, dtype=np.intp), (4, 16, 2))
     solves = count_calls(monkeypatch, "eigvalsh", np.linalg)
-    reports = frames._reports(graphs, assemble, 8, 16, 2)
+    reports = frames._reports(8, edges, colorings, frame, DEFAULT_TOL)
     assert len(solves) == 2
-    assert all(same_bits(rep, reference_eta(G)) for G, rep in zip(graphs, reports))
+    assert all(same_bits(rep, reference_eta(G))
+               for G, rep in zip(_expander_graphs(), reports))
+
+
+def test_searches_place_no_graph_or_bundle_per_coloring(monkeypatch):
+    # the colorings the search enumerates and the draws sampling makes are
+    # proper as made: the frame is placed on them as arrays, with no
+    # MatrixWeightedGraph or bundle formed for any one of them
+    from mwgraph import frames
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("formed a graph or a bundle")
+
+    monkeypatch.setattr(frames, "MatrixWeightedGraph", forbidden)
+    monkeypatch.setattr(frames, "assemble", forbidden, raising=False)
+    frame = named_frame("equiangular3+I")
+    assert len(search_expanders(7, 4, frame)) == 48
+    assert len(sample_expanders(20, 4, frame, samples=3)) == 3
 
 
 def _traced_peak(call):
@@ -890,9 +927,17 @@ def test_sampling_checks_tightness_once(monkeypatch):
     from mwgraph import frames
     frame = augment_with_identity(equiangular_frame_2d(3))
     tight = count_calls(monkeypatch, "verify_tight", frames)
-    placed = count_calls(monkeypatch, "_place_frame", frames)
+    solved = []
+    real = frames._expander_reports
+
+    def recording(n, k, tol, edges, weights):
+        solved.append(len(weights))
+        return real(n, k, tol, edges, weights)
+
+    monkeypatch.setattr(frames, "_expander_reports", recording)
     assert len(sample_expanders(40, 4, frame, samples=3, seed=0)) == 3
-    assert (len(tight), len(placed)) == (1, 3)
+    # each draw is placed and solved once, two in the first run
+    assert (len(tight), solved) == (1, [2, 1])
 
 
 def test_sample_expanders_refuse_r7_before_drawing(monkeypatch):
