@@ -83,6 +83,7 @@ from .operators import (
 )
 from .sheaf import (
     Truss,
+    global_sections,
     load_truss,
     rigid_motions,
     sheaf_analysis,

@@ -311,10 +311,10 @@ class _CorpusPass:
         self.lift_gap = max(self.lift_gap, gap)
 
     def _sheaf(self, ops: OperatorBundle) -> None:
-        report, sections, kdim = sheaf_analysis(ops)
+        report, h0, kdim = sheaf_analysis(ops)
         allowed = residual_allowance(report.context["laplacian_norm"], SHEAF_TOL)
         self.residual_ratio = max(self.residual_ratio, float(report.lhs) / allowed)
-        self.h0_matches = self.h0_matches and sections.shape[1] == kdim
+        self.h0_matches = self.h0_matches and h0 == kdim
 
     def _regular_eml(self, ops: OperatorBundle) -> None:
         self.eml_slack = min(self.eml_slack, eml_regular_exhaustive(ops).slack)

@@ -328,8 +328,7 @@ def cmd_cheeger(args, tol: Tolerances) -> int:
 
 
 def cmd_sheaf_check(args, tol: Tolerances) -> int:
-    factorization, sections, kdim = sheaf_analysis(assemble(_load_graph(args.file, tol), tol))
-    h0 = sections.shape[1]
+    factorization, h0, kdim = sheaf_analysis(assemble(_load_graph(args.file, tol), tol))
     report = {
         "factorization": factorization.to_jsonable(),
         "h0_dim": h0,

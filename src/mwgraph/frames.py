@@ -170,7 +170,11 @@ def build_expander(g: BaseGraph, colors: tuple[int, ...], f: FusionFrame,
     color in [0, r) per edge, so every vertex sees all r colors.  The frame
     must be tight, so the result is c I-regular, c the frame constant.  The
     weights are rows of the frame's checked stack, not checked again.
+    Raises TooLargeError first when n * k exceeds LOAD_MAX_NK, the bound on
+    a loadable graph.
     """
+    if g.n * f.k > LOAD_MAX_NK:
+        raise TooLargeError(f"n * k = {g.n * f.k} exceeds the limit of {LOAD_MAX_NK}")
     r = len(f)
     degrees = g.geometric_degrees()
     if any(d != r for d in degrees):

@@ -29,9 +29,10 @@ from .linalg import DEFAULT_TOL, Tolerances, _checked_psd, residual_allowance
 
 Edge = tuple[int, int]
 
-# load() refuses n * k above this, and sheaf.Truss.make 3n, so that one dense
-# kn x kn float64 operator, such as L or delta^T delta placed to be solved (a
-# bundle keeps none; a spectrum holds about three at once), stays within 128 MiB
+# load() refuses n * k above this, frames.build_expander n * k and
+# sheaf.Truss.make 3n, so that one dense kn x kn float64 operator, such as L
+# or delta^T delta placed to be solved (a bundle keeps none; a spectrum or
+# the sheaf check holds about three at once), stays within 128 MiB
 LOAD_MAX_NK = 4096
 
 

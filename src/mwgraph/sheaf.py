@@ -9,8 +9,9 @@ spectral theory of cellular sheaves", 2019): the Laplacian of the weights
 B_e^T B_e, whatever the orientation.  So the sheaf check never forms delta,
 which has one row per unit of edge rank, but only a shape group's nk x nk
 Gram matrices and Laplacians, solved and dropped: a bundle keeps only the
-residual and H^0.  Also provides the bar-and-joint (truss) construction
-whose Laplacian is the stiffness matrix.
+residual's norm and dim H^0; ``global_sections`` solves a basis on request.
+Also provides the bar-and-joint (truss) construction whose Laplacian is the
+stiffness matrix.
 
 The sheaf check takes an ``OperatorBundle`` and reads its tolerances; the
 constructors take a graph or truss and tolerances of their own.
@@ -25,9 +26,9 @@ import numpy as np
 
 from . import jsonio
 from .errors import (DegenerateEdgeError, DimMismatchError, DomainError, IndexOutOfRangeError,
-                     ParseError, TooLargeError)
+                     NonFiniteError, ParseError, TooLargeError)
 from .graphs import LOAD_MAX_NK, Edge, MatrixWeightedGraph, _ByValue, _degree_sums, _stack_key
-from .linalg import (DEFAULT_TOL, Tolerances, _spectral_norms, as_symmetric, keep_cutoff,
+from .linalg import (DEFAULT_TOL, Tolerances, _checked_psd, as_symmetric, keep_cutoff,
                      kernel_dim_of_values, residual_allowance, residual_scale)
 from .operators import (BoundReport, OperatorBundle, Stacked, _group_edges, _laplacian_stack,
                         _laplacians, assemble)
@@ -42,8 +43,11 @@ def _kept_eigh(sym: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray
 
 def sqrt_factor(w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """B with B^T B = W for PSD W; rows are sqrt(sigma_i) u_i^T over eigenpairs
-    with sigma above the rank cutoff, in eigh's ascending order."""
-    values, vectors = _kept_eigh(as_symmetric(w, tol)[None], tol)
+    with sigma above the rank cutoff, in eigh's ascending order.  Raises
+    NotPsdError when W is not PSD under tol."""
+    sym = _checked_psd(as_symmetric(w, tol)[None], tol,
+                       lambda _: "sqrt_factor requires a PSD matrix")
+    values, vectors = _kept_eigh(sym, tol)
     keep = values[0] > 0.0
     return np.sqrt(values[0, keep])[:, None] * vectors[0].T[keep]
 
@@ -58,52 +62,54 @@ def _factored_weights(sym: np.ndarray, tol: Tolerances) -> np.ndarray:
     return (gram + gram.transpose(0, 2, 1)) / 2.0
 
 
-def _sheaf_checks(group: list[OperatorBundle]) -> list[tuple[float, np.ndarray]]:
-    """Each bundle's ||delta^T delta - L||_2 and an orthonormal basis of
-    H^0 = ker delta, as columns.
-
-    delta^T delta is the Laplacian of the factored weights B_e^T B_e, all
-    the group's from one eigh, placed on the group's edges as its L is;
-    the residuals' norms come from one ``_spectral_norms`` of the stack.
-    dim H^0 counts the eigenvalues sigma^2 of delta^T delta, clipped at 0
-    (it is PSD, so a negative one is rounding), that are zero in
-    kernel_dim_of_values: the zero cutoff at sigma_max^2, in the units of
-    delta's squared singular values.  They come from one stacked eigvalsh,
-    the routine dim ker L is read from, so where delta^T delta has L's bits
-    the two counts agree; the basis is that many eigenvectors from one eigh.
-    """
+def _grams(group: list[OperatorBundle]) -> np.ndarray:
+    """Each bundle's delta^T delta: the Laplacian of the factored weights
+    B_e^T B_e, all the group's from one eigh, placed as its L is."""
     tol, n, k = group[0].tol, group[0].n, group[0].k
     ends, weights = _group_edges(group)
     factored = _factored_weights(weights, tol)
     degrees = _degree_sums(len(group) * n, ends, factored).reshape(len(group), n, k, k)
-    grams = _laplacians(degrees, ends, factored)
-    residuals = _spectral_norms(grams - _laplacian_stack(group))
-    dims = [kernel_dim_of_values(np.maximum(sigma2, 0.0), tol)
+    return _laplacians(degrees, ends, factored)
+
+
+def _sheaf_checks(group: list[OperatorBundle]) -> list[tuple[float, int]]:
+    """Each bundle's ||delta^T delta - L||_2 and dim H^0 = dim ker delta.
+
+    dim H^0 counts the eigenvalues sigma^2 of delta^T delta, clipped at 0
+    (it is PSD, so a negative one is rounding), at or below the zero cutoff
+    at sigma_max^2.  They come from one stacked eigvalsh, the routine dim
+    ker L is read from, so where delta^T delta has L's bits the two counts
+    agree.  The exactly symmetric residual's norm is its largest
+    |eigenvalue|, from a second eigvalsh."""
+    grams = _grams(group)
+    dims = [kernel_dim_of_values(np.maximum(sigma2, 0.0), group[0].tol)
             for sigma2 in np.linalg.eigvalsh(grams)]
-    vectors = np.linalg.eigh(grams)[1]
-    # copied, so that a bundle's sections keep no view of the group's eigenvectors
-    return [(residual, basis[:, :h0].copy())
-            for residual, h0, basis in zip(residuals.tolist(), dims, vectors)]
+    grams -= _laplacian_stack(group)
+    residuals = np.abs(np.linalg.eigvalsh(grams)).max(axis=-1, initial=0.0)
+    return list(zip(residuals.tolist(), dims))
 
 
-# a bundle's factorization residual and global sections
+# a bundle's factorization residual and dim H^0
 sheaf_check = Stacked(_sheaf_checks, "sheaf_check")
 
 
-def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, np.ndarray, int]:
-    """The factorization check, the global sections and dim ker L, in that
-    order, from the bundle's ``sheaf_check`` and its one eigensolve of L.
-
-    The check is ||delta^T delta - L|| <= residual_allowance(||L||).  The
-    global sections are an orthonormal basis of H^0 = ker(delta), as
-    columns, so their number is dim ker L exactly when ker delta = ker L.
-    ||L|| and dim ker L, PSD check included, are read off the bundle's
-    ``laplacian_values`` by ``kernel_dim_of_values``."""
-    err, sections = sheaf_check.of(ops)
+def sheaf_analysis(ops: OperatorBundle) -> tuple[BoundReport, int, int]:
+    """The factorization check ||delta^T delta - L|| <= residual_allowance(||L||),
+    dim H^0 and dim ker L, in that order, from the bundle's ``sheaf_check``
+    and its one eigensolve of L: ||L|| and dim ker L, PSD check included,
+    are read off its ``laplacian_values`` by ``kernel_dim_of_values``."""
+    err, h0 = sheaf_check.of(ops)
     norm = ops.laplacian_norm
     report = BoundReport.simple("sheaf_factorization", err, residual_allowance(norm, ops.tol),
                                 check_tol=0.0, laplacian_norm=norm)
-    return report, sections, kernel_dim_of_values(ops.laplacian_values, ops.tol)
+    return report, h0, kernel_dim_of_values(ops.laplacian_values, ops.tol)
+
+
+def global_sections(ops: OperatorBundle) -> np.ndarray:
+    """An orthonormal basis of H^0 = ker delta, as columns: the first dim H^0
+    eigenvectors of delta^T delta from one eigh, as a copy that owns its data."""
+    h0 = sheaf_check.of(ops)[1]
+    return np.linalg.eigh(_grams([ops])[0])[1][:, :h0].copy()
 
 
 # --- trusses ---------------------------------------------------------------
@@ -125,7 +131,7 @@ class Truss(_ByValue):
     @classmethod
     def make(cls, points, members: Iterable[tuple[int, int, float]]) -> "Truss":
         """Raises TooLargeError, before reading any member, when 3n exceeds
-        LOAD_MAX_NK (the stiffness matrix is dense 3n x 3n)."""
+        LOAD_MAX_NK (the stiffness matrix is dense 3n x 3n), and NonFiniteError for NaN or Inf."""
         try:
             pts = np.asarray(points, dtype=float)
         except ValueError as exc:  # ragged nesting, or an entry that is not a number
@@ -134,6 +140,8 @@ class Truss(_ByValue):
             raise DimMismatchError(f"points must have shape (n, 3), got {pts.shape}")
         if 3 * len(pts) > LOAD_MAX_NK:
             raise TooLargeError(f"3n = {3 * len(pts)} exceeds the limit of {LOAD_MAX_NK}")
+        if not np.isfinite(pts).all():
+            raise NonFiniteError("points contain NaN or Inf coordinates")
         pts.setflags(write=False)
         stiffness: dict[Edge, float] = {}
         for u, v, s in members:

@@ -123,12 +123,13 @@ def test_corpus_pass_lapack_calls(pass_calls):
     # member: solved one member at a time, the pass made 11,001 eigvalsh,
     # 3,234 eigh and 3,252 norm calls.  ||L|| is read off the Laplacian's
     # eigenvalues.  Each group's eigh calls are D^(+/2)'s and the sheaf
-    # check's two, of the edge weights and of the Gram matrices, whose
-    # kernels it counts with one more eigvalsh; its norm call is the sheaf
-    # residuals'.  No SVD is left: the per-member coboundary SVD made 1,608
+    # check's one, of the edge weights; the check's two eigvalsh calls count
+    # the Gram matrices' kernels and read the residuals' norms.  No SVD is
+    # left: the per-member coboundary SVD made 1,608 calls, and the
+    # residuals' stacked SVD one per group
     assert pass_calls["members"] == 1626
     assert (pass_calls["eigvalsh"], pass_calls["eigh"], pass_calls["norm"],
-            pass_calls["svd"]) == (3420 + 362, 3 * 362, 362, 0)
+            pass_calls["svd"]) == (3420 + 2 * 362, 2 * 362, 0, 0)
 
 
 def test_corpus_pass_holds_one_member_at_a_time():

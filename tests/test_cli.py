@@ -188,14 +188,14 @@ def test_sheaf_check(k4_abc_file, capsys):
 
 
 def test_sheaf_check_builds_once(k4_abc_file, capsys, monkeypatch):
-    # one assembly; one eigh of the edge weights and one for the Gram
-    # matrix's kernel basis, and no SVD of a coboundary
+    # one assembly; one eigh, of the edge weights, and no SVD of a
+    # coboundary or of the residual: no basis of H^0 is solved
     from mwgraph import cli, sheaf
     assembled = count_calls(monkeypatch, "assemble", cli, sheaf)
     factored = count_calls(monkeypatch, "eigh", np.linalg)
     svds = count_calls(monkeypatch, "svd", np.linalg)
     assert main(["--format", "json", "sheaf-check", str(k4_abc_file)]) == 0
-    assert (len(assembled), len(factored), len(svds)) == (1, 2, 0)
+    assert (len(assembled), len(factored), len(svds)) == (1, 1, 0)
 
 
 def test_sheaf_check_k400_exits_0(tmp_path, capsys):
@@ -216,8 +216,9 @@ def test_sheaf_check_k400_exits_0(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # L, A, D, the Gram matrix, its difference from L and eigh's vectors:
-    # measured at 9.8 MiB, 8.0 arrays of 400 x 400
+    # the Gram matrix, L placed beside it from D and A, and the eigensolvers'
+    # copies: measured at 7.9 MiB, 6.5 arrays of 400 x 400 (8.5 when the
+    # check also solved a basis with eigh and the residual's norm by SVD)
     assert peak < 12 * 400 * 400 * 8
 
 
@@ -278,8 +279,8 @@ def test_commands_solve_each_operator_once(k4_abc_file, tmp_path, capsys, monkey
     # k4_abc has n = 4, k = 2 and six rank-1 weights; the tetrahedron truss
     # has a 12 x 12 stiffness matrix.  Every spectrum of an nk x nk operator
     # is one eigvalsh of a stack of one; the other solves act on k x k
-    # blocks, the sheaf's Gram matrix delta^T delta (its kernel count, its
-    # basis) and its residual from L, the rigid-motion generators (12 x 6)
+    # blocks, the sheaf's Gram matrix delta^T delta (its kernel count) and
+    # its residual from L (its norm), the rigid-motion generators (12 x 6)
     # and the strut vectors
     truss = tmp_path / "tetra.json"
     truss.write_text(json.dumps({
@@ -290,9 +291,8 @@ def test_commands_solve_each_operator_once(k4_abc_file, tmp_path, capsys, monkey
         # Laplacian, L and A; D^(+/2) of the degree blocks
         "spectrum": {"eigvalsh": [(6, 2, 2), (4, 2, 2), (1, 8, 8), (1, 8, 8), (1, 8, 8)],
                      "eigh": [(4, 2, 2)], "svd": [], "norm": []},
-        "sheaf-check": {"eigvalsh": [(6, 2, 2), (1, 8, 8), (1, 8, 8)],
-                        "eigh": [(6, 2, 2), (1, 8, 8)],
-                        "svd": [], "norm": [(1, 8, 8)]},
+        "sheaf-check": {"eigvalsh": [(6, 2, 2), (1, 8, 8), (1, 8, 8), (1, 8, 8)],
+                        "eigh": [(6, 2, 2)], "svd": [], "norm": []},
         "truss": {"eigvalsh": [(6, 3, 3), (1, 12, 12)], "eigh": [], "svd": [(12, 6)],
                   "norm": [(3,)] * 6},
     }
@@ -655,6 +655,12 @@ _CONTRACT_FILES = {
     "GRAPH_HUGE": json.dumps({"k": 1, "n": 2, "edges": [{"u": 0, "v": 1, "w": [_HUGE]}]}),
     "FRAME_HUGE": json.dumps({"k": 1, "projections": [[_HUGE]]}),
     "TRUSS_HUGE": json.dumps({"points": [[_HUGE, 0, 0]], "edges": []}),
+    # NaN and Infinity are literals json.loads accepts
+    "TRUSS_NAN": '{"points": [[NaN, 0, 0], [1, 0, 0]], "edges": []}',
+    "TRUSS_INF": '{"points": [[Infinity, 0, 0], [1, 0, 0]], "edges": [{"u": 0, "v": 1, "s": 1}]}',
+    # 1-regular with n k = 66 * 64 = 4,224 under identity64
+    "MATCHING66": json.dumps({"k": 1, "n": 66, "edges": [
+        {"u": 2 * i, "v": 2 * i + 1, "w": [1.0]} for i in range(33)]}),
     "DEEP": "[" * 100_000 + "]" * 100_000,  # past the interpreter's recursion limit
     "EDGELESS": json.dumps({"k": 2, "n": 3, "edges": []}),
     # vol(G) has eigenvalues 1.08e-19 and 0.0776: np.linalg.inv rejects it
@@ -673,6 +679,10 @@ _SEARCH = ["search", "--n-max", "8"]
      "malformed frame JSON: projection entry must fit a float, got 1" + "0" * 39),
     (["truss", "TRUSS_HUGE"],
      "malformed truss JSON: point coordinate must fit a float, got 1" + "0" * 39),
+    (["truss", "TRUSS_NAN"], "points contain NaN or Inf coordinates"),
+    (["truss", "TRUSS_INF"], "points contain NaN or Inf coordinates"),
+    (["build-expander", "MATCHING66", "--frame", "identity64"],
+     "n * k = 4224 exceeds the limit of 4096"),
     (["spectrum", "DEEP"], "invalid MWG-JSON: maximum recursion depth exceeded"),
     (["--seed", "-1"] + _SEARCH + ["--r", "3", "--frame", "equiangular3", "--samples", "1"],
      "--seed must be >= 0"),
@@ -699,7 +709,8 @@ _SEARCH = ["search", "--n-max", "8"]
      "identity{k} frame needs r >= 1 colors, got r = 0"),
     (["--rank-rel-tol", "0", "eml", "SINGULAR_VOL", "--S", "0", "--T", "1"],
      "graph is neither dI-regular nor has invertible volume; nothing to check"),
-], ids=["graph-huge", "frame-huge", "truss-huge", "deep", "seed-search", "seed-verify",
+], ids=["graph-huge", "frame-huge", "truss-huge", "truss-nan", "truss-inf",
+        "matching-identity64", "deep", "seed-search", "seed-verify",
         "identity100000", "long-name", "r1", "r-mismatch", "odd-n-r3", "odd-n-r4",
         "psd-tol", "workers0", "search-nk", "identity-r0", "identity-r-1",
         "identity-edgeless", "singular-volume"])

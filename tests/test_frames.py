@@ -236,6 +236,18 @@ def test_build_expander_rejects_untight_frame():
         build_expander(base, proper_edge_coloring(base, 3), frame)
 
 
+def test_build_expander_rejects_nk_over_the_load_bound():
+    # a 66-vertex perfect matching is 1-regular, and identity64 passes
+    # named_frame's (r + 1) k <= LOAD_MAX_NK at r = 1, but n k = 4,224: the
+    # size is checked before the coloring and before any operator is placed
+    base = BaseGraph.from_edges(66, [(2 * i, 2 * i + 1) for i in range(33)])
+    frame = named_frame("identity64", 1)
+    with pytest.raises(TooLargeError, match="^n \\* k = 4224 exceeds the limit of 4096$"):
+        build_expander(base, (0,) * 33, frame)
+    with pytest.raises(TooLargeError):
+        build_expander(base, (), frame)
+
+
 def _signed_zeros(mats):
     """The matrices with every zero entry written as -0.0."""
     return [np.where(np.asarray(P) == 0.0, -0.0, P) for P in mats]
